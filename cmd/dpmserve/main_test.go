@@ -410,6 +410,32 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestInvalidInlineConfigAnswers422 replays requests that used to panic
+// an engine worker — and with it the whole process — or "ran" to an
+// empty result: they must be refused with 422 and leave the server
+// healthy.
+func TestInvalidInlineConfigAnswers422(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{MaxInflight: 2})
+	for name, cfg := range map[string]string{
+		"negative sample interval": `"SampleInterval":-1000000`,
+		"negative horizon":         `"Horizon":-1000000000000`,
+	} {
+		body := `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":5,"MeanInstructions":100000}}}],` + cfg + `}}`
+		resp, msg := postJSON(t, ts.URL+"/v1/simulate", body)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "negative") {
+			t.Errorf("%s: status %d (%s), want 422", name, resp.StatusCode, bytes.TrimSpace(msg))
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after invalid configs = %d, want 200", resp.StatusCode)
+	}
+}
+
 // TestLoadgenDedupRatioAndBoundedCache drives the built-in load
 // generator at an in-process server: a mixed duplicate/distinct stream
 // must be served from exactly `distinct` simulations, and the cache

@@ -1,6 +1,7 @@
 package acpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -373,5 +374,36 @@ func TestFormatTransitionMatrix(t *testing.T) {
 	lines := strings.Count(out, "\n")
 	if lines != NumStates+1 {
 		t.Errorf("matrix has %d lines, want %d", lines, NumStates+1)
+	}
+}
+
+// refStateString is String as first written with fmt; the table-driven
+// String and its Append must render every value exactly like it.
+func refStateString(s State) string {
+	switch s {
+	case SoftOff:
+		return "SoftOff"
+	case SL4, SL3, SL2, SL1:
+		return fmt.Sprintf("SL%d", 5-int(s))
+	case ON4, ON3, ON2, ON1:
+		return fmt.Sprintf("ON%d", int(ON1)-int(s)+1)
+	default:
+		return fmt.Sprintf("State(%d)", int(s))
+	}
+}
+
+func TestStateAppendMatchesString(t *testing.T) {
+	for v := State(-40); v <= 40; v++ {
+		want := refStateString(v)
+		if got := v.String(); got != want {
+			t.Errorf("State(%d).String() = %q, want %q", int(v), got, want)
+		}
+		if got := string(v.Append([]byte("x="))); got != "x="+want {
+			t.Errorf("State(%d).Append = %q, want %q", int(v), got, "x="+want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = State(1).Append(buf[:0]); _ = State(2).String() }); n != 0 {
+		t.Errorf("Append/String of an in-range value allocate %.0f times, want 0", n)
 	}
 }

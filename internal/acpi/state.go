@@ -5,7 +5,10 @@
 // actual state to the functional block.
 package acpi
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // State is one ACPI power state. Ordering is by increasing capability:
 // SoftOff < SL4 < ... < SL1 < ON4 < ... < ON1.
@@ -25,18 +28,26 @@ const (
 	NumStates = int(ON1) + 1
 )
 
+// stateNames are the paper's names, indexed by State.
+var stateNames = [NumStates]string{"SoftOff", "SL4", "SL3", "SL2", "SL1", "ON4", "ON3", "ON2", "ON1"}
+
 // String returns the paper's name for the state.
 func (s State) String() string {
-	switch s {
-	case SoftOff:
-		return "SoftOff"
-	case SL4, SL3, SL2, SL1:
-		return fmt.Sprintf("SL%d", 5-int(s))
-	case ON4, ON3, ON2, ON1:
-		return fmt.Sprintf("ON%d", int(ON1)-int(s)+1)
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
+	if s >= 0 && int(s) < NumStates {
+		return stateNames[s]
 	}
+	var buf [32]byte
+	return string(s.Append(buf[:0]))
+}
+
+// Append appends String's rendering of s to b; out-of-range values render
+// as "State(n)".
+func (s State) Append(b []byte) []byte {
+	if s >= 0 && int(s) < NumStates {
+		return append(b, stateNames[s]...)
+	}
+	b = strconv.AppendInt(append(b, "State("...), int64(s), 10)
+	return append(b, ')')
 }
 
 // IsOn reports whether the state is an execution state.

@@ -9,6 +9,7 @@ package battery
 
 import (
 	"fmt"
+	"strconv"
 
 	"godpm/internal/sim"
 )
@@ -29,24 +30,26 @@ const (
 	NumStatuses = int(Mains) + 1
 )
 
+// statusNames are the paper's names, indexed by Status.
+var statusNames = [NumStatuses]string{"Empty", "Low", "Medium", "High", "Full", "Mains"}
+
 // String returns the paper's name for the class.
 func (s Status) String() string {
-	switch s {
-	case Empty:
-		return "Empty"
-	case Low:
-		return "Low"
-	case Medium:
-		return "Medium"
-	case High:
-		return "High"
-	case Full:
-		return "Full"
-	case Mains:
-		return "Mains"
-	default:
-		return fmt.Sprintf("Status(%d)", int(s))
+	if s >= 0 && int(s) < NumStatuses {
+		return statusNames[s]
 	}
+	var buf [32]byte
+	return string(s.Append(buf[:0]))
+}
+
+// Append appends String's rendering of s to b; out-of-range values render
+// as "Status(n)".
+func (s Status) Append(b []byte) []byte {
+	if s >= 0 && int(s) < NumStatuses {
+		return append(b, statusNames[s]...)
+	}
+	b = strconv.AppendInt(append(b, "Status("...), int64(s), 10)
+	return append(b, ')')
 }
 
 // ParseStatus converts a class name back to a Status.

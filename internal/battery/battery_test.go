@@ -1,6 +1,7 @@
 package battery
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -250,5 +251,42 @@ func TestPackPredictStatus(t *testing.T) {
 	// Over-draw clamps at Empty.
 	if got := p.PredictStatus(1000, sim.Sec); got != Empty {
 		t.Fatalf("PredictStatus overdraw = %v, want Empty", got)
+	}
+}
+
+// refStatusString is String as first written with fmt; the table-driven
+// String and its Append must render every value exactly like it.
+func refStatusString(s Status) string {
+	switch s {
+	case Empty:
+		return "Empty"
+	case Low:
+		return "Low"
+	case Medium:
+		return "Medium"
+	case High:
+		return "High"
+	case Full:
+		return "Full"
+	case Mains:
+		return "Mains"
+	default:
+		return fmt.Sprintf("Status(%d)", int(s))
+	}
+}
+
+func TestStatusAppendMatchesString(t *testing.T) {
+	for v := Status(-40); v <= 40; v++ {
+		want := refStatusString(v)
+		if got := v.String(); got != want {
+			t.Errorf("Status(%d).String() = %q, want %q", int(v), got, want)
+		}
+		if got := string(v.Append([]byte("x="))); got != "x="+want {
+			t.Errorf("Status(%d).Append = %q, want %q", int(v), got, "x="+want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = Status(1).Append(buf[:0]); _ = Status(2).String() }); n != 0 {
+		t.Errorf("Append/String of an in-range value allocate %.0f times, want 0", n)
 	}
 }

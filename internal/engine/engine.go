@@ -206,8 +206,8 @@ func (e *Engine) Run(ctx context.Context, plan Plan) ([]JobResult, error) {
 func (e *Engine) RunObserved(ctx context.Context, plan Plan, onResult func(i int, jr JobResult)) ([]JobResult, error) {
 	n := len(plan.Jobs)
 	results := make([]JobResult, n)
-	e.warm(ctx, plan)
-	units := e.planUnits(plan)
+	keys, units := e.planUnits(plan)
+	e.warm(ctx, plan, keys)
 
 	workers := e.workers
 	if workers > len(units) {
@@ -248,12 +248,12 @@ func (e *Engine) RunObserved(ctx context.Context, plan Plan, onResult func(i int
 				}
 				if len(unit.indices) == 1 {
 					i := unit.indices[0]
-					jr := e.runJob(ctx, plan.Jobs[i])
+					jr := e.runJob(ctx, plan.Jobs[i], keys[i])
 					results[i] = jr
 					notify(i, jr)
 					continue
 				}
-				e.runGroup(ctx, plan.Jobs, unit.indices, results)
+				e.runGroup(ctx, plan.Jobs, keys, unit.indices, results)
 				for _, i := range unit.indices {
 					notify(i, results[i])
 				}
@@ -294,7 +294,7 @@ feed:
 // and every entry the fleet already computed arrives in the local tiers
 // before a worker would have simulated it. Single-job plans skip it —
 // the per-job Get covers them.
-func (e *Engine) warm(ctx context.Context, plan Plan) {
+func (e *Engine) warm(ctx context.Context, plan Plan, keys []jobKeys) {
 	if len(plan.Jobs) < 2 || e.cache == nil {
 		return
 	}
@@ -303,42 +303,37 @@ func (e *Engine) warm(ctx context.Context, plan Plan) {
 		return
 	}
 	seen := make(map[string]struct{}, len(plan.Jobs))
-	keys := make([]string, 0, len(plan.Jobs))
-	for _, job := range plan.Jobs {
-		if job.Options.Volatile() {
-			continue
-		}
-		k, err := jobKey(job)
-		if err != nil {
+	distinct := make([]string, 0, len(plan.Jobs))
+	for i, job := range plan.Jobs {
+		k := keys[i].key
+		if job.Options.Volatile() || keys[i].err != nil {
 			continue
 		}
 		if _, dup := seen[k]; dup {
 			continue
 		}
 		seen[k] = struct{}{}
-		keys = append(keys, k)
+		distinct = append(distinct, k)
 	}
-	if len(keys) > 0 {
-		w.Warm(ctx, keys)
+	if len(distinct) > 0 {
+		w.Warm(ctx, distinct)
 	}
 }
 
-// runJob executes one job: fingerprint, cache probe, singleflight join,
-// simulate, store. Concurrent jobs with the same key collapse to one
-// simulation — the waiters are served the winner's result as cache hits,
-// so a stampede of identical jobs costs one run and never double-counts
-// Misses.
-func (e *Engine) runJob(ctx context.Context, job Job) JobResult {
+// runJob executes one job under its precomputed keys: cache probe,
+// singleflight join, simulate, store. Concurrent jobs with the same key
+// collapse to one simulation — the waiters are served the winner's result
+// as cache hits, so a stampede of identical jobs costs one run and never
+// double-counts Misses.
+func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys) JobResult {
 	if err := ctx.Err(); err != nil {
 		e.canceled.Add(1)
 		return JobResult{Job: job, Err: err}
 	}
-	jr := JobResult{Job: job}
-	var err error
-	jr.Key, err = jobKey(job)
-	if err != nil {
+	jr := JobResult{Job: job, Key: keys.key}
+	if keys.err != nil {
 		e.errs.Add(1)
-		jr.Err = err
+		jr.Err = keys.err
 		return jr
 	}
 	// Observers are pure instrumentation (an observed run's Result is

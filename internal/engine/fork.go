@@ -2,9 +2,6 @@ package engine
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"io"
 	"time"
 
 	"godpm/internal/soc"
@@ -35,73 +32,51 @@ func (e *Engine) forkable(job Job) bool {
 	return !(job.Config.UseGEM && job.Config.GEM.BusOccupancyLimit > 0)
 }
 
-// forkPrefixKey is the grouping key: the fingerprint of the normalized
-// config with Horizon zeroed. Normalized horizons are never zero, so the
-// zero marks "any horizon" — two jobs share a prefix key iff their
-// configs are identical modulo Horizon, which is exactly when they share
-// a trajectory prefix.
-func forkPrefixKey(cfg soc.Config) (string, error) {
-	norm, err := cfg.Normalized()
-	if err != nil {
-		return "", err
-	}
-	norm.Horizon = 0
-	h := sha256.New()
-	io.WriteString(h, fingerprintVersion)
-	io.WriteString(h, "|forkprefix")
-	writeConfig(h, &norm)
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 // workUnit is one dispatchable unit of a plan: a single job, or a fork
 // group that one worker runs as a shared session.
 type workUnit struct {
 	indices []int // plan positions; len > 1 means a fork group
 }
 
-// planUnits partitions the plan into work units, preserving plan order by
-// first occurrence. Unforkable jobs (and jobs whose prefix key cannot be
-// computed — their runJob will surface the error) become solo units;
-// forkable jobs sharing a prefix key collapse into one group unit.
-func (e *Engine) planUnits(plan Plan) []workUnit {
+// planUnits keys every job of the plan — one normalization and one
+// encoding per job, shared by its cache key and its fork-prefix key — and
+// partitions the plan into work units, preserving plan order by first
+// occurrence. Unforkable jobs (and jobs whose config does not normalize —
+// their runJob surfaces the error) become solo units; forkable jobs
+// sharing a prefix key collapse into one group unit. The prefix key is the
+// fingerprint of the normalized config with Horizon zeroed. Normalized
+// horizons are never zero, so the zero marks "any horizon" — two jobs
+// share a prefix key iff their configs are identical modulo Horizon,
+// which is exactly when they share a trajectory prefix. The returned keys
+// are index-aligned with plan.Jobs.
+func (e *Engine) planUnits(plan Plan) ([]jobKeys, []workUnit) {
 	// A group needs at least two forkable jobs; below that, skip the
-	// prefix-key hashing entirely — it keeps the single-job serving path
-	// (a cache hit plus nothing else) free of per-request config copies.
+	// prefix key entirely — it keeps the single-job serving path (a cache
+	// hit plus nothing else) free of a second hash over the config.
 	nForkable := 0
 	for _, job := range plan.Jobs {
 		if e.forkable(job) {
 			nForkable++
 		}
 	}
-	if nForkable < 2 {
-		units := make([]workUnit, len(plan.Jobs))
-		for i := range plan.Jobs {
-			units[i] = workUnit{indices: []int{i}}
-		}
-		return units
-	}
-
-	var units []workUnit
+	keys := make([]jobKeys, len(plan.Jobs))
+	units := make([]workUnit, 0, len(plan.Jobs))
 	slot := make(map[string]int)
 	for i, job := range plan.Jobs {
-		key := ""
-		if e.forkable(job) {
-			if k, err := forkPrefixKey(job.Config); err == nil {
-				key = k
-			}
-		}
-		if key == "" {
+		keys[i] = keysOf(job, nForkable >= 2 && e.forkable(job))
+		prefix := keys[i].prefix
+		if prefix == "" {
 			units = append(units, workUnit{indices: []int{i}})
 			continue
 		}
-		if u, ok := slot[key]; ok {
+		if u, ok := slot[prefix]; ok {
 			units[u].indices = append(units[u].indices, i)
 			continue
 		}
-		slot[key] = len(units)
+		slot[prefix] = len(units)
 		units = append(units, workUnit{indices: []int{i}})
 	}
-	return units
+	return keys, units
 }
 
 // runGroup executes one fork group: members already cached are served as
@@ -109,8 +84,8 @@ func (e *Engine) planUnits(plan Plan) []workUnit {
 // the flight) fall back to the solo path, and everything else runs as ONE
 // shared soc.RunForked session whose per-member snapshots are stored
 // under the members' individual cache keys. Results land in out at each
-// member's plan position.
-func (e *Engine) runGroup(ctx context.Context, jobs []Job, indices []int, out []JobResult) {
+// member's plan position; keys are the plan's precomputed job keys.
+func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indices []int, out []JobResult) {
 	type liveMember struct {
 		i      int
 		key    string
@@ -125,8 +100,8 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, indices []int, out []
 			out[i] = JobResult{Job: job, Err: err}
 			continue
 		}
-		key, err := jobKey(job)
-		if err != nil {
+		key := keys[i].key
+		if err := keys[i].err; err != nil {
 			e.errs.Add(1)
 			out[i] = JobResult{Job: job, Err: err}
 			continue
@@ -196,6 +171,6 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, indices []int, out []
 	// ordinary path: wait on that flight, or hit whatever the cache holds
 	// by now.
 	for _, i := range fallback {
-		out[i] = e.runJob(ctx, jobs[i])
+		out[i] = e.runJob(ctx, jobs[i], keys[i])
 	}
 }

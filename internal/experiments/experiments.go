@@ -160,12 +160,16 @@ func All(t Tuning) []Scenario {
 	return []Scenario{A1(t), A2(t), A3(t), A4(t), B(t), C(t)}
 }
 
+// paperScenarios maps each Table 2 ID to its constructor, so resolving
+// one scenario builds (and generates the workloads of) that one only.
+var paperScenarios = map[string]func(Tuning) Scenario{
+	"A1": A1, "A2": A2, "A3": A3, "A4": A4, "B": B, "C": C,
+}
+
 // ByID returns the named scenario.
 func ByID(id string, t Tuning) (Scenario, error) {
-	for _, s := range All(t) {
-		if s.ID == id {
-			return s, nil
-		}
+	if build, ok := paperScenarios[id]; ok {
+		return build(t), nil
 	}
 	return Scenario{}, fmt.Errorf("experiments: unknown scenario %q", id)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -37,6 +38,39 @@ func TestByID(t *testing.T) {
 	}
 	if _, err := ByID("Z9", DefaultTuning()); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestLookupsMatchCatalogs pins the id → constructor tables to the
+// catalogs: every scenario resolves by its ID to a value deeply equal to
+// the catalog's, the tables hold nothing else, and unknown IDs keep their
+// errors.
+func TestLookupsMatchCatalogs(t *testing.T) {
+	tn := quickTuning()
+	for _, c := range []struct {
+		catalog []Scenario
+		table   map[string]func(Tuning) Scenario
+		lookup  func(string, Tuning) (Scenario, error)
+		unknown string
+	}{
+		{All(tn), paperScenarios, ByID, `experiments: unknown scenario "Z9"`},
+		{Extensions(tn), extensionScenarios, ExtensionByID, `experiments: unknown extension "Z9"`},
+	} {
+		if len(c.table) != len(c.catalog) {
+			t.Errorf("lookup table has %d entries, catalog %d", len(c.table), len(c.catalog))
+		}
+		for _, want := range c.catalog {
+			got, err := c.lookup(want.ID, tn)
+			if err != nil {
+				t.Fatalf("%s: %v", want.ID, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: lookup differs from the catalog entry", want.ID)
+			}
+		}
+		if _, err := c.lookup("Z9", tn); err == nil || err.Error() != c.unknown {
+			t.Errorf("unknown id: error %v, want %q", err, c.unknown)
+		}
 	}
 }
 

@@ -67,12 +67,15 @@ func A1Regulator(t Tuning) Scenario {
 	return s
 }
 
+// extensionScenarios maps each extension ID to its constructor.
+var extensionScenarios = map[string]func(Tuning) Scenario{
+	"B-perip": BPerIP, "B-openloop": BOpenLoop, "A1-regulator": A1Regulator,
+}
+
 // ExtensionByID returns the named extension scenario.
 func ExtensionByID(id string, t Tuning) (Scenario, error) {
-	for _, s := range Extensions(t) {
-		if s.ID == id {
-			return s, nil
-		}
+	if build, ok := extensionScenarios[id]; ok {
+		return build(t), nil
 	}
 	return Scenario{}, fmt.Errorf("experiments: unknown extension %q", id)
 }

@@ -13,6 +13,7 @@ package power
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"godpm/internal/sim"
 )
@@ -59,20 +60,26 @@ const (
 	NumInstrClasses
 )
 
+// instrClassNames are the mnemonics, indexed by InstructionClass.
+var instrClassNames = [NumInstrClasses]string{"ALU", "MEM", "MUL", "IO"}
+
 // String returns the mnemonic for the class.
 func (c InstructionClass) String() string {
-	switch c {
-	case InstrALU:
-		return "ALU"
-	case InstrMemory:
-		return "MEM"
-	case InstrMultiply:
-		return "MUL"
-	case InstrIO:
-		return "IO"
-	default:
-		return fmt.Sprintf("InstructionClass(%d)", int(c))
+	if c >= 0 && c < NumInstrClasses {
+		return instrClassNames[c]
 	}
+	var buf [40]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends String's rendering of c to b; out-of-range values render
+// as "InstructionClass(n)".
+func (c InstructionClass) Append(b []byte) []byte {
+	if c >= 0 && c < NumInstrClasses {
+		return append(b, instrClassNames[c]...)
+	}
+	b = strconv.AppendInt(append(b, "InstructionClass("...), int64(c), 10)
+	return append(b, ')')
 }
 
 // Profile is the complete power characterisation of one IP block.

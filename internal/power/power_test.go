@@ -1,6 +1,7 @@
 package power
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -225,5 +226,38 @@ func TestTaskEnergyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refInstructionClassString is String as first written with fmt; the table-driven
+// String and its Append must render every value exactly like it.
+func refInstructionClassString(c InstructionClass) string {
+	switch c {
+	case InstrALU:
+		return "ALU"
+	case InstrMemory:
+		return "MEM"
+	case InstrMultiply:
+		return "MUL"
+	case InstrIO:
+		return "IO"
+	default:
+		return fmt.Sprintf("InstructionClass(%d)", int(c))
+	}
+}
+
+func TestInstructionClassAppendMatchesString(t *testing.T) {
+	for v := InstructionClass(-40); v <= 40; v++ {
+		want := refInstructionClassString(v)
+		if got := v.String(); got != want {
+			t.Errorf("InstructionClass(%d).String() = %q, want %q", int(v), got, want)
+		}
+		if got := string(v.Append([]byte("x="))); got != "x="+want {
+			t.Errorf("InstructionClass(%d).Append = %q, want %q", int(v), got, "x="+want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = InstructionClass(1).Append(buf[:0]); _ = InstructionClass(2).String() }); n != 0 {
+		t.Errorf("Append/String of an in-range value allocate %.0f times, want 0", n)
 	}
 }

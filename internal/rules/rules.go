@@ -13,7 +13,6 @@ package rules
 
 import (
 	"fmt"
-	"strings"
 
 	"godpm/internal/acpi"
 	"godpm/internal/battery"
@@ -206,60 +205,110 @@ func (t *Table) Total() bool {
 }
 
 // Format renders the table in the paper's four-column layout.
-func (t *Table) Format() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-22s %-22s %-14s %s\n", "Task priority", "Battery", "Temperature", "Selected State")
+func (t *Table) Format() string { return string(t.AppendFormat(nil)) }
+
+// Column widths of Format's layout; the last column is unpadded.
+const (
+	priorityCol = 22
+	batteryCol  = 22
+	tempCol     = 14
+)
+
+// AppendFormat appends Format's rendering of the table to b. It writes
+// the cells directly, without intermediate strings, because the engine
+// folds every DPM configuration's table into its cache key.
+func (t *Table) AppendFormat(b []byte) []byte {
+	b = appendLiteralCells(b, "Task priority", "Battery", "Temperature")
+	b = append(b, "Selected State\n"...)
 	for _, r := range t.rules {
-		fmt.Fprintf(&sb, "%-22s %-22s %-14s %s\n",
-			formatPrioritySet(r.Priority), formatBatterySet(r.Battery), formatTempSet(r.Temp), r.Target)
+		cell := len(b)
+		b = padCell(r.Priority.appendAbbrev(b), cell, priorityCol)
+		cell = len(b)
+		b = padCell(r.Battery.appendAbbrev(b), cell, batteryCol)
+		cell = len(b)
+		b = padCell(r.Temp.appendAbbrev(b), cell, tempCol)
+		b = append(r.Target.Append(b), '\n')
 	}
 	if t.hasDefault {
-		fmt.Fprintf(&sb, "%-22s %-22s %-14s %s\n", "-", "-", "-", t.def)
+		b = appendLiteralCells(b, "-", "-", "-")
+		b = append(t.def.Append(b), '\n')
 	}
-	return sb.String()
+	return b
 }
 
-func formatPrioritySet(s PrioritySet) string {
+// appendLiteralCells appends the three padded condition cells of a row
+// whose cells are fixed text.
+func appendLiteralCells(b []byte, priority, battery, temp string) []byte {
+	cell := len(b)
+	b = padCell(append(b, priority...), cell, priorityCol)
+	cell = len(b)
+	b = padCell(append(b, battery...), cell, batteryCol)
+	cell = len(b)
+	return padCell(append(b, temp...), cell, tempCol)
+}
+
+// padCell left-justifies the cell that starts at b[start] in a column of
+// the given width and appends the column separator. Cells are ASCII, so
+// bytes count columns.
+func padCell(b []byte, start, width int) []byte {
+	for n := len(b) - start; n < width; n++ {
+		b = append(b, ' ')
+	}
+	return append(b, ' ')
+}
+
+// appendAbbrev renders the set in Table 1's notation: "-" for the
+// wildcard, else the members' initials, most urgent first.
+func (s PrioritySet) appendAbbrev(b []byte) []byte {
 	if s == AnyPriority {
-		return "-"
+		return append(b, '-')
 	}
-	abbrev := map[task.Priority]string{task.VeryHigh: "V", task.High: "H", task.Medium: "M", task.Low: "L"}
-	var parts []string
-	for _, p := range []task.Priority{task.VeryHigh, task.High, task.Medium, task.Low} {
-		if s.Has(p) {
-			parts = append(parts, abbrev[p])
+	sep := ""
+	for _, m := range [...]struct {
+		p      task.Priority
+		abbrev string
+	}{{task.VeryHigh, "V"}, {task.High, "H"}, {task.Medium, "M"}, {task.Low, "L"}} {
+		if s.Has(m.p) {
+			b = append(append(b, sep...), m.abbrev...)
+			sep = ", "
 		}
 	}
-	return strings.Join(parts, ", ")
+	return b
 }
 
-func formatBatterySet(s BatterySet) string {
+// appendAbbrev renders the set in Table 1's notation, mains first.
+func (s BatterySet) appendAbbrev(b []byte) []byte {
 	if s == AnyBattery {
-		return "-"
+		return append(b, '-')
 	}
-	abbrev := map[battery.Status]string{
-		battery.Full: "F", battery.High: "H", battery.Medium: "M",
-		battery.Low: "L", battery.Empty: "E", battery.Mains: "Power supply",
-	}
-	var parts []string
-	for _, b := range []battery.Status{battery.Mains, battery.Full, battery.High, battery.Medium, battery.Low, battery.Empty} {
-		if s.Has(b) {
-			parts = append(parts, abbrev[b])
+	sep := ""
+	for _, m := range [...]struct {
+		b      battery.Status
+		abbrev string
+	}{{battery.Mains, "Power supply"}, {battery.Full, "F"}, {battery.High, "H"},
+		{battery.Medium, "M"}, {battery.Low, "L"}, {battery.Empty, "E"}} {
+		if s.Has(m.b) {
+			b = append(append(b, sep...), m.abbrev...)
+			sep = ", "
 		}
 	}
-	return strings.Join(parts, ", ")
+	return b
 }
 
-func formatTempSet(s TempSet) string {
+// appendAbbrev renders the set in Table 1's notation, hottest first.
+func (s TempSet) appendAbbrev(b []byte) []byte {
 	if s == AnyTemp {
-		return "-"
+		return append(b, '-')
 	}
-	abbrev := map[thermal.Class]string{thermal.HighTemp: "H", thermal.MediumTemp: "M", thermal.LowTemp: "L"}
-	var parts []string
-	for _, t := range []thermal.Class{thermal.HighTemp, thermal.MediumTemp, thermal.LowTemp} {
-		if s.Has(t) {
-			parts = append(parts, abbrev[t])
+	sep := ""
+	for _, m := range [...]struct {
+		t      thermal.Class
+		abbrev string
+	}{{thermal.HighTemp, "H"}, {thermal.MediumTemp, "M"}, {thermal.LowTemp, "L"}} {
+		if s.Has(m.t) {
+			b = append(append(b, sep...), m.abbrev...)
+			sep = ", "
 		}
 	}
-	return strings.Join(parts, ", ")
+	return b
 }

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -246,6 +248,69 @@ func TestFormatContainsRows(t *testing.T) {
 	lines := strings.Count(out, "\n")
 	if lines != 15 { // header + 13 rules + default
 		t.Errorf("Format() has %d lines, want 15", lines)
+	}
+}
+
+// refFormat is Format as first written with fmt and strings.Join. The
+// engine folds Format's bytes into every DPM cache key, so AppendFormat
+// must reproduce it exactly.
+func refFormat(t *Table) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%-22s %-22s %-14s %s\n", "Task priority", "Battery", "Temperature", "Selected State")
+	for _, r := range t.rules {
+		fmt.Fprintf(&sb, "%-22s %-22s %-14s %s\n",
+			refSet(uint8(r.Priority), uint8(AnyPriority), []uint{3, 2, 1, 0}, []string{"V", "H", "M", "L"}),
+			refSet(uint8(r.Battery), uint8(AnyBattery), []uint{5, 4, 3, 2, 1, 0}, []string{"Power supply", "F", "H", "M", "L", "E"}),
+			refSet(uint8(r.Temp), uint8(AnyTemp), []uint{2, 1, 0}, []string{"H", "M", "L"}),
+			r.Target)
+	}
+	if t.hasDefault {
+		fmt.Fprintf(&sb, "%-22s %-22s %-14s %s\n", "-", "-", "-", t.def)
+	}
+	return sb.String()
+}
+
+func refSet(s, wildcard uint8, bits []uint, abbrev []string) string {
+	if s == wildcard {
+		return "-"
+	}
+	var parts []string
+	for i, b := range bits {
+		if s&(1<<b) != 0 {
+			parts = append(parts, abbrev[i])
+		}
+	}
+	return strings.Join(parts, ", ")
+}
+
+func TestFormatMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	tables := []*Table{Table1(), NewTable(nil), NewTable(nil).WithDefault(acpi.SoftOff)}
+	for i := 0; i < 500; i++ {
+		rs := make([]Rule, rng.Intn(8))
+		for j := range rs {
+			rs[j] = Rule{
+				Priority: PrioritySet(rng.Intn(256)),
+				Battery:  BatterySet(rng.Intn(256)),
+				Temp:     TempSet(rng.Intn(256)),
+				Target:   acpi.State(rng.Intn(14) - 2),
+			}
+		}
+		tbl := NewTable(rs)
+		if rng.Intn(2) == 0 {
+			tbl.WithDefault(acpi.State(rng.Intn(14) - 2))
+		}
+		tables = append(tables, tbl)
+	}
+	for i, tbl := range tables {
+		if got, want := tbl.Format(), refFormat(tbl); got != want {
+			t.Fatalf("table %d:\ngot:\n%s\nwant:\n%s", i, got, want)
+		}
+	}
+	buf := make([]byte, 0, 4096)
+	tbl := Table1()
+	if n := testing.AllocsPerRun(100, func() { buf = tbl.AppendFormat(buf[:0]) }); n != 0 {
+		t.Errorf("AppendFormat allocates %.0f times, want 0", n)
 	}
 }
 

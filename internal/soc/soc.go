@@ -8,6 +8,7 @@ package soc
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"godpm/internal/acpi"
@@ -302,6 +303,14 @@ func (c *Config) fillDefaults() error {
 	if c.Bus == (bus.Config{}) {
 		c.Bus = bus.DefaultConfig()
 	}
+	// Zero selects the defaults below; a negative interval would panic the
+	// sampling clock, and a negative horizon would "run" to nothing.
+	if c.SampleInterval < 0 {
+		return fmt.Errorf("soc: negative SampleInterval %v", c.SampleInterval)
+	}
+	if c.Horizon < 0 {
+		return fmt.Errorf("soc: negative Horizon %v", c.Horizon)
+	}
 	if c.SampleInterval == 0 {
 		c.SampleInterval = 100 * sim.Us
 	}
@@ -320,7 +329,7 @@ func (c *Config) fillDefaults() error {
 	for i := range c.IPs {
 		spec := &c.IPs[i]
 		if spec.Name == "" {
-			spec.Name = fmt.Sprintf("ip%d", i)
+			spec.Name = "ip" + strconv.Itoa(i)
 		}
 		if spec.Profile == nil {
 			spec.Profile = power.DefaultProfile()

@@ -1,6 +1,8 @@
 package soc
 
 import (
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -177,6 +179,44 @@ func TestConfigValidation(t *testing.T) {
 	badBatt.Battery.Kind = "fusion"
 	if _, err := Run(badBatt); err == nil {
 		t.Error("unknown battery kind accepted")
+	}
+}
+
+// TestNormalizedRejectsNegativeTimes: a negative sample interval used to
+// panic the sampling clock inside the run, and a negative horizon "ran"
+// to TasksDone=0, Duration=0. Both are refused at normalization; zero
+// still selects the defaults.
+func TestNormalizedRejectsNegativeTimes(t *testing.T) {
+	cases := []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string
+	}{
+		{"sample -1ms", func(c *Config) { c.SampleInterval = -sim.Ms }, "negative SampleInterval"},
+		{"sample -1ps", func(c *Config) { c.SampleInterval = -1 }, "negative SampleInterval"},
+		{"sample min", func(c *Config) { c.SampleInterval = math.MinInt64 }, "negative SampleInterval"},
+		{"horizon -1s", func(c *Config) { c.Horizon = -sim.Sec }, "negative Horizon"},
+		{"horizon min", func(c *Config) { c.Horizon = math.MinInt64 }, "negative Horizon"},
+		{"zero defaults", func(c *Config) { c.SampleInterval, c.Horizon = 0, 0 }, ""},
+		{"positive", func(c *Config) { c.SampleInterval, c.Horizon = sim.Ms, sim.Sec }, ""},
+	}
+	for _, tc := range cases {
+		cfg := smallConfig(PolicyDPM, 3)
+		tc.mutate(&cfg)
+		norm, err := cfg.Normalized()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr == "" && (norm.SampleInterval <= 0 || norm.Horizon <= 0):
+			t.Errorf("%s: normalized to sample %v, horizon %v", tc.name, norm.SampleInterval, norm.Horizon)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+		}
+		if tc.wantErr != "" {
+			if _, err := Run(cfg); err == nil {
+				t.Errorf("%s: Run accepted the config", tc.name)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ package task
 
 import (
 	"fmt"
+	"strconv"
 
 	"godpm/internal/power"
 	"godpm/internal/sim"
@@ -22,20 +23,26 @@ const (
 	NumPriorities = int(VeryHigh) + 1
 )
 
+// priorityNames are the paper's names, indexed by Priority.
+var priorityNames = [NumPriorities]string{"Low", "Medium", "High", "VeryHigh"}
+
 // String returns the paper's name for the priority.
 func (p Priority) String() string {
-	switch p {
-	case Low:
-		return "Low"
-	case Medium:
-		return "Medium"
-	case High:
-		return "High"
-	case VeryHigh:
-		return "VeryHigh"
-	default:
-		return fmt.Sprintf("Priority(%d)", int(p))
+	if p >= 0 && int(p) < NumPriorities {
+		return priorityNames[p]
 	}
+	var buf [32]byte
+	return string(p.Append(buf[:0]))
+}
+
+// Append appends String's rendering of p to b; out-of-range values render
+// as "Priority(n)".
+func (p Priority) Append(b []byte) []byte {
+	if p >= 0 && int(p) < NumPriorities {
+		return append(b, priorityNames[p]...)
+	}
+	b = strconv.AppendInt(append(b, "Priority("...), int64(p), 10)
+	return append(b, ')')
 }
 
 // ParsePriority converts a name (as in Table 1: "Low", "Medium", "High",

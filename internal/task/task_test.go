@@ -1,6 +1,7 @@
 package task
 
 import (
+	"fmt"
 	"testing"
 
 	"godpm/internal/power"
@@ -52,5 +53,38 @@ func TestTaskValidate(t *testing.T) {
 		if err := b.Validate(); err == nil {
 			t.Errorf("task %d accepted", b.ID)
 		}
+	}
+}
+
+// refPriorityString is String as first written with fmt; the table-driven
+// String and its Append must render every value exactly like it.
+func refPriorityString(p Priority) string {
+	switch p {
+	case Low:
+		return "Low"
+	case Medium:
+		return "Medium"
+	case High:
+		return "High"
+	case VeryHigh:
+		return "VeryHigh"
+	default:
+		return fmt.Sprintf("Priority(%d)", int(p))
+	}
+}
+
+func TestPriorityAppendMatchesString(t *testing.T) {
+	for v := Priority(-40); v <= 40; v++ {
+		want := refPriorityString(v)
+		if got := v.String(); got != want {
+			t.Errorf("Priority(%d).String() = %q, want %q", int(v), got, want)
+		}
+		if got := string(v.Append([]byte("x="))); got != "x="+want {
+			t.Errorf("Priority(%d).Append = %q, want %q", int(v), got, "x="+want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = Priority(1).Append(buf[:0]); _ = Priority(2).String() }); n != 0 {
+		t.Errorf("Append/String of an in-range value allocate %.0f times, want 0", n)
 	}
 }

@@ -9,6 +9,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"godpm/internal/sim"
 )
@@ -24,18 +25,26 @@ const (
 	NumClasses = int(HighTemp) + 1
 )
 
+// classNames name the classes, indexed by Class.
+var classNames = [NumClasses]string{"Low", "Medium", "High"}
+
 // String returns the class name.
 func (c Class) String() string {
-	switch c {
-	case LowTemp:
-		return "Low"
-	case MediumTemp:
-		return "Medium"
-	case HighTemp:
-		return "High"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
+	if c >= 0 && int(c) < NumClasses {
+		return classNames[c]
 	}
+	var buf [32]byte
+	return string(c.Append(buf[:0]))
+}
+
+// Append appends String's rendering of c to b; out-of-range values render
+// as "Class(n)".
+func (c Class) Append(b []byte) []byte {
+	if c >= 0 && int(c) < NumClasses {
+		return append(b, classNames[c]...)
+	}
+	b = strconv.AppendInt(append(b, "Class("...), int64(c), 10)
+	return append(b, ')')
 }
 
 // ParseClass converts a name back to a Class.

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -223,5 +224,36 @@ func TestTemperatureBoundedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refClassString is String as first written with fmt; the table-driven
+// String and its Append must render every value exactly like it.
+func refClassString(c Class) string {
+	switch c {
+	case LowTemp:
+		return "Low"
+	case MediumTemp:
+		return "Medium"
+	case HighTemp:
+		return "High"
+	default:
+		return fmt.Sprintf("Class(%d)", int(c))
+	}
+}
+
+func TestClassAppendMatchesString(t *testing.T) {
+	for v := Class(-40); v <= 40; v++ {
+		want := refClassString(v)
+		if got := v.String(); got != want {
+			t.Errorf("Class(%d).String() = %q, want %q", int(v), got, want)
+		}
+		if got := string(v.Append([]byte("x="))); got != "x="+want {
+			t.Errorf("Class(%d).Append = %q, want %q", int(v), got, "x="+want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = Class(1).Append(buf[:0]); _ = Class(2).String() }); n != 0 {
+		t.Errorf("Append/String of an in-range value allocate %.0f times, want 0", n)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"godpm/internal/power"
@@ -34,18 +35,26 @@ const (
 	Pareto
 )
 
+// distributionNames name the distributions, indexed by Distribution.
+var distributionNames = [...]string{Fixed: "Fixed", Exponential: "Exponential", Pareto: "Pareto"}
+
 // String names the distribution.
 func (d Distribution) String() string {
-	switch d {
-	case Fixed:
-		return "Fixed"
-	case Exponential:
-		return "Exponential"
-	case Pareto:
-		return "Pareto"
-	default:
-		return fmt.Sprintf("Distribution(%d)", int(d))
+	if d >= 0 && int(d) < len(distributionNames) {
+		return distributionNames[d]
 	}
+	var buf [40]byte
+	return string(d.Append(buf[:0]))
+}
+
+// Append appends String's rendering of d to b; out-of-range values render
+// as "Distribution(n)".
+func (d Distribution) Append(b []byte) []byte {
+	if d >= 0 && int(d) < len(distributionNames) {
+		return append(b, distributionNames[d]...)
+	}
+	b = strconv.AppendInt(append(b, "Distribution("...), int64(d), 10)
+	return append(b, ')')
 }
 
 // Item is one step of a sequence: execute the task, then stay idle for

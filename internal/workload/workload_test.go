@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -321,5 +322,36 @@ func TestBurstProfileValidation(t *testing.T) {
 		if _, err := p.Generate(); err == nil {
 			t.Errorf("mutation %d accepted", i)
 		}
+	}
+}
+
+// refDistributionString is String as first written with fmt; the table-driven
+// String and its Append must render every value exactly like it.
+func refDistributionString(d Distribution) string {
+	switch d {
+	case Fixed:
+		return "Fixed"
+	case Exponential:
+		return "Exponential"
+	case Pareto:
+		return "Pareto"
+	default:
+		return fmt.Sprintf("Distribution(%d)", int(d))
+	}
+}
+
+func TestDistributionAppendMatchesString(t *testing.T) {
+	for v := Distribution(-40); v <= 40; v++ {
+		want := refDistributionString(v)
+		if got := v.String(); got != want {
+			t.Errorf("Distribution(%d).String() = %q, want %q", int(v), got, want)
+		}
+		if got := string(v.Append([]byte("x="))); got != "x="+want {
+			t.Errorf("Distribution(%d).Append = %q, want %q", int(v), got, "x="+want)
+		}
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = Distribution(1).Append(buf[:0]); _ = Distribution(2).String() }); n != 0 {
+		t.Errorf("Append/String of an in-range value allocate %.0f times, want 0", n)
 	}
 }
