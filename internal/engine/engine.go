@@ -295,11 +295,8 @@ feed:
 // before a worker would have simulated it. Single-job plans skip it —
 // the per-job Get covers them.
 func (e *Engine) warm(ctx context.Context, plan Plan, keys []jobKeys) {
-	if len(plan.Jobs) < 2 || e.cache == nil {
-		return
-	}
-	w, ok := e.cache.(Warmer)
-	if !ok {
+	w := e.warmer(plan)
+	if w == nil {
 		return
 	}
 	seen := make(map[string]struct{}, len(plan.Jobs))
@@ -320,15 +317,28 @@ func (e *Engine) warm(ctx context.Context, plan Plan, keys []jobKeys) {
 	}
 }
 
-// runJob executes one job under its precomputed keys: cache probe,
-// singleflight join, simulate, store. Concurrent jobs with the same key
-// collapse to one simulation — the waiters are served the winner's result
-// as cache hits, so a stampede of identical jobs costs one run and never
-// double-counts Misses.
+// warmer returns the cache's Warmer when warm will use it for the plan,
+// and nil otherwise.
+func (e *Engine) warmer(plan Plan) Warmer {
+	if len(plan.Jobs) < 2 || e.cache == nil {
+		return nil
+	}
+	w, _ := e.cache.(Warmer)
+	return w
+}
+
+// runJob executes one job: key derivation (unless planUnits already did
+// it), cache probe, singleflight join, simulate, store. Concurrent jobs
+// with the same key collapse to one simulation — the waiters are served
+// the winner's result as cache hits, so a stampede of identical jobs
+// costs one run and never double-counts Misses.
 func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys) JobResult {
 	if err := ctx.Err(); err != nil {
 		e.canceled.Add(1)
 		return JobResult{Job: job, Err: err}
+	}
+	if !keys.done {
+		keys = keysOf(job, false)
 	}
 	jr := JobResult{Job: job, Key: keys.key}
 	if keys.err != nil {

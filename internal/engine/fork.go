@@ -38,32 +38,40 @@ type workUnit struct {
 	indices []int // plan positions; len > 1 means a fork group
 }
 
-// planUnits keys every job of the plan — one normalization and one
-// encoding per job, shared by its cache key and its fork-prefix key — and
-// partitions the plan into work units, preserving plan order by first
-// occurrence. Unforkable jobs (and jobs whose config does not normalize —
-// their runJob surfaces the error) become solo units; forkable jobs
-// sharing a prefix key collapse into one group unit. The prefix key is the
-// fingerprint of the normalized config with Horizon zeroed. Normalized
-// horizons are never zero, so the zero marks "any horizon" — two jobs
-// share a prefix key iff their configs are identical modulo Horizon,
-// which is exactly when they share a trajectory prefix. The returned keys
-// are index-aligned with plan.Jobs.
+// planUnits partitions the plan into work units, preserving plan order by
+// first occurrence, and derives up front the keys a plan-wide step needs:
+// every job's cache key when a Warmer pre-fetches the plan, and the keys
+// of forkable jobs when the plan has at least two of them. Each of those
+// jobs is normalized and encoded once, and its cache key and fork-prefix
+// key share that encoding. All other keys stay zero; runJob derives them
+// on its worker, so plans that neither warm nor fork (NoCache engines,
+// observed jobs, single-job serving plans) key in parallel and never pay
+// for the prefix hash.
+//
+// Unforkable jobs (and jobs whose config does not normalize — runJob
+// surfaces the error) become solo units; forkable jobs sharing a prefix
+// key collapse into one group unit. The prefix key is the fingerprint of
+// the normalized config with Horizon zeroed. Normalized horizons are
+// never zero, so the zero marks "any horizon" — two jobs share a prefix
+// key iff their configs are identical modulo Horizon, which is exactly
+// when they share a trajectory prefix. The returned keys are index-aligned
+// with plan.Jobs.
 func (e *Engine) planUnits(plan Plan) ([]jobKeys, []workUnit) {
-	// A group needs at least two forkable jobs; below that, skip the
-	// prefix key entirely — it keeps the single-job serving path (a cache
-	// hit plus nothing else) free of a second hash over the config.
 	nForkable := 0
 	for _, job := range plan.Jobs {
 		if e.forkable(job) {
 			nForkable++
 		}
 	}
+	warming := e.warmer(plan) != nil
 	keys := make([]jobKeys, len(plan.Jobs))
 	units := make([]workUnit, 0, len(plan.Jobs))
 	slot := make(map[string]int)
 	for i, job := range plan.Jobs {
-		keys[i] = keysOf(job, nForkable >= 2 && e.forkable(job))
+		fork := nForkable >= 2 && e.forkable(job)
+		if fork || warming {
+			keys[i] = keysOf(job, fork)
+		}
 		prefix := keys[i].prefix
 		if prefix == "" {
 			units = append(units, workUnit{indices: []int{i}})

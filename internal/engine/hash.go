@@ -80,6 +80,10 @@ type jobKeys struct {
 	prefix string
 	// err is the normalization error; both keys are "" when it is set.
 	err error
+	// done marks keys that were derived; planUnits leaves a job's keys
+	// zero when no plan-wide step needs them, and runJob derives them on
+	// its worker.
+	done bool
 }
 
 // keysOf computes the job's cache key and, when withPrefix is set, its
@@ -89,7 +93,7 @@ type jobKeys struct {
 func keysOf(job Job, withPrefix bool) jobKeys {
 	norm, err := normalizeConfig(job.Config)
 	if err != nil {
-		return jobKeys{err: err}
+		return jobKeys{err: err, done: true}
 	}
 	buf := getBuf()
 	defer putBuf(buf)
@@ -97,7 +101,7 @@ func keysOf(job Job, withPrefix bool) jobKeys {
 	b, hz := appendConfig(b, &norm)
 	*buf = b
 
-	k := jobKeys{key: hexSum(sha256.Sum256(b))}
+	k := jobKeys{key: hexSum(sha256.Sum256(b)), done: true}
 	if len(job.Options.StopWhen) > 0 {
 		var stack [256]byte
 		s := append(stack[:0], fingerprintVersion...)

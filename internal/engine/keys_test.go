@@ -151,3 +151,31 @@ func TestRunNormalizesOncePerJob(t *testing.T) {
 		t.Errorf("%d normalizations for %d jobs", got, want)
 	}
 }
+
+// TestRunKeysOnWorkersWithoutFork checks that a plan which neither forks
+// nor warms leaves key derivation to the workers: a NoCache run still
+// normalizes each job once, and a run whose context is already canceled
+// normalizes nothing.
+func TestRunKeysOnWorkersWithoutFork(t *testing.T) {
+	var calls atomic.Int64
+	defer engine.CountNormalizations(func() { calls.Add(1) })()
+
+	plan := sweep.HorizonStudy(1, 20).Plan()
+	eng := engine.New(engine.Options{Workers: 2, NoCache: true})
+	if _, err := eng.Run(context.Background(), plan); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := calls.Load(), int64(len(plan.Jobs)); got != want {
+		t.Errorf("NoCache run: %d normalizations for %d jobs", got, want)
+	}
+
+	calls.Store(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eng.Run(ctx, plan); err == nil {
+		t.Fatal("canceled run returned no error")
+	}
+	if got := calls.Load(); got != 0 {
+		t.Errorf("canceled run: %d normalizations, want 0", got)
+	}
+}

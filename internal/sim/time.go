@@ -34,13 +34,11 @@ const (
 const MaxTime Time = 1<<63 - 1
 
 // timeUnits are the units String renders with, largest first; anything
-// finer than a nanosecond renders in whole picoseconds. digits is the
-// number of decimal places one picosecond is in the unit.
+// finer than a nanosecond renders in whole picoseconds.
 var timeUnits = [...]struct {
-	div    uint64
-	digits int
-	name   string
-}{{uint64(Sec), 12, "s"}, {uint64(Ms), 9, "ms"}, {uint64(Us), 6, "us"}, {uint64(Ns), 3, "ns"}}
+	div  uint64
+	name string
+}{{uint64(Sec), "s"}, {uint64(Ms), "ms"}, {uint64(Us), "us"}, {uint64(Ns), "ns"}}
 
 // String renders the time with the largest unit that divides it cleanly,
 // e.g. "150ns", "2.5us", "0s".
@@ -67,11 +65,8 @@ func (t Time) Append(b []byte) []byte {
 		if mag < u.div {
 			continue
 		}
-		whole, frac := mag/u.div, mag%u.div
-		if frac == 0 {
-			b = strconv.AppendUint(b, whole, 10)
-		} else if fb, ok := appendExactFraction(b, mag, whole, frac, u.digits); ok {
-			b = fb
+		if mag%u.div == 0 {
+			b = strconv.AppendUint(b, mag/u.div, 10)
 		} else {
 			b = strconv.AppendFloat(b, float64(mag)/float64(u.div), 'g', -1, 64)
 		}
@@ -79,38 +74,6 @@ func (t Time) Append(b []byte) []byte {
 	}
 	b = strconv.AppendUint(b, mag, 10)
 	return append(b, "ps"...)
-}
-
-// appendExactFraction appends whole.frac (frac scaled by 10^digits, its
-// trailing zeros trimmed) when that decimal is exactly what strconv's
-// shortest 'g' formatting prints for the float64 quotient mag/10^digits.
-// That holds when mag converts to float64 exactly (below 2⁵³), so the
-// quotient is the correctly rounded exact decimal; when the decimal has
-// at most 15 significant digits, so no shorter decimal rounds to the same
-// float64 (any two such decimals parse to distinct float64s); and when
-// the whole part is below 10⁶, where 'g' switches to an exponent. It
-// reports false, leaving b unchanged, otherwise.
-func appendExactFraction(b []byte, mag, whole, frac uint64, digits int) ([]byte, bool) {
-	if mag >= 1<<53 || whole >= 1e6 {
-		return b, false
-	}
-	for frac%10 == 0 {
-		frac /= 10
-		digits--
-	}
-	var wd [6]byte
-	w := strconv.AppendUint(wd[:0], whole, 10)
-	if len(w)+digits > 15 {
-		return b, false
-	}
-	b = append(b, w...)
-	b = append(b, '.')
-	var fd [12]byte
-	for i := digits - 1; i >= 0; i-- {
-		fd[i] = byte('0' + frac%10)
-		frac /= 10
-	}
-	return append(b, fd[:digits]...), true
 }
 
 // Seconds converts the time to floating-point seconds.

@@ -1,8 +1,8 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
-	"strconv"
 )
 
 // Seed is a splittable deterministic PRNG seed: the root of a scenario's
@@ -23,7 +23,7 @@ type Seed uint64
 func NewSeed(n uint64) Seed { return Seed(n) }
 
 // String renders the seed as a decimal, as job IDs embed it.
-func (s Seed) String() string { return strconv.FormatUint(uint64(s), 10) }
+func (s Seed) String() string { return fmt.Sprintf("%d", uint64(s)) }
 
 // mix64 is the SplitMix64 finalizer: a bijective avalanche over uint64.
 func mix64(z uint64) uint64 {
