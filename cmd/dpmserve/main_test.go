@@ -416,14 +416,22 @@ func TestBadRequests(t *testing.T) {
 // healthy.
 func TestInvalidInlineConfigAnswers422(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{MaxInflight: 2})
-	for name, cfg := range map[string]string{
-		"negative sample interval": `"SampleInterval":-1000000`,
-		"negative horizon":         `"Horizon":-1000000000000`,
+	const kibam = `"Battery":{"Kind":"kibam","CapacityJ":20,"InitialSoC":0.9,"KiBaMC":0.35,"KiBaMK":0.08`
+	for _, tc := range []struct{ name, cfg, want string }{
+		{"negative sample interval", `"SampleInterval":-1000000`, "negative SampleInterval"},
+		{"negative horizon", `"Horizon":-1000000000000`, "negative Horizon"},
+		{"negative timeout", `"Policy":"timeout","Timeout":-1`, "negative Timeout"},
+		{"KiBaM C outside (0,1)", kibam + `,"KiBaMC":1.5}`, "KiBaM"},
+		{"KiBaM K not positive", kibam + `,"KiBaMK":0}`, "KiBaM"},
+		{"initial SoC outside [0,1]", kibam + `,"InitialSoC":2}`, "InitialSoC"},
+		{"linear capacity not positive", `"Battery":{"Kind":"linear","CapacityJ":-5,"InitialSoC":0.5}`, "CapacityJ"},
+		{"thermal Rth not positive", `"Thermal":{"AmbientC":45,"RthKperW":0,"CthJperK":0.0001,"FanFactor":0.4,"MediumAboveC":68,"HighAboveC":80,"HysteresisC":2}`, "Rth or Cth"},
+		{"thermal Cth not positive", `"Thermal":{"AmbientC":45,"RthKperW":25,"CthJperK":-1,"FanFactor":0.4,"MediumAboveC":68,"HighAboveC":80,"HysteresisC":2}`, "Rth or Cth"},
 	} {
-		body := `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":5,"MeanInstructions":100000}}}],` + cfg + `}}`
+		body := `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":5,"MeanInstructions":100000}}}],` + tc.cfg + `}}`
 		resp, msg := postJSON(t, ts.URL+"/v1/simulate", body)
-		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "negative") {
-			t.Errorf("%s: status %d (%s), want 422", name, resp.StatusCode, bytes.TrimSpace(msg))
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: status %d (%s), want 422 mentioning %q", tc.name, resp.StatusCode, bytes.TrimSpace(msg), tc.want)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/healthz")

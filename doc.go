@@ -13,9 +13,10 @@
 // WorkloadSeed), execute grids on the concurrent cached batch engine, and
 // rank policies across generated scenarios with RunTournament (the
 // cmd/dpmarena CLI). Runs fast-forward across provably idle stretches by
-// default — the kernel executes the periodic accounting directly instead
-// of scheduling every empty instant, bit-identical to classic ticked
-// execution (RunOptions.NoFastForward forces the latter for comparison).
+// default — the kernel hands each idle stretch's periodic accounting to
+// the accountant in one call instead of scheduling every empty instant,
+// bit-identical to classic ticked execution (RunOptions.NoFastForward
+// forces the latter for comparison).
 // The engine's cache is a sharded bounded LRU with singleflight dedup
 // (concurrent identical jobs collapse to one simulation), which is what
 // the long-running cmd/dpmserve HTTP service builds on to serve

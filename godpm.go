@@ -82,8 +82,8 @@ const (
 func Run(cfg Config) (*Result, error) { return soc.Run(cfg) }
 
 // RunWith simulates like Run, with run-time options: streaming observers
-// and early-stop conditions. Cancellation via ctx is polled at every
-// sample tick.
+// and early-stop conditions. Cancellation via ctx is polled at least every
+// 1024 samples.
 func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*Result, error) {
 	return soc.RunWith(ctx, cfg, opts)
 }

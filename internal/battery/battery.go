@@ -102,11 +102,23 @@ func (th Thresholds) Validate() error {
 	return nil
 }
 
+// Wells is a battery model's charge state as a plain value, in joules: the
+// KiBaM's available and bound wells, or a single-reservoir model's charge
+// in Available (Bound stays zero).
+type Wells struct{ Available, Bound float64 }
+
 // Model is a battery chemistry: it absorbs load steps and reports state of
 // charge.
 type Model interface {
-	// Step applies a constant power draw (watts) for dt of simulated time.
-	Step(power float64, dt sim.Time)
+	// Wells returns the model's charge state; SetWells stores one.
+	Wells() Wells
+	SetWells(Wells)
+	// Drain returns the state w reaches under a constant draw of power
+	// watts for secs seconds, and the usable state of charge it reads as.
+	// It does not touch the model, so a caller can step its own copy of
+	// the state across many samples and store it back once. Each model's
+	// Step(power, dt) is Drain on its own state over dt.Seconds().
+	Drain(w Wells, power, secs float64) (Wells, float64)
 	// SoC returns the usable state of charge in [0,1] — what the status
 	// encoder observes.
 	SoC() float64
@@ -115,12 +127,6 @@ type Model interface {
 	TotalCharge() float64
 	// CapacityJ returns the nominal capacity in joules.
 	CapacityJ() float64
-	// Clone returns an independent copy of the model in its current state:
-	// stepping the clone must reproduce bit-for-bit what stepping the
-	// original would, without touching the original. Run snapshots step a
-	// clone through the final partial interval so the live trajectory is
-	// not perturbed.
-	Clone() Model
 }
 
 // Linear is an energy reservoir with an optional rate-capacity penalty:
@@ -142,8 +148,20 @@ func NewLinear(capacityJ, initialSoC float64) *Linear {
 	return &Linear{capacity: capacityJ, charge: capacityJ * initialSoC, RefPower: 1}
 }
 
-// Step implements Model.
+// Step applies a constant power draw (watts) for dt of simulated time.
 func (b *Linear) Step(power float64, dt sim.Time) {
+	w, _ := b.Drain(b.Wells(), power, dt.Seconds())
+	b.SetWells(w)
+}
+
+// Wells implements Model.
+func (b *Linear) Wells() Wells { return Wells{Available: b.charge} }
+
+// SetWells implements Model.
+func (b *Linear) SetWells(w Wells) { b.charge = w.Available }
+
+// Drain implements Model.
+func (b *Linear) Drain(w Wells, power, secs float64) (Wells, float64) {
 	if power < 0 {
 		power = 0
 	}
@@ -151,10 +169,11 @@ func (b *Linear) Step(power float64, dt sim.Time) {
 	if b.RateK > 0 && b.RefPower > 0 {
 		eff = power * (1 + b.RateK*power/b.RefPower)
 	}
-	b.charge -= eff * dt.Seconds()
-	if b.charge < 0 {
-		b.charge = 0
+	w.Available -= eff * secs
+	if w.Available < 0 {
+		w.Available = 0
 	}
+	return w, w.Available / b.capacity
 }
 
 // Recharge sets the state of charge (an external charger).
@@ -174,9 +193,6 @@ func (b *Linear) TotalCharge() float64 { return b.SoC() }
 // CapacityJ implements Model.
 func (b *Linear) CapacityJ() float64 { return b.capacity }
 
-// Clone implements Model.
-func (b *Linear) Clone() Model { c := *b; return &c }
-
 // KiBaM is the kinetic battery model: charge is split between an available
 // well (fraction C of capacity) that supplies the load directly and a bound
 // well that refills the available well at a rate proportional to the head
@@ -185,12 +201,15 @@ func (b *Linear) Clone() Model { c := *b; return &c }
 // back (recovery effect) — the mechanism that lets scenario B/C's battery
 // class climb from Low back to Medium.
 type KiBaM struct {
-	capacity  float64 // joules
-	c         float64 // available-well fraction, 0 < c < 1
-	kPerSec   float64 // valve rate constant (1/s)
-	maxStep   float64 // Euler stability bound 1/(10k), precomputed
-	available float64 // joules in the available well
-	bound     float64 // joules in the bound well
+	capacity float64 // joules
+	c        float64 // available-well fraction, 0 < c < 1
+	kPerSec  float64 // valve rate constant (1/s)
+	maxStep  float64 // Euler stability bound 1/(10k), precomputed
+	// 1−c and c·capacity, precomputed for Drain and SoC: the same
+	// operations on the same inputs, so the results are bit-identical.
+	boundFrac, availCap float64
+	available           float64 // joules in the available well
+	bound               float64 // joules in the bound well
 }
 
 // NewKiBaM creates a kinetic battery. c is the available-charge fraction
@@ -205,17 +224,32 @@ func NewKiBaM(capacityJ, initialSoC, c, kPerSec float64) *KiBaM {
 		c:         c,
 		kPerSec:   kPerSec,
 		maxStep:   1 / (10 * kPerSec),
+		boundFrac: 1 - c,
+		availCap:  c * capacityJ,
 		available: total * c,
 		bound:     total * (1 - c),
 	}
 }
 
-// Step integrates the two-well ODEs with sub-stepping for stability.
+// Step applies a constant power draw (watts) for dt of simulated time.
 func (b *KiBaM) Step(power float64, dt sim.Time) {
+	w, _ := b.Drain(b.Wells(), power, dt.Seconds())
+	b.SetWells(w)
+}
+
+// Wells implements Model.
+func (b *KiBaM) Wells() Wells { return Wells{Available: b.available, Bound: b.bound} }
+
+// SetWells implements Model.
+func (b *KiBaM) SetWells(w Wells) { b.available, b.bound = w.Available, w.Bound }
+
+// Drain implements Model: it integrates the two-well ODEs with
+// sub-stepping for stability.
+func (b *KiBaM) Drain(w Wells, power, secs float64) (Wells, float64) {
 	if power < 0 {
 		power = 0
 	}
-	remaining := dt.Seconds()
+	remaining := secs
 	// Explicit Euler with steps bounded by 1/(10k) for stability.
 	maxStep := b.maxStep
 	for remaining > 1e-15 {
@@ -223,19 +257,20 @@ func (b *KiBaM) Step(power float64, dt sim.Time) {
 		if h > maxStep {
 			h = maxStep
 		}
-		h1 := b.available / b.c
-		h2 := b.bound / (1 - b.c)
+		h1 := w.Available / b.c
+		h2 := w.Bound / b.boundFrac
 		flow := b.kPerSec * (h2 - h1) // joules/sec from bound to available
-		b.available += (flow - power) * h
-		b.bound -= flow * h
-		if b.available < 0 {
-			b.available = 0
+		w.Available += (flow - power) * h
+		w.Bound -= flow * h
+		if w.Available < 0 {
+			w.Available = 0
 		}
-		if b.bound < 0 {
-			b.bound = 0
+		if w.Bound < 0 {
+			w.Bound = 0
 		}
 		remaining -= h
 	}
+	return w, b.socOf(w.Available)
 }
 
 // Recharge sets the total state of charge, distributed between the wells
@@ -251,8 +286,11 @@ func (b *KiBaM) Recharge(soc float64) {
 
 // SoC implements Model: the usable state of charge is the available well
 // relative to its share of capacity.
-func (b *KiBaM) SoC() float64 {
-	soc := b.available / (b.c * b.capacity)
+func (b *KiBaM) SoC() float64 { return b.socOf(b.available) }
+
+// socOf is the usable state of charge of an available well.
+func (b *KiBaM) socOf(available float64) float64 {
+	soc := available / b.availCap
 	if soc > 1 {
 		return 1
 	}
@@ -264,6 +302,3 @@ func (b *KiBaM) TotalCharge() float64 { return (b.available + b.bound) / b.capac
 
 // CapacityJ implements Model.
 func (b *KiBaM) CapacityJ() float64 { return b.capacity }
-
-// Clone implements Model.
-func (b *KiBaM) Clone() Model { c := *b; return &c }

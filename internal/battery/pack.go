@@ -37,9 +37,15 @@ func (p *Pack) Step(power float64, dt sim.Time) {
 	if p.mains {
 		return
 	}
-	p.model.Step(power, dt)
-	p.status.Write(p.th.Classify(p.model.SoC()))
+	w, soc := p.model.Drain(p.model.Wells(), power, dt.Seconds())
+	p.model.SetWells(w)
+	p.Refresh(soc)
 }
+
+// Refresh writes the status class of a state of charge the model reached
+// through Drain to the status signal. It must be called from a kernel
+// process.
+func (p *Pack) Refresh(soc float64) { p.status.Write(p.th.Classify(soc)) }
 
 // Status returns the current quantised class.
 func (p *Pack) Status() Status { return p.status.Read() }

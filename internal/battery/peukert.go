@@ -38,16 +38,28 @@ func NewPeukert(capacityJ, initialSoC, exponent, refPower float64) *Peukert {
 	}
 }
 
-// Step implements Model.
+// Step applies a constant power draw (watts) for dt of simulated time.
 func (b *Peukert) Step(power float64, dt sim.Time) {
-	if power <= 0 {
-		return
+	w, _ := b.Drain(b.Wells(), power, dt.Seconds())
+	b.SetWells(w)
+}
+
+// Wells implements Model.
+func (b *Peukert) Wells() Wells { return Wells{Available: b.charge} }
+
+// SetWells implements Model.
+func (b *Peukert) SetWells(w Wells) { b.charge = w.Available }
+
+// Drain implements Model.
+func (b *Peukert) Drain(w Wells, power, secs float64) (Wells, float64) {
+	if power > 0 {
+		eff := power * math.Pow(power/b.RefPower, b.Exponent-1)
+		w.Available -= eff * secs
+		if w.Available < 0 {
+			w.Available = 0
+		}
 	}
-	eff := power * math.Pow(power/b.RefPower, b.Exponent-1)
-	b.charge -= eff * dt.Seconds()
-	if b.charge < 0 {
-		b.charge = 0
-	}
+	return w, w.Available / b.capacity
 }
 
 // SoC implements Model.
@@ -58,9 +70,6 @@ func (b *Peukert) TotalCharge() float64 { return b.SoC() }
 
 // CapacityJ implements Model.
 func (b *Peukert) CapacityJ() float64 { return b.capacity }
-
-// Clone implements Model.
-func (b *Peukert) Clone() Model { c := *b; return &c }
 
 // Recharge sets the state of charge (an external charger).
 func (b *Peukert) Recharge(soc float64) {

@@ -185,8 +185,8 @@ func (e *Engine) simulate(ctx context.Context, job Job) (*soc.Result, error) {
 // the joined error of all failed jobs — including ctx.Err() if the context
 // ended the run early — is returned alongside.
 //
-// Cancellation is sample-granular: in-flight simulations poll ctx at every
-// sample tick and abort with ctx.Err(); queued jobs are abandoned with
+// Cancellation is prompt: in-flight simulations poll ctx at least every
+// 1024 samples and abort with ctx.Err(); queued jobs are abandoned with
 // ctx.Err() without starting.
 //
 // Jobs whose configs differ only in Horizon (or stop conditions) are

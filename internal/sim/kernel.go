@@ -47,19 +47,22 @@ type Kernel struct {
 	onUpdate []func(Time)
 
 	// gap is the registered idle fast-forward subscriber (GapPeriodic);
-	// ffInstants counts the instants executed through the gap path.
+	// gapSeq is the timed queue's push count when the current gap began
+	// (see Quiet); ffInstants counts the instants executed through the
+	// gap path.
 	gap        gapSub
+	gapSeq     uint64
 	ffInstants uint64
 }
 
 // gapSub is a periodic process that opted into idle fast-forward: while its
-// tick event is the only live timed notification, the kernel calls body at
-// interval steps directly instead of going through the heap/fire/eval
-// machinery for every empty instant.
+// tick event is the only live timed notification, the kernel hands body a
+// whole run of instants at interval steps instead of going through the
+// heap/fire/eval machinery for every empty one.
 type gapSub struct {
 	ev       *Event
 	interval Time
-	body     func()
+	body     func(first Time, n int) (ran int)
 }
 
 // updater is implemented by signals: apply the pending write and notify the
@@ -115,20 +118,28 @@ func (k *Kernel) Stop() { k.stopRequested = true }
 // waiters. Whenever the event is the sole live timed notification at an
 // instant — no process runnable, no delta pending, nothing else scheduled
 // at or before it — the kernel stops round-tripping through the heap and
-// instead calls body at interval steps in a tight loop (the "gap"),
-// applying signal updates inline after each call. The loop exits, exactly
-// reproducing the ticked phase order, as soon as a call makes a process
-// runnable, queues a delta, schedules a timed notification, requests a
-// stop, or the next step would reach another live notification or the run
-// horizon; on exit the event is re-notified at interval so the heap state
-// matches a ticked run's.
+// hands the whole idle gap to body in one call: body(first, n) must run
+// the method's work (minus the self re-notification, which the kernel
+// takes over) at the n instants first, first+interval, …, in order, and
+// may stop early. It returns how many it ran, at least one. n counts the
+// instants strictly before the next other live notification and never
+// past the run horizon.
 //
-// body must perform the same work as the event's method except the
-// self re-notification (which the kernel takes over during the gap).
-// Results are then bit-identical to a ticked run: the same calls happen at
-// the same instants in the same order — only the per-instant scheduling
-// machinery is skipped. At most one subscriber can register.
-func (k *Kernel) GapPeriodic(ev *Event, interval Time, body func()) {
+// The kernel then moves Now to the last instant run and applies the
+// checks a ticked instant would: signal updates are applied at that
+// instant, and if the call made a process runnable, queued a delta,
+// scheduled a timed notification or requested a stop, control returns to
+// the main loop there, reproducing the ticked phase order exactly.
+// Otherwise the next call starts at the following instant. On exit the
+// event is re-notified at interval, so the heap state matches a ticked
+// run's.
+//
+// Two rules keep the result bit-identical to a ticked run. Body must
+// return right after the first instant whose work does more than update
+// its own state, which Quiet detects. And during a call Now reports
+// first: work that reads kernel time must be the last instant of its
+// call. At most one subscriber can register.
+func (k *Kernel) GapPeriodic(ev *Event, interval Time, body func(first Time, n int) (ran int)) {
 	if k.gap.ev != nil {
 		panic("sim: GapPeriodic registered twice")
 	}
@@ -136,6 +147,17 @@ func (k *Kernel) GapPeriodic(ev *Event, interval Time, body func()) {
 		panic("sim: GapPeriodic needs an event, a positive interval and a body")
 	}
 	k.gap = gapSub{ev: ev, interval: interval, body: body}
+}
+
+// Quiet reports whether the current gap has so far only updated the
+// subscriber's own state: no process runnable, no signal update or delta
+// notification pending, no stop requested and no timed notification
+// scheduled since the gap began. A gap body checks it after every instant
+// it runs and returns as soon as it turns false. Meaningful only inside a
+// gap call.
+func (k *Kernel) Quiet() bool {
+	return len(k.runnable) == 0 && len(k.updates) == 0 && len(k.deltaQueue) == 0 &&
+		!k.stopRequested && k.timed.seqCount() == k.gapSeq
 }
 
 // FastForwardedInstants returns how many instants were executed through
@@ -279,29 +301,41 @@ func (k *Kernel) Run(until Time) error {
 	}
 }
 
-// fastForward executes the gap subscriber's catch-up body at interval
-// steps starting at the current instant, strictly before the next other
-// live notification (`t2` when live) and never past `until`. The
-// subscriber's pending notification has already been popped; on every
+// fastForward hands the idle gap starting at the current instant to the
+// gap subscriber's body, one call per run of instants strictly before the
+// next other live notification (`t2` when live) and never past `until`.
+// The subscriber's pending notification has already been popped; on every
 // exit path the event is re-notified at interval, restoring the heap
-// state a ticked run would have. It returns true when the breaking body
-// call left processes runnable, in which case the caller must resume at
+// state a ticked run would have. It returns true when the last instant
+// run left processes runnable, in which case the caller must resume at
 // the update phase so the instant's phases complete in ticked order.
 //
-// The loop is the skip-path the 0-alloc test pins: per instant it is one
+// The loop is the skip-path the 0-alloc test pins: per call it is one
 // indirect call, the inline update phase and a handful of compares.
 func (k *Kernel) fastForward(t2 Time, live bool, until Time) (skipEval bool) {
 	g := &k.gap
-	seq0 := k.timed.seqCount()
+	k.gapSeq = k.timed.seqCount()
 	for {
-		g.body()
-		k.ffInstants++
-		if len(k.runnable) > 0 || k.stopRequested || k.timed.seqCount() != seq0 ||
+		n := (until-k.now)/g.interval + 1
+		if live {
+			if m := (t2-k.now-1)/g.interval + 1; m < n {
+				n = m
+			}
+		}
+		first := k.now
+		ran := g.body(first, int(n))
+		if ran < 1 || Time(ran) > n {
+			panic(fmt.Sprintf("sim: gap body ran %d of %d instants", ran, n))
+		}
+		k.now = first + Time(ran-1)*g.interval
+		k.ffInstants += uint64(ran)
+		if len(k.runnable) > 0 || k.stopRequested || k.timed.seqCount() != k.gapSeq ||
 			len(k.deltaQueue) > 0 {
-			// The body did more than write signals: leave its updates
-			// unapplied and let the main loop run the update/delta/stop
-			// phases of this instant (eval is skipped when something is
-			// runnable, so phase order matches a ticked instant).
+			// The last instant did more than write signals: leave its
+			// updates unapplied and let the main loop run the
+			// update/delta/stop phases of this instant (eval is skipped
+			// when something is runnable, so phase order matches a
+			// ticked instant).
 			skipEval = len(k.runnable) > 0
 			break
 		}

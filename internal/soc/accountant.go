@@ -8,19 +8,35 @@ import (
 	"godpm/internal/stats"
 )
 
-// accountant is the simulation's per-tick spine: every SampleInterval it
+// accountant is the simulation's per-sample spine: every SampleInterval it
 // feeds the battery and the thermal plant with the average power drawn
 // since the last sample and streams the die temperature into a
 // time-weighted accumulator.
 //
-// It is the hottest non-kernel path of a run — 1.2M ticks for the paper's
-// 120 s horizon at the default 100 µs interval — so it holds all of its
-// state in pre-sized fields, streams the temperature statistics in O(1)
-// memory (no per-tick Series append), and its sample step is pinned to
-// zero allocations by TestAccountantTickAllocFree.
+// Every sample goes through one sampler, entered through run. The ticked
+// method calls run for a single sample; the kernel's idle fast-forward
+// (sim.GapPeriodic) calls it once per idle stretch, with every sample up
+// to the next other event, so a gap of thousands of samples costs one
+// kernel round trip instead of one per sample. A call's first sample takes
+// the general route, since a meter may have been settled mid-interval;
+// after it, nothing but the accountant runs until the call ends, so meter
+// powers are constant and every step is exactly one interval. The call
+// ends right after the first sample that does more than update the
+// accountant's own state — changes a battery or thermal signal, fires a
+// stop condition or fork watch, or polls the GEM — and the kernel takes
+// that instant from there in ticked order. The same float operations run
+// in the same order either way, so results are bit-identical to ticked
+// execution.
+//
+// Within a call the battery wells and the die temperature are carried in
+// locals and every component steps from one seconds conversion per
+// sample; between calls all state lives in pre-sized fields. The temperature statistics stream in
+// O(1) memory, and the sampler is pinned to zero allocations by
+// TestAccountantTickAllocFree and TestAccountantGapAllocFree.
 type accountant struct {
 	k     *sim.Kernel
 	pack  *battery.Pack
+	cell  battery.Model // the pack's model; nil on mains, which draws nothing
 	plant *thermalPlant
 
 	meters    []*stats.EnergyMeter
@@ -37,10 +53,11 @@ type accountant struct {
 	gemReeval bool
 
 	interval sim.Time
-	// intervalSecs caches interval.Seconds(): the per-tick dt is almost
-	// always exactly one interval, and reusing the converted value saves
-	// three float divisions per sample without changing a bit (the same
-	// operation on the same input yields the same value).
+	// intervalSecs caches interval.Seconds(): a sample's step is almost
+	// always exactly one interval, and reusing the converted value for
+	// every meter, the battery, the plant and the temperature accumulator
+	// saves their divisions without changing a bit (the same operation on
+	// the same input yields the same value).
 	intervalSecs float64
 	tick         *sim.Event
 	// noFastForward skips the GapPeriodic registration, forcing per-tick
@@ -49,9 +66,12 @@ type accountant struct {
 
 	temp   stats.TimeWeighted // streaming time-weighted die temperature
 	lastE  float64            // total energy at the previous sample
-	lastEs []float64          // per-IP energy at the previous sample
-	perIP  []float64          // per-IP power scratch for plant.step
 	lastAt sim.Time           // time of the previous sample
+	// perIP and lastEs hold the per-IP power split and the per-IP energy
+	// at the previous sample. Only a per-IP thermal network consumes the
+	// split, so both are nil for the single die node.
+	perIP  []float64
+	lastEs []float64
 
 	// Early-stop machinery (RunOptions.StopWhen and context cancellation).
 	// All of it is inert — one branch per tick — when unused, which keeps
@@ -89,65 +109,177 @@ func newAccountant(k *sim.Kernel, cfg *Config, pack *battery.Pack, plant *therma
 		g:            g,
 		interval:     cfg.SampleInterval,
 		intervalSecs: cfg.SampleInterval.Seconds(),
-		lastEs:       make([]float64, len(meters)),
-		perIP:        make([]float64, len(meters)),
+	}
+	if !pack.Mains() {
+		a.cell = pack.Model()
+	}
+	if plant.network != nil {
+		a.perIP = make([]float64, len(meters))
+		a.lastEs = make([]float64, len(meters))
 	}
 	a.gemReeval = g != nil && cfg.GEM.BusOccupancyLimit > 0
 	a.temp.Add(0, cfg.InitialTempC)
 	return a
 }
 
-// start registers the tick method and schedules the first sample.
-//
-// The accountant also opts its tick into the kernel's idle fast-forward:
-// whenever the tick is the only live timed notification — no process
-// runnable, no delta pending, nothing else scheduled — the kernel calls
-// the catch-up body (the method minus the self re-notification) at
-// interval steps directly, skipping the heap/fire/eval machinery per
-// instant. The same sample arithmetic runs at the same instants, so
-// results are bit-identical to ticked execution; runs with observers
-// never fast-forward because the observer sampler's tick shares every
-// sample instant, which keeps Observer.Sample firing per tick.
+// maxBatch caps the samples of one sampler call. The context is polled
+// once per call, so the cap bounds how many samples a cancelled run still
+// executes; a cancelled run returns ctx.Err() and no result, so where
+// exactly it stopped never reaches a digest.
+const maxBatch = 1024
+
+// start registers the tick method, opts it into the kernel's idle
+// fast-forward and schedules the first sample. Runs with observers never
+// fast-forward: the observer sampler's tick shares every sample instant,
+// which keeps Observer.Sample firing per tick.
 func (a *accountant) start() {
 	a.tick = a.k.NewEvent("accountant.tick")
 	a.k.Method("accountant", func() {
-		a.sample()
-		a.checkStop()
+		a.run(a.k.Now(), 1)
 		a.tick.Notify(a.interval)
 	}).Sensitive(a.tick).DontInitialize()
 	if !a.noFastForward {
-		a.k.GapPeriodic(a.tick, a.interval, func() {
-			a.sample()
-			a.checkStop()
-		})
+		a.k.GapPeriodic(a.tick, a.interval, a.run)
 	}
 	a.tick.Notify(a.interval)
 }
 
-// checkStop polls the context and evaluates the stop conditions against the
-// state integrated by the sample that just ran. It fires at most once; the
-// kernel then halts at the end of the current delta cycle. Must not
-// allocate when no conditions or context are registered.
+// run polls the context once, then takes up to n samples from first,
+// capped at maxBatch. It is the tick method's sample and the GapPeriodic
+// body.
+func (a *accountant) run(first sim.Time, n int) (ran int) {
+	a.pollCtx()
+	if n > maxBatch {
+		n = maxBatch
+	}
+	return a.sample(first, n, true)
+}
+
+// sample is the sampler. It integrates up to n samples at first,
+// first+interval, … — the average power since the previous sample into the
+// battery and the thermal plant, the temperature into the streaming
+// statistics — and returns how many it took. The kernel's time must be
+// first. With check set, the stop conditions and fork watches are
+// evaluated after every sample.
+//
+// The first sample settles the meters at the kernel's time, since a meter
+// may have been settled mid-interval. Every later sample is steady: one
+// interval after the previous one with no meter touched in between, so
+// each meter accrues one interval at its held power. The battery wells
+// and the die temperature are carried in locals from sample to sample and
+// stored back once per call; nothing reads them from their components
+// within a call (the stop probe gets the locals). A battery or thermal
+// class change is written to its signal at the sample that causes it.
+// The call ends right after a sample whose work reached the kernel
+// (sim.Kernel.Quiet); a GEM poll reads the bus occupancy at the kernel's
+// time, which stays at first, so it limits the call to one sample. A
+// zero-length first interval (a second call at the same instant, e.g. the
+// final partial sample after a tick) is a no-op. Must not allocate.
+func (a *accountant) sample(first sim.Time, n int, check bool) (ran int) {
+	secs := a.intervalSecs
+	if dt := first - a.lastAt; dt != a.interval {
+		if dt <= 0 {
+			return 1
+		}
+		secs = dt.Seconds()
+	}
+	if a.gemReeval {
+		n = 1
+	}
+	checking := check && (len(a.stops) > 0 || len(a.watches) > 0)
+	node := a.plant.single
+	var w battery.Wells
+	if a.cell != nil {
+		w = a.cell.Wells()
+	}
+	var tempC float64
+	if node != nil {
+		tempC = node.TempC()
+	}
+	soc := 1.0 // a mains pack reports full charge
+	lastE := a.lastE
+	t := first
+	for {
+		// Bus first, then meters in slice order: every result digest
+		// depends on this summation order.
+		e := *a.busEnergy
+		for i, m := range a.meters {
+			var me float64
+			if ran == 0 {
+				me = m.EnergyJ()
+			} else {
+				me = m.Accrue(t, secs)
+			}
+			e += me
+			if a.perIP != nil {
+				a.perIP[i] = (me - a.lastEs[i]) / secs
+				a.lastEs[i] = me
+			}
+		}
+		pAvg := (e - lastE) / secs
+		lastE = e
+		if a.cell != nil {
+			w, soc = a.cell.Drain(w, a.batteryDraw(pAvg), secs)
+			a.pack.Refresh(soc)
+		}
+		if node != nil {
+			tempC = node.Advance(tempC, pAvg, secs)
+			if node.ClassOf(tempC) != node.Class() {
+				node.Set(tempC) // the sensor changes class: Quiet ends the call
+			}
+		} else {
+			tempC = a.plant.stepNetwork(a.perIP, secs)
+		}
+		a.temp.AddStep(t, secs, tempC)
+		if a.gemReeval {
+			a.g.Reevaluate()
+		}
+		ran++
+		if checking {
+			a.probe.Now, a.probe.TempC, a.probe.SoC, a.probe.EnergyJ = t, tempC, soc, e
+			a.checkStop()
+		}
+		if ran == n || !a.k.Quiet() {
+			break
+		}
+		t += a.interval
+		secs = a.intervalSecs
+	}
+	if a.cell != nil {
+		a.cell.SetWells(w)
+	}
+	if node != nil {
+		node.Set(tempC)
+	}
+	a.lastE, a.lastAt = lastE, t
+	return ran
+}
+
+// pollCtx checks the context once per sampler call and stops the kernel
+// if it was cancelled.
+func (a *accountant) pollCtx() {
+	if a.done == nil || a.canceled || a.stopReason != "" {
+		return
+	}
+	select {
+	case <-a.done:
+		a.canceled = true
+		a.k.Stop()
+	default:
+	}
+}
+
+// checkStop evaluates the fork watches and the stop conditions against the
+// probe, which the sampler has just filled. A stop condition fires at most
+// once; the kernel then halts at the end of the current delta cycle.
 func (a *accountant) checkStop() {
 	if a.stopReason != "" || a.canceled {
 		return
 	}
-	if a.done != nil {
-		select {
-		case <-a.done:
-			a.canceled = true
-			a.k.Stop()
-			return
-		default:
-		}
-	}
+	a.probe.Battery = a.pack.Status()
 	if len(a.watches) > 0 {
 		a.checkWatches()
 	}
-	if len(a.stops) == 0 {
-		return
-	}
-	a.fillProbe()
 	for i := range a.stops {
 		if a.stops[i].Eval(&a.probe) {
 			a.stopReason = a.stops[i].Reason
@@ -155,15 +287,6 @@ func (a *accountant) checkStop() {
 			return
 		}
 	}
-}
-
-// fillProbe refreshes the reusable probe from the just-integrated state.
-func (a *accountant) fillProbe() {
-	a.probe.Now = a.k.Now()
-	a.probe.TempC = a.plant.tempC()
-	a.probe.SoC = a.pack.SoC()
-	a.probe.Battery = a.pack.Status()
-	a.probe.EnergyJ = a.lastE
 }
 
 // checkWatches evaluates every live fork watch. Unlike the solo list it
@@ -174,7 +297,6 @@ func (a *accountant) fillProbe() {
 // Evaluation is pure (conditions only read the probe), so watching extra
 // members never changes the shared trajectory.
 func (a *accountant) checkWatches() {
-	a.fillProbe()
 	fired := false
 	for _, w := range a.watches {
 		if w.fired != "" {
@@ -193,55 +315,10 @@ func (a *accountant) checkWatches() {
 	}
 }
 
-// totalEnergy sums the bus meter and every IP meter up to now.
-func (a *accountant) totalEnergy() float64 {
-	e := *a.busEnergy
-	for _, m := range a.meters {
-		e += m.EnergyJ()
-	}
-	return e
-}
-
 // batteryDraw maps the load power to the power the battery supplies.
 func (a *accountant) batteryDraw(pLoad float64) float64 {
 	if a.reg == nil {
 		return pLoad
 	}
 	return a.reg.InputPower(pLoad, a.railV)
-}
-
-// sample integrates one interval: average power into the battery and the
-// thermal plant, temperature into the streaming statistics. Zero-length
-// intervals (a second call at the same instant, e.g. the final partial
-// sample after a tick) are no-ops. Must not allocate.
-func (a *accountant) sample() {
-	now := a.k.Now()
-	dt := now - a.lastAt
-	if dt <= 0 {
-		return
-	}
-	secs := a.intervalSecs
-	if dt != a.interval {
-		secs = dt.Seconds()
-	}
-	// One pass over the meters computes the total and the per-IP split:
-	// the summation order (bus first, then meters in slice order) is the
-	// same as totalEnergy's, so the result is bit-identical to the old
-	// two-pass version while settling each meter once instead of twice.
-	e := *a.busEnergy
-	for i, m := range a.meters {
-		me := m.EnergyJ()
-		e += me
-		a.perIP[i] = (me - a.lastEs[i]) / secs
-		a.lastEs[i] = me
-	}
-	pAvg := (e - a.lastE) / secs
-	a.pack.Step(a.batteryDraw(pAvg), dt)
-	a.plant.step(pAvg, a.perIP, dt)
-	a.lastE = e
-	a.lastAt = now
-	a.temp.Add(now, a.plant.tempC())
-	if a.gemReeval {
-		a.g.Reevaluate()
-	}
 }

@@ -1,6 +1,8 @@
 package soc
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"godpm/internal/battery"
@@ -12,8 +14,9 @@ import (
 
 // buildAccountant assembles a minimal kernel + accountant: one battery
 // pack, the single-node thermal plant and two idle energy meters, driven
-// only by the accountant's own tick event.
-func buildAccountant(t *testing.T) (*sim.Kernel, *accountant, sim.Time) {
+// only by the accountant's own tick event — through the idle fast-forward
+// when fastForward is set, through the ticked method otherwise.
+func buildAccountant(t *testing.T, fastForward bool) (*sim.Kernel, *accountant, sim.Time) {
 	t.Helper()
 	cfg := Config{
 		IPs: []IPSpec{
@@ -37,6 +40,7 @@ func buildAccountant(t *testing.T) (*sim.Kernel, *accountant, sim.Time) {
 	meters[0].SetPower(0.4)
 	meters[1].SetPower(0.2)
 	acct := newAccountant(k, &cfg, pack, plant, meters, &busEnergy, nil)
+	acct.noFastForward = !fastForward
 	acct.start()
 	return k, acct, cfg.SampleInterval
 }
@@ -45,7 +49,7 @@ func buildAccountant(t *testing.T) (*sim.Kernel, *accountant, sim.Time) {
 // event, method activation, battery step, thermal step, temperature
 // streaming, re-notify — to zero allocations.
 func TestAccountantTickAllocFree(t *testing.T) {
-	k, _, interval := buildAccountant(t)
+	k, _, interval := buildAccountant(t, false)
 	// Warm up: grow kernel buffers and settle battery signal activity.
 	for i := 0; i < 64; i++ {
 		if err := k.Run(k.Now() + interval); err != nil {
@@ -62,11 +66,36 @@ func TestAccountantTickAllocFree(t *testing.T) {
 	}
 }
 
+// TestAccountantGapAllocFree pins the batched path to zero allocations:
+// an idle stretch of several sampler calls (more samples than one call's
+// cap) crossed through the kernel's fast-forward.
+func TestAccountantGapAllocFree(t *testing.T) {
+	k, _, interval := buildAccountant(t, true)
+	const gap = 3*maxBatch + 17
+	for i := 0; i < 4; i++ {
+		if err := k.Run(k.Now() + gap*interval); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := k.FastForwardedInstants()
+	got := testing.AllocsPerRun(100, func() {
+		if err := k.Run(k.Now() + gap*interval); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 0 {
+		t.Errorf("accountant gap: %v allocs, want 0", got)
+	}
+	if k.FastForwardedInstants() <= before {
+		t.Fatal("no instants were fast-forwarded")
+	}
+}
+
 // TestAccountantStreamsStatistics checks the streaming accumulator against
 // the retained Series over the same tick sequence: identical mean and peak,
 // bit for bit.
 func TestAccountantStreamsStatistics(t *testing.T) {
-	k, acct, interval := buildAccountant(t)
+	k, acct, interval := buildAccountant(t, true)
 	var ref stats.Series
 	ref.Add(0, acct.temp.Last()) // the seeded initial temperature
 	refPeak := acct.temp.Last()
@@ -117,5 +146,38 @@ func TestEnergyMeterAllocFree(t *testing.T) {
 	})
 	if got != 0 {
 		t.Errorf("EnergyMeter hot path: %v allocs, want 0", got)
+	}
+}
+
+// TestCancelDuringIdleGap cancels the context in the middle of a long idle
+// gap, from a stop condition's probe. The context is polled once per
+// sampler call, so the run must return ctx.Err() having sampled at most
+// one call's cap past the cancellation.
+func TestCancelDuringIdleGap(t *testing.T) {
+	cfg := Config{
+		IPs: []IPSpec{{Name: "ip0", Sequence: workload.Sequence{
+			{Task: task.Task{ID: 1, Instructions: 100}, IdleAfter: 10 * sim.Sec},
+			{Task: task.Task{ID: 2, Instructions: 100}},
+		}}},
+		Horizon: 20 * sim.Sec,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const cancelAt = sim.Sec
+	var last sim.Time
+	spy := StopCondition{Reason: "spy", Eval: func(p *Probe) bool {
+		last = p.Now
+		if p.Now >= cancelAt {
+			cancel()
+		}
+		return false
+	}}
+	res, err := RunWith(ctx, cfg, RunOptions{StopWhen: []StopCondition{spy}})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("RunWith = %v, %v; want no result and context.Canceled", res, err)
+	}
+	const interval = 100 * sim.Us // the normalized default
+	if last < cancelAt || last > cancelAt+maxBatch*interval {
+		t.Errorf("last sample at %s, want within [%s, %s]", last, cancelAt, cancelAt+maxBatch*interval)
 	}
 }

@@ -264,7 +264,7 @@ func TestObserverSetupErrorFailsFast(t *testing.T) {
 // accountant tick — now including the stop-condition check — must stay at
 // zero allocations per event, protecting the allocation-free hot path.
 func TestUnobservedDispatchAllocFree(t *testing.T) {
-	k, acct, interval := buildAccountant(t)
+	k, acct, interval := buildAccountant(t, true)
 	acct.stops = []StopCondition{StopOnEnergyBudget(1e18), StopOnBatteryEmpty()}
 	for i := 0; i < 64; i++ {
 		if err := k.Run(k.Now() + interval); err != nil {

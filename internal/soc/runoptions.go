@@ -26,7 +26,8 @@ type RunOptions struct {
 	// NoFastForward disables the kernel's idle fast-forward, forcing the
 	// per-tick scheduling machinery over idle gaps. Fast-forward is
 	// provably bit-identical to ticked execution (the same sample
-	// arithmetic runs at the same instants — see sim.Kernel.GapPeriodic),
+	// arithmetic runs at the same instants, one call per idle gap — see
+	// sim.Kernel.GapPeriodic),
 	// so this knob exists for verification (the equivalence property
 	// tests) and benchmarking (measuring the machinery it skips), not for
 	// correctness; it is deliberately not part of the engine cache key.

@@ -204,12 +204,13 @@ func (s *session) allFinished() bool {
 // snapshotResult computes the Result a solo run of this session's config
 // would have returned if it ended at the current pause point (the kernel
 // must not be mid-Run), without mutating any live state: the final
-// partial sample runs on copies — cloned battery model, peeked energy
-// meters, peek-stepped thermal plant, a value copy of the temperature
-// accumulator — and the ledger and LEM stat maps are deep-copied so later
-// simulation cannot leak into the snapshot. The arithmetic mirrors
-// accountant.sample + RunWith's epilogue term for term, which the
-// fork-equivalence tests pin bit-identically against solo runs.
+// partial sample runs on copies — the battery wells drained as values,
+// peeked energy meters, the die temperature advanced as a value, a value
+// copy of the temperature accumulator — and the ledger and LEM stat maps
+// are deep-copied so later simulation cannot leak into the snapshot. The
+// arithmetic mirrors accountant.sample + RunWith's epilogue term for
+// term, which the fork-equivalence tests pin bit-identically against solo
+// runs.
 func (s *session) snapshotResult(stopReason string) *Result {
 	k, a := s.k, s.acct
 	now := k.Now()
@@ -234,16 +235,17 @@ func (s *session) snapshotResult(stopReason string) *Result {
 			e += pe
 		}
 		pAvg := (e - a.lastE) / secs
-		perIP := make([]float64, len(s.meters))
-		for i, pe := range peeks {
-			perIP[i] = (pe - a.lastEs[i]) / secs
+		var perIP []float64
+		if a.perIP != nil {
+			perIP = make([]float64, len(s.meters))
+			for i, pe := range peeks {
+				perIP[i] = (pe - a.lastEs[i]) / secs
+			}
 		}
-		if !s.pack.Mains() {
-			model := s.pack.Model().Clone()
-			model.Step(a.batteryDraw(pAvg), dt)
-			finalSoC = model.SoC()
+		if a.cell != nil {
+			_, finalSoC = a.cell.Drain(a.cell.Wells(), a.batteryDraw(pAvg), secs)
 		}
-		temp.Add(now, s.plant.peekStepTempC(pAvg, perIP, dt))
+		temp.Add(now, s.plant.peekTempC(pAvg, perIP, dt))
 	}
 
 	res := &Result{
@@ -326,7 +328,7 @@ type ForkMember struct {
 // every sample tick (UseGEM with GEM.BusOccupancyLimit > 0) are not
 // forkable — the final partial sample would re-evaluate the live GEM —
 // and return an error, as do volatile stop conditions. Cancellation is
-// sample-granular, like RunWith.
+// polled like RunWith's.
 func RunForked(ctx context.Context, cfg Config, members []ForkMember) ([]*Result, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("soc: RunForked needs at least one member")

@@ -80,6 +80,32 @@ func DefaultBattery(initialSoC float64) BatteryConfig {
 	}
 }
 
+// validate rejects the parameters build's constructors would panic on.
+// An unknown kind is left to build, which reports it.
+func (b BatteryConfig) validate() error {
+	if b.InitialSoC < 0 || b.InitialSoC > 1 {
+		return fmt.Errorf("soc: battery InitialSoC %v outside [0,1]", b.InitialSoC)
+	}
+	switch b.Kind {
+	case "linear", "kibam", "peukert":
+		if b.CapacityJ <= 0 {
+			return fmt.Errorf("soc: %s battery CapacityJ %v is not positive", b.Kind, b.CapacityJ)
+		}
+	}
+	switch b.Kind {
+	case "kibam":
+		if b.KiBaMC <= 0 || b.KiBaMC >= 1 || b.KiBaMK <= 0 {
+			return fmt.Errorf("soc: KiBaM needs 0 < KiBaMC < 1 and KiBaMK > 0, got %v and %v", b.KiBaMC, b.KiBaMK)
+		}
+	case "peukert":
+		if (b.PeukertExponent != 0 && b.PeukertExponent < 1) || b.PeukertRefPower < 0 {
+			return fmt.Errorf("soc: Peukert needs PeukertExponent >= 1 and PeukertRefPower > 0 (0 selects the default), got %v and %v",
+				b.PeukertExponent, b.PeukertRefPower)
+		}
+	}
+	return nil
+}
+
 func (b BatteryConfig) build() (battery.Model, error) {
 	switch b.Kind {
 	case "linear":
@@ -303,6 +329,24 @@ func (c *Config) fillDefaults() error {
 	if c.Bus == (bus.Config{}) {
 		c.Bus = bus.DefaultConfig()
 	}
+	// The battery and thermal constructors panic on out-of-range
+	// parameters; refuse them here so an inline config gets an error, not
+	// a crashed worker.
+	if err := c.Battery.validate(); err != nil {
+		return err
+	}
+	if c.PerIPThermal {
+		if c.ThermalNetwork != (thermal.NetworkParams{}) {
+			if err := c.ThermalNetwork.Validate(); err != nil {
+				return fmt.Errorf("soc: %w", err)
+			}
+		}
+	} else if err := c.Thermal.Validate(); err != nil {
+		return fmt.Errorf("soc: %w", err)
+	}
+	if c.Policy == PolicyTimeout && c.Timeout < 0 {
+		return fmt.Errorf("soc: negative Timeout %v", c.Timeout)
+	}
 	// Zero selects the defaults below; a negative interval would panic the
 	// sampling clock, and a negative horizon would "run" to nothing.
 	if c.SampleInterval < 0 {
@@ -438,8 +482,9 @@ func Run(cfg Config) (*Result, error) {
 // an observed run is bit-identical to a bare Run of the same Config (stop
 // conditions excepted, since they genuinely shorten the run).
 //
-// Cancellation is sample-granular: ctx is polled at every SampleInterval
-// tick, and a cancelled run returns ctx.Err().
+// Cancellation is prompt: ctx is polled once per accountant call — every
+// sample while the run is busy, at least every 1024 samples through idle
+// gaps — and a cancelled run returns ctx.Err() and no result.
 func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*Result, error) {
 	// A run shorter than one SampleInterval never reaches the in-run
 	// cancellation poll, so honour an already-ended context up front.
@@ -471,7 +516,7 @@ func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*Result, error) 
 	// runs (RunForked) instead snapshot the same arithmetic onto copies at
 	// every cut point, because the session keeps running past each cut.
 	acct, k := s.acct, s.k
-	acct.sample()
+	acct.sample(k.Now(), 1, false)
 
 	res := &Result{
 		EnergyByIP: make(map[string]float64, len(s.meters)),

@@ -10,6 +10,7 @@ import (
 	"godpm/internal/gem"
 	"godpm/internal/power"
 	"godpm/internal/sim"
+	"godpm/internal/thermal"
 	"godpm/internal/workload"
 )
 
@@ -216,6 +217,65 @@ func TestNormalizedRejectsNegativeTimes(t *testing.T) {
 			if _, err := Run(cfg); err == nil {
 				t.Errorf("%s: Run accepted the config", tc.name)
 			}
+		}
+	}
+}
+
+// TestNormalizedRejectsPanickingParams: each of these inline-config
+// values used to panic a battery or thermal constructor (or the timeout
+// policy's timer) inside the run, killing the worker goroutine. They are
+// refused at normalization instead; the valid neighbours still run.
+func TestNormalizedRejectsPanickingParams(t *testing.T) {
+	battery := func(kind string) BatteryConfig {
+		b := DefaultBattery(0.9)
+		b.Kind = kind
+		return b
+	}
+	cases := []struct {
+		name    string
+		mutate  func(*Config)
+		wantErr string
+	}{
+		{"timeout -1", func(c *Config) { c.Policy, c.Timeout = PolicyTimeout, -1 }, "negative Timeout"},
+		{"kibam C 0", func(c *Config) { c.Battery.KiBaMC = 0 }, "KiBaM"},
+		{"kibam C 1", func(c *Config) { c.Battery.KiBaMC = 1 }, "KiBaM"},
+		{"kibam K 0", func(c *Config) { c.Battery.KiBaMK = 0 }, "KiBaM"},
+		{"kibam K -1", func(c *Config) { c.Battery.KiBaMK = -1 }, "KiBaM"},
+		{"soc -0.1", func(c *Config) { c.Battery.InitialSoC = -0.1 }, "InitialSoC"},
+		{"soc 1.5", func(c *Config) { c.Battery.InitialSoC = 1.5 }, "InitialSoC"},
+		{"soc 1.5 mains", func(c *Config) { c.Battery.InitialSoC, c.Battery.Mains = 1.5, true }, "InitialSoC"},
+		{"linear capacity 0", func(c *Config) { c.Battery = battery("linear"); c.Battery.CapacityJ = 0 }, "CapacityJ"},
+		{"kibam capacity -1", func(c *Config) { c.Battery.CapacityJ = -1 }, "CapacityJ"},
+		{"peukert capacity 0", func(c *Config) { c.Battery = battery("peukert"); c.Battery.CapacityJ = 0 }, "CapacityJ"},
+		{"peukert exponent 0.5", func(c *Config) { c.Battery = battery("peukert"); c.Battery.PeukertExponent = 0.5 }, "Peukert"},
+		{"peukert ref -1", func(c *Config) { c.Battery = battery("peukert"); c.Battery.PeukertRefPower = -1 }, "Peukert"},
+		{"rth 0", func(c *Config) { c.Thermal = thermal.DefaultParams(); c.Thermal.RthKperW = 0 }, "Rth or Cth"},
+		{"cth -1", func(c *Config) { c.Thermal = thermal.DefaultParams(); c.Thermal.CthJperK = -1 }, "Rth or Cth"},
+		{"network cth 0", func(c *Config) {
+			c.PerIPThermal = true
+			c.ThermalNetwork = thermal.DefaultNetworkParams()
+			c.ThermalNetwork.NodeCthJperK = 0
+		}, "network"},
+		{"timeout 0 defaults", func(c *Config) { c.Policy, c.Timeout = PolicyTimeout, 0 }, ""},
+		{"negative timeout unused", func(c *Config) { c.Timeout = -1 }, ""},
+		{"linear", func(c *Config) { c.Battery = battery("linear") }, ""},
+		{"peukert defaults", func(c *Config) { c.Battery = battery("peukert") }, ""},
+		{"soc 0 and 1", func(c *Config) { c.Battery.InitialSoC = 1 }, ""},
+		{"network defaults", func(c *Config) { c.PerIPThermal = true; c.Thermal.RthKperW = -1 }, ""},
+	}
+	for _, tc := range cases {
+		cfg := smallConfig(PolicyDPM, 3)
+		tc.mutate(&cfg)
+		_, err := cfg.Normalized()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.wantErr)
+		}
+		// Run must answer with an error or a result, never a panic.
+		if _, err := Run(cfg); (err == nil) != (tc.wantErr == "") {
+			t.Errorf("%s: Run error %v, want error %v", tc.name, err, tc.wantErr != "")
 		}
 	}
 }

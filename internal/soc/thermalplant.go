@@ -53,22 +53,20 @@ func (tp *thermalPlant) lemSource(i int) thermal.Source {
 	return tp.sensors[i]
 }
 
-// step integrates one accountant interval: total power for the single
-// node, the per-IP split for the network.
-func (tp *thermalPlant) step(total float64, perIP []float64, dt sim.Time) {
-	if tp.single != nil {
-		tp.single.Step(total, dt)
-		return
-	}
-	tp.network.Step(perIP, dt)
+// stepNetwork integrates the per-IP network over one accountant interval
+// of secs seconds and returns the hottest node's temperature.
+func (tp *thermalPlant) stepNetwork(perIP []float64, secs float64) float64 {
+	tp.network.StepSecs(perIP, secs)
+	_, hot := tp.network.Hottest()
+	return hot
 }
 
-// peekStepTempC returns the temperature step(total, perIP, dt) would
-// leave tempC() reporting, without mutating the plant — the snapshot
-// path's non-perturbing final partial integration.
-func (tp *thermalPlant) peekStepTempC(total float64, perIP []float64, dt sim.Time) float64 {
+// peekTempC returns the temperature the plant would report after one more
+// interval of dt, without mutating it — the snapshot path's
+// non-perturbing final partial integration.
+func (tp *thermalPlant) peekTempC(total float64, perIP []float64, dt sim.Time) float64 {
 	if tp.single != nil {
-		return tp.single.PeekStepTempC(total, dt)
+		return tp.single.Advance(tp.single.TempC(), total, dt.Seconds())
 	}
 	return tp.network.PeekStepHottest(perIP, dt)
 }

@@ -53,6 +53,16 @@ func (m *EnergyMeter) AddPower(dw float64) {
 	m.power += dw
 }
 
+// Accrue settles the meter at t, one step of secs seconds after its last
+// settle, and returns the energy. The caller has converted the step once
+// for every meter it samples; the result is bit-identical to EnergyJ at t
+// whenever t − (last settle) converts to secs.
+func (m *EnergyMeter) Accrue(t sim.Time, secs float64) float64 {
+	m.energy += m.power * secs
+	m.lastAt = t
+	return m.energy
+}
+
 // AddEnergy records an instantaneous energy quantum (joules).
 func (m *EnergyMeter) AddEnergy(j float64) {
 	m.energy += j
@@ -193,7 +203,15 @@ func (w *TimeWeighted) Add(t sim.Time, v float64) {
 	if t < w.lastAt {
 		panic(fmt.Sprintf("stats: series times must be non-decreasing (%v after %v)", t, w.lastAt))
 	}
-	w.area += w.lastV * (t - w.lastAt).Seconds()
+	w.AddStep(t, (t - w.lastAt).Seconds(), v)
+}
+
+// AddStep is Add(t, v) for a caller that has already converted the hold
+// t − (previous sample time) to secs seconds; the result is bit-identical
+// to Add whenever the hold converts to secs. There must be a previous
+// sample.
+func (w *TimeWeighted) AddStep(t sim.Time, secs, v float64) {
+	w.area += w.lastV * secs
 	w.lastAt, w.lastV = t, v
 	w.n++
 	if v > w.peak {

@@ -90,11 +90,11 @@ func NewNetwork(k *sim.Kernel, name string, p NetworkParams, names []string, ini
 	return n
 }
 
-// integrate runs the sub-stepped Euler solution over dt, mutating the
+// integrate runs the sub-stepped Euler solution over secs, mutating the
 // given node/spreader state in place. Step passes the live state;
 // PeekStepHottest passes copies — sharing the core keeps the two paths
 // bit-identical.
-func (n *Network) integrate(nodes []float64, spreader *float64, powers []float64, dt sim.Time) {
+func (n *Network) integrate(nodes []float64, spreader *float64, powers []float64, secs float64) {
 	rsa := n.p.SpreaderRthKperW
 	if n.fanOn {
 		rsa *= n.p.FanFactor
@@ -103,7 +103,7 @@ func (n *Network) integrate(nodes []float64, spreader *float64, powers []float64
 	tauNode := n.p.NodeRthKperW * n.p.NodeCthJperK
 	tauSpreader := rsa * n.p.SpreaderCthJperK
 	maxStep := math.Min(tauNode, tauSpreader) / 10
-	remaining := dt.Seconds()
+	remaining := secs
 	for remaining > 1e-15 {
 		h := remaining
 		if h > maxStep {
@@ -127,11 +127,15 @@ func (n *Network) integrate(nodes []float64, spreader *float64, powers []float64
 
 // Step integrates the network for dt with the given per-node powers (one
 // entry per node, watts).
-func (n *Network) Step(powers []float64, dt sim.Time) {
+func (n *Network) Step(powers []float64, dt sim.Time) { n.StepSecs(powers, dt.Seconds()) }
+
+// StepSecs is Step over secs seconds, for callers that have converted the
+// interval already.
+func (n *Network) StepSecs(powers []float64, secs float64) {
 	if len(powers) != len(n.nodes) {
 		panic(fmt.Sprintf("thermal: Step with %d powers for %d nodes", len(powers), len(n.nodes)))
 	}
-	n.integrate(n.nodes, &n.spreader, powers, dt)
+	n.integrate(n.nodes, &n.spreader, powers, secs)
 	_, hot := n.Hottest()
 	n.hottest.Write(hot)
 	if n.onStep != nil {
@@ -150,7 +154,7 @@ func (n *Network) PeekStepHottest(powers []float64, dt sim.Time) float64 {
 	}
 	nodes := append([]float64(nil), n.nodes...)
 	spreader := n.spreader
-	n.integrate(nodes, &spreader, powers, dt)
+	n.integrate(nodes, &spreader, powers, dt.Seconds())
 	hot := nodes[0]
 	for _, t := range nodes {
 		if t > hot {

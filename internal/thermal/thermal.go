@@ -139,11 +139,14 @@ func NewNode(k *sim.Kernel, name string, p Params, initialC float64) *Node {
 	return n
 }
 
-// integrate runs the explicit-Euler sub-stepped solution of
-// dT/dt = P/Cth − (T − Tamb)/tau from `from` over dt and returns the end
-// temperature. Shared by Step and PeekStepTempC so the mutating and
-// non-mutating paths cannot drift apart.
-func (n *Node) integrate(from, power float64, dt sim.Time) float64 {
+// Advance returns the temperature the node reaches from tempC after
+// dissipating power for secs seconds under the current fan setting: the
+// explicit-Euler sub-stepped solution of dT/dt = P/Cth − (T − Tamb)/tau.
+// It does not touch the node, so run snapshots can close a final partial
+// interval with it and the power accountant can carry the temperature in
+// a local across samples. Step is Advance on the live temperature
+// followed by Set, so every path shares this arithmetic.
+func (n *Node) Advance(tempC, power, secs float64) float64 {
 	if power < 0 {
 		power = 0
 	}
@@ -151,34 +154,32 @@ func (n *Node) integrate(from, power float64, dt sim.Time) float64 {
 	if n.fanOn {
 		tau, maxStep = n.tauFan, n.maxStepFan
 	}
-	remaining := dt.Seconds()
-	t := from
+	remaining := secs
 	for remaining > 1e-15 {
 		h := remaining
 		if h > maxStep {
 			h = maxStep
 		}
-		dT := (power/n.p.CthJperK - (t-n.p.AmbientC)/tau) * h
-		t += dT
+		tempC += (power/n.p.CthJperK - (tempC-n.p.AmbientC)/tau) * h
 		remaining -= h
 	}
-	return t
+	return tempC
 }
 
 // Step integrates dT/dt = P/Cth − (T − Tamb)/(Rth·Cth) over dt with the
 // given dissipated power, then refreshes the sensor class.
-func (n *Node) Step(power float64, dt sim.Time) {
-	n.tempC = n.integrate(n.tempC, power, dt)
-	n.class.Write(n.th.classify(n.tempC, n.class.Read()))
+func (n *Node) Step(power float64, dt sim.Time) { n.Set(n.Advance(n.tempC, power, dt.Seconds())) }
+
+// Set stores a die temperature reached through Advance and refreshes the
+// sensor class. It must be called from a kernel process.
+func (n *Node) Set(tempC float64) {
+	n.tempC = tempC
+	n.class.Write(n.ClassOf(tempC))
 }
 
-// PeekStepTempC returns the temperature Step(power, dt) would reach,
-// without mutating the node or its sensor signal — the identical
-// sub-stepped arithmetic on a local copy. Run snapshots close the final
-// partial interval through it.
-func (n *Node) PeekStepTempC(power float64, dt sim.Time) float64 {
-	return n.integrate(n.tempC, power, dt)
-}
+// ClassOf returns the class the sensor would read at tempC, given its
+// current class (the hysteresis state).
+func (n *Node) ClassOf(tempC float64) Class { return n.th.classify(tempC, n.class.Read()) }
 
 // TempC returns the current die temperature.
 func (n *Node) TempC() float64 { return n.tempC }
