@@ -7,7 +7,7 @@
 // space — a small versioned HTTP surface:
 //
 //	HEAD /v1/blob/{fingerprint}   exists?       200 | 404
-//	GET  /v1/blob/{fingerprint}   fetch result  200 JSON | 404
+//	GET  /v1/blob/{fingerprint}   fetch result  200 record container | 404
 //	PUT  /v1/blob/{fingerprint}   store result  204 (413/422 refused)
 //	POST /v1/stat {"keys":[...]}  batched HEAD for plan warm-up
 //	GET  /healthz                 liveness (503 while draining)

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -46,13 +48,24 @@ func do(t *testing.T, method, url string, body []byte) *http.Response {
 	return resp
 }
 
-func TestProtocolRoundtrip(t *testing.T) {
-	s, ts := newTestServer(t, serverOptions{})
-	key := strings.Repeat("ab", 32)
-	blob, err := json.Marshal(&godpm.Result{EnergyJ: 3.5, TasksDone: 7, Completed: true})
+// container encodes r as the record container a fleet replica PUTs.
+func container(t *testing.T, key string, r *godpm.Result) []byte {
+	t.Helper()
+	rec, err := godpm.NewCacheRecord(key, r)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, err := rec.Encode(godpm.CodecFlate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func TestProtocolRoundtrip(t *testing.T) {
+	s, ts := newTestServer(t, serverOptions{})
+	key := strings.Repeat("ab", 32)
+	blob := container(t, key, &godpm.Result{EnergyJ: 3.5, TasksDone: 7, Completed: true})
 
 	if resp := do(t, http.MethodHead, ts.URL+"/v1/blob/"+key, nil); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("HEAD before PUT: status %d, want 404", resp.StatusCode)
@@ -70,8 +83,19 @@ func TestProtocolRoundtrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET after PUT: status %d, want 200", resp.StatusCode)
 	}
-	var got godpm.Result
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-gdpm-record" {
+		t.Fatalf("GET Content-Type %q, want the record container type", ct)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := godpm.DecodeCacheRecord(body)
+	if err != nil {
+		t.Fatalf("decode GET body: %v", err)
+	}
+	got, err := rec.Result()
+	if err != nil {
 		t.Fatalf("decode GET body: %v", err)
 	}
 	if got.EnergyJ != 3.5 || got.TasksDone != 7 || !got.Completed {
@@ -91,7 +115,7 @@ func TestProtocolRefusals(t *testing.T) {
 	if resp := do(t, http.MethodGet, ts.URL+"/v1/blob/"+strings.Repeat("G", 64), nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid fingerprint: status %d, want 400", resp.StatusCode)
 	}
-	if resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+key, []byte("not json")); resp.StatusCode != http.StatusUnprocessableEntity {
+	if resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+key, []byte("not a record")); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("undecodable PUT: status %d, want 422", resp.StatusCode)
 	}
 	big := bytes.Repeat([]byte("x"), 1024)
@@ -110,11 +134,34 @@ func TestProtocolRefusals(t *testing.T) {
 	}
 }
 
+// TestOverlongRawLenRefused: a container whose checksum and lengths check
+// out but whose header claims 1 GiB of raw bytes from a small flate body
+// is refused with 422 before anything allocates the claimed length.
+func TestOverlongRawLenRefused(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{})
+	key := strings.Repeat("ab", 32)
+	blob := container(t, key, &godpm.Result{EnergyJ: 1})
+	binary.LittleEndian.PutUint32(blob[12:16], 1<<30) // the raw-length field
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+key, blob)
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("overlong raw-length PUT: status %d, want 422", resp.StatusCode)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("refusing the PUT allocated %d MiB", grew>>20)
+	}
+	if resp := do(t, http.MethodHead, ts.URL+"/v1/blob/"+key, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("refused PUT left an entry behind")
+	}
+}
+
 func TestStatBatch(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{})
 	present := strings.Repeat("ef", 32)
 	absent := strings.Repeat("01", 32)
-	blob, _ := json.Marshal(&godpm.Result{})
+	blob := container(t, present, &godpm.Result{})
 	if resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+present, blob); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("PUT: status %d", resp.StatusCode)
 	}
@@ -174,7 +221,7 @@ func TestAdmissionRefusesExcessLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := json.Marshal(&godpm.Result{})
+	blob := container(t, key, &godpm.Result{})
 	done := make(chan *http.Response, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(req)
@@ -223,7 +270,7 @@ func TestAdmissionRefusesExcessLoad(t *testing.T) {
 func TestStatszV2Envelope(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{RateInterval: 10 * time.Millisecond})
 	key := strings.Repeat("ab", 32)
-	blob, _ := json.Marshal(&godpm.Result{EnergyJ: 1, Completed: true})
+	blob := container(t, key, &godpm.Result{EnergyJ: 1, Completed: true})
 	if resp := do(t, http.MethodPut, ts.URL+"/v1/blob/"+key, blob); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("PUT: status %d", resp.StatusCode)
 	}

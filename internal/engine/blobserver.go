@@ -52,13 +52,12 @@ type BlobServerStats struct {
 //	POST /v1/stat
 //
 // Fingerprints are validated before they address the store, so request
-// paths can never escape it. GET bodies are content-negotiated: a client
-// accepting application/x-gdpm-record gets the stored binary container
-// verbatim — an io.Copy of pre-encoded bytes, no per-GET marshal — and a
-// legacy client gets canonical JSON. PUT accepts either format, and the
-// body must fully decode as a result whichever it is — an undecodable
-// or digest-mismatched upload is refused with 422 rather than stored,
-// so one misbehaving client cannot poison the fleet's shared entries.
+// paths can never escape it. A GET answers with the stored binary record
+// container — pre-encoded bytes, no per-GET marshal. A PUT body must be a
+// record container keyed by the path that fully decodes as a result: an
+// undecodable or digest-mismatched upload is refused with 422 rather than
+// stored, so one misbehaving client cannot poison the fleet's shared
+// entries.
 //
 // BlobServer is an http.Handler; liveness, stats surfacing and drain
 // orchestration belong to the embedding command (see cmd/dpmremote).
@@ -123,7 +122,7 @@ func (s *BlobServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case http.MethodHead:
 			s.handleHead(w, key)
 		case http.MethodGet:
-			s.handleGet(w, r, key)
+			s.handleGet(w, key)
 		case http.MethodPut:
 			s.handlePut(w, r, key)
 		default:
@@ -150,7 +149,7 @@ func (s *BlobServer) handleHead(w http.ResponseWriter, key string) {
 	w.WriteHeader(http.StatusOK)
 }
 
-func (s *BlobServer) handleGet(w http.ResponseWriter, r *http.Request, key string) {
+func (s *BlobServer) handleGet(w http.ResponseWriter, key string) {
 	s.gets.Add(1)
 	rec, ok := s.store.Get(key)
 	if !ok {
@@ -158,28 +157,14 @@ func (s *BlobServer) handleGet(w http.ResponseWriter, r *http.Request, key strin
 		return
 	}
 	s.getHits.Add(1)
-	var (
-		data  []byte
-		err   error
-		ctype string
-	)
-	if strings.Contains(r.Header.Get("Accept"), RecordContentType) {
-		// Record-speaking client: the stored container is the response —
-		// already compressed, already checksummed, encoded at most once in
-		// this process's lifetime.
-		data, err = rec.Encode(CodecFlate)
-		ctype = RecordContentType
-	} else {
-		// Legacy client: canonical JSON, inflated lazily and cached on the
-		// record.
-		data, err = rec.JSON()
-		ctype = "application/json"
-	}
+	// The stored container is the response — already compressed, already
+	// checksummed, encoded at most once in this process's lifetime.
+	data, err := rec.Encode(CodecFlate)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Type", RecordContentType)
 	w.Header().Set("Content-Length", fmt.Sprint(len(data)))
 	// The digest lets the client verify the body end-to-end: a flipped
 	// byte in flight that still decodes cleanly is caught at the client
@@ -197,18 +182,9 @@ func (s *BlobServer) handlePut(w http.ResponseWriter, r *http.Request, key strin
 		http.Error(w, "body exceeds max blob size", http.StatusRequestEntityTooLarge)
 		return
 	}
-	var (
-		rec    *Record
-		decErr error
-	)
-	if strings.HasPrefix(r.Header.Get("Content-Type"), RecordContentType) ||
-		(len(data) >= 4 && string(data[:4]) == recordMagic) {
-		rec, decErr = DecodeRecord(data)
-		if decErr == nil && rec.Key() != key {
-			decErr = fmt.Errorf("record keyed %q", rec.Key())
-		}
-	} else {
-		rec, decErr = RecordFromJSON(key, data)
+	rec, decErr := DecodeRecord(data)
+	if decErr == nil && rec.Key() != key {
+		decErr = fmt.Errorf("record keyed %q", rec.Key())
 	}
 	var res *soc.Result
 	if decErr == nil {

@@ -52,9 +52,8 @@ type DiskOptions struct {
 	MaxBytes int64
 	// Codec selects the record body compression for new entries: "" or
 	// "flate" (the default, DEFLATE via stdlib), "none"/"raw"
-	// (uncompressed). "zstd" has a reserved slot in the format but is not
-	// built into this binary and is refused at open time. Entries written
-	// with any supported codec remain readable regardless of this knob.
+	// (uncompressed). Entries written with either codec remain readable
+	// regardless of this knob.
 	Codec string
 	// Memory bounds the in-process front cache (see LRUOptions); the
 	// zero value selects the LRU defaults.
@@ -83,12 +82,9 @@ type DiskOptions struct {
 // separate processes are harmless because writes are atomic
 // (write-to-temp + rename) and entries are content-addressed.
 //
-// Opening the cache sweeps temp files abandoned by crashed writers and
-// deletes legacy pre-record `*.json` entries (the old format); those keys
-// heal by re-simulation on their next miss and are rewritten in the new
-// format — stale bytes can never poison a result. A Get that finds a
-// corrupt or stale-format entry deletes it so the slot heals with the
-// next Put instead of re-missing every process lifetime.
+// Opening the cache sweeps temp files abandoned by crashed writers. A Get
+// that finds a corrupt or unsupported-version entry deletes it so the slot
+// heals with the next Put instead of re-missing every process lifetime.
 type Disk struct {
 	dir   string
 	mem   *LRU
@@ -110,12 +106,8 @@ type Disk struct {
 	evictions int64
 }
 
-// recExt is the on-disk extension of binary record containers; the
-// pre-record format used legacyExt and is swept at open time.
-const (
-	recExt    = ".rec"
-	legacyExt = ".json"
-)
+// recExt is the on-disk extension of binary record containers.
+const recExt = ".rec"
 
 // NewDisk opens (creating if needed) an unbounded disk cache rooted at
 // dir, sweeping stale temp files left by crashed writers.
@@ -138,7 +130,6 @@ func NewDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 	}
 	c := &Disk{dir: dir, mem: NewLRU(opts.Memory), fs: fs, sync: opts.Sync, codec: codec, maxBytes: opts.MaxBytes}
 	c.sweepTemp()
-	c.sweepLegacy()
 	c.bytes, c.entries = c.scan()
 	if c.maxBytes > 0 {
 		c.gc()
@@ -161,29 +152,6 @@ func (c *Disk) sweepTemp() {
 	}
 	for _, m := range matches {
 		c.fs.Remove(m)
-	}
-}
-
-// sweepLegacy deletes pre-record `*.json` entries: the old format cannot
-// be trusted to round-trip through the current decoder, so migration is
-// by re-simulation — each swept key serves one miss, the engine
-// recomputes it, and the slot is rewritten as a `*.rec` container.
-// Content addressing makes this safe (a fingerprint's result is
-// recomputable by construction), and it guarantees stale-format bytes
-// can never poison a response.
-func (c *Disk) sweepLegacy() {
-	matches, err := filepath.Glob(filepath.Join(c.dir, "*"+legacyExt))
-	if err != nil || len(matches) == 0 {
-		return
-	}
-	swept := 0
-	for _, m := range matches {
-		if c.fs.Remove(m) == nil {
-			swept++
-		}
-	}
-	if swept > 0 {
-		log.Printf("engine: disk cache %s: removed %d legacy JSON entries (format migration; keys heal by re-simulation)", c.dir, swept)
 	}
 }
 

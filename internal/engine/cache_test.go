@@ -30,6 +30,17 @@ func mustRecord(t testing.TB, key string, r *soc.Result) *engine.Record {
 	return rec
 }
 
+// mustContainer encodes r as the flate record container a dpmremote peer
+// sends on the wire.
+func mustContainer(t testing.TB, key string, r *soc.Result) []byte {
+	t.Helper()
+	data, err := mustRecord(t, key, r).Encode(engine.CodecFlate)
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	return data
+}
+
 // energyHit decodes a fetched record and returns its EnergyJ.
 func energyHit(t testing.TB, rec *engine.Record) float64 {
 	t.Helper()
@@ -201,65 +212,8 @@ func TestDiskSizeCapGC(t *testing.T) {
 	}
 }
 
-// TestDiskLegacyJSONMigration pins the format migration: a directory
-// seeded with old-format JSON entries opens cleanly, the legacy files are
-// removed (keys heal by re-simulation), old keys are misses — never
-// poison — and fresh Puts land in the new record format only.
-func TestDiskLegacyJSONMigration(t *testing.T) {
-	dir := t.TempDir()
-	legacy := map[string]string{
-		"0a0a": `{"EnergyJ":12.5,"TasksDone":3}`,
-		"0b0b": `{"EnergyJ":99,"Completed":true}`,
-		"0c0c": `{truncated garbage`,
-	}
-	for key, body := range legacy {
-		if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	c, err := engine.NewDisk(dir)
-	if err != nil {
-		t.Fatalf("open over legacy dir: %v", err)
-	}
-	if left := listFiles(t, dir, "*.json"); len(left) != 0 {
-		t.Fatalf("legacy entries survived migration sweep: %v", left)
-	}
-	for key := range legacy {
-		if _, ok := c.Get(key); ok {
-			t.Fatalf("legacy key %s served as a hit after migration", key)
-		}
-	}
-	if st := c.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("migrated cache not empty: %+v", st)
-	}
-
-	// The keys heal: re-simulated results Put in the new format and
-	// round-trip across a reopen.
-	for key := range legacy {
-		if err := c.Put(key, mustRecord(t, key, &soc.Result{EnergyJ: 1})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := len(listFiles(t, dir, "*.rec")); n != len(legacy) {
-		t.Fatalf("%d .rec entries after heal, want %d", n, len(legacy))
-	}
-	if n := len(listFiles(t, dir, "*.json")); n != 0 {
-		t.Fatal("a Put wrote a legacy-format entry")
-	}
-	c2, err := engine.NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key := range legacy {
-		if rec, ok := c2.Get(key); !ok || energyHit(t, rec) != 1 {
-			t.Fatalf("healed key %s not served after reopen", key)
-		}
-	}
-}
-
 // TestDiskCodecRoundTrip pins both supported codecs end to end through
-// the disk store, and the zstd gate.
+// the disk store, and the refusal of an unknown codec name at open time.
 func TestDiskCodecRoundTrip(t *testing.T) {
 	for _, codec := range []string{"", "flate", "none", "raw"} {
 		dir := t.TempDir()
@@ -288,8 +242,8 @@ func TestDiskCodecRoundTrip(t *testing.T) {
 			t.Fatalf("codec %q: round-trip mangled result: %+v", codec, got)
 		}
 	}
-	if _, err := engine.NewDiskWith(t.TempDir(), engine.DiskOptions{Codec: "zstd"}); err == nil {
-		t.Fatal("zstd codec accepted despite not being built in")
+	if _, err := engine.NewDiskWith(t.TempDir(), engine.DiskOptions{Codec: "lzma"}); err == nil {
+		t.Fatal("unknown codec accepted")
 	}
 }
 

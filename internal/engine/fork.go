@@ -12,7 +12,7 @@ import (
 // which live in RunOptions) simulate the same trajectory up to their
 // respective cut points, so the engine batches them into one
 // soc.RunForked session: the shared prefix runs once and each member's
-// Result is snapshotted at its cut, bit-identical to a solo run (the soc
+// Result is finished at its cut, bit-identical to a solo run (the soc
 // fork-equivalence tests pin this). Each member keeps its own cache key,
 // so a later solo run of any member is still a hit.
 

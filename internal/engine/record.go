@@ -53,25 +53,16 @@ const (
 	// CodecFlate compresses the body with DEFLATE (stdlib compress/flate).
 	// This is the default: ledger-heavy result JSON shrinks 5-10x.
 	CodecFlate Codec = 1
-	// CodecZstd is reserved for zstd-compressed bodies, following rcc's
-	// holotree zstd spec. The codec byte is allocated so stores written by
-	// a zstd-enabled build stay identifiable, but this build has no zstd
-	// implementation compiled in: encoding with it is refused, and a
-	// container carrying it decodes with ErrCodecUnavailable.
-	CodecZstd Codec = 2
 )
 
-// ParseCodec maps a codec knob ("", "flate", "none"/"raw", "zstd") to its
-// Codec. The empty string selects the default (flate). Codecs the binary
-// cannot encode (zstd) are refused here, at configuration time.
+// ParseCodec maps a codec knob ("", "flate", "none"/"raw") to its Codec.
+// The empty string selects the default (flate).
 func ParseCodec(name string) (Codec, error) {
 	switch name {
 	case "", "flate":
 		return CodecFlate, nil
 	case "none", "raw":
 		return CodecRaw, nil
-	case "zstd":
-		return 0, fmt.Errorf("engine: %w", ErrCodecUnavailable)
 	default:
 		return 0, fmt.Errorf("engine: unknown record codec %q (have: flate, none)", name)
 	}
@@ -83,15 +74,9 @@ func (c Codec) String() string {
 		return "none"
 	case CodecFlate:
 		return "flate"
-	case CodecZstd:
-		return "zstd"
 	}
 	return fmt.Sprintf("codec(%d)", uint8(c))
 }
-
-// ErrCodecUnavailable reports a record whose codec this binary cannot
-// process (e.g. zstd, whose slot is reserved but not compiled in).
-var ErrCodecUnavailable = fmt.Errorf("zstd codec not built into this binary")
 
 // The binary container layout, little-endian:
 //
@@ -117,6 +102,10 @@ const (
 	recordHdrLen   = 52
 	maxRecordField = 1 << 10 // sanity bound on key/digest lengths
 	maxRecordBody  = 1 << 30 // sanity bound on raw/body lengths
+	// maxDeflateRatio is DEFLATE's largest expansion: a 258-byte match
+	// codes in as few as two bits, so no stream inflates past 1032 bytes
+	// per input byte. A flate header claiming more raw bytes is forged.
+	maxDeflateRatio = 1032
 
 	// recordOverhead is the fixed per-record share of MemSize: the struct,
 	// its entry bookkeeping in a cache, and slack for the lazy fields.
@@ -124,7 +113,7 @@ const (
 )
 
 // RecordContentType is the HTTP media type of an encoded record container,
-// used by the dpmremote protocol's content negotiation.
+// the body of every dpmremote blob GET and PUT.
 const RecordContentType = "application/x-gdpm-record"
 
 // NewRecord builds a record from a freshly-computed result: the canonical
@@ -146,26 +135,13 @@ func NewRecord(key string, r *soc.Result) (*Record, error) {
 	return rec, nil
 }
 
-// RecordFromJSON builds a record from legacy canonical-JSON bytes (the
-// pre-binary wire format). The bytes are decoded eagerly — callers use
-// this at trust boundaries, where an undecodable body must be refused —
-// and the digest is computed from the decoded result.
-func RecordFromJSON(key string, raw []byte) (*Record, error) {
-	var r soc.Result
-	if err := json.Unmarshal(raw, &r); err != nil {
-		return nil, fmt.Errorf("engine: decode result: %w", err)
-	}
-	rec := &Record{key: key, digest: ResultDigest(&r), rawLen: len(raw), raw: raw}
-	rec.res.Store(&r)
-	return rec, nil
-}
-
 // DecodeRecord parses a binary container. The header is validated
 // (magic, version, lengths) and the body checksum is verified, so a
 // decoded record's bytes are known-intact — but the body is NOT
 // decompressed or unmarshalled here; that happens lazily on the first
-// JSON()/Result() call. A record with an unknown codec decodes only far
-// enough to report ErrCodecUnavailable.
+// JSON()/Result() call. Inflating preallocates the header's raw length, so
+// a flate header claiming more than DEFLATE can expand its body to is
+// refused here, before anything is allocated for it.
 func DecodeRecord(data []byte) (*Record, error) {
 	if len(data) < recordHdrLen || string(data[:4]) != recordMagic {
 		return nil, fmt.Errorf("engine: not a record container")
@@ -174,11 +150,7 @@ func DecodeRecord(data []byte) (*Record, error) {
 		return nil, fmt.Errorf("engine: record version %d not supported (want %d)", v, recordVersion)
 	}
 	codec := Codec(data[5])
-	switch codec {
-	case CodecRaw, CodecFlate:
-	case CodecZstd:
-		return nil, fmt.Errorf("engine: record: %w", ErrCodecUnavailable)
-	default:
+	if codec != CodecRaw && codec != CodecFlate {
 		return nil, fmt.Errorf("engine: record: unknown codec %d", codec)
 	}
 	keyLen := int(binary.LittleEndian.Uint16(data[8:10]))
@@ -202,11 +174,14 @@ func DecodeRecord(data []byte) (*Record, error) {
 		return nil, fmt.Errorf("engine: record body checksum mismatch")
 	}
 	rec := &Record{key: key, digest: digest, rawLen: rawLen, codec: codec, body: body, container: data}
-	if codec == CodecRaw {
+	switch {
+	case codec == CodecRaw:
 		if len(body) != rawLen {
 			return nil, fmt.Errorf("engine: raw record body length %d != header raw length %d", len(body), rawLen)
 		}
 		rec.raw = body
+	case rawLen > maxDeflateRatio*len(body):
+		return nil, fmt.Errorf("engine: flate record claims %d raw bytes from a %d-byte body", rawLen, len(body))
 	}
 	return rec, nil
 }
@@ -306,7 +281,7 @@ func (r *Record) Encode(codec Codec) ([]byte, error) {
 			}
 		}
 	default:
-		return nil, fmt.Errorf("engine: encode record: %w", ErrCodecUnavailable)
+		return nil, fmt.Errorf("engine: encode record: unknown codec %s", codec)
 	}
 	out := make([]byte, recordHdrLen, recordHdrLen+len(r.key)+len(r.digest)+len(body))
 	copy(out[0:4], recordMagic)

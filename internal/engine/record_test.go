@@ -3,8 +3,6 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
-	"strings"
 	"testing"
 
 	"godpm/internal/sim"
@@ -193,13 +191,6 @@ func TestRecordCorruptionRejected(t *testing.T) {
 		return b
 	})
 
-	// A zstd container: identifiable, refused with the gate error.
-	z := append([]byte(nil), enc...)
-	z[5] = byte(CodecZstd)
-	if _, err := DecodeRecord(z); !errors.Is(err, ErrCodecUnavailable) {
-		t.Fatalf("zstd container error = %v, want ErrCodecUnavailable", err)
-	}
-
 	// Inflated-body mismatch: a body that checksums fine but inflates to
 	// the wrong length (rawLen forged) must be rejected at JSON() time.
 	forged := append([]byte(nil), enc...)
@@ -213,15 +204,36 @@ func TestRecordCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestRecordEncodeZstdGated: encoding with the reserved codec is refused
-// by Encode and by the configuration-time knob parser.
-func TestRecordEncodeZstdGated(t *testing.T) {
-	if _, err := testRecord(t).Encode(CodecZstd); !errors.Is(err, ErrCodecUnavailable) {
-		t.Fatalf("Encode(CodecZstd) error = %v, want ErrCodecUnavailable", err)
+// TestRecordOverlongRawLenRefused: inflating preallocates the header's
+// raw length, so a flate container whose checksum and lengths check out
+// but whose header claims 1 GiB from a small body must be refused by
+// DecodeRecord itself — before anything can allocate that claim.
+func TestRecordOverlongRawLenRefused(t *testing.T) {
+	enc, err := testRecord(t).Encode(CodecFlate)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ParseCodec("zstd"); !errors.Is(err, ErrCodecUnavailable) {
-		t.Fatalf("ParseCodec(zstd) error = %v, want ErrCodecUnavailable", err)
+	forged := overlongRawLen(enc)
+	if _, err := DecodeRecord(forged); err == nil {
+		t.Fatal("flate container claiming 1 GiB raw from a small body decoded")
 	}
+	// The honest container sits well inside the bound.
+	if _, err := DecodeRecord(enc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// overlongRawLen returns a copy of a flate container whose header claims
+// 1 GiB of raw bytes. The checksum covers only the body, so it still
+// verifies.
+func overlongRawLen(enc []byte) []byte {
+	forged := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint32(forged[12:16], 1<<30)
+	return forged
+}
+
+// TestParseCodec maps the codec knob's names and refuses unknown ones.
+func TestParseCodec(t *testing.T) {
 	if _, err := ParseCodec("lzma"); err == nil {
 		t.Fatal("unknown codec name accepted")
 	}
@@ -268,24 +280,5 @@ func TestRecordFlateShrinksLedgerHeavyResults(t *testing.T) {
 	}
 	if ratio := float64(rec.RawLen()) / float64(len(flated)); ratio < 2 {
 		t.Fatalf("flate ratio %.2fx on a ledger-heavy result, want ≥ 2x", ratio)
-	}
-}
-
-// TestRecordFromJSONRejectsGarbage: the trust-boundary constructor
-// decodes eagerly and refuses non-result bodies.
-func TestRecordFromJSONRejectsGarbage(t *testing.T) {
-	if _, err := RecordFromJSON("k", []byte("}{ nope")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := RecordFromJSON("k", []byte(strings.Repeat("[", 4))); err == nil {
-		t.Fatal("non-object accepted")
-	}
-	rec, err := RecordFromJSON("k", []byte(`{"EnergyJ":3}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := rec.Result()
-	if err != nil || r.EnergyJ != 3 {
-		t.Fatalf("legacy JSON round trip: %+v, %v", r, err)
 	}
 }

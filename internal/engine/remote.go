@@ -18,18 +18,15 @@ import (
 // The dpmremote wire protocol, shared by this client and BlobServer:
 //
 //	HEAD /v1/blob/{fingerprint}   →  200 | 404
-//	GET  /v1/blob/{fingerprint}   →  200 (record container or JSON) | 404
+//	GET  /v1/blob/{fingerprint}   →  200 (record container) | 404
 //	PUT  /v1/blob/{fingerprint}   →  204 | 400/413/422
 //	POST /v1/stat {"keys":[...]}  →  200 {"present":[...]}
 //
-// Blob bodies are content-negotiated: a client that sends
-// `Accept: application/x-gdpm-record` receives the stored binary record
-// container verbatim — an io.Copy of pre-encoded compressed bytes, no
-// per-GET marshal — while a legacy client gets the canonical JSON it
-// always got. PUT likewise accepts either a record container
-// (Content-Type: application/x-gdpm-record) or legacy JSON, so mixed
-// fleet versions interoperate: each side speaks the best format both
-// understand.
+// Blob bodies are binary record containers (Content-Type
+// application/x-gdpm-record) both ways: a GET receives the stored
+// container verbatim — pre-encoded compressed bytes, no per-GET marshal —
+// and a PUT uploads one. The container's version byte is the upgrade
+// mechanism: a peer refuses a version it does not know.
 //
 // Fingerprints are the engine's cache keys (lowercase SHA-256 hex), so
 // the protocol is content-addressed: a PUT can never overwrite an entry
@@ -331,7 +328,6 @@ func (c *Remote) Get(key string) (*Record, bool) {
 	var (
 		data     []byte
 		digest   string
-		ctype    string
 		notFound bool
 	)
 	err := c.retry(func(ctx context.Context) (bool, error) {
@@ -339,7 +335,7 @@ func (c *Remote) Get(key string) (*Record, bool) {
 		if err != nil {
 			return true, err
 		}
-		req.Header.Set("Accept", RecordContentType+", application/json")
+		req.Header.Set("Accept", RecordContentType)
 		resp, err := c.client.Do(req)
 		if err != nil {
 			return false, err
@@ -348,7 +344,6 @@ func (c *Remote) Get(key string) (*Record, bool) {
 		switch {
 		case resp.StatusCode == http.StatusOK:
 			digest = resp.Header.Get(digestHeader)
-			ctype = resp.Header.Get("Content-Type")
 			data, err = io.ReadAll(io.LimitReader(resp.Body, c.maxBlob+1))
 			if err != nil {
 				return false, err
@@ -378,17 +373,9 @@ func (c *Remote) Get(key string) (*Record, bool) {
 		c.misses.Add(1)
 		return nil, false
 	}
-	var (
-		rec    *Record
-		decErr error
-	)
-	if strings.HasPrefix(ctype, RecordContentType) {
-		rec, decErr = DecodeRecord(data)
-		if decErr == nil && rec.Key() != key {
-			decErr = fmt.Errorf("record keyed %q, want %q", rec.Key(), key)
-		}
-	} else {
-		rec, decErr = RecordFromJSON(key, data)
+	rec, decErr := DecodeRecord(data)
+	if decErr == nil && rec.Key() != key {
+		decErr = fmt.Errorf("record keyed %q, want %q", rec.Key(), key)
 	}
 	if decErr == nil {
 		// Decode eagerly: a record must prove its body inflates and

@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -342,10 +341,7 @@ func TestRemoteBreakerTrips(t *testing.T) {
 
 func TestRemoteRetriesTransientFailures(t *testing.T) {
 	key, want := computeResult(t, 3)
-	blob, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := mustContainer(t, key, want)
 	var requests atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if requests.Add(1) <= 2 {
@@ -485,84 +481,45 @@ func TestSingleflightCollapsesRemoteProbe(t *testing.T) {
 	}
 }
 
-// TestRemoteWireFormatNegotiation pins the mixed-version interop matrix:
-// a current client and server speak the binary record container; a legacy
-// JSON body (old server) and a JSON GET/PUT (old client) both still work.
+// TestRemoteWireFormatNegotiation pins that there is nothing left to
+// negotiate: a client PUT ships a record container, and a GET — with the
+// record Accept header or with none at all — answers with the stored
+// container.
 func TestRemoteWireFormatNegotiation(t *testing.T) {
-	ts, _, store := blobServerForTest(t)
+	ts, _, _ := blobServerForTest(t)
 	key, want := computeResult(t, 8)
 
-	// New client → new server: PUT ships a record container, GET asks for
-	// one back and the server honours the Accept header.
 	remote := newRemote(t, engine.RemoteOptions{BaseURL: ts.URL})
 	if err := remote.Put(key, mustRecord(t, key, want)); err != nil {
 		t.Fatalf("record Put: %v", err)
 	}
 
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/blob/"+key, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, accept := range []string{engine.RecordContentType, ""} {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/blob/"+key, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != engine.RecordContentType {
+			t.Fatalf("GET (Accept %q) got Content-Type %q", accept, ct)
+		}
+		rec, err := engine.DecodeRecord(body)
+		if err != nil {
+			t.Fatalf("served container does not decode: %v", err)
+		}
+		if rec.Key() != key || rec.Digest() != engine.ResultDigest(want) {
+			t.Fatal("served container carries the wrong identity")
+		}
 	}
-	req.Header.Set("Accept", engine.RecordContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, engine.RecordContentType) {
-		t.Fatalf("record-accepting GET got Content-Type %q", ct)
-	}
-	rec, err := engine.DecodeRecord(body)
-	if err != nil {
-		t.Fatalf("served container does not decode: %v", err)
-	}
-	if rec.Key() != key || rec.Digest() != engine.ResultDigest(want) {
-		t.Fatal("served container carries the wrong identity")
-	}
-
-	// Old client → new server: a bare JSON GET still returns JSON.
-	resp, err = http.Get(ts.URL + "/v1/blob/" + key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var viaJSON soc.Result
-	err = json.NewDecoder(resp.Body).Decode(&viaJSON)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("JSON GET fallback: %v", err)
-	}
-	if engine.ResultDigest(&viaJSON) != engine.ResultDigest(want) {
-		t.Fatal("JSON fallback served a different result")
-	}
-
-	// Old client → new server: a bare JSON PUT (no record container, no
-	// record content type) is accepted and digest-verified.
-	otherKey, otherRes := computeResult(t, 9)
-	legacyBody, err := json.Marshal(otherRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	putReq, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/blob/"+otherKey, bytes.NewReader(legacyBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	putReq.Header.Set("Content-Type", "application/json")
-	resp, err = http.DefaultClient.Do(putReq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy JSON PUT refused: status %d", resp.StatusCode)
-	}
-	if got, ok := store.Get(otherKey); !ok || got.Digest() != engine.ResultDigest(otherRes) {
-		t.Fatal("legacy JSON PUT did not land in the store intact")
-	}
-
-	// New client → old server is covered by TestRemoteRetriesTransientFailures
-	// (raw JSON body, no record content type) — both halves of the matrix hold.
 }

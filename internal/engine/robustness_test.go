@@ -2,7 +2,7 @@ package engine_test
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -94,10 +94,7 @@ func TestDiskSyncRoundtrip(t *testing.T) {
 // returned — the end-to-end anti-poisoning check.
 func TestRemoteRejectsDigestMismatch(t *testing.T) {
 	key, res := computeResult(t, 5)
-	blob, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	blob := mustContainer(t, key, res)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Result-Digest", strings.Repeat("00", 32))
 		w.Write(blob)
@@ -136,24 +133,27 @@ func TestBlobServerDigests(t *testing.T) {
 		t.Fatalf("GET digest header = %q, want the entry's digest", got)
 	}
 
-	// A corrupted upload: valid JSON, wrong claimed digest.
-	body, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A corrupted upload: a valid container, wrong claimed digest.
 	other := strings.Repeat("ef", 16)
+	body := mustContainer(t, other, res)
 	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/blob/"+other, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", engine.RecordContentType)
 	req.Header.Set("X-Result-Digest", strings.Repeat("11", 32))
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	msg, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("mismatched PUT got status %d, want 422", resp.StatusCode)
+	}
+	// Refused by the digest check, not for failing to decode.
+	if !strings.Contains(string(msg), "digest") {
+		t.Fatalf("mismatched PUT refused for the wrong reason: %q", msg)
 	}
 	if _, ok := store.Get(other); ok {
 		t.Fatal("mismatched PUT reached the store")

@@ -1,0 +1,139 @@
+package sim
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"testing/quick"
+)
+
+func TestTimeString(t *testing.T) {
+	cases := []struct {
+		t    Time
+		want string
+	}{
+		{0, "0s"},
+		{1, "1ps"},
+		{-1, "-1ps"},
+		{5 * Ns, "5ns"},
+		{1500 * Ps, "1.5ns"},
+		{2 * Us, "2us"},
+		{3 * Ms, "3ms"},
+		{1 * Sec, "1s"},
+		{-5 * Ns, "-5ns"},
+		// A fraction in every unit, trailing zeros trimmed.
+		{1001 * Ps, "1.001ns"},
+		{2500 * Ns, "2.5us"},
+		{-2500 * Ns, "-2.5us"},
+		{1250 * Us, "1.25ms"},
+		{1500 * Ms, "1.5s"},
+		{Sec + Ps, "1.000000000001s"},
+		// Exact unit boundaries and one tick either side.
+		{Ns - 1, "999ps"},
+		{Ns, "1ns"},
+		{Ns + 1, "1.001ns"},
+		{Us - 1, "999.999ns"},
+		{Us, "1us"},
+		{Ms, "1ms"},
+		{Sec - 1, "999.999999999ms"},
+		{Sec, "1s"},
+		{-Sec, "-1s"},
+		{3600 * Sec, "3600s"},
+		// The extremes: MaxTime is no whole number of any unit above ps;
+		// MinInt64's magnitude does not fit in int64 but renders with one
+		// sign like every other negative time.
+		{MaxTime, "9.223372036854776e+06s"},
+		{-MaxTime, "-9.223372036854776e+06s"},
+		{math.MinInt64, "-9.223372036854776e+06s"},
+		{9223372 * Sec, "9223372s"},
+	}
+	for _, c := range cases {
+		if got := c.t.String(); got != c.want {
+			t.Errorf("Time(%d).String() = %q, want %q", int64(c.t), got, c.want)
+		}
+		if got := string(c.t.Append([]byte("x="))); got != "x="+c.want {
+			t.Errorf("Time(%d).Append = %q, want %q", int64(c.t), got, "x="+c.want)
+		}
+	}
+}
+
+// refTimeString is String as first written with fmt (its only defect:
+// MinInt64 rendered with two minus signs). The appender must agree with
+// it on every other value.
+func refTimeString(t Time) string {
+	if t == 0 {
+		return "0s"
+	}
+	neg := ""
+	if t < 0 {
+		neg = "-"
+		t = -t
+	}
+	units := []struct {
+		div  Time
+		name string
+	}{{Sec, "s"}, {Ms, "ms"}, {Us, "us"}, {Ns, "ns"}, {Ps, "ps"}}
+	for _, u := range units {
+		if t >= u.div {
+			if t%u.div == 0 {
+				return fmt.Sprintf("%s%d%s", neg, t/u.div, u.name)
+			}
+			return fmt.Sprintf("%s%g%s", neg, float64(t)/float64(u.div), u.name)
+		}
+	}
+	return fmt.Sprintf("%s%dps", neg, t)
+}
+
+func TestTimeStringMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	units := []Time{Ps, Ns, Us, Ms, Sec}
+	for i := 0; i < 200000; i++ {
+		var v Time
+		switch i % 5 {
+		case 0:
+			v = Time(rng.Uint64())
+		case 1:
+			v = units[rng.Intn(len(units))] * Time(rng.Int63n(1<<20)-1<<19)
+		case 2:
+			v = Time(rng.Int63n(1<<40) - 1<<39)
+		case 3:
+			// Fractional seconds with up to 16 significant digits, where
+			// the exact decimal and the float64 quotient part ways.
+			v = Time(rng.Int63n(1 << 53))
+		default:
+			// Around 2⁵³ ps, where float64 stops representing every value,
+			// and around 10⁶ s, where 'g' switches to an exponent.
+			centre := []Time{1 << 53, 1e6 * Sec}[rng.Intn(2)]
+			v = centre + Time(rng.Int63n(1<<20)-1<<19)
+		}
+		if v == math.MinInt64 {
+			continue
+		}
+		if got, want := v.String(), refTimeString(v); got != want {
+			t.Fatalf("Time(%d).String() = %q, reference %q", int64(v), got, want)
+		}
+	}
+}
+
+func TestTimeStringAllocs(t *testing.T) {
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = (1500 * Ps).String() }); n > 1 {
+		t.Errorf("String allocates %.0f times, want ≤ 1", n)
+	}
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = (1500 * Ps).Append(buf[:0]) }); n != 0 {
+		t.Errorf("Append allocates %.0f times, want 0", n)
+	}
+	_ = sink
+}
+
+func TestTimeSecondsRoundTrip(t *testing.T) {
+	f := func(ms uint16) bool {
+		tm := Time(ms) * Ms
+		return FromSeconds(tm.Seconds()) == tm
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -152,15 +152,15 @@ func (a *accountant) run(first sim.Time, n int) (ran int) {
 	if n > maxBatch {
 		n = maxBatch
 	}
-	return a.sample(first, n, true)
+	return a.sample(first, n)
 }
 
 // sample is the sampler. It integrates up to n samples at first,
 // first+interval, … — the average power since the previous sample into the
 // battery and the thermal plant, the temperature into the streaming
 // statistics — and returns how many it took. The kernel's time must be
-// first. With check set, the stop conditions and fork watches are
-// evaluated after every sample.
+// first. The stop conditions and fork watches are evaluated after every
+// sample.
 //
 // The first sample settles the meters at the kernel's time, since a meter
 // may have been settled mid-interval. Every later sample is steady: one
@@ -173,9 +173,8 @@ func (a *accountant) run(first sim.Time, n int) (ran int) {
 // The call ends right after a sample whose work reached the kernel
 // (sim.Kernel.Quiet); a GEM poll reads the bus occupancy at the kernel's
 // time, which stays at first, so it limits the call to one sample. A
-// zero-length first interval (a second call at the same instant, e.g. the
-// final partial sample after a tick) is a no-op. Must not allocate.
-func (a *accountant) sample(first sim.Time, n int, check bool) (ran int) {
+// zero-length first interval is a no-op. Must not allocate.
+func (a *accountant) sample(first sim.Time, n int) (ran int) {
 	secs := a.intervalSecs
 	if dt := first - a.lastAt; dt != a.interval {
 		if dt <= 0 {
@@ -186,7 +185,7 @@ func (a *accountant) sample(first sim.Time, n int, check bool) (ran int) {
 	if a.gemReeval {
 		n = 1
 	}
-	checking := check && (len(a.stops) > 0 || len(a.watches) > 0)
+	checking := len(a.stops) > 0 || len(a.watches) > 0
 	node := a.plant.single
 	var w battery.Wells
 	if a.cell != nil {

@@ -18,11 +18,10 @@ import (
 
 // session is one fully assembled SoC simulation that can be advanced to
 // successive cut points. RunWith builds one, runs it to the horizon and
-// reads the result off the live state; RunForked builds one and advances
-// it through several members' horizons/stop conditions, snapshotting a
-// Result at each cut without perturbing the live trajectory — the sweep
-// warm-start: members share the simulated prefix instead of each
-// re-running it from t=0.
+// finishes it; RunForked builds one and advances it through several
+// members' horizons/stop conditions, finishing a Result at each cut
+// without perturbing the live trajectory — the sweep warm-start: members
+// share the simulated prefix instead of each re-running it from t=0.
 type session struct {
 	cfg Config // normalized; the accountant and observers point into it
 	k   *sim.Kernel
@@ -43,10 +42,21 @@ type session struct {
 	wallStart time.Time
 }
 
-// newSession assembles the SoC described by the (already normalized)
-// configuration, registers the accountant and schedules the first sample.
-// The kernel has not run yet; callers own k.Shutdown.
+// newSession is the prelude every run shares. It honours an
+// already-ended context (a run shorter than one SampleInterval never
+// reaches the in-run cancellation poll), normalizes the configuration,
+// assembles the SoC it describes, registers the accountant and schedules
+// the first sample. The kernel has not run yet; callers own k.Shutdown.
 func newSession(ctx context.Context, cfg Config, opts RunOptions) (*session, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return nil, err
+	}
 	s := &session{cfg: cfg}
 	k := sim.NewKernel()
 	s.k = k
@@ -191,6 +201,18 @@ func newSession(ctx context.Context, cfg Config, opts RunOptions) (*session, err
 	return s, nil
 }
 
+// advance runs the kernel until the horizon or an earlier stop, and
+// returns ctx.Err() if the run was cancelled on the way.
+func (s *session) advance(ctx context.Context, until sim.Time) error {
+	if err := s.k.Run(until); err != nil {
+		return err
+	}
+	if s.acct.canceled {
+		return ctx.Err()
+	}
+	return nil
+}
+
 // allFinished reports whether every IP has drained its workload.
 func (s *session) allFinished() bool {
 	for _, b := range s.ips {
@@ -201,74 +223,73 @@ func (s *session) allFinished() bool {
 	return true
 }
 
-// snapshotResult computes the Result a solo run of this session's config
-// would have returned if it ended at the current pause point (the kernel
-// must not be mid-Run), without mutating any live state: the final
-// partial sample runs on copies — the battery wells drained as values,
-// peeked energy meters, the die temperature advanced as a value, a value
-// copy of the temperature accumulator — and the ledger and LEM stat maps
-// are deep-copied so later simulation cannot leak into the snapshot. The
-// arithmetic mirrors accountant.sample + RunWith's epilogue term for
-// term, which the fork-equivalence tests pin bit-identically against solo
-// runs.
-func (s *session) snapshotResult(stopReason string) *Result {
+// finish builds the Result of a run that ends at the kernel's current
+// pause point (the kernel must not be mid-Run). It is the one place a
+// Result is assembled: RunWith calls it once, at the end of the run, and
+// RunForked once per member, at the member's cut.
+//
+// The final partial sample, from the last sample instant to now, runs on
+// values and leaves the live state untouched: peeked energy meters, the
+// battery wells drained as a value, the die temperature advanced as a
+// value into a copy of the temperature accumulator. Its arithmetic is
+// accountant.sample's term for term, so a forked session can resume past
+// the cut on exactly the trajectory a longer solo run follows.
+//
+// The Result shares the session's ledger and LEM stat maps; a caller that
+// resumes the kernel afterwards must deep-copy them first (see RunForked).
+func (s *session) finish(stopReason string) *Result {
 	k, a := s.k, s.acct
 	now := k.Now()
 
 	temp := a.temp // value copy of the streaming accumulator
 	finalSoC := s.pack.SoC()
-	busE := s.busEnergyJ
-
-	peeks := make([]float64, len(s.meters))
-	for i, m := range s.meters {
-		peeks[i] = m.PeekEnergyJ()
-	}
-
 	if dt := now - a.lastAt; dt > 0 {
-		// The final partial sample, on copies (cf. accountant.sample).
 		secs := a.intervalSecs
 		if dt != a.interval {
 			secs = dt.Seconds()
 		}
-		e := busE
-		for _, pe := range peeks {
+		// Bus first, then meters in slice order, as accountant.sample sums.
+		e := s.busEnergyJ
+		for i, m := range s.meters {
+			pe := m.PeekEnergyJ()
 			e += pe
-		}
-		pAvg := (e - a.lastE) / secs
-		var perIP []float64
-		if a.perIP != nil {
-			perIP = make([]float64, len(s.meters))
-			for i, pe := range peeks {
-				perIP[i] = (pe - a.lastEs[i]) / secs
+			if a.perIP != nil {
+				// Sampler scratch: every sample rewrites it before reading.
+				a.perIP[i] = (pe - a.lastEs[i]) / secs
 			}
 		}
+		pAvg := (e - a.lastE) / secs
 		if a.cell != nil {
 			_, finalSoC = a.cell.Drain(a.cell.Wells(), a.batteryDraw(pAvg), secs)
 		}
-		temp.Add(now, s.plant.peekTempC(pAvg, perIP, dt))
+		temp.Add(now, s.plant.peekTempC(pAvg, a.perIP, dt))
+		if a.gemReeval {
+			// Every sample of a bus-polled GEM re-evaluates it, the final
+			// partial one included. This mutates the live GEM, which is
+			// why RunForked refuses such configurations.
+			s.g.Reevaluate()
+		}
 	}
 
 	res := &Result{
 		EnergyByIP: make(map[string]float64, len(s.meters)),
-		Ledger:     s.ledger.Clone(),
+		Ledger:     s.ledger,
 		Duration:   now,
 		AmbientC:   s.plant.ambient,
-		BusEnergyJ: busE,
+		BusEnergyJ: s.busEnergyJ,
 		StopReason: stopReason,
 	}
-	for i, pe := range peeks {
+	for i, m := range s.meters {
+		pe := m.PeekEnergyJ()
 		res.EnergyByIP[s.cfg.IPs[i].Name] = pe
 		res.EnergyJ += pe
 	}
-	res.EnergyJ += busE
+	res.EnergyJ += s.busEnergyJ
 	res.AvgTempC = temp.MeanUntil(now)
 	res.PeakTempC = temp.Max()
-	res.Completed = true
+	res.Completed = s.allFinished()
 	for _, b := range s.ips {
 		res.TasksDone += b.TasksDone()
-		if !b.Finished() {
-			res.Completed = false
-		}
 	}
 	res.Cycles = res.Duration.Seconds() * s.cfg.BaseClockHz
 	res.WallSeconds = time.Since(s.wallStart).Seconds()
@@ -277,10 +298,7 @@ func (s *session) snapshotResult(stopReason string) *Result {
 	res.FinalBatteryStatus = s.pack.Status()
 	res.LEMStats = make(map[string]lem.Stats, len(s.lems))
 	for name, l := range s.lems {
-		st := l.Stats()
-		st.OnDecisions = copyIntMap(st.OnDecisions)
-		st.SleepEntries = copyIntMap(st.SleepEntries)
-		res.LEMStats[name] = st
+		res.LEMStats[name] = l.Stats()
 	}
 	if s.g != nil {
 		res.GEMEvaluations = s.g.Evaluations()
@@ -321,28 +339,24 @@ type ForkMember struct {
 // trajectory, so the common prefix is simulated once instead of once per
 // member ("sweep warm-start"). The kernel pauses at each member's cut
 // point (its horizon, its first matching stop condition, or workload
-// completion) and a Result is snapshotted there from copies of the live
-// state; the run then resumes for the remaining members.
+// completion), the member's Result is finished there without perturbing
+// the live state, and the run then resumes for the remaining members.
 //
 // Results are indexed like members. Configurations that poll the GEM
 // every sample tick (UseGEM with GEM.BusOccupancyLimit > 0) are not
-// forkable — the final partial sample would re-evaluate the live GEM —
-// and return an error, as do volatile stop conditions. Cancellation is
-// polled like RunWith's.
+// forkable — finishing a member re-evaluates the live GEM — and return an
+// error, as do volatile stop conditions. Cancellation is polled like
+// RunWith's.
 func RunForked(ctx context.Context, cfg Config, members []ForkMember) ([]*Result, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("soc: RunForked needs at least one member")
 	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	cfg, err := cfg.Normalized()
+	s, err := newSession(ctx, cfg, RunOptions{})
 	if err != nil {
 		return nil, err
 	}
-	if cfg.UseGEM && cfg.GEM.BusOccupancyLimit > 0 {
+	defer s.k.Shutdown()
+	if s.acct.gemReeval {
 		return nil, fmt.Errorf("soc: RunForked: bus-occupancy GEM polling is not forkable")
 	}
 	for _, m := range members {
@@ -352,12 +366,6 @@ func RunForked(ctx context.Context, cfg Config, members []ForkMember) ([]*Result
 			}
 		}
 	}
-
-	s, err := newSession(ctx, cfg, RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	defer s.k.Shutdown()
 
 	// Watch every member's conditions on the shared trajectory and order
 	// the pending cuts by horizon.
@@ -370,7 +378,7 @@ func RunForked(ctx context.Context, cfg Config, members []ForkMember) ([]*Result
 	for i, m := range members {
 		h := m.Horizon
 		if h <= 0 {
-			h = cfg.Horizon
+			h = s.cfg.Horizon
 		}
 		p := &pending{idx: i, horizon: h}
 		if len(m.StopWhen) > 0 {
@@ -383,26 +391,31 @@ func RunForked(ctx context.Context, cfg Config, members []ForkMember) ([]*Result
 
 	results := make([]*Result, len(members))
 	finish := func(p *pending, reason string) {
-		results[p.idx] = s.snapshotResult(reason)
+		// The session runs on for the remaining members, so the Result
+		// gets its own copies of the ledger and LEM stat maps.
+		res := s.finish(reason)
+		res.Ledger = res.Ledger.Clone()
+		for name, st := range res.LEMStats {
+			st.OnDecisions = copyIntMap(st.OnDecisions)
+			st.SleepEntries = copyIntMap(st.SleepEntries)
+			res.LEMStats[name] = st
+		}
+		results[p.idx] = res
 		if p.watch != nil {
-			p.watch.fired = "snapshotted" // stop evaluating for this member
+			p.watch.fired = "finished" // stop evaluating for this member
 		}
 	}
 
 	for len(queue) > 0 {
-		target := queue[0].horizon
-		if err := s.k.Run(target); err != nil {
+		if err := s.advance(ctx, queue[0].horizon); err != nil {
 			return nil, err
-		}
-		if s.acct.canceled {
-			return nil, ctx.Err()
 		}
 		// Members whose stop condition fired at this instant end here,
 		// exactly as their solo runs would have.
 		rest := queue[:0]
 		for _, p := range queue {
 			switch {
-			case p.watch != nil && p.watch.fired != "" && p.watch.fired != "snapshotted":
+			case p.watch != nil && p.watch.fired != "" && p.watch.fired != "finished":
 				finish(p, p.watch.fired)
 			case s.k.Now() >= p.horizon:
 				finish(p, "")

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"time"
 
 	"godpm/internal/acpi"
 	"godpm/internal/battery"
@@ -486,77 +485,15 @@ func Run(cfg Config) (*Result, error) {
 // sample while the run is busy, at least every 1024 samples through idle
 // gaps — and a cancelled run returns ctx.Err() and no result.
 func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*Result, error) {
-	// A run shorter than one SampleInterval never reaches the in-run
-	// cancellation poll, so honour an already-ended context up front.
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
 	s, err := newSession(ctx, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer s.k.Shutdown()
-
-	if err := s.k.Run(cfg.Horizon); err != nil {
+	if err := s.advance(ctx, s.cfg.Horizon); err != nil {
 		return nil, err
 	}
-	wall := time.Since(s.wallStart).Seconds()
-	if s.acct.canceled {
-		return nil, ctx.Err()
-	}
-
-	// Final partial sample so energy/temperature cover the full duration.
-	// Solo runs end here, so sampling on the live state is fine; forked
-	// runs (RunForked) instead snapshot the same arithmetic onto copies at
-	// every cut point, because the session keeps running past each cut.
-	acct, k := s.acct, s.k
-	acct.sample(k.Now(), 1, false)
-
-	res := &Result{
-		EnergyByIP: make(map[string]float64, len(s.meters)),
-		Ledger:     s.ledger,
-		Duration:   k.Now(),
-		AmbientC:   s.plant.ambient,
-		BusEnergyJ: s.busEnergyJ,
-		StopReason: acct.stopReason,
-	}
-	for i, m := range s.meters {
-		e := m.EnergyJ()
-		res.EnergyByIP[cfg.IPs[i].Name] = e
-		res.EnergyJ += e
-	}
-	res.EnergyJ += s.busEnergyJ
-	res.AvgTempC = acct.temp.MeanUntil(k.Now())
-	res.PeakTempC = acct.temp.Max()
-	res.Completed = true
-	for _, b := range s.ips {
-		res.TasksDone += b.TasksDone()
-		if !b.Finished() {
-			res.Completed = false
-		}
-	}
-	res.Cycles = res.Duration.Seconds() * cfg.BaseClockHz
-	res.WallSeconds = wall
-	res.Deltas = k.DeltaCount()
-	res.FinalSoC = s.pack.SoC()
-	res.FinalBatteryStatus = s.pack.Status()
-	res.LEMStats = make(map[string]lem.Stats, len(s.lems))
-	for name, l := range s.lems {
-		res.LEMStats[name] = l.Stats()
-	}
-	if s.g != nil {
-		res.GEMEvaluations = s.g.Evaluations()
-		res.FanSwitches = s.g.FanSwitches()
-	}
-	if s.theBus != nil {
-		res.BusOccupancy = s.theBus.Occupancy()
-	}
+	res := s.finish(s.acct.stopReason)
 	if s.disp != nil {
 		s.disp.runEnd(res)
 		if err := s.disp.err(); err != nil {

@@ -7,8 +7,11 @@ import (
 
 	"godpm/internal/engine"
 	"godpm/internal/experiments"
+	"godpm/internal/gem"
+	"godpm/internal/sim"
 	"godpm/internal/soc"
 	"godpm/internal/sweep"
+	"godpm/internal/workload"
 )
 
 // Absolute cache keys and result digests. The engine's cache, every disk
@@ -45,6 +48,29 @@ var pinnedKeyGoldens = map[string]pinnedKeys{
 		key:    "eca94d49f0c647605ec986fc43233fde08c71cc5c06ee1dd1d6ebdb3b303b1b2",
 		digest: "3e7d052b6c8418efd35de1b5ad8162ba70e75ad3fa73d345da58332add96ccc2",
 	},
+	"gem-bus/offgrid": {
+		key:    "831132dcbf2fb589645fd0a4cfa462238e2d4ed655868e35bb96aee06562400f",
+		digest: "30e2340f2fce9a252bc7e900c1aab6be870fbf204f4d5ac791a7c268df98b053",
+	},
+}
+
+// busPolledGEMOffGrid is a GEM that polls bus occupancy at every sample,
+// run to a horizon between two sample instants. Its final partial sample
+// re-evaluates the GEM one more time than the last full sample did, so
+// the digest pins GEMEvaluations (12347) on the way a run finishes.
+func busPolledGEMOffGrid() soc.Config {
+	return soc.Config{
+		IPs: []soc.IPSpec{
+			{Name: "a", Sequence: workload.HighActivity(1, 20).MustGenerate(), StaticPriority: 1},
+			{Name: "b", Sequence: workload.HighActivity(2, 20).MustGenerate(), StaticPriority: 4},
+		},
+		Policy:   soc.PolicyDPM,
+		UseGEM:   true,
+		GEM:      gem.Config{HighPriorityCutoff: 2, BusOccupancyLimit: 1e-9},
+		Battery:  soc.DefaultBattery(0.95),
+		BusWords: 4096,
+		Horizon:  1234567 * sim.Us,
+	}
 }
 
 // pinnedCases computes the pinned configurations' keys and digests. The
@@ -69,6 +95,7 @@ func pinnedCases(t *testing.T) map[string]pinnedKeys {
 	solo("A1", experiments.A1(tun).Config)
 	solo("B", experiments.B(tun).Config)
 	solo("arena/mmpp", engine.ArenaScenarios(60)[2].Config)
+	solo("gem-bus/offgrid", busPolledGEMOffGrid())
 
 	study := sweep.HorizonStudy(1, 60)
 	plan := study.Plan()
