@@ -283,6 +283,7 @@ type server struct {
 	seq         atomic.Int64
 	draining    atomic.Bool
 	start       time.Time
+	memo        *resolveMemo
 
 	// The observability surface: per-endpoint latency sketches, rolling
 	// counter rates (fed by a 1s sampler goroutine) and the optional
@@ -402,6 +403,7 @@ func newServer(o serverOptions) (*server, error) {
 		gate:        newWorkGate(eng.Workers()),
 		maxInflight: maxInflight,
 		start:       time.Now(),
+		memo:        newResolveMemo(resolveMemoCap),
 		latSim:      &godpm.Histogram{},
 		latTour:     &godpm.Histogram{},
 		rates:       godpm.NewRateSet(0),
@@ -676,6 +678,16 @@ func appendJSONString(buf []byte, s string) []byte {
 	return append(buf, '"')
 }
 
+// handleSimulate serves one simulate request. A named request the memo
+// has seen skips resolution: its canonical scenario ID and cache key are
+// known, so a local-tier hit (Engine.Lookup) costs a map probe and a
+// fragment copy, with no workload generation and no hashing; when the
+// record has left the local tiers (or the request was canceled) it
+// resolves and runs through Engine.RunAfterLookup, which starts past the
+// probe just made. Everything else — inline configs, first sightings —
+// resolves and runs through Engine.Run, whose successful named jobs then
+// enter the memo. All routes journal, count and answer the same bytes,
+// bar the id's sequence number.
 func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	if r.Method != http.MethodPost {
@@ -687,16 +699,30 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	cfg, id, err := resolveConfig(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	var (
+		cfg     godpm.Config
+		name    namedRequest
+		known   resolution
+		memoHit bool
+	)
+	named := req.Config == nil && req.Scenario != ""
+	if named {
+		name = namedRequestOf(req)
+		known, memoHit = s.memo.get(name)
+	}
+	id := known.id
+	if !memoHit {
+		var err error
+		if cfg, id, err = resolveConfig(req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 	}
 	// One journal record per resolvable request from here on — refusals
 	// included, because an incident's traffic shape includes its 429s.
 	s.requests.Add(1)
 	rec := godpm.JournalRecord{Endpoint: godpm.JournalEndpointSimulate, Tasks: req.Tasks, Seed: req.Seed}
-	if req.Config == nil {
+	if named {
 		rec.Scenario = id
 	}
 	if !s.acquire(w) {
@@ -713,10 +739,29 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.release(1)
 
-	var plan godpm.Plan
-	plan.Add(fmt.Sprintf("%s#%d", id, s.seq.Add(1)), cfg)
-	results, runErr := s.eng.Run(r.Context(), plan)
-	jr := results[0]
+	jobID := id + "#" + strconv.FormatInt(s.seq.Add(1), 10)
+	var jr godpm.JobResult
+	served := false
+	if memoHit && r.Context().Err() == nil {
+		jr, served = s.eng.Lookup(known.key)
+	}
+	switch {
+	case served:
+	case memoHit:
+		// The record has left the local tiers, or the request was
+		// canceled, which RunAfterLookup refuses as Run would. The memo
+		// holds only resolutions that succeeded, so this one cannot fail.
+		cfg, _, _ = resolveConfig(req)
+		jr = s.eng.RunAfterLookup(r.Context(), godpm.Job{ID: jobID, Config: cfg})
+	default:
+		var plan godpm.Plan
+		plan.Add(jobID, cfg)
+		results, _ := s.eng.Run(r.Context(), plan) // the job's error is in its slot
+		jr = results[0]
+		if named && jr.Err == nil && jr.Key != "" {
+			s.memo.put(name, resolution{id: id, key: jr.Key})
+		}
+	}
 	rec.Fingerprint = jr.Key
 	if req.Config != nil {
 		rec.ConfigDigest = jr.Key
@@ -733,7 +778,6 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.observe(t0, rec)
 		return
 	}
-	_ = runErr // per-job error already handled
 	rec.Outcome, rec.Status = godpm.JournalOutcomeRun, http.StatusOK
 	if jr.CacheHit {
 		rec.Outcome = godpm.JournalOutcomeHit
@@ -745,14 +789,14 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		// on its first serve), so a hit never re-marshals the result or
 		// recomputes its digest.
 		if frag, err := simulateFragment(jr.Record, jr.Key, res); err == nil {
-			writeSimulateResponse(w, jr.Job.ID, jr.CacheHit, frag)
+			writeSimulateResponse(w, jobID, jr.CacheHit, frag)
 			return
 		}
 	}
 	// Uncached (volatile/NoCache) jobs have no record to pin bytes to;
 	// marshal per request.
 	writeJSON(w, simulateResponse{
-		ID:        jr.Job.ID,
+		ID:        jobID,
 		CacheHit:  jr.CacheHit,
 		Key:       jr.Key,
 		EnergyJ:   res.EnergyJ,
@@ -766,7 +810,10 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// resolveConfig turns a simulate request into a runnable Config and an ID.
+// resolveConfig turns a simulate request into a runnable Config and its
+// canonical ID. Scenario names match case-insensitively; an unknown name
+// is refused without building any scenario, so a bad request costs no
+// workload generation however many tasks it asks for.
 func resolveConfig(req simulateRequest) (godpm.Config, string, error) {
 	if req.Config != nil {
 		if req.Scenario != "" {
@@ -777,6 +824,22 @@ func resolveConfig(req simulateRequest) (godpm.Config, string, error) {
 	if req.Scenario == "" {
 		return godpm.Config{}, "", fmt.Errorf("missing scenario (or inline config)")
 	}
+	t := tuningOf(req)
+	if sc, err := godpm.ScenarioByID(strings.ToUpper(req.Scenario), t); err == nil {
+		return sc.Config, sc.ID, nil
+	}
+	for _, ext := range godpm.ExtensionIDs() {
+		if strings.EqualFold(ext, req.Scenario) {
+			sc, err := godpm.ExtensionByID(ext, t)
+			return sc.Config, sc.ID, err
+		}
+	}
+	return godpm.Config{}, "", fmt.Errorf("unknown scenario %q", req.Scenario)
+}
+
+// tuningOf returns the workload tuning a named request resolves with: the
+// defaults, overridden by a positive task count and a non-zero seed.
+func tuningOf(req simulateRequest) godpm.Tuning {
 	t := godpm.DefaultTuning()
 	if req.Tasks > 0 {
 		t.NumTasks = req.Tasks
@@ -784,20 +847,69 @@ func resolveConfig(req simulateRequest) (godpm.Config, string, error) {
 	if req.Seed != 0 {
 		t.Seed = req.Seed
 	}
-	if sc, err := godpm.ScenarioByID(strings.ToUpper(req.Scenario), t); err == nil {
-		return sc.Config, sc.ID, nil
-	}
-	if sc, err := godpm.ExtensionByID(req.Scenario, t); err == nil {
-		return sc.Config, sc.ID, nil
-	}
-	// Paper scenarios resolve case-insensitively above; give extensions
-	// the same leniency.
-	for _, sc := range godpm.Extensions(t) {
-		if strings.EqualFold(sc.ID, req.Scenario) {
-			return sc.Config, sc.ID, nil
+	return t
+}
+
+// resolveMemoCap bounds the resolution memo. An entry is a short name, two
+// integers, a scenario ID and a 64-hex-digit key — about 150 B — so a full
+// memo stays well under 1 MiB.
+const resolveMemoCap = 4096
+
+// namedRequest identifies a named simulate request by what its resolution
+// depends on: the scenario name as sent and the effective tuning.
+type namedRequest struct {
+	scenario string
+	tasks    int
+	seed     int64
+}
+
+func namedRequestOf(req simulateRequest) namedRequest {
+	t := tuningOf(req)
+	return namedRequest{scenario: req.Scenario, tasks: t.NumTasks, seed: t.Seed}
+}
+
+// resolution is what a named request resolved to: its canonical scenario
+// ID and its cache key.
+type resolution struct{ id, key string }
+
+// resolveMemo maps named requests to their resolutions. It holds only
+// resolutions whose job ran or hit without error, and at most limit
+// entries: inserting into a full memo first drops an arbitrary entry, so
+// traffic over arbitrary seeds can neither grow it nor lock the hot set
+// out.
+type resolveMemo struct {
+	mu    sync.Mutex
+	m     map[namedRequest]resolution
+	limit int
+}
+
+func newResolveMemo(limit int) *resolveMemo {
+	return &resolveMemo{m: make(map[namedRequest]resolution), limit: limit}
+}
+
+func (m *resolveMemo) get(k namedRequest) (resolution, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.m[k]
+	return r, ok
+}
+
+func (m *resolveMemo) put(k namedRequest, r resolution) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.m[k]; !ok && len(m.m) >= m.limit {
+		for old := range m.m {
+			delete(m.m, old)
+			break
 		}
 	}
-	return godpm.Config{}, "", fmt.Errorf("unknown scenario %q", req.Scenario)
+	m.m[k] = r
+}
+
+func (m *resolveMemo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.m)
 }
 
 // tournamentRequest selects entrants and scenarios from the built-in

@@ -152,6 +152,10 @@ func ScenarioByID(id string, t Tuning) (Scenario, error) { return experiments.By
 // ExtensionByID returns one named extension scenario.
 func ExtensionByID(id string, t Tuning) (Scenario, error) { return experiments.ExtensionByID(id, t) }
 
+// ExtensionIDs returns the extension scenario IDs, sorted, without
+// building any scenario.
+func ExtensionIDs() []string { return experiments.ExtensionIDs() }
+
 // DefaultTuning returns the experiments' default workload knobs.
 func DefaultTuning() Tuning { return experiments.DefaultTuning() }
 

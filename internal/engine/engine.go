@@ -248,7 +248,7 @@ func (e *Engine) RunObserved(ctx context.Context, plan Plan, onResult func(i int
 				}
 				if len(unit.indices) == 1 {
 					i := unit.indices[0]
-					jr := e.runJob(ctx, plan.Jobs[i], keys[i])
+					jr := e.runJob(ctx, plan.Jobs[i], keys[i], false)
 					results[i] = jr
 					notify(i, jr)
 					continue
@@ -331,8 +331,10 @@ func (e *Engine) warmer(plan Plan) Warmer {
 // it), cache probe, singleflight join, simulate, store. Concurrent jobs
 // with the same key collapse to one simulation — the waiters are served
 // the winner's result as cache hits, so a stampede of identical jobs
-// costs one run and never double-counts Misses.
-func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys) JobResult {
+// costs one run and never double-counts Misses. probed says the caller's
+// Lookup has just missed this job's key, so the first pre-flight probe
+// is skipped and the local tiers count one miss, as on Run.
+func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool) JobResult {
 	if err := ctx.Err(); err != nil {
 		e.canceled.Add(1)
 		return JobResult{Job: job, Err: err}
@@ -368,13 +370,13 @@ func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys) JobResult {
 		// one per job. A record that fails to decode — corrupt bytes that
 		// survived the container checksum — is NOT a hit: fall through to
 		// the flight, whose leader re-simulates and overwrites the entry.
-		if rec, ok := e.probe(jr.Key, true); ok {
-			if r, derr := rec.Result(); derr == nil {
-				e.hits.Add(1)
-				jr.Result, jr.Record, jr.CacheHit = r, rec, true
-				return jr
+		if !probed {
+			if hit, ok := e.Lookup(jr.Key); ok {
+				hit.Job = job
+				return hit
 			}
 		}
+		probed = false
 		f, leader := e.flights.join(jr.Key)
 		if !leader {
 			select {
@@ -430,6 +432,50 @@ func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys) JobResult {
 		jr.Result, jr.Record, jr.Err = r, rec, runErr
 		return jr
 	}
+}
+
+// Lookup serves a job whose cache key the caller already knows, without
+// its config: it is runJob's pre-flight probe, of the local tiers only,
+// and on a hit returns the decoded result and its record, counted as one
+// hit. A missing or undecodable record returns false and counts nothing;
+// the caller then runs the job through Run, which counts the miss, joins
+// the flight (so a stampede still costs one remote round trip) and heals
+// a bad slot.
+func (e *Engine) Lookup(key string) (JobResult, bool) {
+	if e.cache == nil {
+		return JobResult{}, false
+	}
+	rec, ok := e.probe(key, true)
+	if !ok {
+		return JobResult{}, false
+	}
+	r, err := rec.Result()
+	if err != nil {
+		return JobResult{}, false
+	}
+	e.hits.Add(1)
+	return JobResult{Key: key, Result: r, Record: rec, CacheHit: true}, true
+}
+
+// RunAfterLookup is Run for a one-job plan whose pre-flight probe a
+// Lookup of the job's key has just made and missed: it starts past that
+// probe, so the local tiers see one lookup per request, as on Run. The
+// Options callbacks fire as they do for Run. Called without a preceding
+// Lookup it merely skips the probe, and the leader's full probe still
+// finds a cached record.
+func (e *Engine) RunAfterLookup(ctx context.Context, job Job) JobResult {
+	if e.onStart != nil {
+		e.cbMu.Lock()
+		e.onStart(0, job)
+		e.cbMu.Unlock()
+	}
+	jr := e.runJob(ctx, job, jobKeys{}, true)
+	if e.onResult != nil {
+		e.cbMu.Lock()
+		e.onResult(0, jr)
+		e.cbMu.Unlock()
+	}
+	return jr
 }
 
 // probe looks the key up in the cache; localOnly restricts the lookup

@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -284,5 +285,127 @@ func TestOnResultObservesEveryJob(t *testing.T) {
 	}
 	if len(seen) != plan.Len() {
 		t.Fatalf("observed %d of %d jobs", len(seen), plan.Len())
+	}
+}
+
+// TestLookupServesLocalHitsOnly pins Lookup's contract: a local-tier hit
+// returns the stored result and counts one hit; an absent key, a record
+// that does not decode, and a record held only by a remote-style tier all
+// return false and count nothing, leaving Run to count the miss and heal.
+func TestLookupServesLocalHitsOnly(t *testing.T) {
+	ctx := context.Background()
+	var p engine.Plan
+	p.Add("a", testConfig(1, soc.PolicyDPM, 10))
+	key, _, err := engine.JobKeys(p.Jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b engine.Stats) bool { return a.Hits == b.Hits && a.Misses == b.Misses && a.Runs == b.Runs }
+
+	lru := engine.NewLRU(engine.LRUOptions{})
+	eng := engine.New(engine.Options{Workers: 1, Cache: lru})
+	if _, ok := eng.Lookup(key); ok {
+		t.Fatal("Lookup hit on an empty cache")
+	}
+	if st := eng.Stats(); !same(st, engine.Stats{}) {
+		t.Fatalf("a missed Lookup counted: %+v", st)
+	}
+	res, err := eng.Run(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, ok := eng.Lookup(key)
+	if !ok || !jr.CacheHit || jr.Key != key || jr.Record != res[0].Record ||
+		engine.ResultDigest(jr.Result) != engine.ResultDigest(res[0].Result) {
+		t.Fatalf("Lookup after the run: ok=%v %+v", ok, jr)
+	}
+	if st := eng.Stats(); !same(st, engine.Stats{Hits: 1, Misses: 1, Runs: 1}) {
+		t.Fatalf("stats after one miss and one Lookup hit: %+v", st)
+	}
+
+	// A record that passes its container checksum but does not decode.
+	enc, err := res[0].Record.Encode(engine.CodecFlate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := append([]byte(nil), enc...)
+	binary.LittleEndian.PutUint32(forged[12:16], binary.LittleEndian.Uint32(forged[12:16])+1)
+	bad, err := engine.DecodeRecord(forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := engine.NewLRU(engine.LRUOptions{})
+	if err := corrupt.Put(key, bad); err != nil {
+		t.Fatal(err)
+	}
+	eng = engine.New(engine.Options{Workers: 1, Cache: corrupt})
+	if _, ok := eng.Lookup(key); ok {
+		t.Fatal("Lookup served an undecodable record")
+	}
+	if st := eng.Stats(); !same(st, engine.Stats{}) {
+		t.Fatalf("an undecodable Lookup counted: %+v", st)
+	}
+	if res, _ := eng.Run(ctx, p); res[0].Err != nil || res[0].CacheHit {
+		t.Fatalf("Run after a failed Lookup did not re-simulate: %+v", res[0])
+	}
+	if _, ok := eng.Lookup(key); !ok {
+		t.Fatal("Lookup missed the healed slot")
+	}
+
+	// A record only a remote-style tier holds is left to Run's flight.
+	deep := engine.NewLRU(engine.LRUOptions{})
+	if err := deep.Put(key, res[0].Record); err != nil {
+		t.Fatal(err)
+	}
+	tiered := engine.NewTiered(
+		engine.Tier{Cache: engine.NewLRU(engine.LRUOptions{}), Name: "local"},
+		engine.Tier{Cache: statingCache{deep}, Name: "deep"},
+	)
+	defer tiered.Close()
+	eng = engine.New(engine.Options{Workers: 1, Cache: tiered})
+	if _, ok := eng.Lookup(key); ok {
+		t.Fatal("Lookup reached past the local tiers")
+	}
+	if st := eng.Stats(); !same(st, engine.Stats{}) {
+		t.Fatalf("a remote-only Lookup counted: %+v", st)
+	}
+}
+
+// TestRunAfterLookupProbesOnce: a Lookup miss followed by RunAfterLookup
+// moves every counter, the cache tier's included, exactly as one Run of
+// the same job does; with the record cached, RunAfterLookup still serves
+// it, through the flight leader's probe.
+func TestRunAfterLookupProbesOnce(t *testing.T) {
+	ctx := context.Background()
+	var p engine.Plan
+	p.Add("a", testConfig(1, soc.PolicyDPM, 10))
+	key, _, err := engine.JobKeys(p.Jobs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := func(eng *engine.Engine) [4]int64 {
+		st := eng.Stats()
+		if len(st.Tiers) != 1 {
+			t.Fatalf("want one cache tier, got %+v", st.Tiers)
+		}
+		return [4]int64{st.Hits, st.Misses, st.Runs, st.Tiers[0].Misses}
+	}
+
+	viaRun := engine.New(engine.Options{Workers: 1, Cache: engine.NewLRU(engine.LRUOptions{})})
+	res, _ := viaRun.Run(ctx, p)
+	eng := engine.New(engine.Options{Workers: 1, Cache: engine.NewLRU(engine.LRUOptions{})})
+	if _, ok := eng.Lookup(key); ok {
+		t.Fatal("Lookup hit on an empty cache")
+	}
+	jr := eng.RunAfterLookup(ctx, p.Jobs[0])
+	if jr.Err != nil || jr.CacheHit || jr.Key != key ||
+		engine.ResultDigest(jr.Result) != engine.ResultDigest(res[0].Result) {
+		t.Fatalf("RunAfterLookup: %+v", jr)
+	}
+	if got, want := counted(eng), counted(viaRun); got != want {
+		t.Fatalf("Lookup + RunAfterLookup counted hits/misses/runs/tier misses %v, Run %v", got, want)
+	}
+	if jr := eng.RunAfterLookup(ctx, p.Jobs[0]); jr.Err != nil || !jr.CacheHit {
+		t.Fatalf("RunAfterLookup of a cached job: %+v", jr)
 	}
 }

@@ -179,6 +179,6 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indic
 	// ordinary path: wait on that flight, or hit whatever the cache holds
 	// by now.
 	for _, i := range fallback {
-		out[i] = e.runJob(ctx, jobs[i], keys[i])
+		out[i] = e.runJob(ctx, jobs[i], keys[i], false)
 	}
 }

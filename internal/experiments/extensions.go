@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"godpm/internal/power"
 	"godpm/internal/soc"
@@ -71,6 +73,10 @@ func A1Regulator(t Tuning) Scenario {
 var extensionScenarios = map[string]func(Tuning) Scenario{
 	"B-perip": BPerIP, "B-openloop": BOpenLoop, "A1-regulator": A1Regulator,
 }
+
+// ExtensionIDs returns the extension scenario IDs, sorted, without
+// building any scenario.
+func ExtensionIDs() []string { return slices.Sorted(maps.Keys(extensionScenarios)) }
 
 // ExtensionByID returns the named extension scenario.
 func ExtensionByID(id string, t Tuning) (Scenario, error) {

@@ -23,6 +23,18 @@ func TestExtensionsListAndLookup(t *testing.T) {
 	if _, err := ExtensionByID("nope", tn); err == nil {
 		t.Fatal("unknown extension accepted")
 	}
+	ids := ExtensionIDs()
+	if len(ids) != len(exts) {
+		t.Fatalf("ExtensionIDs() = %v, catalog has %d", ids, len(exts))
+	}
+	for i, id := range ids {
+		if i > 0 && ids[i-1] >= id {
+			t.Fatalf("ExtensionIDs() not sorted: %v", ids)
+		}
+		if _, err := ExtensionByID(id, tn); err != nil {
+			t.Errorf("ExtensionIDs() lists %q, which does not resolve: %v", id, err)
+		}
+	}
 }
 
 func TestBPerIPRuns(t *testing.T) {
