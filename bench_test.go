@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus the documented ablations and kernel micro-benchmarks backing
-// the simulation-speed comparison.
+// plus the documented ablations and kernel micro-benchmarks. They are
+// profiling tools; the measure of record for speed is `bash bench/run.sh`.
 //
 // Paper artefacts:
 //   - Table 1  → BenchmarkTable1RuleEval (policy evaluation over the full
@@ -11,7 +11,8 @@
 //     columns as custom metrics (energy_saving_%, temp_reduction_%,
 //     delay_overhead_%)
 //   - simulation speed (35 Kcycle/s sim A, 7.5 Kcycle/s sim B/C on the
-//     paper's 2005 host) → BenchmarkSimSpeed/{A,BC} reporting Kcycle/s
+//     paper's 2005 host) → the sim.kcycles_per_s row of a traced
+//     `bash bench/run.sh --trace 1` run
 package godpm_test
 
 import (
@@ -27,7 +28,6 @@ import (
 	"godpm/internal/soc"
 	"godpm/internal/task"
 	"godpm/internal/thermal"
-	"godpm/internal/workload"
 )
 
 // benchTuning keeps a full scenario pair around a second of wall time.
@@ -93,63 +93,6 @@ func BenchmarkTable2(b *testing.B) {
 	for _, id := range []string{"A1", "A2", "A3", "A4", "B", "C"} {
 		b.Run(id, func(b *testing.B) { runScenarioBench(b, id) })
 	}
-}
-
-// BenchmarkSimSpeed reports the kernel's simulated-cycles-per-wall-second
-// throughput in the paper's unit (Kcycle/s), for the single-IP (sim A) and
-// the four-IP GEM (sim B/C) configurations.
-func BenchmarkSimSpeed(b *testing.B) {
-	bench := func(b *testing.B, s experiments.Scenario) {
-		var kcps float64
-		for i := 0; i < b.N; i++ {
-			res, err := soc.Run(s.Config)
-			if err != nil {
-				b.Fatal(err)
-			}
-			kcps = res.KCyclesPerSec()
-		}
-		b.ReportMetric(kcps, "Kcycle/s")
-	}
-	b.Run("A", func(b *testing.B) { bench(b, experiments.A1(benchTuning())) })
-	b.Run("BC", func(b *testing.B) { bench(b, experiments.B(benchTuning())) })
-}
-
-// idleHeavyConfig is an ON/OFF workload dominated by idle time: ~40 ms
-// bursts at 200 req/s separated by ~1.6 s lulls at 0.5 req/s, the regime
-// DPM exists for — and the one where a ticked kernel wastes almost all
-// of its wall clock sampling an idle SoC.
-func idleHeavyConfig(seed uint64, numTasks int) soc.Config {
-	p := workload.DefaultMMPP(workload.NewSeed(seed), numTasks)
-	p.QuietRate = 0.5
-	p.MeanQuiet = 1600 * sim.Ms
-	return soc.Config{
-		IPs:     []soc.IPSpec{{Name: "ip0", Arrivals: p.MustGenerate()}},
-		Battery: soc.DefaultBattery(0.95),
-		Policy:  soc.PolicyDPM,
-	}
-}
-
-// BenchmarkSimSpeedIdle pins the idle fast-forward speedup: the same
-// idle-heavy scenario through the default kernel (which jumps the clock
-// across provably-idle gaps) and through a ticked run (NoFastForward).
-// The fastforward/ticked Kcycle/s ratio is the committed evidence for
-// the event-horizon optimisation; the determinism and fork-equivalence
-// tests pin that the results are bit-identical.
-func BenchmarkSimSpeedIdle(b *testing.B) {
-	cfg := idleHeavyConfig(11, 40)
-	bench := func(b *testing.B, opts soc.RunOptions) {
-		var kcps float64
-		for i := 0; i < b.N; i++ {
-			res, err := soc.RunWith(context.Background(), cfg, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			kcps = res.KCyclesPerSec()
-		}
-		b.ReportMetric(kcps, "Kcycle/s")
-	}
-	b.Run("fastforward", func(b *testing.B) { bench(b, soc.RunOptions{}) })
-	b.Run("ticked", func(b *testing.B) { bench(b, soc.RunOptions{NoFastForward: true}) })
 }
 
 // BenchmarkEngine runs the full six-scenario Table 2 grid (12 simulations:
@@ -320,8 +263,7 @@ func BenchmarkAblationGEM(b *testing.B) {
 // These three pin the kernel's per-event cost (the paper's simulation
 // speed is dominated by it): timed notification, delta cycles and signal
 // writes. All must report 0 allocs/op — the internal/sim allocation tests
-// enforce the same bound as a hard test. cmd/dpmbench turns their output
-// into BENCH_2.json and gates CI on >10% regressions.
+// enforce the same bound as a hard test.
 
 // BenchmarkNotifyTimed measures the timed notify→fire→activate path: one
 // method process re-notifying its own event, one kernel instant per event.

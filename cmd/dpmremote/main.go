@@ -56,7 +56,6 @@ func main() {
 		drainGrace  = flag.Duration("drain-grace", 2*time.Second, "healthz-503 window before the listener closes")
 		drainTO     = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget after the grace window")
 		fsync       = flag.Bool("fsync", true, "crash-consistent store writes (fsync payload before rename, directory after)")
-		codec       = flag.String("codec", "", "store record compression: flate (default) or none")
 		chaosSeed   = flag.Uint64("chaos-seed", 0, "inject a deterministic fault schedule into the store's filesystem (0 = off; testing only)")
 	)
 	flag.Parse()
@@ -73,7 +72,6 @@ func main() {
 		MaxBlob:     *maxBlob,
 		MaxInflight: *maxInflight,
 		Sync:        *fsync,
-		Codec:       *codec,
 		ChaosSeed:   *chaosSeed,
 	})
 	if err != nil {
@@ -134,8 +132,6 @@ type serverOptions struct {
 	// Sync selects crash-consistent store writes; recommended (and the
 	// flag default) for a store a whole fleet depends on.
 	Sync bool
-	// Codec selects the store's record body compression ("" = flate).
-	Codec string
 	// ChaosSeed, when non-zero, injects the seed's deterministic fault
 	// schedule into the store's filesystem writes — torn writes and
 	// transient errors the protocol must absorb. Testing only.
@@ -165,7 +161,6 @@ func newServer(o serverOptions) (*server, error) {
 		MaxBytes: o.DiskBytes,
 		Memory:   godpm.LRUOptions{MaxEntries: o.MemEntries, MaxBytes: o.MemBytes},
 		Sync:     o.Sync,
-		Codec:    o.Codec,
 	}
 	if o.ChaosSeed != 0 {
 		plan := godpm.DefaultChaosPlan(godpm.NewSeed(o.ChaosSeed))

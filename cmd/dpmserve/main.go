@@ -58,7 +58,6 @@ func main() {
 		cacheEntries = flag.Int("cache-entries", 0, "in-memory cache entry cap (0 = default)")
 		cacheBytes   = flag.Int64("cache-bytes", 0, "in-memory cache byte cap, exact record accounting (0 = unbounded)")
 		diskBytes    = flag.Int64("disk-bytes", 0, "disk cache size cap in bytes (0 = unbounded)")
-		cacheCodec   = flag.String("cache-codec", "", "disk cache record compression: flate (default) or none")
 		remoteURL    = flag.String("remote-url", "", "dpmremote shared result store base URL ('' = local tiers only)")
 		remoteTO     = flag.Duration("remote-timeout", 2*time.Second, "per-operation remote store timeout")
 		maxInflight  = flag.Int("max-inflight", 0, "max concurrent requests before 429 (0 = 4×workers)")
@@ -166,7 +165,6 @@ func main() {
 	s, err := newServer(serverOptions{
 		Workers:        *workers,
 		CacheDir:       *cacheDir,
-		CacheCodec:     *cacheCodec,
 		CacheEntries:   *cacheEntries,
 		CacheBytes:     *cacheBytes,
 		DiskBytes:      *diskBytes,
@@ -237,14 +235,11 @@ func main() {
 
 // serverOptions configures the serving layer.
 type serverOptions struct {
-	Workers      int
-	CacheDir     string
-	CacheEntries int
-	CacheBytes   int64
-	DiskBytes    int64
-	// CacheCodec selects the disk cache's record body compression
-	// ("flate" default, "none"); only meaningful with CacheDir.
-	CacheCodec    string
+	Workers       int
+	CacheDir      string
+	CacheEntries  int
+	CacheBytes    int64
+	DiskBytes     int64
 	RemoteURL     string
 	RemoteTimeout time.Duration
 	MaxInflight   int
@@ -351,7 +346,6 @@ func newServer(o serverOptions) (*server, error) {
 		cache, err = godpm.NewDiskCacheWith(o.CacheDir, godpm.DiskCacheOptions{
 			MaxBytes: o.DiskBytes,
 			Memory:   godpm.LRUOptions{MaxEntries: o.CacheEntries, MaxBytes: o.CacheBytes},
-			Codec:    o.CacheCodec,
 		})
 	} else {
 		cache = godpm.NewLRUCache(godpm.LRUOptions{MaxEntries: o.CacheEntries, MaxBytes: o.CacheBytes})

@@ -55,5 +55,5 @@
 // (sim, acpi, lem, gem, battery, thermal, rules, workload, bus, soc,
 // engine, experiments, stats, journal), commands under cmd/ (dpmsim,
 // dpmbatch, dpmarena, dpmserve, dpmremote, dpmtop, dpmtable, dpmsweep,
-// dpmtrace, dpmreport, dpmbench) and runnable examples under examples/.
+// dpmtrace, dpmreport) and runnable examples under examples/.
 package godpm

@@ -259,11 +259,12 @@ const (
 	TierRemote = engine.TierRemote
 )
 
-// Record body codecs (see DiskCacheOptions.Codec for the string knob).
+// Record body codecs (CacheRecord.Encode's argument). Every store writes
+// flate; DecodeCacheRecord reads either.
 const (
 	// CodecRaw stores canonical JSON uncompressed.
 	CodecRaw = engine.CodecRaw
-	// CodecFlate (the default) compresses bodies with DEFLATE.
+	// CodecFlate compresses bodies with DEFLATE.
 	CodecFlate = engine.CodecFlate
 )
 
@@ -530,8 +531,8 @@ func DelayOverheadPct(base, dpm *Ledger) (float64, error) {
 }
 
 // Observability: the HDR-style latency sketch, rolling rate counters and
-// the request journal shared by dpmserve, dpmremote, the loadgen,
-// dpmbench and the dpmtop dashboard (see README "Observability").
+// the request journal shared by dpmserve, dpmremote, the loadgen and
+// the dpmtop dashboard (see README "Observability").
 type (
 	// Histogram is a fixed-memory log-bucketed sketch with lock-free
 	// concurrent Record; the zero value is ready to use.

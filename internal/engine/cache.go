@@ -50,11 +50,6 @@ type DiskOptions struct {
 	// deleted until the cache fits under 90% of the cap (the hysteresis
 	// amortises the GC's directory scan). 0 means unbounded.
 	MaxBytes int64
-	// Codec selects the record body compression for new entries: "" or
-	// "flate" (the default, DEFLATE via stdlib), "none"/"raw"
-	// (uncompressed). Entries written with either codec remain readable
-	// regardless of this knob.
-	Codec string
 	// Memory bounds the in-process front cache (see LRUOptions); the
 	// zero value selects the LRU defaults.
 	Memory LRUOptions
@@ -86,11 +81,10 @@ type DiskOptions struct {
 // that finds a corrupt or unsupported-version entry deletes it so the slot
 // heals with the next Put instead of re-missing every process lifetime.
 type Disk struct {
-	dir   string
-	mem   *LRU
-	fs    FS
-	sync  bool
-	codec Codec
+	dir  string
+	mem  *LRU
+	fs   FS
+	sync bool
 
 	diskHits, diskMisses atomic.Int64
 	// touchBroken latches after the first failed mtime refresh (e.g. a
@@ -124,11 +118,7 @@ func NewDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 	if fs == nil {
 		fs = OSFS
 	}
-	codec, err := ParseCodec(opts.Codec)
-	if err != nil {
-		return nil, err
-	}
-	c := &Disk{dir: dir, mem: NewLRU(opts.Memory), fs: fs, sync: opts.Sync, codec: codec, maxBytes: opts.MaxBytes}
+	c := &Disk{dir: dir, mem: NewLRU(opts.Memory), fs: fs, sync: opts.Sync, maxBytes: opts.MaxBytes}
 	c.sweepTemp()
 	c.bytes, c.entries = c.scan()
 	if c.maxBytes > 0 {
@@ -229,16 +219,16 @@ func (c *Disk) Has(key string) bool {
 }
 
 // Put stores a record in memory and on disk, then enforces the size cap.
-// The on-disk payload is the record's binary container (compressed per
-// DiskOptions.Codec) — encoding is cached on the record, so a record
-// replicated to several stores compresses once. The write is atomic
+// The on-disk payload is the record's flate-compressed binary container
+// — encoding is cached on the record, so a record replicated to several
+// stores compresses once. The write is atomic
 // (temp + rename); with DiskOptions.Sync it is additionally
 // crash-consistent: the payload is fsynced before the rename publishes
 // it, so a crash at any point leaves the slot holding the old entry, the
 // complete new entry, or nothing — never a torn file.
 func (c *Disk) Put(key string, rec *Record) error {
 	c.mem.Put(key, rec)
-	data, err := rec.Encode(c.codec)
+	data, err := rec.Encode(CodecFlate)
 	if err != nil {
 		return fmt.Errorf("engine: encode record: %w", err)
 	}

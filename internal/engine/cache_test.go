@@ -141,25 +141,30 @@ func TestDiskKeyMismatchIsMiss(t *testing.T) {
 
 // TestDiskSizeCapGC pins the size-capped disk cache: overflow deletes the
 // least-recently-modified entries first, both at open and after Put.
-// Codec "none" keeps every entry byte-for-byte the same size so the GC
-// arithmetic is exact.
+// Every entry holds the same result under an equal-length key, so the
+// flate containers are byte-for-byte the same size and the GC arithmetic
+// is exact; entries are told apart by the key in the record header.
 func TestDiskSizeCapGC(t *testing.T) {
 	dir := t.TempDir()
-	unbounded, err := engine.NewDiskWith(dir, engine.DiskOptions{Codec: "none"})
+	unbounded, err := engine.NewDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	same := &soc.Result{EnergyJ: 1.5, TasksDone: 3}
 	var entrySize int64
 	base := time.Now().Add(-time.Hour)
 	for i := 0; i < 8; i++ {
 		key := fakeDiskKey(i)
-		if err := unbounded.Put(key, mustRecord(t, key, &soc.Result{EnergyJ: float64(i)})); err != nil {
+		if err := unbounded.Put(key, mustRecord(t, key, same)); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, key+".rec")
 		fi, err := os.Stat(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if entrySize != 0 && fi.Size() != entrySize {
+			t.Fatalf("entry %d is %d bytes, want %d: sizes must match for exact GC arithmetic", i, fi.Size(), entrySize)
 		}
 		entrySize = fi.Size()
 		// Deterministic mtime order: key i is older than key i+1.
@@ -173,7 +178,7 @@ func TestDiskSizeCapGC(t *testing.T) {
 	// hysteresis — evicts oldest-first down to ≤ 0.9×cap, keeping the 3
 	// newest (3 entries fit under 3.6 entries' worth of budget).
 	maxBytes := 4 * entrySize
-	capped, err := engine.NewDiskWith(dir, engine.DiskOptions{MaxBytes: maxBytes, Codec: "none"})
+	capped, err := engine.NewDiskWith(dir, engine.DiskOptions{MaxBytes: maxBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +191,7 @@ func TestDiskSizeCapGC(t *testing.T) {
 		}
 	}
 	for i := 5; i < 8; i++ {
-		if rec, ok := capped.Get(fakeDiskKey(i)); !ok || energyHit(t, rec) != float64(i) {
+		if rec, ok := capped.Get(fakeDiskKey(i)); !ok || rec.Key() != fakeDiskKey(i) {
 			t.Fatalf("recent entry %d lost by GC", i)
 		}
 	}
@@ -194,7 +199,7 @@ func TestDiskSizeCapGC(t *testing.T) {
 	// The freed headroom absorbs the next Put without re-scanning, and
 	// the cap holds. The payload matches the others byte-for-byte so the
 	// arithmetic stays exact.
-	if err := capped.Put(fakeDiskKey(100), mustRecord(t, fakeDiskKey(100), &soc.Result{EnergyJ: 9})); err != nil {
+	if err := capped.Put(fakeDiskKey(100), mustRecord(t, fakeDiskKey(100), same)); err != nil {
 		t.Fatal(err)
 	}
 	st := capped.CacheStats()
@@ -212,39 +217,50 @@ func TestDiskSizeCapGC(t *testing.T) {
 	}
 }
 
-// TestDiskCodecRoundTrip pins both supported codecs end to end through
-// the disk store, and the refusal of an unknown codec name at open time.
+// TestDiskCodecRoundTrip pins the disk store's record formats: a default
+// write reads back intact, and a raw (uncompressed) container already in
+// the directory — as older stores may hold — is still served.
 func TestDiskCodecRoundTrip(t *testing.T) {
-	for _, codec := range []string{"", "flate", "none", "raw"} {
-		dir := t.TempDir()
-		c, err := engine.NewDiskWith(dir, engine.DiskOptions{Codec: codec})
-		if err != nil {
-			t.Fatalf("codec %q: %v", codec, err)
-		}
-		r := &soc.Result{EnergyJ: 3.25, TasksDone: 9, Completed: true,
-			EnergyByIP: map[string]float64{"cpu": 2, "dsp": 1.25}}
-		if err := c.Put("k1", mustRecord(t, "k1", r)); err != nil {
-			t.Fatalf("codec %q: %v", codec, err)
-		}
-		c2, err := engine.NewDiskWith(dir, engine.DiskOptions{}) // default decodes any codec
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, ok := c2.Get("k1")
+	r := &soc.Result{EnergyJ: 3.25, TasksDone: 9, Completed: true,
+		EnergyByIP: map[string]float64{"cpu": 2, "dsp": 1.25}}
+	check := func(what string, rec *engine.Record, ok bool) {
+		t.Helper()
 		if !ok {
-			t.Fatalf("codec %q: stored entry missed", codec)
+			t.Fatalf("%s: stored entry missed", what)
 		}
 		got, err := rec.Result()
 		if err != nil {
-			t.Fatalf("codec %q: %v", codec, err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		if got.EnergyJ != r.EnergyJ || got.TasksDone != r.TasksDone || got.EnergyByIP["dsp"] != 1.25 {
-			t.Fatalf("codec %q: round-trip mangled result: %+v", codec, got)
+			t.Fatalf("%s: round-trip mangled result: %+v", what, got)
 		}
 	}
-	if _, err := engine.NewDiskWith(t.TempDir(), engine.DiskOptions{Codec: "lzma"}); err == nil {
-		t.Fatal("unknown codec accepted")
+
+	dir := t.TempDir()
+	c, err := engine.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := c.Put("k1", mustRecord(t, "k1", r)); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := engine.NewDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, ok := reopened.Get("k1")
+	check("default write", rec, ok)
+
+	raw, err := mustRecord(t, "k2", r).Encode(engine.CodecRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "k2.rec"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rec, ok = reopened.Get("k2")
+	check("raw container", rec, ok)
 }
 
 // fakeDiskKey builds a distinct hex cache key per index.

@@ -48,25 +48,13 @@ type Record struct {
 type Codec uint8
 
 const (
-	// CodecRaw stores the canonical JSON body uncompressed.
+	// CodecRaw stores the canonical JSON body uncompressed. No store
+	// writes it, but existing stores may hold it, so DecodeRecord reads it.
 	CodecRaw Codec = 0
 	// CodecFlate compresses the body with DEFLATE (stdlib compress/flate).
-	// This is the default: ledger-heavy result JSON shrinks 5-10x.
+	// Every store writes it: ledger-heavy result JSON shrinks 5-10x.
 	CodecFlate Codec = 1
 )
-
-// ParseCodec maps a codec knob ("", "flate", "none"/"raw") to its Codec.
-// The empty string selects the default (flate).
-func ParseCodec(name string) (Codec, error) {
-	switch name {
-	case "", "flate":
-		return CodecFlate, nil
-	case "none", "raw":
-		return CodecRaw, nil
-	default:
-		return 0, fmt.Errorf("engine: unknown record codec %q (have: flate, none)", name)
-	}
-}
 
 func (c Codec) String() string {
 	switch c {

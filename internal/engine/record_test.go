@@ -232,19 +232,6 @@ func overlongRawLen(enc []byte) []byte {
 	return forged
 }
 
-// TestParseCodec maps the codec knob's names and refuses unknown ones.
-func TestParseCodec(t *testing.T) {
-	if _, err := ParseCodec("lzma"); err == nil {
-		t.Fatal("unknown codec name accepted")
-	}
-	for name, want := range map[string]Codec{"": CodecFlate, "flate": CodecFlate, "none": CodecRaw, "raw": CodecRaw} {
-		got, err := ParseCodec(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseCodec(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-}
-
 // TestRecordFlateShrinksLedgerHeavyResults pins the headline compression
 // claim on a realistic payload: a simulated result with its ledger and
 // per-IP maps compresses well past 2x (observed ~5-10x on Table 1 runs).

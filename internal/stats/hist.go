@@ -36,7 +36,7 @@ const HistRelError = 1.0 / histSubCount
 // ready to use.
 //
 // Read sides take a Snapshot — a mergeable value with Quantile and JSON
-// encoding — so /statsz, dpmbench and dpmtop all compute percentiles from
+// encoding — so /statsz, the loadgen and dpmtop all compute percentiles from
 // the identical definition, and a fleet aggregator can Merge replica
 // sketches exactly instead of averaging pre-computed percentiles.
 type Histogram struct {
@@ -255,7 +255,7 @@ func (s HistSnapshot) Merge(other HistSnapshot) (HistSnapshot, error) {
 }
 
 // LatencySummary is the headline-quantile shape shared by /statsz on both
-// servers, the loadgen report, dpmbench and dpmtop: percentiles computed
+// servers, the loadgen report and dpmtop: percentiles computed
 // by HistSnapshot.Quantile over microsecond observations, reported in
 // milliseconds.
 type LatencySummary struct {
