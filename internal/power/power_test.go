@@ -142,6 +142,45 @@ func TestBreakEvenAtLeastTransitionLatency(t *testing.T) {
 	}
 }
 
+func TestBreakEvenNearlyIdlePowerIsNeverReached(t *testing.T) {
+	// A sleep state that saves a relative 1e-12 of the idle power pays its
+	// transition energy back only after ~10⁶ s or more; at the slower
+	// operating points that is beyond sim.Time's ~9.2e6 s range. The
+	// break-even must then saturate at MaxTime rather than overflow to a
+	// negative time, which the transition-latency clamp would turn into
+	// "sleep on any idle of a few µs".
+	p := DefaultProfile()
+	saturated := 0
+	for _, op := range p.On {
+		pIdle := p.IdlePower(op)
+		for _, s := range p.Sleep {
+			s.Power = pIdle * (1 - 1e-12)
+			ttr := s.EnterLatency + s.WakeLatency
+			exact := (s.EnterEnergy + s.WakeEnergy - s.Power*ttr.Seconds()) / (pIdle - s.Power)
+			tbe, ok := p.BreakEven(pIdle, s)
+			switch {
+			case !ok:
+				t.Errorf("%s/%s: no break-even", op.Name, s.Name)
+			case exact >= float64(sim.MaxTime)/float64(sim.Sec):
+				saturated++
+				if tbe != sim.MaxTime {
+					t.Errorf("%s/%s: BreakEven = %v for an exact %gs, want MaxTime", op.Name, s.Name, tbe, exact)
+				}
+			case exact <= ttr.Seconds():
+				// Sleeping through the transitions already beats idling.
+				if tbe != ttr {
+					t.Errorf("%s/%s: BreakEven = %v, want the transition latency %v", op.Name, s.Name, tbe, ttr)
+				}
+			case tbe != sim.FromSeconds(exact) || tbe.Seconds() < 1e5:
+				t.Errorf("%s/%s: BreakEven = %v, want %gs", op.Name, s.Name, tbe, exact)
+			}
+		}
+	}
+	if saturated == 0 {
+		t.Fatal("no case exceeded sim.Time's range: the test no longer covers saturation")
+	}
+}
+
 func TestBreakEvenImpossibleWhenSleepHungrier(t *testing.T) {
 	p := DefaultProfile()
 	s := SleepState{Name: "bogus", Power: 1.0}

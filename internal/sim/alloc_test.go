@@ -102,3 +102,25 @@ func TestCancelAllocFree(t *testing.T) {
 		e.Cancel()
 	})
 }
+
+func TestThreadSwitchAllocFree(t *testing.T) {
+	// A WaitTime round trip: the thread re-arms its timer and suspends,
+	// the kernel fires the timer and switches back into the thread.
+	k := NewKernel()
+	defer k.Shutdown()
+	wakes := 0
+	k.Thread("t", func(c *Ctx) {
+		for {
+			c.WaitTime(10 * Ns)
+			wakes++
+		}
+	})
+	measure(t, "Ctx.WaitTime+resume", func() {
+		if err := k.Run(k.Now() + 10*Ns); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if wakes == 0 {
+		t.Fatal("thread never resumed")
+	}
+}

@@ -1,7 +1,8 @@
 package sim
 
 // Ctx is the blocking interface handed to thread processes. All methods must
-// be called from the owning thread goroutine.
+// be called from the owning thread's body: a wait suspends the body's
+// coroutine and switches back to the kernel.
 type Ctx struct {
 	k *Kernel
 	p *process
@@ -16,12 +17,11 @@ func (c *Ctx) Kernel() *Kernel { return c.k }
 // Name returns the name of the running thread process.
 func (c *Ctx) Name() string { return c.p.name }
 
-// yieldToKernel parks the goroutine and returns when the kernel resumes it,
-// panicking with killError if the kernel is shutting the thread down.
+// yieldToKernel suspends the thread's coroutine and returns when the kernel
+// resumes it, panicking with killError if the kernel is shutting the thread
+// down.
 func (c *Ctx) yieldToKernel() {
-	c.p.yield <- struct{}{}
-	<-c.p.resume
-	if c.p.killed {
+	if !c.p.yield(struct{}{}) {
 		panic(killError{name: c.p.name})
 	}
 }

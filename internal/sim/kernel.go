@@ -96,14 +96,18 @@ func (k *Kernel) Method(name string, fn func()) *Proc {
 	return &Proc{p: p}
 }
 
-// Thread registers a thread process: fn runs on its own goroutine,
+// Thread registers a thread process: fn runs as a coroutine (iter.Pull),
 // co-operatively scheduled, and may block via the Ctx wait primitives.
-// When fn returns the process terminates.
+// When fn returns the process terminates. A wait switches straight back to
+// the kernel on the same OS thread, with no scheduler round trip.
+//
+// Run may be called from a different goroutine each time, but every
+// goroutine that runs (or shuts down) a kernel must have the same
+// runtime.LockOSThread state as the one that first ran its threads:
+// the runtime's coroutine switch throws a fatal error otherwise. godpm
+// never locks OS threads.
 func (k *Kernel) Thread(name string, fn func(*Ctx)) *Proc {
-	p := &process{
-		k: k, name: name, id: len(k.procs), kind: kindThread, threadFn: fn,
-		resume: make(chan struct{}), yield: make(chan struct{}),
-	}
+	p := &process{k: k, name: name, id: len(k.procs), kind: kindThread, threadFn: fn}
 	k.procs = append(k.procs, p)
 	return &Proc{p: p}
 }
@@ -400,15 +404,16 @@ func (k *Kernel) timedLen() int { return k.timed.len() }
 // for tracing infrastructure.
 func (k *Kernel) AfterUpdate(h func(Time)) { k.onUpdate = append(k.onUpdate, h) }
 
-// Shutdown unwinds every live thread goroutine. Call it when a kernel is
-// abandoned before its threads have returned, e.g. via defer in tests.
-// After Shutdown the kernel must not be run again.
+// Shutdown unwinds every live thread coroutine: its pending wait panics
+// with an internal kill value, so its deferred calls run, and the
+// coroutine's goroutine exits. Call it when a kernel is abandoned before
+// its threads have returned, e.g. via defer; a suspended thread otherwise
+// keeps its goroutine alive. After Shutdown the kernel must not be run
+// again.
 func (k *Kernel) Shutdown() {
 	for _, p := range k.procs {
-		if p.kind == kindThread && p.started && !p.terminated {
-			p.killed = true
-			p.resume <- struct{}{}
-			<-p.yield
+		if p.stop != nil && !p.terminated {
+			p.stop()
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procKind distinguishes method processes (plain callbacks, SC_METHOD) from
-// thread processes (goroutines with blocking waits, SC_THREAD).
+// thread processes (coroutines with blocking waits, SC_THREAD).
 type procKind int
 
 const (
@@ -30,12 +33,13 @@ type process struct {
 	runnable   bool
 	terminated bool
 
-	// thread machinery: the kernel resumes the goroutine by sending on
-	// resume and waits for it to yield (block in Wait or return) on yield.
-	resume  chan struct{}
-	yield   chan struct{}
-	started bool
-	killed  bool
+	// thread machinery: the body runs as an iter.Pull coroutine, created
+	// on the first activation. The kernel resumes it with next; the body
+	// hands control back through yield, which reports false once stop
+	// has been called. Both switches stay on the calling OS thread.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// timer is a private event backing WaitTime; allocated lazily.
 	timer *Event
@@ -48,7 +52,8 @@ type process struct {
 	lastTrigger *Event
 }
 
-// killError is panicked inside a thread goroutine to unwind it at shutdown.
+// killError is panicked inside a thread coroutine to unwind it at shutdown:
+// its deferred calls run and the body returns into the coroutine's exit.
 type killError struct{ name string }
 
 func (k killError) Error() string { return "sim: thread killed: " + k.name }
@@ -106,33 +111,30 @@ func (p *process) run() {
 	}
 }
 
-// resumeThread hands control to the thread goroutine and blocks until it
-// yields (waits again or terminates).
+// resumeThread switches to the thread coroutine and returns when it yields
+// (waits again or terminates).
 func (p *process) resumeThread() {
 	if p.terminated {
 		return
 	}
-	if !p.started {
-		p.started = true
-		go p.threadBody()
-	} else {
-		p.resume <- struct{}{}
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.threadBody)
 	}
-	<-p.yield
+	p.next()
 }
 
-func (p *process) threadBody() {
+// threadBody is the coroutine's sequence function. It never lets a panic
+// escape into iter.Pull: a kill unwinds silently, and any other panic is
+// stashed for the kernel to return from Run with the thread's name.
+func (p *process) threadBody(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killError); !ok {
-				// Re-panic on the kernel side with context: stash and let
-				// the kernel re-raise so tests see the original panic.
 				p.k.threadPanic = fmt.Errorf("sim: thread %q panicked: %v", p.name, r)
 			}
 		}
 		p.terminated = true
-		p.yield <- struct{}{}
 	}()
-	ctx := &Ctx{k: p.k, p: p}
-	p.threadFn(ctx)
+	p.threadFn(&Ctx{k: p.k, p: p})
 }

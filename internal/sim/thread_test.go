@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -156,10 +159,75 @@ func TestShutdownUnwindsBlockedThreads(t *testing.T) {
 
 func TestThreadPanicPropagates(t *testing.T) {
 	k := NewKernel()
-	k.Thread("t", func(c *Ctx) { panic("boom") })
+	k.Thread("x", func(c *Ctx) {
+		c.WaitTime(1 * Ns) // panic from a resumed activation, not the first
+		panic("boom")
+	})
 	err := k.Run(MaxTime)
 	if err == nil {
 		t.Fatal("expected error from panicking thread")
+	}
+	if want := `sim: thread "x" panicked: boom`; err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
+	}
+}
+
+// pingPongTrace runs two threads and a method exchanging events and
+// returns every activation as "time name" lines. run drives the kernel to
+// the horizon in whatever slices it likes.
+func pingPongTrace(t *testing.T, run func(k *Kernel) error) []string {
+	t.Helper()
+	k := NewKernel()
+	defer k.Shutdown()
+	ping, pong, tick := k.NewEvent("ping"), k.NewEvent("pong"), k.NewEvent("tick")
+	var trace []string
+	log := func(name string) { trace = append(trace, fmt.Sprintf("%v %s", k.Now(), name)) }
+	k.Thread("A", func(c *Ctx) {
+		for {
+			ping.Notify(3 * Ns)
+			c.Wait(pong)
+			log("A")
+		}
+	})
+	k.Thread("B", func(c *Ctx) {
+		for {
+			c.Wait(ping)
+			log("B")
+			c.WaitDelta()
+			pong.Notify(2 * Ns)
+		}
+	})
+	k.Method("M", func() {
+		log("M")
+		tick.Notify(7 * Ns)
+	}).Sensitive(tick)
+	if err := run(k); err != nil {
+		t.Fatal(err)
+	}
+	return trace
+}
+
+// A kernel's threads are coroutines, so a later Run may come from another
+// goroutine; the resumed simulation must be the same one.
+func TestRunContinuesOnAnotherGoroutine(t *testing.T) {
+	const horizon = 200 * Ns
+	want := pingPongTrace(t, func(k *Kernel) error { return k.Run(horizon) })
+	got := pingPongTrace(t, func(k *Kernel) error {
+		for at := 13 * Ns; ; at += 29 * Ns {
+			at = min(at, horizon)
+			errc := make(chan error)
+			go func() { errc <- k.Run(at) }()
+			if err := <-errc; err != nil || at == horizon {
+				return err
+			}
+		}
+	})
+	if len(want) < 50 {
+		t.Fatalf("trace too short to mean anything: %d lines", len(want))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("sliced run across goroutines diverged:\n got %s\nwant %s",
+			strings.Join(got, ", "), strings.Join(want, ", "))
 	}
 }
 

@@ -1,17 +1,22 @@
 // Package sim implements a discrete-event simulation kernel modelled on the
 // SystemC 2.0 scheduler: simulated time with delta cycles, events with
 // earliest-wins timed notification, method processes with static/dynamic
-// sensitivity, goroutine-backed thread processes with blocking waits, typed
+// sensitivity, coroutine-backed thread processes with blocking waits, typed
 // signals with evaluate/update semantics, clocks, bounded FIFO channels and
 // mutex/semaphore primitives.
 //
 // The kernel is single-threaded and deterministic: within one evaluation
 // phase, runnable processes execute in ascending creation order, and thread
-// processes are co-operatively scheduled (exactly one goroutine runs at a
-// time).
+// processes are co-operatively scheduled. Each thread body is an iter.Pull
+// coroutine: the kernel switches into it and it switches back when it
+// waits, on the same OS thread, so exactly one of the kernel and its
+// threads runs at a time.
 package sim
 
-import "strconv"
+import (
+	"math"
+	"strconv"
+)
 
 // Time is a point in simulated time, measured in picoseconds.
 //
@@ -80,5 +85,21 @@ func (t Time) Append(b []byte) []byte {
 func (t Time) Seconds() float64 { return float64(t) / float64(Sec) }
 
 // FromSeconds converts floating-point seconds to a Time, rounding to the
-// nearest picosecond.
-func FromSeconds(s float64) Time { return Time(s*float64(Sec) + 0.5) }
+// nearest picosecond. Out-of-range input saturates the same way on every
+// architecture (Go leaves an overflowing float→int conversion to the
+// hardware: amd64 turns all of them into math.MinInt64): a value whose
+// picosecond count reaches 2⁶³ gives MaxTime, one below −2⁶³ gives
+// math.MinInt64, and NaN gives 0. In-range values convert exactly as
+// Time(s*1e12 + 0.5).
+func FromSeconds(s float64) Time {
+	x := s*float64(Sec) + 0.5
+	switch {
+	case x >= 0x1p63:
+		return MaxTime
+	case x < -0x1p63:
+		return math.MinInt64
+	case x != x: // NaN
+		return 0
+	}
+	return Time(x)
+}

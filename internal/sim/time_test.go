@@ -137,3 +137,77 @@ func TestTimeSecondsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestFromSecondsSaturates(t *testing.T) {
+	// The largest float64 below 2⁶³ ps, in seconds, and its neighbours:
+	// the picosecond count crosses the int64 range between them.
+	top := math.Nextafter(0x1p63, 0) / float64(Sec)
+	for _, tc := range []struct {
+		s    float64
+		want Time
+	}{
+		{1e7, MaxTime}, // ~116 days: past the ~106-day range
+		{-1e7, math.MinInt64},
+		{math.Inf(1), MaxTime},
+		{math.Inf(-1), math.MinInt64},
+		{math.NaN(), 0},
+		{math.MaxFloat64, MaxTime},
+		{-math.MaxFloat64, math.MinInt64},
+		{0x1p63 / float64(Sec), MaxTime},
+		{-0x1p63 / float64(Sec), math.MinInt64},
+		{0, 0},
+		{1.5e-12, 2 * Ps},
+		{2.5, 2500 * Ms},
+	} {
+		if got := FromSeconds(tc.s); got != tc.want {
+			t.Errorf("FromSeconds(%g) = %d, want %d", tc.s, got, tc.want)
+		}
+	}
+
+	// Across the exact boundary the result is monotone: never negative on
+	// the way up, never positive on the way down, and it ends saturated.
+	for _, dir := range []float64{1, -1} {
+		s := dir * top
+		for i := 0; i < 64; i++ {
+			s = math.Nextafter(s, s*2)
+		}
+		lo := dir * top
+		for i := 0; i < 64; i++ {
+			lo = math.Nextafter(lo, 0)
+		}
+		prev := FromSeconds(lo)
+		for x := lo; x != s; x = math.Nextafter(x, s) {
+			got := FromSeconds(x)
+			if (dir > 0 && (got < prev || got < 0)) || (dir < 0 && (got > prev || got > 0)) {
+				t.Fatalf("FromSeconds(%v) = %d after %d: not monotone", x, got, prev)
+			}
+			prev = got
+		}
+		want := MaxTime
+		if dir < 0 {
+			want = math.MinInt64
+		}
+		if prev != want {
+			t.Fatalf("FromSeconds one ulp short of %v = %d, want %d", s, prev, want)
+		}
+	}
+}
+
+func TestFromSecondsInRangeUnchanged(t *testing.T) {
+	// Saturation must not move a single in-range bit: compare with the
+	// unchecked formula over values spread across every magnitude from
+	// sub-picosecond to the edge of the range.
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 200_000; i++ {
+		s := rng.Float64() * math.Pow(10, float64(rng.Intn(20)-13))
+		if rng.Intn(2) == 0 {
+			s = -s
+		}
+		if math.Abs(s) >= 9.2e6 {
+			continue
+		}
+		if got, want := FromSeconds(s), Time(s*float64(Sec)+0.5); got != want {
+			t.Fatalf("FromSeconds(%v) = %d, unchecked formula gives %d", s, got, want)
+		}
+	}
+}
