@@ -120,50 +120,9 @@ func buildTournament(policySpec, scenarioSpec string, seeds int, seedBase uint64
 		return t, fmt.Errorf("need at least one task")
 	}
 
-	all := godpm.StandardPolicies()
-	byName := make(map[string]godpm.TournamentPolicy, len(all))
-	var names []string
-	for _, p := range all {
-		byName[p.Name] = p
-		names = append(names, p.Name)
-	}
-	if strings.EqualFold(policySpec, "all") {
-		t.Policies = all
-	} else {
-		for _, part := range strings.Split(policySpec, ",") {
-			part = strings.TrimSpace(strings.ToLower(part))
-			if part == "" {
-				continue
-			}
-			p, ok := byName[part]
-			if !ok {
-				return t, fmt.Errorf("unknown policy %q; available: %v", part, names)
-			}
-			t.Policies = append(t.Policies, p)
-		}
-	}
-
-	catalog := godpm.ArenaScenarios(tasks)
-	if strings.EqualFold(scenarioSpec, "all") {
-		t.Scenarios = catalog
-	} else {
-		byScen := make(map[string]godpm.TournamentScenario, len(catalog))
-		var scens []string
-		for _, s := range catalog {
-			byScen[s.Name] = s
-			scens = append(scens, s.Name)
-		}
-		for _, part := range strings.Split(scenarioSpec, ",") {
-			part = strings.TrimSpace(strings.ToLower(part))
-			if part == "" {
-				continue
-			}
-			s, ok := byScen[part]
-			if !ok {
-				return t, fmt.Errorf("unknown scenario %q; available: %v", part, scens)
-			}
-			t.Scenarios = append(t.Scenarios, s)
-		}
+	var err error
+	if t.Policies, t.Scenarios, err = godpm.TournamentEntrants(entrantNames(policySpec), entrantNames(scenarioSpec), tasks); err != nil {
+		return t, err
 	}
 
 	for k := 0; k < seeds; k++ {
@@ -182,6 +141,21 @@ func buildTournament(policySpec, scenarioSpec string, seeds int, seedBase uint64
 		}
 	}
 	return t, t.Validate()
+}
+
+// entrantNames splits a comma list, dropping empty entries; "all" selects the
+// whole catalogue, which the entrant lookup spells as an empty list.
+func entrantNames(spec string) []string {
+	if strings.EqualFold(strings.TrimSpace(spec), "all") {
+		return nil
+	}
+	var out []string
+	for _, part := range strings.Split(spec, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
 }
 
 func writeResult(w *os.File, format string, cells bool, res *godpm.TournamentResult) error {

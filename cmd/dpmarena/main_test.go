@@ -111,3 +111,19 @@ func TestBuildTournamentFlagErrors(t *testing.T) {
 		t.Fatalf("baseline normalized to %q", tour.Baseline)
 	}
 }
+
+// TestBuildTournamentSpellings: the flags go through the shared entrant
+// lookup, so "all" in any case selects the catalogue, entries are trimmed
+// and matched case-insensitively, and empty entries are dropped.
+func TestBuildTournamentSpellings(t *testing.T) {
+	tour, err := buildTournament(" ALL ", " MMPP , periodic,", 1, 1, 8, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tour.Policies) != len(godpm.StandardPolicies()) {
+		t.Fatalf("-policies ALL selected %d policies", len(tour.Policies))
+	}
+	if len(tour.Scenarios) != 2 || tour.Scenarios[0].Name != "mmpp" || tour.Scenarios[1].Name != "periodic" {
+		t.Fatalf("scenarios = %+v", tour.Scenarios)
+	}
+}

@@ -3,6 +3,9 @@
 // through the concurrent batch engine (internal/engine) and writes one
 // record per job as CSV or JSON.
 //
+// With -format series, -study writes the study's figure-style CSV series
+// (one row per parameter value) instead of one record per job.
+//
 // Every job is content-addressed: with -cache DIR, results persist across
 // invocations and a re-run of the same grid is served from the cache
 // without simulating (the summary on stderr reports hits/misses/runs).
@@ -11,13 +14,15 @@
 //
 //	dpmbatch [-scenarios all|ext|A1,B,...] [-study timeout|activity|alpha]
 //	         [-replicates N] [-tasks N] [-seed N]
-//	         [-workers N] [-cache DIR] [-remote-url URL] [-format csv|json] [-v]
+//	         [-workers N] [-cache DIR] [-remote-url URL]
+//	         [-format csv|json|series] [-v]
 //
 // Examples:
 //
 //	dpmbatch -scenarios all -workers 8
 //	dpmbatch -scenarios B,C -replicates 5 -format json
 //	dpmbatch -study timeout -cache /tmp/dpmcache
+//	dpmbatch -study alpha -tasks 15 -format series
 package main
 
 import (
@@ -25,12 +30,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"strings"
 
 	"godpm"
+	"godpm/internal/sweep"
 )
 
 func main() {
@@ -43,13 +50,20 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker pool size (0 = NumCPU)")
 		cacheDir   = flag.String("cache", "", "result cache directory ('' = in-memory only)")
 		remoteURL  = flag.String("remote-url", "", "dpmremote shared result store base URL ('' = local tiers only)")
-		format     = flag.String("format", "csv", "output format: csv or json")
+		format     = flag.String("format", "csv", "output format: csv, json, or series (the -study's CSV series)")
 		verbose    = flag.Bool("v", false, "log every job completion to stderr")
 	)
 	flag.Parse()
 
-	if *format != "csv" && *format != "json" {
-		fmt.Fprintf(os.Stderr, "unknown format %q (want csv or json)\n", *format)
+	switch *format {
+	case "csv", "json":
+	case "series":
+		if *study == "" || *scenarios != "" || *replicates > 1 {
+			fmt.Fprintln(os.Stderr, "-format series writes one -study's series: pass -study, without -scenarios or -replicates")
+			os.Exit(2)
+		}
+	default:
+		fmt.Fprintf(os.Stderr, "unknown format %q (want csv, json or series)\n", *format)
 		os.Exit(2)
 	}
 
@@ -61,7 +75,16 @@ func main() {
 		tuning.Seed = *seed
 	}
 
-	plan, err := buildPlan(*scenarios, *study, *replicates, tuning)
+	var sw *godpm.Sweep
+	if *study != "" {
+		s, err := lookupStudy(*study, tuning)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		sw = &s
+	}
+	plan, err := buildPlan(*scenarios, sw, *replicates, tuning)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -124,10 +147,22 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	results, runErr := eng.Run(ctx, plan)
-	if err := writeResults(os.Stdout, *format, results, eng.Stats()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	var runErr error
+	if *format == "series" {
+		var pts []godpm.SweepPoint
+		if pts, runErr = sw.RunWith(ctx, eng); runErr == nil {
+			if err := sweep.WriteCSV(os.Stdout, sw.Param, pts, sw.BuildBaseline != nil); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+		}
+	} else {
+		var results []godpm.JobResult
+		results, runErr = eng.Run(ctx, plan)
+		if err := writeResults(os.Stdout, *format, results, eng.Stats()); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	}
 	if tiered != nil {
 		// Flush the write-behind queue so this grid's fresh results reach
@@ -152,96 +187,69 @@ func main() {
 
 // buildPlan assembles the grid: scenarios × seed replicates, plus an
 // optional parameter study.
-func buildPlan(scenarioSpec, studyName string, replicates int, tuning godpm.Tuning) (godpm.Plan, error) {
+func buildPlan(scenarioSpec string, study *godpm.Sweep, replicates int, tuning godpm.Tuning) (godpm.Plan, error) {
 	var plan godpm.Plan
 	if replicates < 1 {
 		replicates = 1
 	}
 
 	if scenarioSpec != "" {
-		ids, err := expandScenarioIDs(scenarioSpec, tuning)
+		scenarios, err := expandScenarios(scenarioSpec, tuning)
 		if err != nil {
 			return plan, err
-		}
-		scenarios := make([]godpm.Scenario, len(ids))
-		for i, id := range ids {
-			if scenarios[i], err = scenarioByAnyID(id, tuning); err != nil {
-				return plan, err
-			}
 		}
 		seeds := make([]int64, replicates)
 		for r := range seeds {
 			seeds[r] = tuning.Seed + int64(r)
 		}
 		plan = godpm.ReplicatedScenarioPlan(scenarios, seeds, func(s godpm.Scenario, seed int64) godpm.Scenario {
-			t := tuning
-			t.Seed = seed
-			r, err := scenarioByAnyID(s.ID, t)
-			if err != nil {
-				// Unreachable: the ID resolved above with the same resolver.
+			if seed == tuning.Seed {
 				return s
 			}
+			t := tuning
+			t.Seed = seed
+			r, _ := godpm.ResolveScenario(s.ID, t) // s.ID is canonical, so it resolves
 			return r
 		})
 	}
 
-	if studyName != "" {
-		studies := godpm.Studies(tuning.Seed, tuning.NumTasks)
-		st, ok := studies[studyName]
-		if !ok {
-			names := make([]string, 0, len(studies))
-			for n := range studies {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			return plan, fmt.Errorf("unknown study %q; available: %v", studyName, names)
-		}
-		plan.Jobs = append(plan.Jobs, st.Plan().Jobs...)
+	if study != nil {
+		plan.Jobs = append(plan.Jobs, study.Plan().Jobs...)
 	}
 	return plan, nil
 }
 
-// expandScenarioIDs resolves the -scenarios spec to concrete IDs.
-func expandScenarioIDs(spec string, t godpm.Tuning) ([]string, error) {
-	var ids []string
+// lookupStudy returns the named built-in parameter study.
+func lookupStudy(name string, tuning godpm.Tuning) (godpm.Sweep, error) {
+	studies := godpm.Studies(tuning.Seed, tuning.NumTasks)
+	st, ok := studies[name]
+	if !ok {
+		return st, fmt.Errorf("unknown study %q; available: %v", name, slices.Sorted(maps.Keys(studies)))
+	}
+	return st, nil
+}
+
+// expandScenarios resolves the -scenarios spec: a comma list of scenario
+// names, "all" (the paper's six) and "ext" (the extensions).
+func expandScenarios(spec string, t godpm.Tuning) ([]godpm.Scenario, error) {
+	var scenarios []godpm.Scenario
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		switch {
 		case part == "":
 		case strings.EqualFold(part, "all"):
-			for _, s := range godpm.Scenarios(t) {
-				ids = append(ids, s.ID)
-			}
+			scenarios = append(scenarios, godpm.Scenarios(t)...)
 		case strings.EqualFold(part, "ext"):
-			for _, s := range godpm.Extensions(t) {
-				ids = append(ids, s.ID)
-			}
+			scenarios = append(scenarios, godpm.Extensions(t)...)
 		default:
-			if _, err := scenarioByAnyID(part, t); err != nil {
+			s, err := godpm.ResolveScenario(part, t)
+			if err != nil {
 				return nil, err
 			}
-			ids = append(ids, part)
+			scenarios = append(scenarios, s)
 		}
 	}
-	return ids, nil
-}
-
-// scenarioByAnyID resolves paper scenarios and extensions alike.
-func scenarioByAnyID(id string, t godpm.Tuning) (godpm.Scenario, error) {
-	if s, err := godpm.ScenarioByID(strings.ToUpper(id), t); err == nil {
-		return s, nil
-	}
-	if s, err := godpm.ExtensionByID(id, t); err == nil {
-		return s, nil
-	}
-	known := make([]string, 0, 9)
-	for _, s := range godpm.Scenarios(t) {
-		known = append(known, s.ID)
-	}
-	for _, s := range godpm.Extensions(t) {
-		known = append(known, s.ID)
-	}
-	return godpm.Scenario{}, fmt.Errorf("unknown scenario %q; available: %v", id, known)
+	return scenarios, nil
 }
 
 // record is the flat per-job output row.

@@ -805,8 +805,8 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveConfig turns a simulate request into a runnable Config and its
-// canonical ID. Scenario names match case-insensitively; an unknown name
-// is refused without building any scenario, so a bad request costs no
+// canonical ID through the shared scenario resolver, which refuses an
+// unknown name without building any scenario, so a bad request costs no
 // workload generation however many tasks it asks for.
 func resolveConfig(req simulateRequest) (godpm.Config, string, error) {
 	if req.Config != nil {
@@ -818,17 +818,8 @@ func resolveConfig(req simulateRequest) (godpm.Config, string, error) {
 	if req.Scenario == "" {
 		return godpm.Config{}, "", fmt.Errorf("missing scenario (or inline config)")
 	}
-	t := tuningOf(req)
-	if sc, err := godpm.ScenarioByID(strings.ToUpper(req.Scenario), t); err == nil {
-		return sc.Config, sc.ID, nil
-	}
-	for _, ext := range godpm.ExtensionIDs() {
-		if strings.EqualFold(ext, req.Scenario) {
-			sc, err := godpm.ExtensionByID(ext, t)
-			return sc.Config, sc.ID, err
-		}
-	}
-	return godpm.Config{}, "", fmt.Errorf("unknown scenario %q", req.Scenario)
+	sc, err := godpm.ResolveScenario(req.Scenario, tuningOf(req))
+	return sc.Config, sc.ID, err
 }
 
 // tuningOf returns the workload tuning a named request resolves with: the
@@ -1046,13 +1037,7 @@ func buildTournament(req tournamentRequest) (godpm.Tournament, error) {
 	if tasks <= 0 {
 		tasks = 30
 	}
-	policies, err := pickByName(godpm.StandardPolicies(), req.Policies,
-		func(p godpm.TournamentPolicy) string { return p.Name })
-	if err != nil {
-		return godpm.Tournament{}, err
-	}
-	scenarios, err := pickByName(godpm.ArenaScenarios(tasks), req.Scenarios,
-		func(s godpm.TournamentScenario) string { return s.Name })
+	policies, scenarios, err := godpm.TournamentEntrants(req.Policies, req.Scenarios, tasks)
 	if err != nil {
 		return godpm.Tournament{}, err
 	}
@@ -1066,28 +1051,6 @@ func buildTournament(req tournamentRequest) (godpm.Tournament, error) {
 		t.Seeds = append(t.Seeds, godpm.NewSeed(s))
 	}
 	return t, nil
-}
-
-// pickByName filters the catalog to the named subset (nil/empty = all).
-func pickByName[T any](all []T, names []string, name func(T) string) ([]T, error) {
-	if len(names) == 0 {
-		return all, nil
-	}
-	byName := make(map[string]T, len(all))
-	known := make([]string, 0, len(all))
-	for _, x := range all {
-		byName[name(x)] = x
-		known = append(known, name(x))
-	}
-	out := make([]T, 0, len(names))
-	for _, n := range names {
-		x, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown name %q; available: %v", n, known)
-		}
-		out = append(out, x)
-	}
-	return out, nil
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -13,14 +13,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"godpm"
 )
 
 func main() {
 	var (
-		scenario = flag.String("scenario", "A1", "scenario to trace: A1..A4, B, C")
+		scenario = flag.String("scenario", "A1", "scenario to trace: A1..A4, B, C or an extension")
 		tasks    = flag.Int("tasks", 30, "tasks per IP")
 		vcdPath  = flag.String("vcd", "dpm.vcd", "VCD output path")
 		csvPath  = flag.String("csv", "dpm.csv", "CSV output path")
@@ -32,7 +31,7 @@ func main() {
 	if *tasks > 0 {
 		tuning.NumTasks = *tasks
 	}
-	s, err := godpm.ScenarioByID(strings.ToUpper(*scenario), tuning)
+	s, err := godpm.ResolveScenario(*scenario, tuning)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

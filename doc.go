@@ -54,6 +54,6 @@
 // TraceCSV fields. The implementation packages remain under internal/
 // (sim, acpi, lem, gem, battery, thermal, rules, workload, bus, soc,
 // engine, experiments, stats, journal), commands under cmd/ (dpmsim,
-// dpmbatch, dpmarena, dpmserve, dpmremote, dpmtop, dpmtable, dpmsweep,
-// dpmtrace, dpmreport) and runnable examples under examples/.
+// dpmbatch, dpmarena, dpmserve, dpmremote, dpmtop, dpmtable, dpmtrace)
+// and runnable examples under examples/.
 package godpm

@@ -146,11 +146,13 @@ func Scenarios(t Tuning) []Scenario { return experiments.All(t) }
 // network, open-loop arrivals, regulator losses).
 func Extensions(t Tuning) []Scenario { return experiments.Extensions(t) }
 
+// ResolveScenario returns the paper scenario or extension a name denotes:
+// trimmed, matched case-insensitively, and refused with the ID list
+// before anything is built when unknown.
+func ResolveScenario(name string, t Tuning) (Scenario, error) { return experiments.Resolve(name, t) }
+
 // ScenarioByID returns one named paper experiment (A1..A4, B, C).
 func ScenarioByID(id string, t Tuning) (Scenario, error) { return experiments.ByID(id, t) }
-
-// ExtensionByID returns one named extension scenario.
-func ExtensionByID(id string, t Tuning) (Scenario, error) { return experiments.ExtensionByID(id, t) }
 
 // ExtensionIDs returns the extension scenario IDs, sorted, without
 // building any scenario.
@@ -502,6 +504,13 @@ func StandardPolicies() []TournamentPolicy { return engine.StandardPolicies() }
 // ArenaScenarios returns the built-in generated-scenario catalog (steady,
 // bursty, mmpp, periodic, heavytail), numTasks tasks each.
 func ArenaScenarios(numTasks int) []TournamentScenario { return engine.ArenaScenarios(numTasks) }
+
+// TournamentEntrants picks entrants by name from StandardPolicies and
+// ArenaScenarios(numTasks): names are trimmed and matched
+// case-insensitively, and an empty list selects the whole catalogue.
+func TournamentEntrants(policies, scenarios []string, numTasks int) ([]TournamentPolicy, []TournamentScenario, error) {
+	return engine.Entrants(policies, scenarios, numTasks)
+}
 
 // Summarize aggregates replicate measurements into mean/stddev/95% CI.
 func Summarize(xs []float64) Summary { return stats.Summarize(xs) }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,6 +83,44 @@ func ArenaScenarios(numTasks int) []NamedConfig {
 		single("periodic", workload.PeriodicSpec(workload.DefaultPeriodic(seed, numTasks))),
 		single("heavytail", workload.HeavyTailSpec(workload.DefaultHeavyTail(seed, numTasks))),
 	}
+}
+
+// Entrants picks tournament entrants by name from the built-in
+// catalogues: policies from StandardPolicies, scenarios from
+// ArenaScenarios(numTasks). Names are trimmed and matched
+// case-insensitively, an empty list selects the whole catalogue, and an
+// unknown name is refused with the catalogue's names.
+func Entrants(policies, scenarios []string, numTasks int) ([]PolicyVariant, []NamedConfig, error) {
+	ps, err := pickByName("policy", StandardPolicies(), policies, func(p PolicyVariant) string { return p.Name })
+	if err != nil {
+		return nil, nil, err
+	}
+	ss, err := pickByName("scenario", ArenaScenarios(numTasks), scenarios, func(s NamedConfig) string { return s.Name })
+	if err != nil {
+		return nil, nil, err
+	}
+	return ps, ss, nil
+}
+
+// pickByName returns the catalogue entries named, in the order named.
+func pickByName[T any](kind string, catalogue []T, names []string, name func(T) string) ([]T, error) {
+	if len(names) == 0 {
+		return catalogue, nil
+	}
+	out := make([]T, 0, len(names))
+	for _, n := range names {
+		n = strings.TrimSpace(n)
+		i := slices.IndexFunc(catalogue, func(x T) bool { return strings.EqualFold(name(x), n) })
+		if i < 0 {
+			known := make([]string, len(catalogue))
+			for j, x := range catalogue {
+				known[j] = name(x)
+			}
+			return nil, fmt.Errorf("unknown %s %q; available: %v", kind, n, known)
+		}
+		out = append(out, catalogue[i])
+	}
+	return out, nil
 }
 
 // Tournament crosses policies × scenarios × seeds into one plan and

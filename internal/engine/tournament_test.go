@@ -374,3 +374,49 @@ func TestGenSpecFingerprint(t *testing.T) {
 		t.Fatal("zero-valued and explicitly-defaulted generator specs hash differently")
 	}
 }
+
+// TestEntrants pins the one entrant lookup both tournament front ends
+// use, over the spellings each passes: dpmarena's comma lists arrive
+// split (with "all" as an empty list), dpmserve's JSON lists as sent.
+func TestEntrants(t *testing.T) {
+	allPolicies := []string{"dpm", "alwayson", "timeout", "greedy", "oracle"}
+	allScenarios := []string{"steady", "bursty", "mmpp", "periodic", "heavytail"}
+	for _, c := range []struct {
+		name                string
+		policies, scenarios []string
+		wantPols, wantScens []string
+		wantErr             string
+	}{
+		{"dpmarena all", nil, nil, allPolicies, allScenarios, ""},
+		{"dpmarena mixed case", []string{"DPM", "AlwaysOn"}, []string{"MMPP", "HeavyTail"},
+			[]string{"dpm", "alwayson"}, []string{"mmpp", "heavytail"}, ""},
+		{"dpmserve empty lists", []string{}, []string{}, allPolicies, allScenarios, ""},
+		{"dpmserve as sent", []string{" greedy ", "dpm"}, []string{"periodic"},
+			[]string{"greedy", "dpm"}, []string{"periodic"}, ""},
+		{"unknown policy", []string{"dpm", "nope"}, nil, nil, nil,
+			`unknown policy "nope"; available: [dpm alwayson timeout greedy oracle]`},
+		{"unknown scenario", nil, []string{"nope"}, nil, nil,
+			`unknown scenario "nope"; available: [steady bursty mmpp periodic heavytail]`},
+	} {
+		pols, scens, err := Entrants(c.policies, c.scenarios, 8)
+		if c.wantErr != "" {
+			if err == nil || err.Error() != c.wantErr {
+				t.Errorf("%s: error %v, want %q", c.name, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var gotPols, gotScens []string
+		for _, p := range pols {
+			gotPols = append(gotPols, p.Name)
+		}
+		for _, s := range scens {
+			gotScens = append(gotScens, s.Name)
+		}
+		if !reflect.DeepEqual(gotPols, c.wantPols) || !reflect.DeepEqual(gotScens, c.wantScens) {
+			t.Errorf("%s: entrants %v × %v, want %v × %v", c.name, gotPols, gotScens, c.wantPols, c.wantScens)
+		}
+	}
+}

@@ -174,6 +174,28 @@ func ByID(id string, t Tuning) (Scenario, error) {
 	return Scenario{}, fmt.Errorf("experiments: unknown scenario %q", id)
 }
 
+// scenarioIDs lists every name Resolve accepts: the paper's scenarios,
+// then the extensions, each in catalog order.
+var scenarioIDs = []string{"A1", "A2", "A3", "A4", "B", "C", "B-perip", "B-openloop", "A1-regulator"}
+
+// Resolve returns the paper scenario or extension a user-supplied name
+// denotes. The name is trimmed and matched case-insensitively, and only
+// the match is built, so an unknown name is refused, with the list of
+// IDs, before any workload is generated however many tasks t asks for.
+func Resolve(name string, t Tuning) (Scenario, error) {
+	name = strings.TrimSpace(name)
+	for _, id := range scenarioIDs {
+		if !strings.EqualFold(id, name) {
+			continue
+		}
+		if build, ok := paperScenarios[id]; ok {
+			return build(t), nil
+		}
+		return extensionScenarios[id](t), nil
+	}
+	return Scenario{}, fmt.Errorf("unknown scenario %q; available: %v", name, scenarioIDs)
+}
+
 // Baseline derives the always-on reference configuration: same IPs, same
 // workloads, same environment, no DPM and no GEM.
 func Baseline(s Scenario) soc.Config {

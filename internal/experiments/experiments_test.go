@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -71,6 +72,44 @@ func TestLookupsMatchCatalogs(t *testing.T) {
 		if _, err := c.lookup("Z9", tn); err == nil || err.Error() != c.unknown {
 			t.Errorf("unknown id: error %v, want %q", err, c.unknown)
 		}
+	}
+}
+
+// TestResolve pins the one name → scenario rule every command uses:
+// every paper and extension ID resolves from any case and with
+// surrounding spaces to the catalog's scenario, and an unknown name is
+// refused with the ID list before anything is built, however many tasks
+// it asks for.
+func TestResolve(t *testing.T) {
+	tn := quickTuning()
+	catalog := append(All(tn), Extensions(tn)...)
+	if len(scenarioIDs) != len(catalog) {
+		t.Fatalf("resolver knows %d IDs, catalogs hold %d", len(scenarioIDs), len(catalog))
+	}
+	for _, want := range catalog {
+		for _, name := range []string{want.ID, strings.ToLower(want.ID), strings.ToUpper(want.ID), " \t" + want.ID + " \n"} {
+			got, err := Resolve(name, tn)
+			if err != nil {
+				t.Fatalf("Resolve(%q): %v", name, err)
+			}
+			if got.ID != want.ID || !reflect.DeepEqual(got, want) {
+				t.Errorf("Resolve(%q) = %s, want the catalog's %s", name, got.ID, want.ID)
+			}
+		}
+	}
+
+	big := DefaultTuning()
+	big.NumTasks = 200000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Resolve("nope", big)
+	runtime.ReadMemStats(&after)
+	want := `unknown scenario "nope"; available: [A1 A2 A3 A4 B C B-perip B-openloop A1-regulator]`
+	if err == nil || err.Error() != want {
+		t.Fatalf("unknown name: error %v, want %q", err, want)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("refusing an unknown name allocated %d bytes, want < 1 MiB", d)
 	}
 }
 

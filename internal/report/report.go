@@ -1,7 +1,7 @@
 // Package report renders experiment results as Markdown: the Table 2
 // paper-vs-measured comparison, per-scenario detail sections and the shape
 // checks the README documents — so the whole comparison document can be
-// regenerated mechanically (cmd/dpmreport).
+// regenerated mechanically (dpmsim -format md).
 package report
 
 import (

@@ -12,6 +12,7 @@ import (
 	"godpm/internal/gem"
 	"godpm/internal/ip"
 	"godpm/internal/lem"
+	"godpm/internal/policy"
 	"godpm/internal/sim"
 	"godpm/internal/stats"
 )
@@ -110,13 +111,13 @@ func newSession(ctx context.Context, cfg Config, opts RunOptions) (*session, err
 			s.lems[spec.Name] = l
 			mgr = l
 		case PolicyAlwaysOn:
-			mgr = policyAlwaysOn(psms[i])
+			mgr = policy.NewAlwaysOn(psms[i])
 		case PolicyTimeout:
-			mgr = policyTimeout(k, psms[i], cfg.Timeout, cfg.TimeoutSleepState)
+			mgr = policy.NewFixedTimeout(k, psms[i], cfg.Timeout, cfg.TimeoutSleepState)
 		case PolicyGreedy:
-			mgr = policyGreedy(psms[i], cfg.GreedySleepState)
+			mgr = policy.NewGreedy(psms[i], cfg.GreedySleepState)
 		case PolicyOracle:
-			mgr = policyOracle(psms[i])
+			mgr = policy.NewOracle(psms[i])
 		default:
 			return nil, fmt.Errorf("soc: unknown policy %q", cfg.Policy)
 		}

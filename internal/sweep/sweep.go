@@ -2,7 +2,7 @@
 // configurations and reports energy/latency/temperature series — the
 // "figure generator" companion to the Table 2 harness, used for the
 // ablation studies (timeout length, workload activity, predictor
-// smoothing, sleep-state depth) and by cmd/dpmsweep.
+// smoothing, sleep-state depth) and by dpmbatch -study.
 package sweep
 
 import (
