@@ -39,10 +39,10 @@ func TestRunAllocationBudgets(t *testing.T) {
 		opts   soc.RunOptions
 		budget float64
 	}{
-		{"A", experiments.A1(benchTuning()).Config, soc.RunOptions{}, 210},
-		{"BC", experiments.B(benchTuning()).Config, soc.RunOptions{}, 624},
-		{"idle/fastforward", idleHeavyConfig(11, 40), soc.RunOptions{}, 135},
-		{"idle/ticked", idleHeavyConfig(11, 40), soc.RunOptions{NoFastForward: true}, 134},
+		{"A", experiments.A1(benchTuning()).Config, soc.RunOptions{}, 143},
+		{"BC", experiments.B(benchTuning()).Config, soc.RunOptions{}, 365},
+		{"idle/fastforward", idleHeavyConfig(11, 40), soc.RunOptions{}, 134},
+		{"idle/ticked", idleHeavyConfig(11, 40), soc.RunOptions{NoFastForward: true}, 133},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

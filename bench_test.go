@@ -343,12 +343,16 @@ func BenchmarkSignalWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelThreadSwitch measures thread suspend/resume round trips.
-func BenchmarkKernelThreadSwitch(b *testing.B) {
+// BenchmarkKernelMethodWait measures timed NextTrigger round trips: the
+// method arms its private timer and returns, the kernel fires the timer and
+// activates it again — the wait the IP processes make per task.
+func BenchmarkKernelMethodWait(b *testing.B) {
 	k := sim.NewKernel()
-	k.Thread("t", func(c *sim.Ctx) {
-		for i := 0; i < b.N; i++ {
-			c.WaitTime(1 * sim.Ns)
+	n := 0
+	var p *sim.Proc
+	p = k.Method("t", func() {
+		if n++; n <= b.N {
+			p.NextTriggerAfter(1 * sim.Ns)
 		}
 	})
 	b.ReportAllocs()
@@ -356,30 +360,4 @@ func BenchmarkKernelThreadSwitch(b *testing.B) {
 	if err := k.Run(sim.MaxTime); err != nil {
 		b.Fatal(err)
 	}
-	k.Shutdown()
-}
-
-// BenchmarkKernelFifo measures producer/consumer handoffs through a FIFO.
-func BenchmarkKernelFifo(b *testing.B) {
-	k := sim.NewKernel()
-	// The whole handoff runs in delta cycles at t=0; that's the point of
-	// the benchmark, so lift the livelock guard.
-	k.MaxDeltasPerInstant = 1 << 60
-	f := sim.NewFifo[int](k, "f", 16)
-	k.Thread("prod", func(c *sim.Ctx) {
-		for i := 0; i < b.N; i++ {
-			f.Put(c, i)
-		}
-	})
-	k.Thread("cons", func(c *sim.Ctx) {
-		for i := 0; i < b.N; i++ {
-			f.Get(c)
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := k.Run(sim.MaxTime); err != nil {
-		b.Fatal(err)
-	}
-	k.Shutdown()
 }

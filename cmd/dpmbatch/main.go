@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	dpmbatch [-scenarios all|ext|A1,B,...] [-study timeout|activity|alpha]
+//	dpmbatch [-scenarios all|ext|A1,B,...] [-study activity|alpha|horizon|timeout]
 //	         [-replicates N] [-tasks N] [-seed N]
 //	         [-workers N] [-cache DIR] [-remote-url URL]
 //	         [-format csv|json|series] [-v]
@@ -30,10 +30,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"maps"
 	"os"
 	"os/signal"
-	"slices"
 	"strings"
 
 	"godpm"
@@ -43,7 +41,7 @@ import (
 func main() {
 	var (
 		scenarios  = flag.String("scenarios", "", "comma list of scenario IDs; 'all' = A1..C, 'ext' = extensions")
-		study      = flag.String("study", "", "parameter study to add: timeout, activity, alpha")
+		study      = flag.String("study", "", "parameter study to add: activity, alpha, horizon, timeout")
 		replicates = flag.Int("replicates", 1, "seed replicates per scenario (seeds seed..seed+N-1)")
 		tasks      = flag.Int("tasks", 0, "tasks per IP (0 = default tuning)")
 		seed       = flag.Int64("seed", 0, "base workload seed (0 = default tuning)")
@@ -77,7 +75,7 @@ func main() {
 
 	var sw *godpm.Sweep
 	if *study != "" {
-		s, err := lookupStudy(*study, tuning)
+		s, err := godpm.ResolveStudy(*study, tuning.Seed, tuning.NumTasks)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -217,16 +215,6 @@ func buildPlan(scenarioSpec string, study *godpm.Sweep, replicates int, tuning g
 		plan.Jobs = append(plan.Jobs, study.Plan().Jobs...)
 	}
 	return plan, nil
-}
-
-// lookupStudy returns the named built-in parameter study.
-func lookupStudy(name string, tuning godpm.Tuning) (godpm.Sweep, error) {
-	studies := godpm.Studies(tuning.Seed, tuning.NumTasks)
-	st, ok := studies[name]
-	if !ok {
-		return st, fmt.Errorf("unknown study %q; available: %v", name, slices.Sorted(maps.Keys(studies)))
-	}
-	return st, nil
 }
 
 // expandScenarios resolves the -scenarios spec: a comma list of scenario

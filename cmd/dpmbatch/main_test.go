@@ -52,7 +52,10 @@ func TestStudySeries(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, stderr)
 	}
-	st := godpm.Studies(1, 10)["timeout"]
+	st, err := godpm.ResolveStudy("timeout", 1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pts, err := st.RunWith(context.Background(), godpm.NewEngine(godpm.EngineOptions{}))
 	if err != nil {
 		t.Fatal(err)

@@ -371,9 +371,13 @@ type (
 	SweepPoint = sweep.Point
 )
 
-// Studies returns the built-in parameter studies (timeout, activity,
-// alpha) keyed by name.
-func Studies(seed int64, numTasks int) map[string]Sweep { return sweep.Studies(seed, numTasks) }
+// ResolveStudy returns the built-in parameter study (activity, alpha,
+// horizon, timeout) a user-supplied name denotes, trimmed and matched
+// case-insensitively; only the match is built, and an unknown name is
+// refused with the list of names.
+func ResolveStudy(name string, seed int64, numTasks int) (Sweep, error) {
+	return sweep.Resolve(name, seed, numTasks)
+}
 
 // Rule tables (the paper's Table 1 policy language).
 

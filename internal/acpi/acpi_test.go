@@ -2,7 +2,6 @@ package acpi
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -285,24 +284,32 @@ func TestPSMPropertyRandomWalk(t *testing.T) {
 		var wantEnergy float64
 		cur := ON1
 		ok := true
-		k.Thread("driver", func(c *sim.Ctx) {
-			for _, s := range steps {
-				target := State(int(s) % NumStates)
-				_, e := p.TransitionCost(cur, target)
-				if _, err := p.Request(target); err != nil {
-					ok = false
-					return
-				}
-				c.Wait(p.Done())
+		// The driver requests each step's target, then checks it on the
+		// activation the done event brings.
+		i := 0
+		var drv *sim.Proc
+		drv = k.Method("driver", func() {
+			if i > 0 {
+				target := State(int(steps[i-1]) % NumStates)
 				if p.State() != target || p.Transitioning().Read() {
 					ok = false
 					return
 				}
-				if target != cur {
-					wantEnergy += e
-				}
 				cur = target
 			}
+			if i == len(steps) {
+				return
+			}
+			target := State(int(steps[i]) % NumStates)
+			i++
+			if _, e := p.TransitionCost(cur, target); target != cur {
+				wantEnergy += e
+			}
+			if _, err := p.Request(target); err != nil {
+				ok = false
+				return
+			}
+			drv.NextTrigger(p.Done())
 		})
 		if err := k.Run(sim.MaxTime); err != nil {
 			return false
@@ -319,61 +326,35 @@ func TestPSMPropertyRandomWalk(t *testing.T) {
 }
 
 func TestTransitionTableComplete(t *testing.T) {
-	prof := power.DefaultProfile()
-	entries := TransitionTable(prof)
-	if len(entries) != NumStates*NumStates {
-		t.Fatalf("entries = %d, want %d", len(entries), NumStates*NumStates)
-	}
-	seen := map[[2]State]bool{}
-	for _, e := range entries {
-		key := [2]State{e.From, e.To}
-		if seen[key] {
-			t.Fatalf("duplicate entry %v→%v", e.From, e.To)
-		}
-		seen[key] = true
-		if e.From == e.To {
-			if e.Latency != 0 || e.EnergyJ != 0 {
-				t.Errorf("identity %v not free", e.From)
+	p := NewPSM(sim.NewKernel(), "ip", power.DefaultProfile(), ON1)
+	for _, from := range AllStates() {
+		for _, to := range AllStates() {
+			lat, e := p.TransitionCost(from, to)
+			if from == to {
+				if lat != 0 || e != 0 {
+					t.Errorf("identity %v not free", from)
+				}
+				continue
 			}
-			continue
-		}
-		if e.Latency <= 0 {
-			t.Errorf("%v→%v has non-positive latency", e.From, e.To)
-		}
-		if e.EnergyJ <= 0 {
-			t.Errorf("%v→%v has non-positive energy", e.From, e.To)
+			if lat <= 0 {
+				t.Errorf("%v→%v has non-positive latency", from, to)
+			}
+			if e <= 0 {
+				t.Errorf("%v→%v has non-positive energy", from, to)
+			}
 		}
 	}
 }
 
 func TestTransitionTableDeeperSleepCostsMoreToWake(t *testing.T) {
-	prof := power.DefaultProfile()
-	entries := TransitionTable(prof)
+	p := NewPSM(sim.NewKernel(), "ip", power.DefaultProfile(), ON1)
 	cost := func(from, to State) sim.Time {
-		for _, e := range entries {
-			if e.From == from && e.To == to {
-				return e.Latency
-			}
-		}
-		t.Fatalf("missing %v→%v", from, to)
-		return 0
+		lat, _ := p.TransitionCost(from, to)
+		return lat
 	}
 	if !(cost(SL1, ON1) < cost(SL2, ON1) && cost(SL2, ON1) < cost(SL3, ON1) &&
 		cost(SL3, ON1) < cost(SL4, ON1) && cost(SL4, ON1) < cost(SoftOff, ON1)) {
 		t.Fatal("wake latency not increasing with sleep depth")
-	}
-}
-
-func TestFormatTransitionMatrix(t *testing.T) {
-	out := FormatTransitionMatrix(power.DefaultProfile())
-	for _, want := range []string{"from\\to", "SoftOff", "ON1", "SL4"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("matrix missing %q", want)
-		}
-	}
-	lines := strings.Count(out, "\n")
-	if lines != NumStates+1 {
-		t.Errorf("matrix has %d lines, want %d", lines, NumStates+1)
 	}
 }
 

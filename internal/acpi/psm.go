@@ -19,6 +19,7 @@ type PSM struct {
 	state         *sim.Signal[State]
 	transitioning *sim.Signal[bool]
 	done          *sim.Event
+	doneWait      []*sim.Event // {done}, handed out by StepTo
 	fire          *sim.Event
 	target        State
 
@@ -40,6 +41,7 @@ func NewPSM(k *sim.Kernel, name string, prof *power.Profile, initial State) *PSM
 		done:          k.NewEvent(name + ".transition_done"),
 		fire:          k.NewEvent(name + ".transition_fire"),
 	}
+	p.doneWait = []*sim.Event{p.done}
 	k.Method(name+".psm", p.completeTransition).Sensitive(p.fire).DontInitialize()
 	return p
 }
@@ -134,6 +136,25 @@ func (p *PSM) Request(target State) (sim.Time, error) {
 		p.fire.Notify(lat)
 	}
 	return lat, nil
+}
+
+// StepTo is the managers' non-blocking transition step. It returns nil once
+// the PSM rests in target; otherwise it returns the events to wait on (the
+// transition-done event) before calling again: first while a transition
+// already in flight drains, then while the one it requested completes.
+// Done is delta-notified after the state and transitioning signals are
+// written, so the call after each wake sees both settled.
+func (p *PSM) StepTo(target State) []*sim.Event {
+	if p.transitioning.Read() {
+		return p.doneWait
+	}
+	if p.state.Read() == target {
+		return nil
+	}
+	if _, err := p.Request(target); err != nil {
+		panic(err)
+	}
+	return p.doneWait
 }
 
 // completeTransition lands in the target state and accounts the energy.

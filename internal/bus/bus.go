@@ -1,10 +1,10 @@
 // Package bus models the shared interconnect of Fig. 1: IP blocks receive
 // their service requests over a bus whose occupation is one of the SoC
 // resources the GEM may consult. The model is transaction level: a
-// requester acquires the bus (FIFO arbitration), holds it for the transfer
-// duration (words ÷ bus frequency), and releases it; occupancy and
-// per-master statistics are tracked, and each transferred word costs a
-// configurable energy.
+// requester acquires the bus (FIFO or priority arbitration), holds it for
+// the transfer duration (words ÷ bus frequency), and releases it;
+// occupancy and per-master statistics are tracked, and each transferred
+// word costs a configurable energy.
 package bus
 
 import (
@@ -104,39 +104,65 @@ func (b *Bus) TransferDuration(words int) sim.Time {
 	return sim.Time(float64(words)/b.cfg.FreqHz*float64(sim.Sec) + 0.5)
 }
 
-// Transfer performs a blocking transaction with neutral priority; see
-// TransferPri.
-func (b *Bus) Transfer(c *sim.Ctx, master string, words int) sim.Time {
-	return b.TransferPri(c, master, words, 0)
+// Transfer is one master's transaction in progress, advanced by
+// TransferPri. The zero value is idle, and a completed Transfer is idle
+// again, ready for the master's next transaction.
+type Transfer struct {
+	req   pending
+	reqAt sim.Time
+	state xferState
+	// Waited is the arbitration wait of the last granted transaction.
+	Waited sim.Time
 }
 
-// TransferPri performs a blocking transaction: the calling thread waits
-// for the bus (ordered by the configured arbitration; priority matters
-// only in PriorityOrder mode, smaller wins), holds it for the transfer
-// duration, and releases it. It returns the time spent waiting for
-// arbitration.
-func (b *Bus) TransferPri(c *sim.Ctx, master string, words, priority int) sim.Time {
+type xferState uint8
+
+const (
+	xferIdle xferState = iota
+	xferQueued
+	xferHolding
+)
+
+// TransferPri advances master's transaction x of words by one
+// non-blocking step and reports what to wait for before calling again:
+// the release event while the bus is held or arbitration favours another
+// master (ordered by the configured arbitration; priority matters only in
+// PriorityOrder mode, smaller wins), then, once granted, the hold time of
+// the transfer. It returns (nil, 0) when the transaction is complete — at
+// once for words <= 0.
+func (b *Bus) TransferPri(x *Transfer, master string, words, priority int) (wait *sim.Event, hold sim.Time) {
 	if words <= 0 {
-		return 0
+		return nil, 0
 	}
-	reqAt := c.Now()
-	b.seq++
-	me := &pending{master: master, priority: priority, seq: b.seq}
-	b.queue = append(b.queue, me)
-	for b.busy || b.head() != me {
-		c.Wait(b.released)
+	switch x.state {
+	case xferIdle:
+		x.reqAt = b.k.Now()
+		b.seq++
+		x.req = pending{master: master, priority: priority, seq: b.seq}
+		b.queue = append(b.queue, &x.req)
+		x.state = xferQueued
+		fallthrough
+	case xferQueued:
+		if b.busy || b.head() != &x.req {
+			return b.released, 0
+		}
+		b.dequeue(&x.req)
+		b.busy = true
+		b.owner = master
+		b.lastAcq = b.k.Now()
+		x.Waited = b.lastAcq - x.reqAt
+		x.state = xferHolding
+		hold = b.TransferDuration(words)
+		if hold <= 0 {
+			panic(fmt.Sprintf("bus: a %d-word transfer at %g Hz takes no simulated time", words, b.cfg.FreqHz))
+		}
+		return nil, hold
 	}
-	b.dequeue(me)
-	b.busy = true
-	b.owner = master
-	b.lastAcq = c.Now()
-	waited := c.Now() - reqAt
-
-	c.WaitTime(b.TransferDuration(words))
-
+	// The hold elapsed: release the bus.
+	x.state = xferIdle
 	b.busy = false
 	b.owner = ""
-	b.busyTime += c.Now() - b.lastAcq
+	b.busyTime += b.k.Now() - b.lastAcq
 	b.totalWords += int64(words)
 	b.perMaster[master] += int64(words)
 	e := float64(words) * b.cfg.EnergyPerWord
@@ -145,7 +171,7 @@ func (b *Bus) TransferPri(c *sim.Ctx, master string, words, priority int) sim.Ti
 		b.onEnergy(e)
 	}
 	b.released.NotifyDelta()
-	return waited
+	return nil, 0
 }
 
 // Occupancy returns the fraction of simulated time the bus was held, so

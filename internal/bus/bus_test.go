@@ -2,6 +2,7 @@ package bus
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"godpm/internal/sim"
@@ -18,13 +19,37 @@ func TestTransferDuration(t *testing.T) {
 	}
 }
 
+// master drives one bus master as a method process: after delay it runs
+// one transaction of words at priority, stepping TransferPri through its
+// waits, and then calls done with the arbitration wait.
+func master(k *sim.Kernel, b *Bus, name string, delay sim.Time, words, priority int, done func(waited sim.Time)) {
+	var x Transfer
+	started := delay <= 0
+	var p *sim.Proc
+	p = k.Method(name, func() {
+		if !started {
+			started = true
+			p.NextTriggerAfter(delay)
+			return
+		}
+		ev, hold := b.TransferPri(&x, name, words, priority)
+		switch {
+		case ev != nil:
+			p.NextTrigger(ev)
+		case hold > 0:
+			p.NextTriggerAfter(hold)
+		case done != nil:
+			done(x.Waited)
+		}
+	})
+}
+
 func TestSingleTransfer(t *testing.T) {
 	k := sim.NewKernel()
 	b := New(k, "bus", DefaultConfig())
 	var waited, done sim.Time
-	k.Thread("m0", func(c *sim.Ctx) {
-		waited = b.Transfer(c, "m0", 100) // 1us
-		done = c.Now()
+	master(k, b, "m0", 0, 100, 0, func(w sim.Time) { // 1us
+		waited, done = w, k.Now()
 	})
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
@@ -44,14 +69,9 @@ func TestContentionSerializes(t *testing.T) {
 	k := sim.NewKernel()
 	b := New(k, "bus", DefaultConfig())
 	var doneA, doneB sim.Time
-	k.Thread("a", func(c *sim.Ctx) {
-		b.Transfer(c, "a", 100) // holds 0..1us
-		doneA = c.Now()
-	})
-	k.Thread("b", func(c *sim.Ctx) {
-		c.WaitTime(100 * sim.Ns) // arrives mid-transfer
-		w := b.Transfer(c, "b", 100)
-		doneB = c.Now()
+	master(k, b, "a", 0, 100, 0, func(sim.Time) { doneA = k.Now() }) // holds 0..1us
+	master(k, b, "b", 100*sim.Ns, 100, 0, func(w sim.Time) {         // arrives mid-transfer
+		doneB = k.Now()
 		if w <= 0 {
 			t.Error("contended transfer reported zero wait")
 		}
@@ -70,11 +90,8 @@ func TestContentionSerializes(t *testing.T) {
 func TestOccupancy(t *testing.T) {
 	k := sim.NewKernel()
 	b := New(k, "bus", DefaultConfig())
-	k.Thread("m", func(c *sim.Ctx) {
-		b.Transfer(c, "m", 100) // busy 1us
-		c.WaitTime(1 * sim.Us)  // idle 1us
-	})
-	if err := k.Run(sim.MaxTime); err != nil {
+	master(k, b, "m", 0, 100, 0, nil)         // busy 1us
+	if err := k.Run(2 * sim.Us); err != nil { // then idle 1us
 		t.Fatal(err)
 	}
 	if occ := b.Occupancy(); math.Abs(occ-0.5) > 0.01 {
@@ -88,7 +105,7 @@ func TestEnergyAccounting(t *testing.T) {
 	b := New(k, "bus", cfg)
 	var sunk float64
 	b.OnEnergy(func(j float64) { sunk += j })
-	k.Thread("m", func(c *sim.Ctx) { b.Transfer(c, "m", 1000) })
+	master(k, b, "m", 0, 1000, 0, nil)
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +120,7 @@ func TestQueueLength(t *testing.T) {
 	b := New(k, "bus", DefaultConfig())
 	var maxQ int
 	for i := 0; i < 4; i++ {
-		k.Thread("m", func(c *sim.Ctx) {
-			b.Transfer(c, "m", 500)
-		})
+		master(k, b, "m", 0, 500, 0, nil)
 	}
 	k.Method("watch", func() {
 		if b.QueueLength() > maxQ {
@@ -142,16 +157,18 @@ func TestBadConfigPanics(t *testing.T) {
 func TestZeroWordTransferNoop(t *testing.T) {
 	k := sim.NewKernel()
 	b := New(k, "bus", DefaultConfig())
-	k.Thread("m", func(c *sim.Ctx) {
-		if w := b.Transfer(c, "m", 0); w != 0 {
+	completed := false
+	master(k, b, "m", 0, 0, 0, func(w sim.Time) {
+		completed = true
+		if w != 0 {
 			t.Error("zero transfer waited")
 		}
 	})
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if b.TotalWords() != 0 {
-		t.Fatal("zero transfer counted words")
+	if !completed || b.TotalWords() != 0 {
+		t.Fatalf("zero transfer: completed %v, %d words counted", completed, b.TotalWords())
 	}
 }
 
@@ -159,11 +176,8 @@ func TestOwnerReported(t *testing.T) {
 	k := sim.NewKernel()
 	b := New(k, "bus", DefaultConfig())
 	var ownerSeen string
-	k.Thread("m0", func(c *sim.Ctx) { b.Transfer(c, "m0", 1000) })
-	k.Thread("probe", func(c *sim.Ctx) {
-		c.WaitTime(1 * sim.Us)
-		ownerSeen = b.Owner()
-	})
+	master(k, b, "m0", 0, 1000, 0, nil)
+	master(k, b, "probe", 1*sim.Us, 0, 0, func(sim.Time) { ownerSeen = b.Owner() })
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -183,20 +197,10 @@ func TestPriorityArbitration(t *testing.T) {
 	var order []string
 	// m0 holds the bus; a low- then a high-priority master queue up while
 	// it transfers. The high-priority one must win despite arriving later.
-	k.Thread("m0", func(c *sim.Ctx) {
-		b.TransferPri(c, "m0", 200, 1) // holds 0..2us
-		order = append(order, "m0")
-	})
-	k.Thread("low", func(c *sim.Ctx) {
-		c.WaitTime(100 * sim.Ns)
-		b.TransferPri(c, "low", 100, 9)
-		order = append(order, "low")
-	})
-	k.Thread("high", func(c *sim.Ctx) {
-		c.WaitTime(200 * sim.Ns) // arrives after "low"
-		b.TransferPri(c, "high", 100, 2)
-		order = append(order, "high")
-	})
+	log := func(name string) func(sim.Time) { return func(sim.Time) { order = append(order, name) } }
+	master(k, b, "m0", 0, 200, 1, log("m0")) // holds 0..2us
+	master(k, b, "low", 100*sim.Ns, 100, 9, log("low"))
+	master(k, b, "high", 200*sim.Ns, 100, 2, log("high")) // arrives after "low"
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -212,20 +216,10 @@ func TestFIFOIgnoresPriority(t *testing.T) {
 	k := sim.NewKernel()
 	b := New(k, "bus", DefaultConfig()) // FIFO
 	var order []string
-	k.Thread("m0", func(c *sim.Ctx) {
-		b.TransferPri(c, "m0", 200, 5)
-		order = append(order, "m0")
-	})
-	k.Thread("first", func(c *sim.Ctx) {
-		c.WaitTime(100 * sim.Ns)
-		b.TransferPri(c, "first", 100, 9) // worse priority, earlier request
-		order = append(order, "first")
-	})
-	k.Thread("second", func(c *sim.Ctx) {
-		c.WaitTime(200 * sim.Ns)
-		b.TransferPri(c, "second", 100, 1)
-		order = append(order, "second")
-	})
+	log := func(name string) func(sim.Time) { return func(sim.Time) { order = append(order, name) } }
+	master(k, b, "m0", 0, 200, 5, log("m0"))
+	master(k, b, "first", 100*sim.Ns, 100, 9, log("first")) // worse priority, earlier request
+	master(k, b, "second", 200*sim.Ns, 100, 1, log("second"))
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -243,20 +237,15 @@ func TestPriorityTieBreaksFIFO(t *testing.T) {
 	cfg.Arbitration = PriorityOrder
 	b := New(k, "bus", cfg)
 	var order []string
-	k.Thread("m0", func(c *sim.Ctx) { b.TransferPri(c, "m0", 200, 1) })
-	for _, name := range []string{"a", "b", "c"} {
-		name := name
-		delay := sim.Time(100+len(order)) * sim.Ns
-		k.Thread(name, func(c *sim.Ctx) {
-			c.WaitTime(delay + sim.Time(len(name))) // stagger registrations
-			b.TransferPri(c, name, 10, 3)
-			order = append(order, name)
-		})
+	master(k, b, "m0", 0, 200, 1, nil)
+	for i, name := range []string{"a", "b", "c"} {
+		// Equal priorities, staggered requests: request order decides.
+		master(k, b, name, 100*sim.Ns+sim.Time(i), 10, 3, func(sim.Time) { order = append(order, name) })
 	}
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 3 {
-		t.Fatalf("order = %v", order)
+	if want := []string{"a", "b", "c"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }

@@ -33,7 +33,11 @@ func realisticConfigs(t *testing.T) []soc.Config {
 	for _, nc := range engine.ArenaScenarios(20) {
 		cfgs = append(cfgs, nc.Config)
 	}
-	for _, st := range sweep.Studies(1, 20) {
+	for _, name := range sweep.StudyNames() {
+		st, err := sweep.Resolve(name, 1, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, job := range st.Plan().Jobs {
 			cfgs = append(cfgs, job.Config)
 		}

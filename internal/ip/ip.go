@@ -4,6 +4,10 @@
 // the granted operating point, and reports idleness back so the manager can
 // power it down. Execution power is metered exactly and every task is
 // recorded in the delay ledger.
+//
+// The block is one method process written as a state machine: each point
+// at which a SystemC thread would wait is a phase, and the process arms its
+// next activation there and returns.
 package ip
 
 import (
@@ -17,16 +21,18 @@ import (
 )
 
 // Manager is the energy-management interface the IP talks to: the paper's
-// LEM, or one of the baseline policies.
+// LEM, or one of the baseline policies. Both calls are non-blocking steps:
+// each returns nil once done, or the events to wait on (any one of them)
+// before the IP calls again with the same argument.
 type Manager interface {
-	// AcquireOn blocks until the IP may execute t and returns the
-	// operating point to run at.
-	AcquireOn(c *sim.Ctx, t task.Task) power.OperatingPoint
+	// AcquireOn steps towards executing t and returns the operating point
+	// to run at once the IP may execute it.
+	AcquireOn(t task.Task) (power.OperatingPoint, []*sim.Event)
 	// ReleaseIdle tells the manager the IP just became idle. hint is the
 	// actual upcoming idle duration (known to traffic generators); honest
 	// managers ignore it — except for the sentinel sim.MaxTime, which
 	// means "no further work ever" and asks for the deepest power-down.
-	ReleaseIdle(c *sim.Ctx, hint sim.Time)
+	ReleaseIdle(hint sim.Time) []*sim.Event
 }
 
 // Config assembles one IP block.
@@ -63,13 +69,42 @@ type Config struct {
 type IP struct {
 	cfg       Config
 	k         *sim.Kernel
+	proc      *sim.Proc
 	executing bool
 	tasksDone int
 	finished  bool
 	doneEv    *sim.Event
+
+	// The state machine: phase is the next step, next the index of the
+	// workload item to start.
+	phase phase
+	next  int
+	// The task in progress, with its service-time origin and start.
+	task    task.Task
+	request sim.Time
+	start   sim.Time
+	// The idle period in progress, handed to the manager as its hint.
+	idle sim.Time
+	xfer bus.Transfer
 }
 
-// New creates the IP and registers its thread process on the kernel.
+// phase is a step of the IP process; each of the waiting ones resumes the
+// wait point of the same name.
+type phase uint8
+
+const (
+	phStart   phase = iota // initial activation
+	phNext                 // start the next workload item
+	phRelease              // hand the idle period to the manager
+	phIdle                 // idle until the gap has passed
+	phBus                  // service request over the bus
+	phAcquire              // manager grants an operating point
+	phExecute              // the task runs
+	phFinal                // final release: no further work
+	phDone                 // finished: nothing activates the process again
+)
+
+// New creates the IP and registers its process on the kernel.
 func New(k *sim.Kernel, cfg Config) *IP {
 	if cfg.Manager == nil || cfg.Meter == nil || cfg.Ledger == nil || cfg.PSM == nil {
 		panic("ip: Manager, PSM, Meter and Ledger are required")
@@ -93,88 +128,136 @@ func New(k *sim.Kernel, cfg Config) *IP {
 	// Transition energy goes to the same meter as discrete quanta.
 	cfg.PSM.OnEnergy(cfg.Meter.AddEnergy)
 
-	k.Thread(cfg.Name+".thread", b.run)
+	b.proc = k.Method(cfg.Name+".task", b.step)
 	return b
 }
 
-// run dispatches to the configured workload mode.
-func (b *IP) run(c *sim.Ctx) {
-	b.cfg.Meter.SetPower(b.cfg.PSM.StatePower())
-	if len(b.cfg.Sequence) > 0 {
-		b.runClosedLoop(c)
-	} else {
-		b.runOpenLoop(c)
-	}
-	// Final release: no further work will ever arrive. The sim.MaxTime
-	// hint tells the manager to power the IP down as deeply as it can
-	// (otherwise a finished IP would burn ON-idle power for the rest of
-	// the simulation, starving the battery for everyone else).
-	b.cfg.Manager.ReleaseIdle(c, sim.MaxTime)
-	b.finished = true
-	b.doneEv.NotifyDelta()
-}
-
-// runClosedLoop walks the Sequence: execute, then idle for the item's gap.
-func (b *IP) runClosedLoop(c *sim.Ctx) {
-	for _, item := range b.cfg.Sequence {
-		b.executeTask(c, item.Task, c.Now())
-		b.cfg.Manager.ReleaseIdle(c, item.IdleAfter)
-		if item.IdleAfter > 0 {
-			c.WaitTime(item.IdleAfter)
-		}
-	}
-}
-
-// runOpenLoop serves the Arrivals: when the next request is in the future
-// the IP goes idle until it arrives; when the IP falls behind, requests
-// queue and are served back-to-back (the service time then includes the
-// queueing delay).
-func (b *IP) runOpenLoop(c *sim.Ctx) {
-	for i, a := range b.cfg.Arrivals {
-		if wait := a.At - c.Now(); wait > 0 {
-			b.cfg.Manager.ReleaseIdle(c, wait)
-			c.WaitTime(wait)
-		}
-		b.executeTask(c, a.Task, a.At)
-		// Hint at the remaining slack before the next arrival (0 when
-		// already behind), so predictive managers see the queue pressure.
-		if i+1 < len(b.cfg.Arrivals) {
-			if slack := b.cfg.Arrivals[i+1].At - c.Now(); slack <= 0 {
-				continue // next request already pending: no idle period
+// step runs the IP from its current phase to the next wait point, arms the
+// process's next activation there and returns.
+//
+// A closed-loop Sequence executes each task and then idles for the item's
+// gap. Open-loop Arrivals idle until the next request is due; when the IP
+// falls behind, requests queue and are served back-to-back (the service
+// time then includes the queueing delay). Once the workload is done the
+// final release hands the manager the sim.MaxTime hint, so it powers the IP
+// down as deeply as it can (otherwise a finished IP would burn ON-idle
+// power for the rest of the simulation, starving the battery for everyone
+// else).
+func (b *IP) step() {
+	for {
+		switch b.phase {
+		case phStart:
+			b.cfg.Meter.SetPower(b.cfg.PSM.StatePower())
+			b.phase = phNext
+		case phNext:
+			b.startItem()
+		case phRelease:
+			if b.wait(b.cfg.Manager.ReleaseIdle(b.idle)) {
+				return
 			}
+			b.phase = phIdle
+			if b.idle > 0 {
+				b.proc.NextTriggerAfter(b.idle)
+				return
+			}
+		case phIdle:
+			if len(b.cfg.Sequence) > 0 {
+				b.phase = phNext
+			} else {
+				b.phase = phBus
+			}
+		case phBus:
+			if b.cfg.Bus != nil && b.cfg.BusWords > 0 {
+				ev, hold := b.cfg.Bus.TransferPri(&b.xfer, b.cfg.Name, b.cfg.BusWords, b.cfg.BusPriority)
+				if ev != nil {
+					b.proc.NextTrigger(ev)
+					return
+				}
+				if hold > 0 {
+					b.proc.NextTriggerAfter(hold)
+					return
+				}
+			}
+			b.phase = phAcquire
+		case phAcquire:
+			op, w := b.cfg.Manager.AcquireOn(b.task)
+			if b.wait(w) {
+				return
+			}
+			b.start = b.k.Now()
+			// Execute: active power for the task's instruction class.
+			prof := b.cfg.Profile
+			b.executing = true
+			b.cfg.Meter.SetPower(prof.InstrWeight[b.task.Class]*prof.DynamicPower(op) + prof.LeakagePower(op.Vdd))
+			b.phase = phExecute
+			b.proc.NextTriggerAfter(prof.TaskDuration(b.task.Instructions, op))
+			return
+		case phExecute:
+			b.finishTask()
+		case phFinal:
+			if b.wait(b.cfg.Manager.ReleaseIdle(sim.MaxTime)) {
+				return
+			}
+			b.finished = true
+			b.doneEv.NotifyDelta()
+			b.phase = phDone
+			return
+		case phDone:
+			return
 		}
 	}
 }
 
-// executeTask performs the bus handshake, manager acquisition and the timed
-// execution of one task, recording it in the ledger. request is the
-// service-time origin (arrival time for open-loop, readiness time for
-// closed-loop).
-func (b *IP) executeTask(c *sim.Ctx, t task.Task, request sim.Time) {
-	prof := b.cfg.Profile
-
-	// The service request arrives over the bus (Fig. 1).
-	if b.cfg.Bus != nil && b.cfg.BusWords > 0 {
-		b.cfg.Bus.TransferPri(c, b.cfg.Name, b.cfg.BusWords, b.cfg.BusPriority)
+// wait arms the process on a manager's wait set and reports whether there
+// was one.
+func (b *IP) wait(evs []*sim.Event) bool {
+	if evs == nil {
+		return false
 	}
+	b.proc.NextTrigger(evs...)
+	return true
+}
 
-	op := b.cfg.Manager.AcquireOn(c, t)
-	start := c.Now()
+// startItem picks the next workload item: a closed-loop task starts now,
+// an open-loop request first waits for its arrival when that lies ahead.
+func (b *IP) startItem() {
+	if len(b.cfg.Sequence) > 0 {
+		if b.next == len(b.cfg.Sequence) {
+			b.phase = phFinal
+			return
+		}
+		b.task, b.request = b.cfg.Sequence[b.next].Task, b.k.Now()
+		b.next++
+		b.phase = phBus
+		return
+	}
+	if b.next == len(b.cfg.Arrivals) {
+		b.phase = phFinal
+		return
+	}
+	a := b.cfg.Arrivals[b.next]
+	b.next++
+	b.task, b.request = a.Task, a.At
+	if wait := a.At - b.k.Now(); wait > 0 {
+		b.idle = wait
+		b.phase = phRelease
+		return
+	}
+	b.phase = phBus
+}
 
-	// Execute: active power for the task's instruction class.
-	b.executing = true
-	pActive := prof.InstrWeight[t.Class]*prof.DynamicPower(op) + prof.LeakagePower(op.Vdd)
-	b.cfg.Meter.SetPower(pActive)
-	c.WaitTime(prof.TaskDuration(t.Instructions, op))
+// finishTask ends the task's execution and records it in the ledger; a
+// closed-loop item then releases for its idle gap.
+func (b *IP) finishTask() {
 	b.executing = false
 	b.cfg.Meter.SetPower(b.cfg.PSM.StatePower())
 
 	rec := stats.TaskRecord{
 		IP:      b.cfg.Name,
-		TaskID:  t.ID,
-		Request: request,
-		Start:   start,
-		Done:    c.Now(),
+		TaskID:  b.task.ID,
+		Request: b.request,
+		Start:   b.start,
+		Done:    b.k.Now(),
 		State:   b.cfg.PSM.State().String(),
 	}
 	b.cfg.Ledger.Add(rec)
@@ -182,6 +265,13 @@ func (b *IP) executeTask(c *sim.Ctx, t task.Task, request sim.Time) {
 		b.cfg.OnTask(rec)
 	}
 	b.tasksDone++
+
+	if len(b.cfg.Sequence) > 0 {
+		b.idle = b.cfg.Sequence[b.next-1].IdleAfter
+		b.phase = phRelease
+		return
+	}
+	b.phase = phNext
 }
 
 // Name returns the IP name.

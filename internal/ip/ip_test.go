@@ -18,32 +18,34 @@ type grantAll struct {
 	psm   *acpi.PSM
 	state acpi.State
 
-	acquires int
-	releases int
-	lastHint sim.Time
-	taskHint sim.Time
+	acquiring bool
+	acquires  int
+	releases  int
+	lastHint  sim.Time
+	taskHint  sim.Time
 }
 
-func (m *grantAll) AcquireOn(c *sim.Ctx, _ task.Task) power.OperatingPoint {
-	m.acquires++
-	for m.psm.Transitioning().Read() {
-		c.Wait(m.psm.Done())
+// AcquireOn counts an acquisition on its first step, not on the steps that
+// resume it after a transition.
+func (m *grantAll) AcquireOn(task.Task) (power.OperatingPoint, []*sim.Event) {
+	if !m.acquiring {
+		m.acquiring = true
+		m.acquires++
 	}
-	if m.psm.State() != m.state {
-		if _, err := m.psm.Request(m.state); err != nil {
-			panic(err)
-		}
-		c.Wait(m.psm.Done())
+	if w := m.psm.StepTo(m.state); w != nil {
+		return power.OperatingPoint{}, w
 	}
-	return m.psm.Profile().On[m.state.OnIndex()]
+	m.acquiring = false
+	return m.psm.Profile().On[m.state.OnIndex()], nil
 }
 
-func (m *grantAll) ReleaseIdle(_ *sim.Ctx, hint sim.Time) {
+func (m *grantAll) ReleaseIdle(hint sim.Time) []*sim.Event {
 	m.releases++
 	m.lastHint = hint
 	if hint != sim.MaxTime {
 		m.taskHint = hint
 	}
+	return nil
 }
 
 func fixedSeq(n int, instr int64, idle sim.Time) workload.Sequence {

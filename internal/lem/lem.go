@@ -77,7 +77,39 @@ type LEM struct {
 	idleValid   bool
 	lastPredict sim.Time
 
+	// The step in progress: acq for AcquireOn, rel for ReleaseIdle.
+	acq acquisition
+	rel release
+
+	// The wait sets of a parked task: gemParked while the GEM disables the
+	// IP, parked while the policy selects a sleep state.
+	gemParked []*sim.Event
+	parked    []*sim.Event
+
 	stats Stats
+}
+
+// acquisition is the state of an AcquireOn step sequence.
+type acquisition struct {
+	phase    acqPhase
+	target   acpi.State   // the transition in progress (acqPark, acqRun)
+	wait     []*sim.Event // the wait set of the park in progress (acqPark)
+	parkedAt sim.Time     // start of the current park, or -1
+}
+
+type acqPhase uint8
+
+const (
+	acqIdle   acqPhase = iota // no acquisition in progress
+	acqDecide                 // evaluate the GEM and the policy
+	acqPark                   // moving into the park state
+	acqRun                    // moving into the selected ON state
+)
+
+// release is the state of a ReleaseIdle step sequence.
+type release struct {
+	active bool
+	target acpi.State
 }
 
 // New creates a LEM controlling psm, observing the battery pack and thermal
@@ -86,7 +118,8 @@ func New(k *sim.Kernel, name string, psm *acpi.PSM, pack *battery.Pack, node the
 	cfg.fillDefaults()
 	return &LEM{
 		k: k, name: name, psm: psm, pack: pack, node: node, cfg: cfg,
-		stats: Stats{OnDecisions: map[string]int{}, SleepEntries: map[string]int{}},
+		parked: []*sim.Event{pack.StatusSignal().Changed(), node.ClassSignal().Changed()},
+		stats:  Stats{OnDecisions: map[string]int{}, SleepEntries: map[string]int{}},
 	}
 }
 
@@ -95,6 +128,8 @@ func New(k *sim.Kernel, name string, psm *acpi.PSM, pack *battery.Pack, node the
 func (l *LEM) AttachGEM(g *gem.GEM, id int) {
 	l.gem = g
 	l.gemID = id
+	l.gemParked = []*sim.Event{g.Changed(), l.pack.StatusSignal().Changed(), l.node.ClassSignal().Changed()}
+	l.parked = append(l.parked, g.Changed())
 }
 
 // Name returns the LEM name.
@@ -109,47 +144,71 @@ func (l *LEM) PSM() *acpi.PSM { return l.psm }
 // Predictor returns the configured idle predictor.
 func (l *LEM) Predictor() Predictor { return l.cfg.Predictor }
 
-// AcquireOn is called by the IP thread when a task is ready to execute. It
-// blocks until the PSM reaches the ON state the policy selects for the task
-// under the current (and predicted end-of-task) battery and temperature
-// classes, and returns that operating point. When the policy selects a
-// sleep state (empty battery, overheated chip) or the GEM has disabled the
-// IP, the task is parked until conditions change.
-func (l *LEM) AcquireOn(c *sim.Ctx, t task.Task) power.OperatingPoint {
-	// Close the idle-period observation for the predictor.
-	if l.idleValid {
-		l.cfg.Predictor.Observe(c.Now() - l.idleSince)
-		l.idleValid = false
-	}
-	if l.gem != nil {
-		l.gem.NotifyRequest(l.gemID)
-	}
-	parkedAt := sim.Time(-1)
+// AcquireOn is the IP's step towards executing task t. It returns the
+// operating point and nil once the PSM has reached the ON state the policy
+// selects for the task under the current (and predicted end-of-task)
+// battery and temperature classes; until then it returns the events to
+// wait on before calling again with the same task. When the policy selects
+// a sleep state (empty battery, overheated chip) or the GEM has disabled
+// the IP, the task is parked until conditions change.
+func (l *LEM) AcquireOn(t task.Task) (power.OperatingPoint, []*sim.Event) {
+	a := &l.acq
 	for {
-		if l.gem != nil && !l.gem.Enabled(l.gemID) {
-			// Forced to Sleep1 by the GEM while disabled.
-			parkedAt = l.parkIn(c, acpi.SL1, parkedAt)
-			c.WaitAny(l.gem.Changed(), l.pack.StatusSignal().Changed(), l.node.ClassSignal().Changed())
-			continue
-		}
-		state := l.selectState(t)
-		if !state.IsOn() {
-			// Policy says sleep (battery empty / chip hot): park and wait
-			// for a class change.
-			parkedAt = l.parkIn(c, state, parkedAt)
-			evs := []*sim.Event{l.pack.StatusSignal().Changed(), l.node.ClassSignal().Changed()}
-			if l.gem != nil {
-				evs = append(evs, l.gem.Changed())
+		switch a.phase {
+		case acqIdle:
+			// Close the idle-period observation for the predictor.
+			if l.idleValid {
+				l.cfg.Predictor.Observe(l.k.Now() - l.idleSince)
+				l.idleValid = false
 			}
-			c.WaitAny(evs...)
-			continue
+			if l.gem != nil {
+				l.gem.NotifyRequest(l.gemID)
+			}
+			a.parkedAt = -1
+			a.phase = acqDecide
+		case acqDecide:
+			var state acpi.State
+			var wait []*sim.Event
+			if l.gem != nil && !l.gem.Enabled(l.gemID) {
+				// Forced to Sleep1 by the GEM while disabled.
+				state, wait = acpi.SL1, l.gemParked
+			} else if state = l.selectState(t); state.IsOn() {
+				if a.parkedAt >= 0 {
+					l.stats.ParkedTime += l.k.Now() - a.parkedAt
+				}
+				a.target, a.phase = state, acqRun
+				continue
+			} else {
+				// Policy says sleep (battery empty / chip hot): park and
+				// wait for a class change.
+				wait = l.parked
+			}
+			// Park: the clock starts on the first park of the acquisition.
+			// The PSM moves to the park state unless it already rests
+			// there or is in transit; a wake decides again.
+			if a.parkedAt < 0 {
+				a.parkedAt = l.k.Now()
+				l.stats.ParkEvents++
+			}
+			if l.psm.State() != state && !l.psm.Transitioning().Read() {
+				a.target, a.wait, a.phase = state, wait, acqPark
+				continue
+			}
+			return power.OperatingPoint{}, wait
+		case acqPark:
+			if w := l.psm.StepTo(a.target); w != nil {
+				return power.OperatingPoint{}, w
+			}
+			a.phase = acqDecide
+			return power.OperatingPoint{}, a.wait
+		case acqRun:
+			if w := l.psm.StepTo(a.target); w != nil {
+				return power.OperatingPoint{}, w
+			}
+			a.phase = acqIdle
+			l.stats.OnDecisions[a.target.String()]++
+			return l.psm.Profile().On[a.target.OnIndex()], nil
 		}
-		if parkedAt >= 0 {
-			l.stats.ParkedTime += c.Now() - parkedAt
-		}
-		l.transition(c, state)
-		l.stats.OnDecisions[state.String()]++
-		return l.psm.Profile().On[state.OnIndex()]
 	}
 }
 
@@ -194,50 +253,40 @@ func (l *LEM) selectState(t task.Task) acpi.State {
 	return acpi.ON4
 }
 
-// parkIn moves the PSM to the given sleep state (if not already there) and
-// returns the park start time (unchanged if already parked).
-func (l *LEM) parkIn(c *sim.Ctx, state acpi.State, parkedAt sim.Time) sim.Time {
-	if parkedAt < 0 {
-		parkedAt = c.Now()
-		l.stats.ParkEvents++
+// ReleaseIdle is the IP's step into inactivity. The LEM predicts the idle
+// duration and moves the PSM into the deepest sleep (or off) state whose
+// break-even time the prediction exceeds; with no profitable state the IP
+// stays clocked in its current ON state. hint is the actual upcoming idle
+// time, consumed only by the Perfect predictor. It returns nil once the
+// PSM has settled, else the events to wait on before calling again with
+// the same hint.
+func (l *LEM) ReleaseIdle(hint sim.Time) []*sim.Event {
+	r := &l.rel
+	if !r.active {
+		target, ok := l.startRelease(hint)
+		if !ok {
+			return nil
+		}
+		r.active, r.target = true, target
 	}
-	if l.psm.State() != state && !l.psm.Transitioning().Read() {
-		l.transition(c, state)
+	if w := l.psm.StepTo(r.target); w != nil {
+		return w
 	}
-	return parkedAt
+	r.active = false
+	l.stats.SleepEntries[r.target.String()]++
+	return nil
 }
 
-// transition requests a PSM transition and blocks until it completes.
-func (l *LEM) transition(c *sim.Ctx, target acpi.State) {
-	for l.psm.Transitioning().Read() {
-		c.Wait(l.psm.Done())
-	}
-	if l.psm.State() == target {
-		return
-	}
-	if _, err := l.psm.Request(target); err != nil {
-		panic(fmt.Sprintf("lem: %s: %v", l.name, err))
-	}
-	c.Wait(l.psm.Done())
-}
-
-// ReleaseIdle is called by the IP thread when it becomes inactive. The LEM
-// predicts the idle duration and moves the PSM into the deepest sleep (or
-// off) state whose break-even time the prediction exceeds; with no
-// profitable state the IP stays clocked in its current ON state. hint is
-// the actual upcoming idle time, consumed only by the Perfect predictor.
-func (l *LEM) ReleaseIdle(c *sim.Ctx, hint sim.Time) {
+// startRelease opens a release: it updates the predictor bookkeeping and
+// picks the sleep state to enter, if any.
+func (l *LEM) startRelease(hint sim.Time) (acpi.State, bool) {
 	if hint == sim.MaxTime {
 		// "No further work ever": skip the predictor (there is no next
 		// idle period to learn for) and power down as deeply as allowed.
 		l.idleValid = false
-		if target, ok := l.chooseSleep(sim.MaxTime); ok {
-			l.transition(c, target)
-			l.stats.SleepEntries[target.String()]++
-		}
-		return
+		return l.chooseSleep(sim.MaxTime)
 	}
-	l.idleSince = c.Now()
+	l.idleSince = l.k.Now()
 	l.idleValid = true
 	predicted := l.cfg.Predictor.Predict(hint)
 	l.lastPredict = predicted
@@ -245,10 +294,8 @@ func (l *LEM) ReleaseIdle(c *sim.Ctx, hint sim.Time) {
 	target, ok := l.chooseSleep(predicted)
 	if !ok {
 		l.stats.SleepEntries[""]++
-		return
 	}
-	l.transition(c, target)
-	l.stats.SleepEntries[target.String()]++
+	return target, ok
 }
 
 // chooseSleep returns the deepest allowed sleep state whose break-even time

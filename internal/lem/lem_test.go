@@ -35,6 +35,61 @@ func newRig(t *testing.T, soc float64, tempC float64, cfg Config) *rig {
 	return &rig{k: k, psm: psm, pack: pack, node: node, lem: l, model: model}
 }
 
+// step is one stage of a driver script: it returns the events to wait on
+// before it is called again, or nil once it is done.
+type step func() []*sim.Event
+
+// drive runs steps in order as one method process, the way the IP drives
+// its manager.
+func drive(k *sim.Kernel, steps ...step) {
+	i := 0
+	var p *sim.Proc
+	p = k.Method("drv", func() {
+		for ; i < len(steps); i++ {
+			if w := steps[i](); w != nil {
+				p.NextTrigger(w...)
+				return
+			}
+		}
+	})
+}
+
+// acquire steps l.AcquireOn(t) to completion and stores the granted
+// operating point in got, when non-nil.
+func acquire(l *LEM, t task.Task, got *power.OperatingPoint) step {
+	return func() []*sim.Event {
+		op, w := l.AcquireOn(t)
+		if w == nil && got != nil {
+			*got = op
+		}
+		return w
+	}
+}
+
+// releaseIdle steps l.ReleaseIdle(hint) to completion.
+func releaseIdle(l *LEM, hint sim.Time) step {
+	return func() []*sim.Event { return l.ReleaseIdle(hint) }
+}
+
+// sleep waits d.
+func sleep(k *sim.Kernel, d sim.Time) step {
+	ev := k.NewEvent("drv.sleep")
+	armed := false
+	return func() []*sim.Event {
+		if armed {
+			return nil
+		}
+		armed = true
+		ev.Notify(d)
+		return []*sim.Event{ev}
+	}
+}
+
+// mark stores the current time in at.
+func mark(k *sim.Kernel, at *sim.Time) step {
+	return func() []*sim.Event { *at = k.Now(); return nil }
+}
+
 func smallTask(prio task.Priority) task.Task {
 	return task.Task{ID: 1, Instructions: 200_000, Class: power.InstrALU, Priority: prio}
 }
@@ -53,13 +108,10 @@ func TestAcquireOnSelectsByPriorityFullBattery(t *testing.T) {
 	for _, c := range cases {
 		r := newRig(t, 0.95, 50, NewConfig())
 		var got power.OperatingPoint
-		r.k.Thread("drv", func(ctx *sim.Ctx) {
-			got = r.lem.AcquireOn(ctx, smallTask(c.prio))
-		})
+		drive(r.k, acquire(r.lem, smallTask(c.prio), &got))
 		if err := r.k.Run(sim.MaxTime); err != nil {
 			t.Fatal(err)
 		}
-		r.k.Shutdown()
 		if got.Name != c.want {
 			t.Errorf("priority %v: op %q, want %q", c.prio, got.Name, c.want)
 		}
@@ -69,13 +121,10 @@ func TestAcquireOnSelectsByPriorityFullBattery(t *testing.T) {
 func TestAcquireOnLowBatterySlowsEveryone(t *testing.T) {
 	r := newRig(t, 0.2, 50, NewConfig()) // battery Low
 	var got power.OperatingPoint
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		got = r.lem.AcquireOn(ctx, smallTask(task.VeryHigh))
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.VeryHigh), &got))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if got.Name != "ON4" {
 		t.Fatalf("low battery should force ON4, got %q", got.Name)
 	}
@@ -86,10 +135,7 @@ func TestAcquireOnParksOnEmptyBatteryUntilCharge(t *testing.T) {
 	// class improves (here: faked by an external recharge), the task runs.
 	r := newRig(t, 0.03, 50, NewConfig())
 	var acquired sim.Time = -1
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		acquired = ctx.Now()
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil), mark(r.k, &acquired))
 	// External event: a charger lifts the battery to 50% at 5 ms.
 	recharge := r.k.NewEvent("recharge")
 	r.k.Method("charger", func() {
@@ -100,7 +146,6 @@ func TestAcquireOnParksOnEmptyBatteryUntilCharge(t *testing.T) {
 	if err := r.k.Run(100 * sim.Ms); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if acquired < 5*sim.Ms {
 		t.Fatalf("task acquired at %v, want parked until the 5ms recharge", acquired)
 	}
@@ -117,13 +162,10 @@ func TestAcquireOnParksOnEmptyBatteryUntilCharge(t *testing.T) {
 func TestVeryHighPriorityRunsEvenOnEmptyBattery(t *testing.T) {
 	r := newRig(t, 0.03, 50, NewConfig())
 	var got power.OperatingPoint
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		got = r.lem.AcquireOn(ctx, smallTask(task.VeryHigh))
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.VeryHigh), &got))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if got.Name != "ON4" {
 		t.Fatalf("row 1 violated: got %q, want ON4", got.Name)
 	}
@@ -134,10 +176,7 @@ func TestHighTemperatureParksUntilCool(t *testing.T) {
 	// cools (the test steps the node), the class drops, the task runs.
 	r := newRig(t, 0.95, 90, NewConfig())
 	var acquired sim.Time = -1
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		acquired = ctx.Now()
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil), mark(r.k, &acquired))
 	cool := r.k.NewEvent("cool")
 	r.k.Method("cooler", func() {
 		r.node.Step(0, 2*sim.Ms) // strong cooling per tick
@@ -149,7 +188,6 @@ func TestHighTemperatureParksUntilCool(t *testing.T) {
 	if err := r.k.Run(200 * sim.Ms); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if acquired <= 0 {
 		t.Fatal("task never acquired despite cooling")
 	}
@@ -162,14 +200,11 @@ func TestReleaseIdleEntersSleepWhenPredictedLongIdle(t *testing.T) {
 	cfg := NewConfig()
 	cfg.Predictor = Perfect{}
 	r := newRig(t, 0.95, 50, cfg)
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		r.lem.ReleaseIdle(ctx, 500*sim.Ms) // plenty for SL4
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil),
+		releaseIdle(r.lem, 500*sim.Ms)) // plenty for SL4
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if r.psm.State() != acpi.SL4 {
 		t.Fatalf("state %v after long predicted idle, want SL4", r.psm.State())
 	}
@@ -182,14 +217,11 @@ func TestReleaseIdleStaysOnForShortIdle(t *testing.T) {
 	cfg := NewConfig()
 	cfg.Predictor = Perfect{}
 	r := newRig(t, 0.95, 50, cfg)
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		r.lem.ReleaseIdle(ctx, 1*sim.Us) // below every break-even
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil),
+		releaseIdle(r.lem, 1*sim.Us)) // below every break-even
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if !r.psm.State().IsOn() {
 		t.Fatalf("state %v, want to stay ON for a tiny idle", r.psm.State())
 	}
@@ -208,14 +240,10 @@ func TestReleaseIdlePicksIntermediateState(t *testing.T) {
 	tbe2, _ := prof.BreakEven(pIdle, prof.Sleep[1])
 	tbe3, _ := prof.BreakEven(pIdle, prof.Sleep[2])
 	idle := tbe2 + (tbe3-tbe2)/2
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		r.lem.ReleaseIdle(ctx, idle)
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil), releaseIdle(r.lem, idle))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if r.psm.State() != acpi.SL2 {
 		t.Fatalf("state %v for idle %v, want SL2 (tbe2=%v tbe3=%v)",
 			r.psm.State(), idle, tbe2, tbe3)
@@ -227,14 +255,11 @@ func TestBreakEvenGatingDisabledGoesDeepest(t *testing.T) {
 	cfg.Predictor = Perfect{}
 	cfg.BreakEvenGating = false
 	r := newRig(t, 0.95, 50, cfg)
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		r.lem.ReleaseIdle(ctx, 1*sim.Us) // would stay ON with gating
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil),
+		releaseIdle(r.lem, 1*sim.Us)) // would stay ON with gating
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if r.psm.State() != acpi.SL4 {
 		t.Fatalf("ungated sleep went to %v, want SL4", r.psm.State())
 	}
@@ -245,14 +270,10 @@ func TestAllowSoftOffReachesSoftOff(t *testing.T) {
 	cfg.Predictor = Perfect{}
 	cfg.AllowSoftOff = true
 	r := newRig(t, 0.95, 50, cfg)
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		r.lem.ReleaseIdle(ctx, 10*sim.Sec)
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil), releaseIdle(r.lem, 10*sim.Sec))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if r.psm.State() != acpi.SoftOff {
 		t.Fatalf("state %v, want SoftOff", r.psm.State())
 	}
@@ -263,16 +284,12 @@ func TestPredictorObservesActualIdle(t *testing.T) {
 	lv := &LastValue{}
 	cfg.Predictor = lv
 	r := newRig(t, 0.95, 50, cfg)
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		r.lem.ReleaseIdle(ctx, 0)
-		ctx.WaitTime(7 * sim.Ms) // actual idle
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil), releaseIdle(r.lem, 0),
+		sleep(r.k, 7*sim.Ms), // actual idle
+		acquire(r.lem, smallTask(task.Medium), nil))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if got := lv.Predict(0); got != 7*sim.Ms {
 		t.Fatalf("observed idle = %v, want 7ms", got)
 	}
@@ -286,13 +303,10 @@ func TestPredictionRefinesWithinOnStates(t *testing.T) {
 	r := newRig(t, 0.95, 50, NewConfig())
 	hot := task.Task{ID: 1, Instructions: 5_000_000, Class: power.InstrIO, Priority: task.Medium}
 	var got power.OperatingPoint
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		got = r.lem.AcquireOn(ctx, hot)
-	})
+	drive(r.k, acquire(r.lem, hot, &got))
 	if err := r.k.Run(sim.Sec); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if got.Name != "ON3" {
 		t.Fatalf("hot task got %q, want the refined ON3", got.Name)
 	}
@@ -312,13 +326,10 @@ func TestPredictionGuardAvoidsParkingOnForecast(t *testing.T) {
 	l := New(k, "ip.lem", psm, pack, node, NewConfig())
 	big := task.Task{ID: 1, Instructions: 5_000_000, Class: power.InstrALU, Priority: task.Medium}
 	var got power.OperatingPoint
-	k.Thread("drv", func(ctx *sim.Ctx) {
-		got = l.AcquireOn(ctx, big)
-	})
+	drive(k, acquire(l, big, &got))
 	if err := k.Run(sim.Sec); err != nil {
 		t.Fatal(err)
 	}
-	k.Shutdown()
 	if got.Name != "ON4" {
 		t.Fatalf("battery-draining task got %q, want the ON4 guard", got.Name)
 	}
@@ -326,17 +337,15 @@ func TestPredictionGuardAvoidsParkingOnForecast(t *testing.T) {
 
 func TestStatsCountDecisions(t *testing.T) {
 	r := newRig(t, 0.95, 50, NewConfig())
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		for i := 0; i < 3; i++ {
-			r.lem.AcquireOn(ctx, smallTask(task.Medium))
-			r.lem.ReleaseIdle(ctx, 0)
-			ctx.WaitTime(sim.Ms)
-		}
-	})
+	var steps []step
+	for i := 0; i < 3; i++ {
+		steps = append(steps, acquire(r.lem, smallTask(task.Medium), nil),
+			releaseIdle(r.lem, 0), sleep(r.k, sim.Ms))
+	}
+	drive(r.k, steps...)
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if r.lem.Stats().OnDecisions["ON1"] != 3 {
 		t.Fatalf("decisions %v, want 3×ON1", r.lem.Stats().OnDecisions)
 	}
@@ -348,14 +357,10 @@ func TestFinalReleasePowersDownDeepest(t *testing.T) {
 	cfg := NewConfig()
 	cfg.Predictor = &LastValue{} // has never observed anything: predicts 0
 	r := newRig(t, 0.95, 50, cfg)
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		r.lem.ReleaseIdle(ctx, sim.MaxTime)
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil), releaseIdle(r.lem, sim.MaxTime))
 	if err := r.k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	if r.psm.State() != acpi.SL4 {
 		t.Fatalf("final state %v, want SL4", r.psm.State())
 	}
@@ -366,17 +371,12 @@ func TestFinalReleaseDoesNotPolluteAdaptivePredictor(t *testing.T) {
 	lv := &LastValue{}
 	cfg.Predictor = lv
 	r := newRig(t, 0.95, 50, cfg)
-	r.k.Thread("drv", func(ctx *sim.Ctx) {
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		r.lem.ReleaseIdle(ctx, 0)
-		ctx.WaitTime(3 * sim.Ms)
-		r.lem.AcquireOn(ctx, smallTask(task.Medium))
-		r.lem.ReleaseIdle(ctx, sim.MaxTime)
-	})
+	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil), releaseIdle(r.lem, 0),
+		sleep(r.k, 3*sim.Ms),
+		acquire(r.lem, smallTask(task.Medium), nil), releaseIdle(r.lem, sim.MaxTime))
 	if err := r.k.Run(sim.Sec); err != nil {
 		t.Fatal(err)
 	}
-	r.k.Shutdown()
 	// The observed idle is the real 3 ms, not an artefact of the final
 	// power-down.
 	if lv.Predict(0) != 3*sim.Ms {

@@ -9,7 +9,8 @@
 //   - Oracle — like the LEM's sleep selection but with a perfect idle-time
 //     prediction (upper bound for predictor quality).
 //
-// All satisfy ip.Manager.
+// All satisfy ip.Manager: each call is a non-blocking step that returns
+// the events to wait on while a PSM transition is in flight, nil once done.
 package policy
 
 import (
@@ -21,21 +22,6 @@ import (
 	"godpm/internal/task"
 )
 
-// transition requests target on the PSM and waits for completion, first
-// draining any in-flight transition.
-func transition(c *sim.Ctx, psm *acpi.PSM, target acpi.State) {
-	for psm.Transitioning().Read() {
-		c.Wait(psm.Done())
-	}
-	if psm.State() == target {
-		return
-	}
-	if _, err := psm.Request(target); err != nil {
-		panic(fmt.Sprintf("policy: %v", err))
-	}
-	c.Wait(psm.Done())
-}
-
 // AlwaysOn runs everything at ON1 and never sleeps. Table 2's percentages
 // are computed against this manager.
 type AlwaysOn struct {
@@ -46,13 +32,21 @@ type AlwaysOn struct {
 func NewAlwaysOn(psm *acpi.PSM) *AlwaysOn { return &AlwaysOn{psm: psm} }
 
 // AcquireOn implements ip.Manager.
-func (m *AlwaysOn) AcquireOn(c *sim.Ctx, _ task.Task) power.OperatingPoint {
-	transition(c, m.psm, acpi.ON1)
-	return m.psm.Profile().On[0]
+func (m *AlwaysOn) AcquireOn(task.Task) (power.OperatingPoint, []*sim.Event) {
+	return acquireON1(m.psm)
 }
 
 // ReleaseIdle implements ip.Manager (the baseline stays clocked).
-func (m *AlwaysOn) ReleaseIdle(*sim.Ctx, sim.Time) {}
+func (m *AlwaysOn) ReleaseIdle(sim.Time) []*sim.Event { return nil }
+
+// acquireON1 is the full-speed acquisition every baseline shares: step the
+// PSM to ON1 and run there.
+func acquireON1(psm *acpi.PSM) (power.OperatingPoint, []*sim.Event) {
+	if w := psm.StepTo(acpi.ON1); w != nil {
+		return power.OperatingPoint{}, w
+	}
+	return psm.Profile().On[0], nil
+}
 
 // FixedTimeout is the classic timeout policy: when the IP has been idle for
 // Timeout, the PSM drops into SleepState. Tasks always execute at ON1.
@@ -93,18 +87,20 @@ func (m *FixedTimeout) onTimer() {
 	}
 }
 
-// AcquireOn implements ip.Manager.
-func (m *FixedTimeout) AcquireOn(c *sim.Ctx, _ task.Task) power.OperatingPoint {
+// AcquireOn implements ip.Manager. It disarms the inactivity timer; both
+// writes are idempotent, so the resumed calls of one acquisition repeat
+// them harmlessly.
+func (m *FixedTimeout) AcquireOn(task.Task) (power.OperatingPoint, []*sim.Event) {
 	m.idle = false
 	m.timerEv.Cancel()
-	transition(c, m.psm, acpi.ON1)
-	return m.psm.Profile().On[0]
+	return acquireON1(m.psm)
 }
 
 // ReleaseIdle implements ip.Manager: it arms the inactivity timer.
-func (m *FixedTimeout) ReleaseIdle(c *sim.Ctx, _ sim.Time) {
+func (m *FixedTimeout) ReleaseIdle(sim.Time) []*sim.Event {
 	m.idle = true
 	m.timerEv.Notify(m.Timeout)
+	return nil
 }
 
 // Timeouts returns how many times the timer put the IP to sleep.
@@ -126,14 +122,13 @@ func NewGreedy(psm *acpi.PSM, sleepState acpi.State) *Greedy {
 }
 
 // AcquireOn implements ip.Manager.
-func (m *Greedy) AcquireOn(c *sim.Ctx, _ task.Task) power.OperatingPoint {
-	transition(c, m.psm, acpi.ON1)
-	return m.psm.Profile().On[0]
+func (m *Greedy) AcquireOn(task.Task) (power.OperatingPoint, []*sim.Event) {
+	return acquireON1(m.psm)
 }
 
 // ReleaseIdle implements ip.Manager.
-func (m *Greedy) ReleaseIdle(c *sim.Ctx, _ sim.Time) {
-	transition(c, m.psm, m.SleepState)
+func (m *Greedy) ReleaseIdle(sim.Time) []*sim.Event {
+	return m.psm.StepTo(m.SleepState)
 }
 
 // Oracle executes at ON1 and, on idleness, picks the deepest sleep state
@@ -144,23 +139,44 @@ type Oracle struct {
 	psm *acpi.PSM
 	// AllowSoftOff permits soft-off as a target.
 	AllowSoftOff bool
+
+	// sleeping is set while a release steps the PSM into target.
+	sleeping bool
+	target   acpi.State
 }
 
 // NewOracle creates an oracle manager.
 func NewOracle(psm *acpi.PSM) *Oracle { return &Oracle{psm: psm} }
 
 // AcquireOn implements ip.Manager.
-func (m *Oracle) AcquireOn(c *sim.Ctx, _ task.Task) power.OperatingPoint {
-	transition(c, m.psm, acpi.ON1)
-	return m.psm.Profile().On[0]
+func (m *Oracle) AcquireOn(task.Task) (power.OperatingPoint, []*sim.Event) {
+	return acquireON1(m.psm)
 }
 
-// ReleaseIdle implements ip.Manager.
-func (m *Oracle) ReleaseIdle(c *sim.Ctx, hint sim.Time) {
+// ReleaseIdle implements ip.Manager. The target is chosen once, from the
+// state the IP went idle in; later calls step the PSM into it.
+func (m *Oracle) ReleaseIdle(hint sim.Time) []*sim.Event {
+	if !m.sleeping {
+		target, ok := m.choose(hint)
+		if !ok {
+			return nil
+		}
+		m.sleeping, m.target = true, target
+	}
+	if w := m.psm.StepTo(m.target); w != nil {
+		return w
+	}
+	m.sleeping = false
+	return nil
+}
+
+// choose returns the deepest sleep state whose break-even time fits hint,
+// if the IP is in an ON state and one does.
+func (m *Oracle) choose(hint sim.Time) (acpi.State, bool) {
 	prof := m.psm.Profile()
 	s := m.psm.State()
 	if !s.IsOn() {
-		return
+		return 0, false
 	}
 	pIdle := prof.IdlePower(prof.On[s.OnIndex()])
 	deepest := 3
@@ -170,8 +186,8 @@ func (m *Oracle) ReleaseIdle(c *sim.Ctx, hint sim.Time) {
 	for i := deepest; i >= 0; i-- {
 		tbe, ok := prof.BreakEven(pIdle, prof.Sleep[i])
 		if ok && hint >= tbe {
-			transition(c, m.psm, acpi.SleepStateByIndex(i))
-			return
+			return acpi.SleepStateByIndex(i), true
 		}
 	}
+	return 0, false
 }

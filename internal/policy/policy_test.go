@@ -17,19 +17,78 @@ func someTask() task.Task {
 	return task.Task{ID: 1, Instructions: 1000, Class: power.InstrALU, Priority: task.Medium}
 }
 
+// manager is the step interface every policy implements (ip.Manager).
+type manager interface {
+	AcquireOn(task.Task) (power.OperatingPoint, []*sim.Event)
+	ReleaseIdle(sim.Time) []*sim.Event
+}
+
+// step is one stage of a driver script: it returns the events to wait on
+// before it is called again, or nil once it is done.
+type step func() []*sim.Event
+
+// drive runs steps in order as one method process, the way the IP drives
+// its manager.
+func drive(k *sim.Kernel, steps ...step) {
+	i := 0
+	var p *sim.Proc
+	p = k.Method("drv", func() {
+		for ; i < len(steps); i++ {
+			if w := steps[i](); w != nil {
+				p.NextTrigger(w...)
+				return
+			}
+		}
+	})
+}
+
+// acquire steps m.AcquireOn to completion and stores the granted
+// operating point in got, when non-nil.
+func acquire(m manager, got *power.OperatingPoint) step {
+	return func() []*sim.Event {
+		op, w := m.AcquireOn(someTask())
+		if w == nil && got != nil {
+			*got = op
+		}
+		return w
+	}
+}
+
+// releaseIdle steps m.ReleaseIdle(hint) to completion.
+func releaseIdle(m manager, hint sim.Time) step {
+	return func() []*sim.Event { return m.ReleaseIdle(hint) }
+}
+
+// sleep waits d.
+func sleep(k *sim.Kernel, d sim.Time) step {
+	ev := k.NewEvent("drv.sleep")
+	armed := false
+	return func() []*sim.Event {
+		if armed {
+			return nil
+		}
+		armed = true
+		ev.Notify(d)
+		return []*sim.Event{ev}
+	}
+}
+
+// mark stores the current time in at.
+func mark(k *sim.Kernel, at *sim.Time) step {
+	return func() []*sim.Event { *at = k.Now(); return nil }
+}
+
 func TestAlwaysOnStaysOn(t *testing.T) {
 	k := sim.NewKernel()
 	psm := newPSM(k)
 	m := NewAlwaysOn(psm)
-	k.Thread("drv", func(c *sim.Ctx) {
-		op := m.AcquireOn(c, someTask())
-		if op.Name != "ON1" {
-			t.Errorf("op %q, want ON1", op.Name)
-		}
-		m.ReleaseIdle(c, 10*sim.Sec)
-	})
+	var op power.OperatingPoint
+	drive(k, acquire(m, &op), releaseIdle(m, 10*sim.Sec))
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
+	}
+	if op.Name != "ON1" {
+		t.Errorf("op %q, want ON1", op.Name)
 	}
 	if psm.State() != acpi.ON1 {
 		t.Fatalf("state %v, want ON1 forever", psm.State())
@@ -44,10 +103,7 @@ func TestAlwaysOnWakesFromSleepStart(t *testing.T) {
 	psm := acpi.NewPSM(k, "ip", power.DefaultProfile(), acpi.SL3)
 	m := NewAlwaysOn(psm)
 	var woke sim.Time
-	k.Thread("drv", func(c *sim.Ctx) {
-		m.AcquireOn(c, someTask())
-		woke = c.Now()
-	})
+	drive(k, acquire(m, nil), mark(k, &woke))
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +117,8 @@ func TestFixedTimeoutSleepsAfterTimeout(t *testing.T) {
 	k := sim.NewKernel()
 	psm := newPSM(k)
 	m := NewFixedTimeout(k, psm, 2*sim.Ms, acpi.SL2)
-	k.Thread("drv", func(c *sim.Ctx) {
-		m.AcquireOn(c, someTask())
-		m.ReleaseIdle(c, 0)
-		c.WaitTime(10 * sim.Ms) // idle long enough for the timer
-	})
+	drive(k, acquire(m, nil), releaseIdle(m, 0),
+		sleep(k, 10*sim.Ms)) // idle long enough for the timer
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +134,9 @@ func TestFixedTimeoutCancelledByEarlyRequest(t *testing.T) {
 	k := sim.NewKernel()
 	psm := newPSM(k)
 	m := NewFixedTimeout(k, psm, 5*sim.Ms, acpi.SL2)
-	k.Thread("drv", func(c *sim.Ctx) {
-		m.AcquireOn(c, someTask())
-		m.ReleaseIdle(c, 0)
-		c.WaitTime(1 * sim.Ms) // back before the timeout
-		m.AcquireOn(c, someTask())
-		c.WaitTime(20 * sim.Ms)
-	})
+	drive(k, acquire(m, nil), releaseIdle(m, 0),
+		sleep(k, 1*sim.Ms), // back before the timeout
+		acquire(m, nil), sleep(k, 20*sim.Ms))
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +153,8 @@ func TestFixedTimeoutWakeupDelaysNextTask(t *testing.T) {
 	psm := newPSM(k)
 	m := NewFixedTimeout(k, psm, 1*sim.Ms, acpi.SL2)
 	var startedAt sim.Time
-	k.Thread("drv", func(c *sim.Ctx) {
-		m.AcquireOn(c, someTask())
-		m.ReleaseIdle(c, 0)
-		c.WaitTime(10 * sim.Ms)
-		m.AcquireOn(c, someTask())
-		startedAt = c.Now()
-	})
+	drive(k, acquire(m, nil), releaseIdle(m, 0), sleep(k, 10*sim.Ms),
+		acquire(m, nil), mark(k, &startedAt))
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +187,7 @@ func TestGreedySleepsImmediately(t *testing.T) {
 	psm := newPSM(k)
 	m := NewGreedy(psm, acpi.SL1)
 	var sleptAt sim.Time
-	k.Thread("drv", func(c *sim.Ctx) {
-		m.AcquireOn(c, someTask())
-		m.ReleaseIdle(c, 0)
-		sleptAt = c.Now()
-	})
+	drive(k, acquire(m, nil), releaseIdle(m, 0), mark(k, &sleptAt))
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
@@ -188,10 +228,7 @@ func TestOracleSleepsByActualIdle(t *testing.T) {
 		k := sim.NewKernel()
 		psm := newPSM(k)
 		m := NewOracle(psm)
-		k.Thread("drv", func(ctx *sim.Ctx) {
-			m.AcquireOn(ctx, someTask())
-			m.ReleaseIdle(ctx, c.idle)
-		})
+		drive(k, acquire(m, nil), releaseIdle(m, c.idle))
 		if err := k.Run(sim.MaxTime); err != nil {
 			t.Fatal(err)
 		}
@@ -206,10 +243,7 @@ func TestOracleSoftOffOption(t *testing.T) {
 	psm := newPSM(k)
 	m := NewOracle(psm)
 	m.AllowSoftOff = true
-	k.Thread("drv", func(c *sim.Ctx) {
-		m.AcquireOn(c, someTask())
-		m.ReleaseIdle(c, 100*sim.Sec)
-	})
+	drive(k, acquire(m, nil), releaseIdle(m, 100*sim.Sec))
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}

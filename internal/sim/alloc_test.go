@@ -103,24 +103,22 @@ func TestCancelAllocFree(t *testing.T) {
 	})
 }
 
-func TestThreadSwitchAllocFree(t *testing.T) {
-	// A WaitTime round trip: the thread re-arms its timer and suspends,
-	// the kernel fires the timer and switches back into the thread.
+func TestNextTriggerAllocFree(t *testing.T) {
+	// A timed NextTrigger round trip: the method re-arms its private timer
+	// and returns, the kernel fires the timer and activates it again.
 	k := NewKernel()
-	defer k.Shutdown()
 	wakes := 0
-	k.Thread("t", func(c *Ctx) {
-		for {
-			c.WaitTime(10 * Ns)
-			wakes++
-		}
+	var p *Proc
+	p = k.Method("t", func() {
+		wakes++
+		p.NextTriggerAfter(10 * Ns)
 	})
-	measure(t, "Ctx.WaitTime+resume", func() {
+	measure(t, "NextTriggerAfter+reactivation", func() {
 		if err := k.Run(k.Now() + 10*Ns); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if wakes == 0 {
-		t.Fatal("thread never resumed")
+	if wakes < 2 {
+		t.Fatal("method never reactivated")
 	}
 }

@@ -2,73 +2,6 @@ package sim
 
 import "testing"
 
-func TestWaitAllGathersEveryEvent(t *testing.T) {
-	k := NewKernel()
-	a := k.NewEvent("a")
-	b := k.NewEvent("b")
-	c := k.NewEvent("c")
-	var done Time = -1
-	k.Thread("t", func(ctx *Ctx) {
-		ctx.WaitAll(a, b, c)
-		done = ctx.Now()
-	})
-	a.Notify(1 * Ns)
-	c.Notify(5 * Ns)
-	b.Notify(9 * Ns)
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if done != 9*Ns {
-		t.Fatalf("WaitAll completed at %v, want 9ns (last event)", done)
-	}
-}
-
-func TestWaitAllRepeatFiresCountOnce(t *testing.T) {
-	k := NewKernel()
-	a := k.NewEvent("a")
-	b := k.NewEvent("b")
-	var done Time = -1
-	k.Thread("t", func(ctx *Ctx) {
-		ctx.WaitAll(a, b)
-		done = ctx.Now()
-	})
-	// a fires repeatedly; b only at 20ns.
-	n := 0
-	drv := k.NewEvent("drv")
-	k.Method("d", func() {
-		n++
-		a.NotifyDelta()
-		if n < 5 {
-			drv.Notify(2 * Ns)
-		}
-	}).Sensitive(drv)
-	b.Notify(20 * Ns)
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if done != 20*Ns {
-		t.Fatalf("WaitAll completed at %v, want 20ns", done)
-	}
-}
-
-func TestWaitAllEmptyPanics(t *testing.T) {
-	k := NewKernel()
-	recovered := false
-	k.Thread("t", func(ctx *Ctx) {
-		defer func() {
-			if recover() != nil {
-				recovered = true
-				panic(killError{name: "t"})
-			}
-		}()
-		ctx.WaitAll()
-	})
-	_ = k.Run(MaxTime)
-	if !recovered {
-		t.Fatal("WaitAll() did not panic")
-	}
-}
-
 func TestNotifyNowRunsInSameEvaluation(t *testing.T) {
 	k := NewKernel()
 	e := k.NewEvent("e")
@@ -125,25 +58,29 @@ func TestTimedNotifyAfterDeltaIsIgnored(t *testing.T) {
 }
 
 func TestTerminatedThreadIgnoresLateEvents(t *testing.T) {
+	// A dynamic wait is one-shot: once it fired, later fires of the same
+	// event do not activate a process that armed nothing new.
 	k := NewKernel()
 	e := k.NewEvent("e")
 	runs := 0
-	k.Thread("t", func(ctx *Ctx) {
+	var p *Proc
+	p = k.Method("t", func() {
 		runs++
-		ctx.Wait(e)
-		runs++
+		if runs == 1 {
+			p.NextTrigger(e)
+		}
 	})
 	e.Notify(1 * Ns)
 	e.Notify(1 * Ns) // earliest-wins: still a single fire
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	e.Notify(1 * Ns) // after termination
+	e.Notify(1 * Ns) // after the wait was consumed
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatal(err)
 	}
 	if runs != 2 {
-		t.Fatalf("thread body advanced %d times, want 2", runs)
+		t.Fatalf("method activated %d times, want 2", runs)
 	}
 }
 

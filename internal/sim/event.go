@@ -14,8 +14,8 @@ type Event struct {
 	id   int
 
 	// static subscribers (processes whose sensitivity list includes this
-	// event) and dynamic waiters (threads blocked in Wait, methods with a
-	// NextTrigger) — dynamic waiters are cleared when the event fires.
+	// event) and dynamic waiters (processes with an armed NextTrigger) —
+	// dynamic waiters are cleared when the event fires.
 	static  []*process
 	dynamic []*process
 
@@ -97,7 +97,8 @@ func (e *Event) Cancel() {
 // Pending reports whether a timed or delta notification is outstanding.
 func (e *Event) Pending() bool { return e.pendingDelta || e.pendingAt != pendingNone }
 
-// fire makes every subscribed process runnable and clears dynamic waiters.
+// fire makes every subscribed process runnable and clears dynamic waiters;
+// a static subscriber with an armed dynamic wait is skipped.
 // A pending timed notification still set here means the event fired out of
 // band (NotifyNow) while its heap entry is still queued — count that entry
 // stale. The kernel's timed pop path clears pendingAt before calling fire,
@@ -109,7 +110,9 @@ func (e *Event) fire() {
 	}
 	e.pendingDelta = false
 	for _, p := range e.static {
-		e.k.makeRunnable(p)
+		if len(p.waitSet) == 0 {
+			e.k.makeRunnable(p)
+		}
 	}
 	if len(e.dynamic) > 0 {
 		dyn := e.dynamic
@@ -128,7 +131,7 @@ func (e *Event) subscribeDynamic(p *process) {
 }
 
 // unsubscribeDynamic removes p from the one-shot waiter list (used when a
-// WaitAny fires on a sibling event).
+// sibling event of its wait fired first).
 func (e *Event) unsubscribeDynamic(p *process) {
 	for i, q := range e.dynamic {
 		if q == p {

@@ -6,8 +6,9 @@ import (
 )
 
 // Kernel owns simulated time, the event queues and every process, event and
-// signal of one simulation. It is not safe for concurrent use; all model
-// code runs on the kernel's scheduling thread.
+// signal of one simulation. It is not safe for concurrent use: all model
+// code runs inside Run, on the calling goroutine, and a later Run may come
+// from another goroutine.
 //
 // The scheduling hot path is allocation-free in steady state: the timed
 // queue is a concrete value-slice heap (timedQueue), and the runnable,
@@ -35,7 +36,10 @@ type Kernel struct {
 	stopRequested bool
 	started       bool
 	deltaCount    uint64
-	threadPanic   error
+
+	// running is the process in its activation, named by Run when model
+	// code panics.
+	running *process
 
 	// MaxDeltasPerInstant guards against delta-cycle livelock (two method
 	// processes re-notifying each other forever at the same time). Zero
@@ -89,25 +93,11 @@ func (k *Kernel) NewEvent(name string) *Event {
 }
 
 // Method registers a method process: fn is invoked once per activation and
-// must not block. Sensitivity is configured on the returned handle.
+// must not block; a process that needs to wait arms its next activation with
+// NextTrigger or NextTriggerAfter and returns. Sensitivity is configured on
+// the returned handle.
 func (k *Kernel) Method(name string, fn func()) *Proc {
-	p := &process{k: k, name: name, id: len(k.procs), kind: kindMethod, methodFn: fn}
-	k.procs = append(k.procs, p)
-	return &Proc{p: p}
-}
-
-// Thread registers a thread process: fn runs as a coroutine (iter.Pull),
-// co-operatively scheduled, and may block via the Ctx wait primitives.
-// When fn returns the process terminates. A wait switches straight back to
-// the kernel on the same OS thread, with no scheduler round trip.
-//
-// Run may be called from a different goroutine each time, but every
-// goroutine that runs (or shuts down) a kernel must have the same
-// runtime.LockOSThread state as the one that first ran its threads:
-// the runtime's coroutine switch throws a fatal error otherwise. godpm
-// never locks OS threads.
-func (k *Kernel) Thread(name string, fn func(*Ctx)) *Proc {
-	p := &process{k: k, name: name, id: len(k.procs), kind: kindThread, threadFn: fn}
+	p := &process{k: k, name: name, fn: fn}
 	k.procs = append(k.procs, p)
 	return &Proc{p: p}
 }
@@ -185,7 +175,20 @@ var ErrDeltaLivelock = errors.New("sim: delta-cycle livelock detected")
 // event queues drain, or until Stop is called. It may be called repeatedly
 // to continue the same simulation. On the first call every process without
 // DontInitialize is activated once at the current time.
-func (k *Kernel) Run(until Time) error {
+//
+// A panic in model code ends the run with an error naming the process that
+// was running; the kernel must not be run again after that.
+func (k *Kernel) Run(until Time) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if k.running != nil {
+				err = fmt.Errorf("sim: process %q panicked: %v", k.running.name, r)
+			} else {
+				err = fmt.Errorf("sim: panic at t=%s: %v", k.now, r)
+			}
+			k.running = nil
+		}
+	}()
 	if !k.started {
 		k.started = true
 		for _, p := range k.procs {
@@ -214,17 +217,10 @@ func (k *Kernel) Run(until Time) error {
 			k.runnable = k.runSpare[:0]
 			for _, p := range run {
 				p.runnable = false
-				if p.terminated {
-					continue
-				}
-				p.run()
-				if k.threadPanic != nil {
-					err := k.threadPanic
-					k.threadPanic = nil
-					k.runSpare = run[:0]
-					return err
-				}
+				k.running = p
+				p.fn()
 			}
+			k.running = nil
 			k.runSpare = run[:0]
 		}
 		skipEval = false
@@ -379,7 +375,7 @@ func (k *Kernel) applyUpdates() {
 
 // makeRunnable queues p for the current/next evaluation phase, once.
 func (k *Kernel) makeRunnable(p *process) {
-	if p.runnable || p.terminated {
+	if p.runnable {
 		return
 	}
 	p.runnable = true
@@ -403,17 +399,3 @@ func (k *Kernel) timedLen() int { return k.timed.len() }
 // AfterUpdate registers a hook invoked after every update phase. Intended
 // for tracing infrastructure.
 func (k *Kernel) AfterUpdate(h func(Time)) { k.onUpdate = append(k.onUpdate, h) }
-
-// Shutdown unwinds every live thread coroutine: its pending wait panics
-// with an internal kill value, so its deferred calls run, and the
-// coroutine's goroutine exits. Call it when a kernel is abandoned before
-// its threads have returned, e.g. via defer; a suspended thread otherwise
-// keeps its goroutine alive. After Shutdown the kernel must not be run
-// again.
-func (k *Kernel) Shutdown() {
-	for _, p := range k.procs {
-		if p.stop != nil && !p.terminated {
-			p.stop()
-		}
-	}
-}

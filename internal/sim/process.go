@@ -1,72 +1,34 @@
 package sim
 
-import (
-	"fmt"
-	"iter"
-)
-
-// procKind distinguishes method processes (plain callbacks, SC_METHOD) from
-// thread processes (coroutines with blocking waits, SC_THREAD).
-type procKind int
-
-const (
-	kindMethod procKind = iota
-	kindThread
-)
-
-// process is the kernel-internal representation of a schedulable process.
+// process is the kernel-internal representation of a method process
+// (SC_METHOD): a callback that runs to completion on every activation.
 type process struct {
 	k    *Kernel
 	name string
-	id   int
-	kind procKind
+	fn   func()
 
-	methodFn func()
-	threadFn func(*Ctx)
-
-	// static sensitivity list; fires make the process runnable.
+	// static sensitivity list; fires make the process runnable unless a
+	// dynamic wait is armed.
 	sensitivity []*Event
 
-	// dynamic one-shot wait set (thread Wait/WaitAny, method NextTrigger).
+	// dynamic one-shot wait set (NextTrigger); while it is non-empty the
+	// static sensitivity is suppressed.
 	waitSet []*Event
 
-	runnable   bool
-	terminated bool
+	runnable bool
 
-	// thread machinery: the body runs as an iter.Pull coroutine, created
-	// on the first activation. The kernel resumes it with next; the body
-	// hands control back through yield, which reports false once stop
-	// has been called. Both switches stay on the calling OS thread.
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
-
-	// timer is a private event backing WaitTime; allocated lazily.
+	// timer is a private event backing NextTriggerAfter; allocated lazily.
 	timer *Event
 
 	// dontInit suppresses the initial run at simulation start.
 	dontInit bool
-
-	// lastTrigger records the event that most recently woke the process
-	// from a dynamic wait (nil after a timed or initial activation).
-	lastTrigger *Event
 }
-
-// killError is panicked inside a thread coroutine to unwind it at shutdown:
-// its deferred calls run and the body returns into the coroutine's exit.
-type killError struct{ name string }
-
-func (k killError) Error() string { return "sim: thread killed: " + k.name }
 
 // Proc is the public handle to a process.
 type Proc struct{ p *process }
 
 // Name returns the process name.
 func (pr *Proc) Name() string { return pr.p.name }
-
-// Terminated reports whether the process has returned (threads) or will
-// never be triggered again (never true for methods).
-func (pr *Proc) Terminated() bool { return pr.p.terminated }
 
 // Sensitive appends events to the process's static sensitivity list.
 func (pr *Proc) Sensitive(evs ...*Event) *Proc {
@@ -84,8 +46,43 @@ func (pr *Proc) DontInitialize() *Proc {
 	return pr
 }
 
+// NextTrigger arms a one-shot dynamic wait, SystemC's next_trigger(e1 | e2
+// | …): the process's next activation comes when the first of evs fires,
+// and its static sensitivity is ignored until then. The wait is cleared
+// when it fires; a process that arms nothing is activated next by its
+// static sensitivity alone. At most one wait may be armed at a time.
+func (pr *Proc) NextTrigger(evs ...*Event) {
+	p := pr.p
+	if len(evs) == 0 {
+		panic("sim: NextTrigger with no events")
+	}
+	if len(p.waitSet) > 0 {
+		panic("sim: NextTrigger while a wait is already armed: " + p.name)
+	}
+	for _, e := range evs {
+		e.subscribeDynamic(p)
+		p.waitSet = append(p.waitSet, e)
+	}
+}
+
+// NextTriggerAfter arms the process's private timer, SystemC's
+// next_trigger(d): the next activation comes d from now. A non-positive d
+// panics, since a zero-length wait would not advance the scheduler
+// deterministically.
+func (pr *Proc) NextTriggerAfter(d Time) {
+	p := pr.p
+	if d <= 0 {
+		panic("sim: NextTriggerAfter with non-positive duration")
+	}
+	if p.timer == nil {
+		p.timer = p.k.NewEvent(p.name + ".timer")
+	}
+	p.timer.Notify(d)
+	pr.NextTrigger(p.timer)
+}
+
 // clearDynamicWait is called when event e fires while p is in the wait set.
-// It removes p from all sibling events of a WaitAny and reports whether the
+// It removes p from the sibling events of the wait and reports whether the
 // process should be made runnable.
 func (p *process) clearDynamicWait(fired *Event) bool {
 	if len(p.waitSet) == 0 {
@@ -97,44 +94,5 @@ func (p *process) clearDynamicWait(fired *Event) bool {
 		}
 	}
 	p.waitSet = p.waitSet[:0]
-	p.lastTrigger = fired
 	return true
-}
-
-// run executes one activation of the process in the evaluation phase.
-func (p *process) run() {
-	switch p.kind {
-	case kindMethod:
-		p.methodFn()
-	case kindThread:
-		p.resumeThread()
-	}
-}
-
-// resumeThread switches to the thread coroutine and returns when it yields
-// (waits again or terminates).
-func (p *process) resumeThread() {
-	if p.terminated {
-		return
-	}
-	if p.next == nil {
-		p.next, p.stop = iter.Pull(p.threadBody)
-	}
-	p.next()
-}
-
-// threadBody is the coroutine's sequence function. It never lets a panic
-// escape into iter.Pull: a kill unwinds silently, and any other panic is
-// stashed for the kernel to return from Run with the thread's name.
-func (p *process) threadBody(yield func(struct{}) bool) {
-	p.yield = yield
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killError); !ok {
-				p.k.threadPanic = fmt.Errorf("sim: thread %q panicked: %v", p.name, r)
-			}
-		}
-		p.terminated = true
-	}()
-	p.threadFn(&Ctx{k: p.k, p: p})
 }

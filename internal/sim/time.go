@@ -1,16 +1,15 @@
 // Package sim implements a discrete-event simulation kernel modelled on the
 // SystemC 2.0 scheduler: simulated time with delta cycles, events with
-// earliest-wins timed notification, method processes with static/dynamic
-// sensitivity, coroutine-backed thread processes with blocking waits, typed
-// signals with evaluate/update semantics, clocks, bounded FIFO channels and
-// mutex/semaphore primitives.
+// earliest-wins timed notification, method processes with static
+// sensitivity and one-shot dynamic waits (next_trigger), and typed signals
+// with evaluate/update semantics.
 //
-// The kernel is single-threaded and deterministic: within one evaluation
-// phase, runnable processes execute in ascending creation order, and thread
-// processes are co-operatively scheduled. Each thread body is an iter.Pull
-// coroutine: the kernel switches into it and it switches back when it
-// waits, on the same OS thread, so exactly one of the kernel and its
-// threads runs at a time.
+// The kernel is single-threaded and deterministic: a process runs to
+// completion on every activation, and within one evaluation phase the
+// runnable processes execute in the order they became runnable. A process
+// that has to wait — for an event or for simulated time — arms its next
+// activation and returns, so model code that blocks in SystemC's SC_THREAD
+// style is written as a state machine.
 package sim
 
 import (
@@ -24,8 +23,8 @@ import (
 // sentinels inside the kernel and are never observable via Kernel.Now.
 type Time int64
 
-// Time unit constants. A Duration passed to Event.Notify or Ctx.WaitTime is
-// simply a Time interpreted as a span.
+// Time unit constants. A duration passed to Event.Notify or
+// Proc.NextTriggerAfter is simply a Time interpreted as a span.
 const (
 	Ps  Time = 1
 	Ns  Time = 1000 * Ps

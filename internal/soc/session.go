@@ -47,7 +47,7 @@ type session struct {
 // already-ended context (a run shorter than one SampleInterval never
 // reaches the in-run cancellation poll), normalizes the configuration,
 // assembles the SoC it describes, registers the accountant and schedules
-// the first sample. The kernel has not run yet; callers own k.Shutdown.
+// the first sample. The kernel has not run yet.
 func newSession(ctx context.Context, cfg Config, opts RunOptions) (*session, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -356,7 +356,6 @@ func RunForked(ctx context.Context, cfg Config, members []ForkMember) ([]*Result
 	if err != nil {
 		return nil, err
 	}
-	defer s.k.Shutdown()
 	if s.acct.gemReeval {
 		return nil, fmt.Errorf("soc: RunForked: bus-occupancy GEM polling is not forkable")
 	}

@@ -489,7 +489,6 @@ func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	defer s.k.Shutdown()
 	if err := s.advance(ctx, s.cfg.Horizon); err != nil {
 		return nil, err
 	}

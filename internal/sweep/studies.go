@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"fmt"
+	"strings"
+
 	"godpm/internal/acpi"
 	"godpm/internal/sim"
 	"godpm/internal/soc"
@@ -123,12 +126,37 @@ func HorizonStudy(seed int64, numTasks int) Sweep {
 	}
 }
 
-// Studies returns every built-in study by name.
-func Studies(seed int64, numTasks int) map[string]Sweep {
-	return map[string]Sweep{
-		"timeout":  TimeoutStudy(seed, numTasks),
-		"activity": ActivityStudy(seed, numTasks),
-		"alpha":    AlphaStudy(seed, numTasks),
-		"horizon":  HorizonStudy(seed, numTasks),
+// studies lists every built-in study's name and constructor, sorted by
+// name.
+var studies = []struct {
+	name  string
+	build func(seed int64, numTasks int) Sweep
+}{
+	{"activity", ActivityStudy},
+	{"alpha", AlphaStudy},
+	{"horizon", HorizonStudy},
+	{"timeout", TimeoutStudy},
+}
+
+// StudyNames returns the names Resolve accepts, sorted.
+func StudyNames() []string {
+	names := make([]string, len(studies))
+	for i, st := range studies {
+		names[i] = st.name
 	}
+	return names
+}
+
+// Resolve returns the built-in study a user-supplied name denotes. The
+// name is trimmed and matched case-insensitively, and only the match is
+// built, so an unknown name is refused, with the list of names, before
+// any workload is generated however many tasks it asks for.
+func Resolve(name string, seed int64, numTasks int) (Sweep, error) {
+	name = strings.TrimSpace(name)
+	for _, st := range studies {
+		if strings.EqualFold(st.name, name) {
+			return st.build(seed, numTasks), nil
+		}
+	}
+	return Sweep{}, fmt.Errorf("unknown study %q; available: %v", name, StudyNames())
 }

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -89,15 +91,48 @@ func TestActivityStudyShape(t *testing.T) {
 }
 
 func TestStudiesRegistry(t *testing.T) {
-	st := Studies(1, 10)
-	for _, name := range []string{"timeout", "activity", "alpha"} {
-		s, ok := st[name]
-		if !ok {
-			t.Fatalf("missing study %q", name)
+	for _, name := range StudyNames() {
+		s, err := Resolve(name, 1, 10)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+	}
+}
+
+// TestResolveStudy pins the name → study rule: every built-in study
+// resolves from any case and with surrounding spaces, and an unknown name
+// is refused with the name list before anything is built, however many
+// tasks it asks for.
+func TestResolveStudy(t *testing.T) {
+	want := []string{"activity", "alpha", "horizon", "timeout"}
+	if got := StudyNames(); !slices.Equal(got, want) {
+		t.Fatalf("StudyNames() = %v, want %v", got, want)
+	}
+	for _, n := range want {
+		for _, name := range []string{n, strings.ToUpper(n), " \t" + n + " \n"} {
+			st, err := Resolve(name, 1, 10)
+			if err != nil {
+				t.Fatalf("Resolve(%q): %v", name, err)
+			}
+			if st.Name != n {
+				t.Errorf("Resolve(%q) built study %q, want %q", name, st.Name, n)
+			}
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Resolve("nope", 1, 200000)
+	runtime.ReadMemStats(&after)
+	msg := `unknown study "nope"; available: [activity alpha horizon timeout]`
+	if err == nil || err.Error() != msg {
+		t.Fatalf("unknown name: error %v, want %q", err, msg)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("refusing an unknown name allocated %d bytes, want < 1 MiB", d)
 	}
 }
 
