@@ -39,10 +39,10 @@ func TestRunAllocationBudgets(t *testing.T) {
 		opts   soc.RunOptions
 		budget float64
 	}{
-		{"A", experiments.A1(benchTuning()).Config, soc.RunOptions{}, 143},
-		{"BC", experiments.B(benchTuning()).Config, soc.RunOptions{}, 365},
-		{"idle/fastforward", idleHeavyConfig(11, 40), soc.RunOptions{}, 134},
-		{"idle/ticked", idleHeavyConfig(11, 40), soc.RunOptions{NoFastForward: true}, 133},
+		{"A", experiments.A1(benchTuning()).Config, soc.RunOptions{}, 135},
+		{"BC", experiments.B(benchTuning()).Config, soc.RunOptions{}, 356},
+		{"idle/fastforward", idleHeavyConfig(11, 40), soc.RunOptions{}, 128},
+		{"idle/ticked", idleHeavyConfig(11, 40), soc.RunOptions{NoFastForward: true}, 127},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() {

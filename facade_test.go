@@ -88,7 +88,7 @@ func TestEngineThroughFacade(t *testing.T) {
 	seq := godpm.HighActivity(3, 8).MustGenerate()
 	cfg := godpm.Config{IPs: []godpm.IPSpec{{Name: "cpu", Sequence: seq}}}
 	var plan godpm.Plan
-	plan.Add("one", cfg).AddWith("two", cfg, godpm.RunOptions{})
+	plan.Add("one", cfg).Add("two", cfg)
 	// One worker: job "one" must finish (and populate the cache) before
 	// job "two" starts, making the hit count deterministic.
 	eng := godpm.NewEngine(godpm.EngineOptions{Workers: 1})

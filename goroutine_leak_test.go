@@ -26,12 +26,12 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// TestRunsLeaveNoGoroutines pins that every way a run can end unwinds its
-// IP thread processes: a run to the horizon, a run whose context is
-// cancelled before or during the run, a run cut short by StopWhen and a
-// forked group. Each
-// IP thread is a coroutine backed by its own goroutine, which only exits
-// when the thread returns or the kernel is shut down.
+// TestRunsLeaveNoGoroutines pins that a kernel holds no goroutine of its
+// own and that no run leaves one behind, on every way a run can end: a run
+// to the horizon, a run whose context is cancelled before or during the
+// run, a run cut short by StopWhen and a forked group. Every sim process
+// is a method that runs on the goroutine calling Kernel.Run, so a
+// goroutine that outlives a run means some layer started one and lost it.
 func TestRunsLeaveNoGoroutines(t *testing.T) {
 	cfg := experiments.B(benchTuning()).Config
 	full, err := soc.RunWith(context.Background(), cfg, soc.RunOptions{})
@@ -58,7 +58,7 @@ func TestRunsLeaveNoGoroutines(t *testing.T) {
 		}},
 		{"cancelled mid-run", func(t *testing.T) {
 			// The condition never fires; it cancels the run's context at
-			// the first sample, after the IP threads have started.
+			// the first sample, after the IP processes have started.
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			canceller := soc.StopCondition{Reason: "cancel", Eval: func(*soc.Probe) bool {

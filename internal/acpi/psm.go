@@ -23,10 +23,6 @@ type PSM struct {
 	fire          *sim.Event
 	target        State
 
-	transitions      int
-	transitionEnergy float64
-	contextLost      bool
-
 	// onEnergy, if set, is invoked for every quantum of transition energy;
 	// the SoC wires it to the energy meter / battery / thermal models.
 	onEnergy func(joules float64)
@@ -65,19 +61,6 @@ func (p *PSM) Done() *sim.Event { return p.done }
 
 // OnEnergy registers the sink for transition energy.
 func (p *PSM) OnEnergy(fn func(joules float64)) { p.onEnergy = fn }
-
-// TransitionCount returns how many real transitions completed.
-func (p *PSM) TransitionCount() int { return p.transitions }
-
-// TransitionEnergy returns the total joules spent in transitions.
-func (p *PSM) TransitionEnergy() float64 { return p.transitionEnergy }
-
-// ContextLost reports whether the IP passed through soft-off since the last
-// ClearContextLost (the functional block must then restore state).
-func (p *PSM) ContextLost() bool { return p.contextLost }
-
-// ClearContextLost acknowledges a context loss.
-func (p *PSM) ClearContextLost() { p.contextLost = false }
 
 // TransitionCost returns the latency and energy of moving between two
 // states, per the profile's characterisation:
@@ -161,23 +144,12 @@ func (p *PSM) StepTo(target State) []*sim.Event {
 func (p *PSM) completeTransition() {
 	cur := p.state.Read()
 	_, energy := p.TransitionCost(cur, p.target)
-	p.transitions++
-	p.transitionEnergy += energy
 	if p.onEnergy != nil && energy > 0 {
 		p.onEnergy(energy)
-	}
-	if cur == SoftOff || p.target == SoftOff {
-		p.contextLost = true
 	}
 	p.state.Write(p.target)
 	p.transitioning.Write(false)
 	p.done.NotifyDelta()
-}
-
-// OperatingPoint returns the power profile's operating point for the
-// current state; it panics when the PSM is not in an ON state.
-func (p *PSM) OperatingPoint() power.OperatingPoint {
-	return p.prof.On[p.State().OnIndex()]
 }
 
 // StatePower returns the residual power of the current state when idle: the

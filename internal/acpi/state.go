@@ -77,14 +77,6 @@ func (s State) SleepIndex() int {
 	}
 }
 
-// OnState returns the execution state with the given index (0 → ON1).
-func OnState(index int) State {
-	if index < 0 || index > 3 {
-		panic(fmt.Sprintf("acpi: OnState index %d out of range", index))
-	}
-	return State(int(ON1) - index)
-}
-
 // SleepStateByIndex returns SL1..SL4 for 0..3 and SoftOff for 4.
 func SleepStateByIndex(index int) State {
 	switch {
@@ -95,24 +87,4 @@ func SleepStateByIndex(index int) State {
 	default:
 		panic(fmt.Sprintf("acpi: SleepStateByIndex %d out of range", index))
 	}
-}
-
-// ParseState converts a paper-style name ("ON3", "SL1", "SoftOff") to a
-// State.
-func ParseState(name string) (State, error) {
-	for s := State(0); int(s) < NumStates; s++ {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("acpi: unknown state %q", name)
-}
-
-// AllStates returns every state in capability order (SoftOff first).
-func AllStates() []State {
-	out := make([]State, NumStates)
-	for i := range out {
-		out[i] = State(i)
-	}
-	return out
 }

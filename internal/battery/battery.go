@@ -10,8 +10,6 @@ package battery
 import (
 	"fmt"
 	"strconv"
-
-	"godpm/internal/sim"
 )
 
 // Status is the quantised battery class the energy managers observe.
@@ -50,16 +48,6 @@ func (s Status) Append(b []byte) []byte {
 	}
 	b = strconv.AppendInt(append(b, "Status("...), int64(s), 10)
 	return append(b, ')')
-}
-
-// ParseStatus converts a class name back to a Status.
-func ParseStatus(name string) (Status, error) {
-	for s := Status(0); int(s) < NumStatuses; s++ {
-		if s.String() == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("battery: unknown status %q", name)
 }
 
 // Thresholds maps state of charge to a Status: soc < Empty→Empty etc.
@@ -107,8 +95,8 @@ func (th Thresholds) Validate() error {
 // in Available (Bound stays zero).
 type Wells struct{ Available, Bound float64 }
 
-// Model is a battery chemistry: it absorbs load steps and reports state of
-// charge.
+// Model is a battery chemistry: it integrates load through Drain and
+// reports state of charge.
 type Model interface {
 	// Wells returns the model's charge state; SetWells stores one.
 	Wells() Wells
@@ -116,15 +104,11 @@ type Model interface {
 	// Drain returns the state w reaches under a constant draw of power
 	// watts for secs seconds, and the usable state of charge it reads as.
 	// It does not touch the model, so a caller can step its own copy of
-	// the state across many samples and store it back once. Each model's
-	// Step(power, dt) is Drain on its own state over dt.Seconds().
+	// the state across many samples and store it back once.
 	Drain(w Wells, power, secs float64) (Wells, float64)
 	// SoC returns the usable state of charge in [0,1] — what the status
 	// encoder observes.
 	SoC() float64
-	// TotalCharge returns the total remaining energy fraction in [0,1]
-	// (for KiBaM this includes bound charge not immediately usable).
-	TotalCharge() float64
 	// CapacityJ returns the nominal capacity in joules.
 	CapacityJ() float64
 }
@@ -146,12 +130,6 @@ func NewLinear(capacityJ, initialSoC float64) *Linear {
 		panic("battery: bad linear battery parameters")
 	}
 	return &Linear{capacity: capacityJ, charge: capacityJ * initialSoC, RefPower: 1}
-}
-
-// Step applies a constant power draw (watts) for dt of simulated time.
-func (b *Linear) Step(power float64, dt sim.Time) {
-	w, _ := b.Drain(b.Wells(), power, dt.Seconds())
-	b.SetWells(w)
 }
 
 // Wells implements Model.
@@ -176,19 +154,8 @@ func (b *Linear) Drain(w Wells, power, secs float64) (Wells, float64) {
 	return w, w.Available / b.capacity
 }
 
-// Recharge sets the state of charge (an external charger).
-func (b *Linear) Recharge(soc float64) {
-	if soc < 0 || soc > 1 {
-		panic("battery: recharge SoC outside [0,1]")
-	}
-	b.charge = b.capacity * soc
-}
-
 // SoC implements Model.
 func (b *Linear) SoC() float64 { return b.charge / b.capacity }
-
-// TotalCharge implements Model.
-func (b *Linear) TotalCharge() float64 { return b.SoC() }
 
 // CapacityJ implements Model.
 func (b *Linear) CapacityJ() float64 { return b.capacity }
@@ -231,12 +198,6 @@ func NewKiBaM(capacityJ, initialSoC, c, kPerSec float64) *KiBaM {
 	}
 }
 
-// Step applies a constant power draw (watts) for dt of simulated time.
-func (b *KiBaM) Step(power float64, dt sim.Time) {
-	w, _ := b.Drain(b.Wells(), power, dt.Seconds())
-	b.SetWells(w)
-}
-
 // Wells implements Model.
 func (b *KiBaM) Wells() Wells { return Wells{Available: b.available, Bound: b.bound} }
 
@@ -273,17 +234,6 @@ func (b *KiBaM) Drain(w Wells, power, secs float64) (Wells, float64) {
 	return w, b.socOf(w.Available)
 }
 
-// Recharge sets the total state of charge, distributed between the wells
-// in equilibrium proportions (an external charger).
-func (b *KiBaM) Recharge(soc float64) {
-	if soc < 0 || soc > 1 {
-		panic("battery: recharge SoC outside [0,1]")
-	}
-	total := b.capacity * soc
-	b.available = total * b.c
-	b.bound = total * (1 - b.c)
-}
-
 // SoC implements Model: the usable state of charge is the available well
 // relative to its share of capacity.
 func (b *KiBaM) SoC() float64 { return b.socOf(b.available) }
@@ -296,9 +246,6 @@ func (b *KiBaM) socOf(available float64) float64 {
 	}
 	return soc
 }
-
-// TotalCharge implements Model.
-func (b *KiBaM) TotalCharge() float64 { return (b.available + b.bound) / b.capacity }
 
 // CapacityJ implements Model.
 func (b *KiBaM) CapacityJ() float64 { return b.capacity }

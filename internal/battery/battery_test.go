@@ -8,16 +8,19 @@ import (
 	"godpm/internal/sim"
 )
 
-func TestStatusStringsAndParse(t *testing.T) {
-	for s := Status(0); int(s) < NumStatuses; s++ {
-		got, err := ParseStatus(s.String())
-		if err != nil || got != s {
-			t.Errorf("round trip failed for %v", s)
-		}
-	}
-	if _, err := ParseStatus("Overfull"); err == nil {
-		t.Error("bogus status parsed")
-	}
+// drain draws power watts from m for secs seconds the way the SoC's
+// accountant does, through Drain and SetWells, and returns the usable state
+// of charge Drain reports.
+func drain(m Model, power, secs float64) float64 {
+	w, soc := m.Drain(m.Wells(), power, secs)
+	m.SetWells(w)
+	return soc
+}
+
+// totalCharge is m's remaining energy fraction, bound charge included.
+func totalCharge(m Model) float64 {
+	w := m.Wells()
+	return (w.Available + w.Bound) / m.CapacityJ()
 }
 
 func TestThresholdClassification(t *testing.T) {
@@ -49,18 +52,18 @@ func TestThresholdsValidate(t *testing.T) {
 
 func TestLinearDischarge(t *testing.T) {
 	b := NewLinear(100, 1.0) // 100 J
-	b.Step(1.0, 10*sim.Sec)  // 1 W for 10 s = 10 J
+	drain(b, 1.0, 10)        // 1 W for 10 s = 10 J
 	if soc := b.SoC(); soc < 0.899 || soc > 0.901 {
 		t.Fatalf("SoC = %v, want 0.9", soc)
 	}
-	if b.TotalCharge() != b.SoC() {
-		t.Fatal("linear TotalCharge should equal SoC")
+	if totalCharge(b) != b.SoC() {
+		t.Fatal("linear total charge should equal SoC")
 	}
 }
 
 func TestLinearNeverNegative(t *testing.T) {
 	b := NewLinear(10, 0.1)
-	b.Step(100, 10*sim.Sec)
+	drain(b, 100, 10)
 	if b.SoC() != 0 {
 		t.Fatalf("SoC = %v, want clamped to 0", b.SoC())
 	}
@@ -73,8 +76,8 @@ func TestLinearRateCapacityPenalty(t *testing.T) {
 	hi := NewLinear(1000, 1.0)
 	lo.RateK, lo.RefPower = 0.5, 1.0
 	hi.RateK, hi.RefPower = 0.5, 1.0
-	lo.Step(1.0, 20*sim.Sec) // 20 J at 1 W
-	hi.Step(2.0, 10*sim.Sec) // 20 J at 2 W
+	drain(lo, 1.0, 20) // 20 J at 1 W
+	drain(hi, 2.0, 10) // 20 J at 2 W
 	if hi.SoC() >= lo.SoC() {
 		t.Fatalf("rate-capacity penalty missing: hi %v >= lo %v", hi.SoC(), lo.SoC())
 	}
@@ -82,7 +85,7 @@ func TestLinearRateCapacityPenalty(t *testing.T) {
 
 func TestLinearNegativePowerIgnored(t *testing.T) {
 	b := NewLinear(100, 0.5)
-	b.Step(-5, sim.Sec)
+	drain(b, -5, 1)
 	if b.SoC() != 0.5 {
 		t.Fatalf("negative power changed charge: %v", b.SoC())
 	}
@@ -99,12 +102,12 @@ func TestLinearBadParamsPanics(t *testing.T) {
 
 func TestKiBaMDischargeAndBounds(t *testing.T) {
 	b := NewKiBaM(100, 1.0, 0.4, 0.1)
-	b.Step(1.0, 10*sim.Sec)
+	drain(b, 1.0, 10)
 	if b.SoC() >= 1.0 {
 		t.Fatal("KiBaM did not discharge")
 	}
-	if b.TotalCharge() > 0.91 || b.TotalCharge() < 0.89 {
-		t.Fatalf("TotalCharge = %v, want ~0.9 (10 J of 100 J drawn)", b.TotalCharge())
+	if totalCharge(b) > 0.91 || totalCharge(b) < 0.89 {
+		t.Fatalf("total charge = %v, want ~0.9 (10 J of 100 J drawn)", totalCharge(b))
 	}
 }
 
@@ -112,9 +115,9 @@ func TestKiBaMRateCapacityEffect(t *testing.T) {
 	// Under heavy load the available well drains faster than the bound well
 	// refills: usable SoC drops below total charge.
 	b := NewKiBaM(100, 1.0, 0.3, 0.05)
-	b.Step(5.0, 4*sim.Sec)
-	if b.SoC() >= b.TotalCharge() {
-		t.Fatalf("SoC %v should lag TotalCharge %v under load", b.SoC(), b.TotalCharge())
+	drain(b, 5.0, 4)
+	if b.SoC() >= totalCharge(b) {
+		t.Fatalf("SoC %v should lag total charge %v under load", b.SoC(), totalCharge(b))
 	}
 }
 
@@ -122,23 +125,23 @@ func TestKiBaMRecoveryEffect(t *testing.T) {
 	// After load is removed, the available well refills from the bound
 	// well: SoC rises with zero draw. This drives scenario B/C.
 	b := NewKiBaM(100, 1.0, 0.3, 0.05)
-	b.Step(5.0, 4*sim.Sec)
+	drain(b, 5.0, 4)
 	low := b.SoC()
-	b.Step(0, 60*sim.Sec)
+	drain(b, 0, 60)
 	if b.SoC() <= low {
 		t.Fatalf("no recovery: SoC %v after rest, was %v", b.SoC(), low)
 	}
 	// Total charge must not increase during rest (no free energy).
-	if b.TotalCharge() > 0.81 {
-		t.Fatalf("TotalCharge grew during rest: %v", b.TotalCharge())
+	if totalCharge(b) > 0.81 {
+		t.Fatalf("total charge grew during rest: %v", totalCharge(b))
 	}
 }
 
 func TestKiBaMConservationAtRest(t *testing.T) {
 	b := NewKiBaM(100, 0.8, 0.4, 0.1)
-	before := b.TotalCharge()
-	b.Step(0, 100*sim.Sec)
-	after := b.TotalCharge()
+	before := totalCharge(b)
+	drain(b, 0, 100)
+	after := totalCharge(b)
 	if diff := before - after; diff < -1e-9 || diff > 1e-9 {
 		t.Fatalf("rest changed total charge by %v", diff)
 	}
@@ -173,16 +176,16 @@ func TestDischargeMonotoneProperty(t *testing.T) {
 			a, b = b, a
 		}
 		l1, l2 := NewLinear(1000, 1), NewLinear(1000, 1)
-		l1.Step(a, 10*sim.Sec)
-		l2.Step(b, 10*sim.Sec)
+		drain(l1, a, 10)
+		drain(l2, b, 10)
 		if l2.SoC() > l1.SoC()+1e-12 {
 			return false
 		}
 		k1 := NewKiBaM(1000, 1, 0.4, 0.1)
 		k2 := NewKiBaM(1000, 1, 0.4, 0.1)
-		k1.Step(a, 10*sim.Sec)
-		k2.Step(b, 10*sim.Sec)
-		return k2.TotalCharge() <= k1.TotalCharge()+1e-12
+		drain(k1, a, 10)
+		drain(k2, b, 10)
+		return totalCharge(k2) <= totalCharge(k1)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -200,7 +203,7 @@ func TestPackStatusSignal(t *testing.T) {
 	e := k.NewEvent("tick")
 	n := 0
 	k.Method("drain", func() {
-		p.Step(10, 2*sim.Sec) // 20 J per tick
+		p.Refresh(drain(p.Model(), 10, 2)) // 20 J per tick
 		n++
 		if n < 5 {
 			e.Notify(sim.Ms)
@@ -225,7 +228,9 @@ func TestPackMains(t *testing.T) {
 	if p.Status() != Mains {
 		t.Fatalf("status %v, want Mains", p.Status())
 	}
-	p.Step(1000, sim.Sec)
+	// The accountant never drains a mains pack; even a drained model
+	// leaves its status and charge alone.
+	drain(p.Model(), 1000, 1)
 	if p.Status() != Mains || p.SoC() != 1 {
 		t.Fatal("mains pack must ignore load")
 	}

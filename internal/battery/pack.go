@@ -3,9 +3,10 @@ package battery
 import "godpm/internal/sim"
 
 // Pack is the simulation component wrapping a battery Model: it exposes the
-// quantised status as a signal the LEM/GEM are sensitive to, and absorbs the
-// SoC's total power draw step by step. A mains-powered pack reports Mains
-// regardless of the model's charge.
+// quantised status as a signal the LEM/GEM are sensitive to. The SoC's
+// accountant drains the model and hands the pack each state of charge it
+// reaches through Refresh. A mains-powered pack reports Mains regardless of
+// the model's charge.
 type Pack struct {
 	model  Model
 	th     Thresholds
@@ -29,17 +30,6 @@ func NewPack(k *sim.Kernel, name string, model Model, th Thresholds, mains bool)
 		status: sim.NewSignal(k, name+".status", init),
 		mains:  mains,
 	}
-}
-
-// Step applies a power draw over dt and refreshes the status signal. It
-// must be called from a kernel process (the SoC's power accountant).
-func (p *Pack) Step(power float64, dt sim.Time) {
-	if p.mains {
-		return
-	}
-	w, soc := p.model.Drain(p.model.Wells(), power, dt.Seconds())
-	p.model.SetWells(w)
-	p.Refresh(soc)
 }
 
 // Refresh writes the status class of a state of charge the model reached

@@ -1,10 +1,6 @@
 package battery
 
-import (
-	"math"
-
-	"godpm/internal/sim"
-)
+import "math"
 
 // Peukert is the classical empirical discharge model: at draw rate P the
 // charge depletes as if the rate were P·(P/Pref)^(k−1), with Peukert
@@ -38,12 +34,6 @@ func NewPeukert(capacityJ, initialSoC, exponent, refPower float64) *Peukert {
 	}
 }
 
-// Step applies a constant power draw (watts) for dt of simulated time.
-func (b *Peukert) Step(power float64, dt sim.Time) {
-	w, _ := b.Drain(b.Wells(), power, dt.Seconds())
-	b.SetWells(w)
-}
-
 // Wells implements Model.
 func (b *Peukert) Wells() Wells { return Wells{Available: b.charge} }
 
@@ -65,16 +55,5 @@ func (b *Peukert) Drain(w Wells, power, secs float64) (Wells, float64) {
 // SoC implements Model.
 func (b *Peukert) SoC() float64 { return b.charge / b.capacity }
 
-// TotalCharge implements Model.
-func (b *Peukert) TotalCharge() float64 { return b.SoC() }
-
 // CapacityJ implements Model.
 func (b *Peukert) CapacityJ() float64 { return b.capacity }
-
-// Recharge sets the state of charge (an external charger).
-func (b *Peukert) Recharge(soc float64) {
-	if soc < 0 || soc > 1 {
-		panic("battery: recharge SoC outside [0,1]")
-	}
-	b.charge = b.capacity * soc
-}

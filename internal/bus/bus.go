@@ -58,16 +58,13 @@ type Bus struct {
 	cfg Config
 
 	busy     bool
-	owner    string
 	released *sim.Event
 	queue    []*pending
 	seq      int
 
-	busyTime   sim.Time
-	lastAcq    sim.Time
-	totalWords int64
-	perMaster  map[string]int64
-	energy     float64
+	busyTime sim.Time
+	lastAcq  sim.Time
+	energy   float64
 
 	// onEnergy, if set, receives each transaction's energy (wired to the
 	// SoC energy meter).
@@ -76,7 +73,6 @@ type Bus struct {
 
 // pending is one queued bus request.
 type pending struct {
-	master   string
 	priority int
 	seq      int
 }
@@ -88,8 +84,7 @@ func New(k *sim.Kernel, name string, cfg Config) *Bus {
 	}
 	return &Bus{
 		k: k, cfg: cfg,
-		released:  k.NewEvent(name + ".released"),
-		perMaster: make(map[string]int64),
+		released: k.NewEvent(name + ".released"),
 	}
 }
 
@@ -123,14 +118,14 @@ const (
 	xferHolding
 )
 
-// TransferPri advances master's transaction x of words by one
+// TransferPri advances a master's transaction x of words by one
 // non-blocking step and reports what to wait for before calling again:
 // the release event while the bus is held or arbitration favours another
 // master (ordered by the configured arbitration; priority matters only in
 // PriorityOrder mode, smaller wins), then, once granted, the hold time of
 // the transfer. It returns (nil, 0) when the transaction is complete — at
 // once for words <= 0.
-func (b *Bus) TransferPri(x *Transfer, master string, words, priority int) (wait *sim.Event, hold sim.Time) {
+func (b *Bus) TransferPri(x *Transfer, words, priority int) (wait *sim.Event, hold sim.Time) {
 	if words <= 0 {
 		return nil, 0
 	}
@@ -138,7 +133,7 @@ func (b *Bus) TransferPri(x *Transfer, master string, words, priority int) (wait
 	case xferIdle:
 		x.reqAt = b.k.Now()
 		b.seq++
-		x.req = pending{master: master, priority: priority, seq: b.seq}
+		x.req = pending{priority: priority, seq: b.seq}
 		b.queue = append(b.queue, &x.req)
 		x.state = xferQueued
 		fallthrough
@@ -148,7 +143,6 @@ func (b *Bus) TransferPri(x *Transfer, master string, words, priority int) (wait
 		}
 		b.dequeue(&x.req)
 		b.busy = true
-		b.owner = master
 		b.lastAcq = b.k.Now()
 		x.Waited = b.lastAcq - x.reqAt
 		x.state = xferHolding
@@ -161,10 +155,7 @@ func (b *Bus) TransferPri(x *Transfer, master string, words, priority int) (wait
 	// The hold elapsed: release the bus.
 	x.state = xferIdle
 	b.busy = false
-	b.owner = ""
 	b.busyTime += b.k.Now() - b.lastAcq
-	b.totalWords += int64(words)
-	b.perMaster[master] += int64(words)
 	e := float64(words) * b.cfg.EnergyPerWord
 	b.energy += e
 	if b.onEnergy != nil && e > 0 {
@@ -218,21 +209,6 @@ func (b *Bus) dequeue(me *pending) {
 		}
 	}
 }
-
-// QueueLength returns the number of masters currently waiting.
-func (b *Bus) QueueLength() int { return len(b.queue) }
-
-// Busy reports whether a transaction is in flight.
-func (b *Bus) Busy() bool { return b.busy }
-
-// Owner returns the current holder ("" when idle).
-func (b *Bus) Owner() string { return b.owner }
-
-// TotalWords returns the number of words transferred.
-func (b *Bus) TotalWords() int64 { return b.totalWords }
-
-// WordsByMaster returns the words transferred by one master.
-func (b *Bus) WordsByMaster(master string) int64 { return b.perMaster[master] }
 
 // EnergyJ returns the total bus energy dissipated.
 func (b *Bus) EnergyJ() float64 { return b.energy }

@@ -32,7 +32,7 @@ func master(k *sim.Kernel, b *Bus, name string, delay sim.Time, words, priority 
 			p.NextTriggerAfter(delay)
 			return
 		}
-		ev, hold := b.TransferPri(&x, name, words, priority)
+		ev, hold := b.TransferPri(&x, words, priority)
 		switch {
 		case ev != nil:
 			p.NextTrigger(ev)
@@ -60,7 +60,7 @@ func TestSingleTransfer(t *testing.T) {
 	if done != 1*sim.Us {
 		t.Fatalf("transfer completed at %v, want 1us", done)
 	}
-	if b.TotalWords() != 100 || b.WordsByMaster("m0") != 100 {
+	if b.EnergyJ() != 100*DefaultConfig().EnergyPerWord {
 		t.Fatal("word accounting wrong")
 	}
 }
@@ -123,16 +123,12 @@ func TestQueueLength(t *testing.T) {
 		master(k, b, "m", 0, 500, 0, nil)
 	}
 	k.Method("watch", func() {
-		if b.QueueLength() > maxQ {
-			maxQ = b.QueueLength()
-		}
+		maxQ = max(maxQ, len(b.queue))
 	}).Sensitive(b.released).DontInitialize()
 	probe := k.NewEvent("probe")
 	k.Method("p", func() {
-		if b.QueueLength() > maxQ {
-			maxQ = b.QueueLength()
-		}
-		if b.Busy() {
+		maxQ = max(maxQ, len(b.queue))
+		if b.busy {
 			probe.Notify(sim.Us)
 		}
 	}).Sensitive(probe)
@@ -167,25 +163,8 @@ func TestZeroWordTransferNoop(t *testing.T) {
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if !completed || b.TotalWords() != 0 {
-		t.Fatalf("zero transfer: completed %v, %d words counted", completed, b.TotalWords())
-	}
-}
-
-func TestOwnerReported(t *testing.T) {
-	k := sim.NewKernel()
-	b := New(k, "bus", DefaultConfig())
-	var ownerSeen string
-	master(k, b, "m0", 0, 1000, 0, nil)
-	master(k, b, "probe", 1*sim.Us, 0, 0, func(sim.Time) { ownerSeen = b.Owner() })
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if ownerSeen != "m0" {
-		t.Fatalf("owner %q, want m0", ownerSeen)
-	}
-	if b.Owner() != "" {
-		t.Fatal("owner not cleared after release")
+	if !completed || b.EnergyJ() != 0 {
+		t.Fatalf("zero transfer: completed %v, %v J counted", completed, b.EnergyJ())
 	}
 }
 

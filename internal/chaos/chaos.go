@@ -9,8 +9,7 @@
 //   - RoundTripper wraps engine.Remote's HTTP transport (faults become
 //     network errors, error statuses, corrupt or truncated bodies),
 //   - FaultFS wraps the engine.FS seam the Disk cache writes through
-//     (faults become torn writes and failed syncs/renames); CrashFS is
-//     the companion page-cache model for crash-point recovery sweeps.
+//     (faults become torn writes and failed syncs/renames).
 //
 // Determinism is the point: the decision for the k-th operation of a
 // class is a pure function of (seed, spec, k), independent of goroutine
@@ -35,10 +34,6 @@ import (
 // ErrInjected marks every error the chaos layer fabricates, so tests and
 // logs can tell injected faults from real ones.
 var ErrInjected = errors.New("chaos: injected fault")
-
-// ErrCrashed is returned by every CrashFS operation at and after its
-// crash point: the simulated machine has lost power.
-var ErrCrashed = errors.New("chaos: crashed")
 
 // Fault is one scheduled fault kind.
 type Fault int

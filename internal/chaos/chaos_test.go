@@ -169,7 +169,7 @@ func TestTierFaultsAreMissesAndErrors(t *testing.T) {
 		t.Fatal("TierStats not forwarded")
 	}
 
-	gs, ps := tier.GetStats(), tier.PutStats()
+	gs, ps := tier.get.Stats(), tier.put.Stats()
 	if gs.Ops != 1 || ps.Ops != 1 || gs.Transients != 1 || ps.Transients != 1 {
 		t.Fatalf("injector stats = get %+v put %+v, want 1 transient op each", gs, ps)
 	}

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -31,12 +32,8 @@ func fleetConfig(seed int64, policy soc.PolicyKind) soc.Config {
 func fleetPlan() engine.Plan {
 	var p engine.Plan
 	for seed := int64(1); seed <= 8; seed++ {
-		p.AddFan("dpm", []int64{seed}, func(s int64) soc.Config {
-			return fleetConfig(s, soc.PolicyDPM)
-		})
-		p.AddFan("base", []int64{seed}, func(s int64) soc.Config {
-			return fleetConfig(s, soc.PolicyAlwaysOn)
-		})
+		p.Add(fmt.Sprintf("dpm@%d", seed), fleetConfig(seed, soc.PolicyDPM))
+		p.Add(fmt.Sprintf("base@%d", seed), fleetConfig(seed, soc.PolicyAlwaysOn))
 	}
 	return p
 }
@@ -161,7 +158,7 @@ func TestFleetInvariantsUnderChaos(t *testing.T) {
 		if st.Errors != 0 || st.Canceled != 0 {
 			t.Fatalf("replica %d: errors=%d canceled=%d, want 0", rep, st.Errors, st.Canceled)
 		}
-		if gs := local.GetStats(); gs.Ops == 0 {
+		if gs := local.get.Stats(); gs.Ops == 0 {
 			t.Fatalf("replica %d: chaos tier saw no ops — the schedule was not applied", rep)
 		}
 		if rt == nil || rt.Stats().Ops == 0 {
@@ -179,9 +176,9 @@ func TestFleetInvariantsUnderChaos(t *testing.T) {
 		if err := tiered.Close(); err != nil {
 			t.Fatal(err)
 		}
-		trips += remote.Trips()
 		for _, tier := range remote.TierStats() {
 			remoteHits += tier.Hits
+			trips += tier.BreakerTrips
 		}
 	}
 

@@ -62,11 +62,6 @@ func (t *Tier) Put(key string, rec *engine.Record) error {
 	return t.inner.Put(key, rec)
 }
 
-// GetStats and PutStats snapshot the two schedules' counters, which an
-// invariant suite reconciles against the wrapped tier's own stats.
-func (t *Tier) GetStats() InjectorStats { return t.get.Stats() }
-func (t *Tier) PutStats() InjectorStats { return t.put.Stats() }
-
 // Has forwards the side-effect-free probe when the inner cache offers
 // it. Probes are not faulted: Has is an optimisation seam, and a false
 // negative here would only change *where* a lookup happens, adding

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -33,12 +34,8 @@ func testConfig(seed int64, policy soc.PolicyKind, numTasks int) soc.Config {
 func testPlan(numTasks int) engine.Plan {
 	var p engine.Plan
 	for _, seed := range []int64{1, 2, 3} {
-		p.AddFan("dpm", []int64{seed}, func(s int64) soc.Config {
-			return testConfig(s, soc.PolicyDPM, numTasks)
-		})
-		p.AddFan("base", []int64{seed}, func(s int64) soc.Config {
-			return testConfig(s, soc.PolicyAlwaysOn, numTasks)
-		})
+		p.Add(fmt.Sprintf("dpm@%d", seed), testConfig(seed, soc.PolicyDPM, numTasks))
+		p.Add(fmt.Sprintf("base@%d", seed), testConfig(seed, soc.PolicyAlwaysOn, numTasks))
 	}
 	return p
 }

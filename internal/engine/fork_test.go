@@ -86,7 +86,8 @@ func TestForkGroupStopConditions(t *testing.T) {
 	budget := solo.EnergyJ / 3
 
 	var plan engine.Plan
-	plan.AddWith("budget", cfg, soc.RunOptions{StopWhen: []soc.StopCondition{soc.StopOnEnergyBudget(budget)}})
+	plan.Jobs = append(plan.Jobs, engine.Job{ID: "budget", Config: cfg,
+		Options: soc.RunOptions{StopWhen: []soc.StopCondition{soc.StopOnEnergyBudget(budget)}}})
 	plan.Add("full", cfg)
 
 	eng := engine.New(engine.Options{Workers: 2})
@@ -134,8 +135,10 @@ func TestForkGroupIneligible(t *testing.T) {
 	// NoFastForward jobs keep their solo ticked runs.
 	eng2 := engine.New(engine.Options{Workers: 2})
 	var plan2 engine.Plan
-	plan2.AddWith("a", cfg, soc.RunOptions{NoFastForward: true})
-	plan2.AddWith("b", cfg2, soc.RunOptions{NoFastForward: true})
+	ticked := soc.RunOptions{NoFastForward: true}
+	plan2.Jobs = append(plan2.Jobs,
+		engine.Job{ID: "a", Config: cfg, Options: ticked},
+		engine.Job{ID: "b", Config: cfg2, Options: ticked})
 	if _, err := eng2.Run(context.Background(), plan2); err != nil {
 		t.Fatal(err)
 	}

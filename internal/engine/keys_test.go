@@ -15,8 +15,8 @@ import (
 )
 
 // realisticConfigs are every built-in configuration: the paper's
-// scenarios, the extensions, the ablations, the arena catalog and the
-// sweep studies.
+// scenarios, the extensions, the design-choice variants the root ablation
+// benchmarks run, the arena catalog and the sweep studies.
 func realisticConfigs(t *testing.T) []soc.Config {
 	t.Helper()
 	tun := experiments.DefaultTuning()
@@ -25,11 +25,21 @@ func realisticConfigs(t *testing.T) []soc.Config {
 	for _, s := range append(experiments.All(tun), experiments.Extensions(tun)...) {
 		cfgs = append(cfgs, s.Config, experiments.Baseline(s))
 	}
-	for _, a := range experiments.Ablations(tun) {
-		for _, v := range a.Variants {
-			cfgs = append(cfgs, v.Config)
-		}
+	for _, kind := range []soc.PredictorKind{
+		soc.PredictorEWMA, soc.PredictorLast, soc.PredictorPerfect,
+		soc.PredictorAdaptive, soc.PredictorQuantile,
+	} {
+		cfg := experiments.A1(tun).Config
+		cfg.LEM.Predictor = kind
+		cfgs = append(cfgs, cfg)
 	}
+	ungated := experiments.A1(tun).Config
+	ungated.LEM.DisableBreakEven = true
+	linear := experiments.B(tun).Config
+	linear.Battery = soc.BatteryConfig{Kind: "linear", CapacityJ: linear.Battery.CapacityJ, InitialSoC: linear.Battery.InitialSoC}
+	noGEM := experiments.B(tun).Config
+	noGEM.UseGEM = false
+	cfgs = append(cfgs, ungated, linear, noGEM)
 	for _, nc := range engine.ArenaScenarios(20) {
 		cfgs = append(cfgs, nc.Config)
 	}

@@ -26,8 +26,8 @@ func (o *tallyObserver) TaskDone(t sim.Time, rec *stats.TaskRecord) { o.tasks++ 
 func TestObservedJobCacheServed(t *testing.T) {
 	obs := &tallyObserver{}
 	var plan engine.Plan
-	plan.AddWith("watched", testConfig(1, soc.PolicyDPM, 10),
-		soc.RunOptions{Observers: []soc.Observer{obs}})
+	plan.Jobs = append(plan.Jobs, engine.Job{ID: "watched", Config: testConfig(1, soc.PolicyDPM, 10),
+		Options: soc.RunOptions{Observers: []soc.Observer{obs}}})
 
 	eng := engine.New(engine.Options{Workers: 1})
 	first, err := eng.Run(context.Background(), plan)
@@ -68,7 +68,7 @@ func TestStopConditionsPartitionTheCache(t *testing.T) {
 	stop := soc.RunOptions{StopWhen: []soc.StopCondition{soc.StopOnEnergyBudget(1e-3)}}
 	var plan engine.Plan
 	plan.Add("bare", cfg)
-	plan.AddWith("stopped", cfg, stop)
+	plan.Jobs = append(plan.Jobs, engine.Job{ID: "stopped", Config: cfg, Options: stop})
 
 	eng := engine.New(engine.Options{Workers: 1})
 	results, err := eng.Run(context.Background(), plan)
@@ -104,8 +104,8 @@ func TestStopConditionsPartitionTheCache(t *testing.T) {
 // timing, so their jobs must simulate every time.
 func TestVolatileJobsNeverCached(t *testing.T) {
 	var plan engine.Plan
-	plan.AddWith("volatile", testConfig(3, soc.PolicyDPM, 5),
-		soc.RunOptions{StopWhen: []soc.StopCondition{soc.StopOnWallClock(time.Hour)}})
+	plan.Jobs = append(plan.Jobs, engine.Job{ID: "volatile", Config: testConfig(3, soc.PolicyDPM, 5),
+		Options: soc.RunOptions{StopWhen: []soc.StopCondition{soc.StopOnWallClock(time.Hour)}}})
 	eng := engine.New(engine.Options{Workers: 1})
 	for i := 0; i < 2; i++ {
 		if _, err := eng.Run(context.Background(), plan); err != nil {

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"godpm/internal/soc"
-)
+import "godpm/internal/soc"
 
 // Job is one unit of work: a complete simulation configuration plus a
 // human-readable identifier (unique within a plan by convention; the
@@ -35,27 +31,11 @@ func (p *Plan) Add(id string, cfg soc.Config) *Plan {
 	return p
 }
 
-// AddWith appends one job carrying run-time options (observers and/or stop
-// conditions) and returns the plan for chaining.
-func (p *Plan) AddWith(id string, cfg soc.Config, opts soc.RunOptions) *Plan {
-	p.Jobs = append(p.Jobs, Job{ID: id, Config: cfg, Options: opts})
-	return p
-}
-
 // AddPair appends a run and its reference configuration as two adjacent
 // jobs (`id/dpm`, `id/base`) — the layout the Table 2 harness consumes.
 func (p *Plan) AddPair(id string, cfg, baseline soc.Config) *Plan {
 	p.Add(id+"/dpm", cfg)
 	p.Add(id+"/base", baseline)
-	return p
-}
-
-// AddFan appends one job per seed (`id@seed`), for seed-replication
-// fan-outs: build regenerates the workload for each seed.
-func (p *Plan) AddFan(id string, seeds []int64, build func(seed int64) soc.Config) *Plan {
-	for _, s := range seeds {
-		p.Add(fmt.Sprintf("%s@%d", id, s), build(s))
-	}
 	return p
 }
 

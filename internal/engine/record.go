@@ -183,10 +183,6 @@ func (r *Record) Key() string { return r.key }
 // digest costs no decode.
 func (r *Record) Digest() string { return r.digest }
 
-// RawLen is the canonical JSON length in bytes — the record's logical
-// size, independent of codec.
-func (r *Record) RawLen() int { return r.rawLen }
-
 // MemSize is the record's in-memory accounting size: a deterministic
 // function of the header fields (fixed overhead + key + digest + raw
 // length), so a cache's byte accounting is exact by construction —

@@ -262,10 +262,10 @@ func TestRecordFlateShrinksLedgerHeavyResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.RawLen() < 1024 {
-		t.Fatalf("payload too small to exercise compression: %d bytes", rec.RawLen())
+	if rec.rawLen < 1024 {
+		t.Fatalf("payload too small to exercise compression: %d bytes", rec.rawLen)
 	}
-	if ratio := float64(rec.RawLen()) / float64(len(flated)); ratio < 2 {
+	if ratio := float64(rec.rawLen) / float64(len(flated)); ratio < 2 {
 		t.Fatalf("flate ratio %.2fx on a ledger-heavy result, want ≥ 2x", ratio)
 	}
 }

@@ -571,9 +571,5 @@ func (c *Remote) TierStats() []TierStats {
 	}}
 }
 
-// Skipped counts operations the open breaker short-circuited; Trips
-// counts how many times the breaker opened.
+// Skipped counts operations the open breaker short-circuited.
 func (c *Remote) Skipped() int64 { return c.skipped.Load() }
-
-// Trips counts breaker openings.
-func (c *Remote) Trips() int64 { return c.trips.Load() }

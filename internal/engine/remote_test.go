@@ -331,8 +331,8 @@ func TestRemoteBreakerTrips(t *testing.T) {
 	if got := requests.Load(); got != 3 {
 		t.Fatalf("server saw %d requests, want exactly 3 (threshold) before the breaker opened", got)
 	}
-	if remote.Trips() != 1 {
-		t.Fatalf("Trips = %d, want 1", remote.Trips())
+	if trips := remote.TierStats()[0].BreakerTrips; trips != 1 {
+		t.Fatalf("BreakerTrips = %d, want 1", trips)
 	}
 	if remote.Skipped() != 7 {
 		t.Fatalf("Skipped = %d, want 7 (10 gets - 3 real attempts)", remote.Skipped())

@@ -141,14 +141,13 @@ const (
 // a request fail that would have succeeded locally. Safe for concurrent
 // use. Call Close when done to flush the write-behind queue.
 type Tiered struct {
-	tiers      []Tier
-	queue      chan wbPut
-	closed     chan struct{}
-	closeOnce  sync.Once
-	wg         sync.WaitGroup
-	drops      []atomic.Int64 // per-tier write-behind drops
-	promotions atomic.Int64
-	warmConc   int
+	tiers     []Tier
+	queue     chan wbPut
+	closed    chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
+	drops     []atomic.Int64 // per-tier write-behind drops
+	warmConc  int
 }
 
 type wbPut struct {
@@ -255,7 +254,6 @@ func (c *Tiered) promote(key string, rec *Record, i int) {
 			_ = c.tiers[j].Cache.Put(key, rec)
 		}
 	}
-	c.promotions.Add(1)
 }
 
 // Put writes through the synchronous tiers and enqueues write-behind
@@ -279,9 +277,6 @@ func (c *Tiered) Put(key string, rec *Record) error {
 	}
 	return firstErr
 }
-
-// Promotions counts Gets served from a deeper tier and copied forward.
-func (c *Tiered) Promotions() int64 { return c.promotions.Load() }
 
 // Close flushes the write-behind queue, stops the background writer,
 // then closes any tier cache that is itself a Closer (the Remote client

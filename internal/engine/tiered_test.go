@@ -76,15 +76,18 @@ func TestTieredPromotesDeeperHits(t *testing.T) {
 	if !fast.Has(key) {
 		t.Fatalf("deeper hit was not promoted into the fast tier")
 	}
-	if tiered.Promotions() != 1 {
-		t.Fatalf("Promotions = %d, want 1", tiered.Promotions())
+	if hits := slow.TierStats()[0].Hits; hits != 1 {
+		t.Fatalf("slow tier served %d hits, want 1", hits)
 	}
-	// A fast-tier hit does not count as a promotion.
+	// Once promoted, the entry is served by the fast tier alone.
 	if _, ok := tiered.Get(key); !ok {
 		t.Fatal("second Get missed")
 	}
-	if tiered.Promotions() != 1 {
-		t.Fatalf("Promotions = %d after fast hit, want still 1", tiered.Promotions())
+	if hits := slow.TierStats()[0].Hits; hits != 1 {
+		t.Fatalf("slow tier served %d hits after the promotion, want still 1", hits)
+	}
+	if hits := fast.TierStats()[0].Hits; hits != 1 {
+		t.Fatalf("fast tier served %d hits, want 1", hits)
 	}
 }
 

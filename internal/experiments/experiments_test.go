@@ -6,8 +6,19 @@ import (
 	"strings"
 	"testing"
 
+	"godpm/internal/sim"
 	"godpm/internal/soc"
+	"godpm/internal/workload"
 )
+
+// totalIdle sums a sequence's idle gaps.
+func totalIdle(s workload.Sequence) sim.Time {
+	var t sim.Time
+	for _, it := range s {
+		t += it.IdleAfter
+	}
+	return t
+}
 
 // quickTuning keeps unit-test runtime low; the benchmarks use DefaultTuning.
 func quickTuning() Tuning {
@@ -133,13 +144,13 @@ func TestScenarioStructure(t *testing.T) {
 	// B gives the high-activity workloads to the high-priority IPs; C
 	// inverts that. High activity = less total idle.
 	b, c := B(tn), C(tn)
-	bIdle1 := b.Config.IPs[0].Sequence.TotalIdle()
-	bIdle4 := b.Config.IPs[3].Sequence.TotalIdle()
+	bIdle1 := totalIdle(b.Config.IPs[0].Sequence)
+	bIdle4 := totalIdle(b.Config.IPs[3].Sequence)
 	if bIdle1 >= bIdle4 {
 		t.Errorf("B: IP1 idle %v not below IP4 idle %v", bIdle1, bIdle4)
 	}
-	cIdle1 := c.Config.IPs[0].Sequence.TotalIdle()
-	cIdle4 := c.Config.IPs[3].Sequence.TotalIdle()
+	cIdle1 := totalIdle(c.Config.IPs[0].Sequence)
+	cIdle4 := totalIdle(c.Config.IPs[3].Sequence)
 	if cIdle1 <= cIdle4 {
 		t.Errorf("C: IP1 idle %v not above IP4 idle %v", cIdle1, cIdle4)
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"godpm/internal/power"
-	"godpm/internal/soc"
 	"godpm/internal/workload"
 )
 
@@ -84,76 +83,4 @@ func ExtensionByID(id string, t Tuning) (Scenario, error) {
 		return build(t), nil
 	}
 	return Scenario{}, fmt.Errorf("experiments: unknown extension %q", id)
-}
-
-// Ablation is one design-choice study: variants of a base scenario that
-// differ in exactly one knob.
-type Ablation struct {
-	Name     string
-	Variants []AblationVariant
-}
-
-// AblationVariant is one point of an ablation.
-type AblationVariant struct {
-	Label  string
-	Config soc.Config
-}
-
-// Ablations returns the design-choice studies, built over the given
-// tuning:
-//
-//   - "predictor": EWMA vs last-value vs perfect vs adaptive vs quantile
-//     idle prediction (on A1);
-//   - "breakeven": break-even-gated vs always-deepest sleep (on A1);
-//   - "battery": KiBaM vs linear battery (on B — the recovery effect);
-//   - "gem": with vs without global management (on B).
-func Ablations(t Tuning) []Ablation {
-	var out []Ablation
-
-	pred := Ablation{Name: "predictor"}
-	for _, kind := range []soc.PredictorKind{
-		soc.PredictorEWMA, soc.PredictorLast, soc.PredictorPerfect,
-		soc.PredictorAdaptive, soc.PredictorQuantile,
-	} {
-		cfg := A1(t).Config
-		cfg.LEM.Predictor = kind
-		pred.Variants = append(pred.Variants, AblationVariant{Label: string(kind), Config: cfg})
-	}
-	out = append(out, pred)
-
-	be := Ablation{Name: "breakeven"}
-	for _, gated := range []bool{true, false} {
-		cfg := A1(t).Config
-		cfg.LEM.DisableBreakEven = !gated
-		label := "gated"
-		if !gated {
-			label = "ungated"
-		}
-		be.Variants = append(be.Variants, AblationVariant{Label: label, Config: cfg})
-	}
-	out = append(out, be)
-
-	batt := Ablation{Name: "battery"}
-	kibam := B(t).Config
-	linear := B(t).Config
-	linear.Battery = soc.BatteryConfig{
-		Kind: "linear", CapacityJ: linear.Battery.CapacityJ, InitialSoC: linear.Battery.InitialSoC,
-	}
-	batt.Variants = []AblationVariant{
-		{Label: "kibam", Config: kibam},
-		{Label: "linear", Config: linear},
-	}
-	out = append(out, batt)
-
-	gemAb := Ablation{Name: "gem"}
-	withGem := B(t).Config
-	withoutGem := B(t).Config
-	withoutGem.UseGEM = false
-	gemAb.Variants = []AblationVariant{
-		{Label: "with", Config: withGem},
-		{Label: "without", Config: withoutGem},
-	}
-	out = append(out, gemAb)
-
-	return out
 }

@@ -178,18 +178,6 @@ func (g *GEM) OtherPower(id int) float64 {
 	return sum
 }
 
-// TotalPower returns the current total power of all registered IPs.
-func (g *GEM) TotalPower() float64 {
-	var sum float64
-	for _, e := range g.ips {
-		sum += e.powerNow()
-	}
-	return sum
-}
-
-// NumIPs returns the number of registered IPs.
-func (g *GEM) NumIPs() int { return len(g.ips) }
-
 // Evaluations returns how many times the policy ran.
 func (g *GEM) Evaluations() int { return g.evaluations }
 

@@ -116,8 +116,8 @@ func TestReevaluationOnClassChange(t *testing.T) {
 	// re-run the GEM policy, disabling priority 4.
 	drain := r.k.NewEvent("drain")
 	r.k.Method("drainer", func() {
-		r.model.Recharge(0.2)
-		r.pack.Step(0, sim.Time(1))
+		r.model.SetWells(battery.Wells{Available: 0.2 * r.model.CapacityJ()})
+		r.pack.Refresh(r.model.SoC())
 	}).Sensitive(drain).DontInitialize()
 	drain.Notify(sim.Ms)
 	if err := r.k.Run(10 * sim.Ms); err != nil {
@@ -146,7 +146,7 @@ func TestFanRecoveryReenables(t *testing.T) {
 	// The fan (now on) cools the die below the hysteresis band.
 	cool := r.k.NewEvent("cool")
 	r.k.Method("cooler", func() {
-		r.node.Step(0, 5*sim.Ms)
+		r.node.Set(r.node.Advance(r.node.TempC(), 0, (5 * sim.Ms).Seconds()))
 		if r.node.Class() == thermal.HighTemp {
 			cool.Notify(sim.Ms)
 		}
@@ -177,9 +177,6 @@ func TestOtherPowerExcludesSelf(t *testing.T) {
 	if got := g.OtherPower(id1); got != p0 {
 		t.Fatalf("OtherPower(1) = %v, want %v", got, p0)
 	}
-	if got := g.TotalPower(); got != p0+p1 {
-		t.Fatalf("TotalPower = %v", got)
-	}
 }
 
 func TestRegisterValidation(t *testing.T) {
@@ -200,7 +197,7 @@ func TestRequestsCounted(t *testing.T) {
 	if r.gem.Requests(r.ids[0]) != 2 {
 		t.Fatalf("Requests = %d", r.gem.Requests(r.ids[0]))
 	}
-	if r.gem.NumIPs() != 1 || r.gem.Priority(r.ids[0]) != 1 {
+	if len(r.gem.ips) != 1 || r.gem.Priority(r.ids[0]) != 1 {
 		t.Fatal("registry accessors wrong")
 	}
 }

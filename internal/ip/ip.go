@@ -168,7 +168,7 @@ func (b *IP) step() {
 			}
 		case phBus:
 			if b.cfg.Bus != nil && b.cfg.BusWords > 0 {
-				ev, hold := b.cfg.Bus.TransferPri(&b.xfer, b.cfg.Name, b.cfg.BusWords, b.cfg.BusPriority)
+				ev, hold := b.cfg.Bus.TransferPri(&b.xfer, b.cfg.BusWords, b.cfg.BusPriority)
 				if ev != nil {
 					b.proc.NextTrigger(ev)
 					return
@@ -285,6 +285,3 @@ func (b *IP) Finished() bool { return b.finished }
 
 // Done fires (delta-notified) when the sequence completes.
 func (b *IP) Done() *sim.Event { return b.doneEv }
-
-// Executing reports whether a task is currently running.
-func (b *IP) Executing() bool { return b.executing }

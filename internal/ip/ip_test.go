@@ -141,7 +141,12 @@ func TestIPEnergyMatchesProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := r.meter.EnergyJ()
-	want := prof.TaskEnergy(1_000_000, power.InstrALU, prof.On[0])
+	// The closed form: dynamic energy of every cycle plus leakage over the
+	// task's duration.
+	const n = 1_000_000
+	op := prof.On[0]
+	want := float64(n)*prof.CyclesPerInstr*prof.InstrWeight[power.InstrALU]*prof.CeffF*op.Vdd*op.Vdd +
+		prof.LeakagePower(op.Vdd)*prof.TaskDuration(n, op).Seconds()
 	// The meter also integrates idle power before/after, but with zero
 	// idle gaps that's negligible here.
 	if math.Abs(got-want)/want > 0.01 {
@@ -212,8 +217,8 @@ func TestIPBusTransferDelaysStart(t *testing.T) {
 	if rec.Start-rec.Request < sim.Us {
 		t.Fatalf("start delay %v, want >= 1µs bus transfer", rec.Start-rec.Request)
 	}
-	if theBus.TotalWords() != 100 {
-		t.Fatalf("bus words %d", theBus.TotalWords())
+	if want := 100 * bus.DefaultConfig().EnergyPerWord; theBus.EnergyJ() != want {
+		t.Fatalf("bus energy %v J, want %v J for 100 words", theBus.EnergyJ(), want)
 	}
 }
 

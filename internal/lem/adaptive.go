@@ -63,9 +63,6 @@ func (p *Adaptive) Name() string {
 	return fmt.Sprintf("adaptive(%.2f/%.2f)", p.fast.Alpha, p.slow.Alpha)
 }
 
-// UsingFast reports which filter would currently be used (for tests).
-func (p *Adaptive) UsingFast() bool { return p.errFast <= p.errSlow }
-
 func absTime(t sim.Time) float64 {
 	if t < 0 {
 		t = -t

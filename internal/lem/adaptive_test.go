@@ -32,7 +32,7 @@ func TestAdaptiveTracksStepChange(t *testing.T) {
 	if ad <= sl {
 		t.Fatalf("adaptive %v not faster than slow filter %v after step change", ad, sl)
 	}
-	if !p.UsingFast() {
+	if !(p.errFast <= p.errSlow) {
 		t.Fatal("adaptive should have switched to the fast filter")
 	}
 }
@@ -48,7 +48,7 @@ func TestAdaptivePrefersSlowOnNoise(t *testing.T) {
 			p.Observe(18 * sim.Ms)
 		}
 	}
-	if p.UsingFast() {
+	if p.errFast <= p.errSlow {
 		t.Fatal("adaptive should prefer the slow filter on alternating noise")
 	}
 }

@@ -73,9 +73,8 @@ type LEM struct {
 	gem   *gem.GEM
 	gemID int
 
-	idleSince   sim.Time
-	idleValid   bool
-	lastPredict sim.Time
+	idleSince sim.Time
+	idleValid bool
 
 	// The step in progress: acq for AcquireOn, rel for ReleaseIdle.
 	acq acquisition
@@ -289,7 +288,6 @@ func (l *LEM) startRelease(hint sim.Time) (acpi.State, bool) {
 	l.idleSince = l.k.Now()
 	l.idleValid = true
 	predicted := l.cfg.Predictor.Predict(hint)
-	l.lastPredict = predicted
 
 	target, ok := l.chooseSleep(predicted)
 	if !ok {
@@ -324,6 +322,3 @@ func (l *LEM) chooseSleep(predicted sim.Time) (acpi.State, bool) {
 	}
 	return 0, false
 }
-
-// LastPrediction returns the most recent idle-time prediction (for tests).
-func (l *LEM) LastPrediction() sim.Time { return l.lastPredict }

@@ -139,8 +139,8 @@ func TestAcquireOnParksOnEmptyBatteryUntilCharge(t *testing.T) {
 	// External event: a charger lifts the battery to 50% at 5 ms.
 	recharge := r.k.NewEvent("recharge")
 	r.k.Method("charger", func() {
-		r.model.Recharge(0.5)
-		r.pack.Step(0, sim.Time(1)) // refresh the status signal
+		r.model.SetWells(battery.Wells{Available: 0.5 * r.model.CapacityJ()})
+		r.pack.Refresh(r.model.SoC()) // refresh the status signal
 	}).Sensitive(recharge).DontInitialize()
 	recharge.Notify(5 * sim.Ms)
 	if err := r.k.Run(100 * sim.Ms); err != nil {
@@ -179,7 +179,7 @@ func TestHighTemperatureParksUntilCool(t *testing.T) {
 	drive(r.k, acquire(r.lem, smallTask(task.Medium), nil), mark(r.k, &acquired))
 	cool := r.k.NewEvent("cool")
 	r.k.Method("cooler", func() {
-		r.node.Step(0, 2*sim.Ms) // strong cooling per tick
+		r.node.Set(r.node.Advance(r.node.TempC(), 0, (2 * sim.Ms).Seconds())) // strong cooling per tick
 		if r.node.Class() == thermal.HighTemp {
 			cool.Notify(sim.Ms)
 		}

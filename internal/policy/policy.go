@@ -56,10 +56,9 @@ type FixedTimeout struct {
 	Timeout    sim.Time
 	SleepState acpi.State
 
-	idle     bool
-	idleGen  int
-	timerEv  *sim.Event
-	timeouts int
+	idle    bool
+	idleGen int
+	timerEv *sim.Event
 }
 
 // NewFixedTimeout creates a timeout manager (classic DPM reference).
@@ -80,7 +79,6 @@ func NewFixedTimeout(k *sim.Kernel, psm *acpi.PSM, timeout sim.Time, sleepState 
 // and the PSM is stable in an ON state, start the sleep transition.
 func (m *FixedTimeout) onTimer() {
 	if m.idle && !m.psm.Transitioning().Read() && m.psm.State().IsOn() {
-		m.timeouts++
 		if _, err := m.psm.Request(m.SleepState); err != nil {
 			panic(fmt.Sprintf("policy: timeout: %v", err))
 		}
@@ -102,9 +100,6 @@ func (m *FixedTimeout) ReleaseIdle(sim.Time) []*sim.Event {
 	m.timerEv.Notify(m.Timeout)
 	return nil
 }
-
-// Timeouts returns how many times the timer put the IP to sleep.
-func (m *FixedTimeout) Timeouts() int { return m.timeouts }
 
 // Greedy sleeps immediately whenever the IP goes idle, always into
 // SleepState; tasks execute at ON1.

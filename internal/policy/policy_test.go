@@ -82,6 +82,8 @@ func TestAlwaysOnStaysOn(t *testing.T) {
 	k := sim.NewKernel()
 	psm := newPSM(k)
 	m := NewAlwaysOn(psm)
+	changes := 0
+	psm.StateSignal().OnChange(func(sim.Time, acpi.State) { changes++ })
 	var op power.OperatingPoint
 	drive(k, acquire(m, &op), releaseIdle(m, 10*sim.Sec))
 	if err := k.Run(sim.MaxTime); err != nil {
@@ -93,8 +95,8 @@ func TestAlwaysOnStaysOn(t *testing.T) {
 	if psm.State() != acpi.ON1 {
 		t.Fatalf("state %v, want ON1 forever", psm.State())
 	}
-	if psm.TransitionCount() != 0 {
-		t.Fatalf("baseline made %d transitions", psm.TransitionCount())
+	if changes != 0 {
+		t.Fatalf("baseline made %d transitions", changes)
 	}
 }
 
@@ -117,6 +119,8 @@ func TestFixedTimeoutSleepsAfterTimeout(t *testing.T) {
 	k := sim.NewKernel()
 	psm := newPSM(k)
 	m := NewFixedTimeout(k, psm, 2*sim.Ms, acpi.SL2)
+	timeouts := 0
+	psm.StateSignal().OnChange(func(sim.Time, acpi.State) { timeouts++ })
 	drive(k, acquire(m, nil), releaseIdle(m, 0),
 		sleep(k, 10*sim.Ms)) // idle long enough for the timer
 	if err := k.Run(sim.MaxTime); err != nil {
@@ -125,8 +129,8 @@ func TestFixedTimeoutSleepsAfterTimeout(t *testing.T) {
 	if psm.State() != acpi.SL2 {
 		t.Fatalf("state %v after timeout, want SL2", psm.State())
 	}
-	if m.Timeouts() != 1 {
-		t.Fatalf("Timeouts = %d", m.Timeouts())
+	if timeouts != 1 {
+		t.Fatalf("timer put the IP to sleep %d times, want 1", timeouts)
 	}
 }
 
@@ -134,14 +138,16 @@ func TestFixedTimeoutCancelledByEarlyRequest(t *testing.T) {
 	k := sim.NewKernel()
 	psm := newPSM(k)
 	m := NewFixedTimeout(k, psm, 5*sim.Ms, acpi.SL2)
+	timeouts := 0
+	psm.StateSignal().OnChange(func(sim.Time, acpi.State) { timeouts++ })
 	drive(k, acquire(m, nil), releaseIdle(m, 0),
 		sleep(k, 1*sim.Ms), // back before the timeout
 		acquire(m, nil), sleep(k, 20*sim.Ms))
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if m.Timeouts() != 0 {
-		t.Fatalf("timer fired %d times despite early request", m.Timeouts())
+	if timeouts != 0 {
+		t.Fatalf("timer fired %d times despite early request", timeouts)
 	}
 	if psm.State() != acpi.ON1 {
 		t.Fatalf("state %v, want ON1", psm.State())

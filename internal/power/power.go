@@ -12,7 +12,6 @@ package power
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 
 	"godpm/internal/sim"
@@ -25,14 +24,6 @@ type OperatingPoint struct {
 	Name   string
 	FreqHz float64 // clock frequency at this point
 	Vdd    float64 // supply voltage in volts
-}
-
-// ClockPeriod returns the clock period at this operating point.
-func (op OperatingPoint) ClockPeriod() sim.Time {
-	if op.FreqHz <= 0 {
-		panic("power: operating point with non-positive frequency")
-	}
-	return sim.Time(float64(sim.Sec)/op.FreqHz + 0.5)
 }
 
 // SleepState characterises one ACPI sleep (or soft-off) state: residual
@@ -174,20 +165,9 @@ func (p *Profile) DynamicPower(op OperatingPoint) float64 {
 // LeakagePower returns the leakage power at the given supply voltage.
 func (p *Profile) LeakagePower(vdd float64) float64 { return p.LeakWPerV * vdd }
 
-// ActivePower is the total power while executing at op.
-func (p *Profile) ActivePower(op OperatingPoint) float64 {
-	return p.DynamicPower(op) + p.LeakagePower(op.Vdd)
-}
-
 // IdlePower is the power while clocked but idle at op.
 func (p *Profile) IdlePower(op OperatingPoint) float64 {
 	return p.IdleFactor*p.DynamicPower(op) + p.LeakagePower(op.Vdd)
-}
-
-// EnergyPerCycle returns the dynamic energy of one clock cycle at op for the
-// given instruction class.
-func (p *Profile) EnergyPerCycle(op OperatingPoint, c InstructionClass) float64 {
-	return p.InstrWeight[c] * p.CeffF * op.Vdd * op.Vdd
 }
 
 // TaskDuration returns the wall-clock time to execute `instructions`
@@ -195,15 +175,6 @@ func (p *Profile) EnergyPerCycle(op OperatingPoint, c InstructionClass) float64 
 func (p *Profile) TaskDuration(instructions int64, op OperatingPoint) sim.Time {
 	cycles := float64(instructions) * p.CyclesPerInstr
 	return sim.Time(cycles/op.FreqHz*float64(sim.Sec) + 0.5)
-}
-
-// TaskEnergy returns the total energy (dynamic + leakage over the task
-// duration) of executing `instructions` instructions of class c at op.
-func (p *Profile) TaskEnergy(instructions int64, c InstructionClass, op OperatingPoint) float64 {
-	cycles := float64(instructions) * p.CyclesPerInstr
-	dyn := cycles * p.EnergyPerCycle(op, c)
-	leak := p.LeakagePower(op.Vdd) * p.TaskDuration(instructions, op).Seconds()
-	return dyn + leak
 }
 
 // BreakEven returns the minimum idle duration for which entering sleep state
@@ -227,17 +198,4 @@ func (p *Profile) BreakEven(pIdle float64, s SleepState) (sim.Time, bool) {
 		tbe = ttr
 	}
 	return tbe, true
-}
-
-// AlphaPowerFreq estimates the maximum frequency at supply voltage vdd using
-// the alpha-power law f ∝ (Vdd−Vt)^alpha / Vdd, normalised so that the ON1
-// point maps to its nominal frequency. It is used to validate that a
-// profile's operating points are physically plausible.
-func (p *Profile) AlphaPowerFreq(vdd, vt, alpha float64) float64 {
-	ref := p.On[0]
-	norm := ref.FreqHz / (math.Pow(ref.Vdd-vt, alpha) / ref.Vdd)
-	if vdd <= vt {
-		return 0
-	}
-	return norm * math.Pow(vdd-vt, alpha) / vdd
 }

@@ -33,19 +33,48 @@ func TestValidateCatchesBadProfiles(t *testing.T) {
 	}
 }
 
+// activePower is the total power while executing at op: dynamic plus
+// leakage.
+func activePower(p *Profile, op OperatingPoint) float64 {
+	return p.DynamicPower(op) + p.LeakagePower(op.Vdd)
+}
+
+// energyPerCycle is the dynamic energy of one clock cycle of class c at op:
+// the class weight times C·V².
+func energyPerCycle(p *Profile, op OperatingPoint, c InstructionClass) float64 {
+	return p.InstrWeight[c] * p.CeffF * op.Vdd * op.Vdd
+}
+
+// taskEnergy is the closed-form energy of executing instructions of class
+// c at op: dynamic energy per cycle over every cycle, plus leakage over the
+// task's duration.
+func taskEnergy(p *Profile, instructions int64, c InstructionClass, op OperatingPoint) float64 {
+	cycles := float64(instructions) * p.CyclesPerInstr
+	return cycles*energyPerCycle(p, op, c) + p.LeakagePower(op.Vdd)*p.TaskDuration(instructions, op).Seconds()
+}
+
+// alphaPowerFreq estimates the maximum frequency at supply voltage vdd with
+// the alpha-power law f ∝ (Vdd−Vt)^alpha / Vdd (vdd above vt), normalised
+// so that p's ON1 point runs at its nominal frequency.
+func alphaPowerFreq(p *Profile, vdd, vt, alpha float64) float64 {
+	ref := p.On[0]
+	norm := ref.FreqHz / (math.Pow(ref.Vdd-vt, alpha) / ref.Vdd)
+	return norm * math.Pow(vdd-vt, alpha) / vdd
+}
+
 func TestPowerOrdering(t *testing.T) {
 	p := DefaultProfile()
 	for i := 0; i < 3; i++ {
-		if p.ActivePower(p.On[i]) <= p.ActivePower(p.On[i+1]) {
-			t.Errorf("ActivePower(ON%d) <= ActivePower(ON%d)", i+1, i+2)
+		if activePower(p, p.On[i]) <= activePower(p, p.On[i+1]) {
+			t.Errorf("activePower(ON%d) <= activePower(ON%d)", i+1, i+2)
 		}
 		if p.IdlePower(p.On[i]) <= p.IdlePower(p.On[i+1]) {
 			t.Errorf("IdlePower(ON%d) <= IdlePower(ON%d)", i+1, i+2)
 		}
 	}
 	for i := range p.On {
-		if p.IdlePower(p.On[i]) >= p.ActivePower(p.On[i]) {
-			t.Errorf("IdlePower >= ActivePower at ON%d", i+1)
+		if p.IdlePower(p.On[i]) >= activePower(p, p.On[i]) {
+			t.Errorf("IdlePower >= activePower at ON%d", i+1)
 		}
 	}
 }
@@ -71,10 +100,10 @@ func TestTaskDurationScalesWithFrequency(t *testing.T) {
 
 func TestTaskEnergyLowerAtLowerVoltage(t *testing.T) {
 	p := DefaultProfile()
-	e1 := p.TaskEnergy(100000, InstrALU, p.On[0])
-	e4 := p.TaskEnergy(100000, InstrALU, p.On[3])
+	e1 := taskEnergy(p, 100000, InstrALU, p.On[0])
+	e4 := taskEnergy(p, 100000, InstrALU, p.On[3])
 	if e4 >= e1 {
-		t.Fatalf("TaskEnergy ON4 (%v) >= ON1 (%v): voltage scaling must save energy", e4, e1)
+		t.Fatalf("taskEnergy ON4 (%v) >= ON1 (%v): voltage scaling must save energy", e4, e1)
 	}
 	// Dynamic part scales with V²: (0.9/1.8)² = 0.25.
 	if e4 > 0.5*e1 {
@@ -86,9 +115,9 @@ func TestInstructionClassWeights(t *testing.T) {
 	p := DefaultProfile()
 	prev := 0.0
 	for c := InstructionClass(0); c < NumInstrClasses; c++ {
-		e := p.EnergyPerCycle(p.On[0], c)
+		e := energyPerCycle(p, p.On[0], c)
 		if e <= prev {
-			t.Fatalf("EnergyPerCycle not increasing with class %s", c)
+			t.Fatalf("energy per cycle not increasing with class %s", c)
 		}
 		prev = e
 	}
@@ -218,35 +247,16 @@ func TestBreakEvenEnergyInequality(t *testing.T) {
 	}
 }
 
-func TestClockPeriod(t *testing.T) {
-	op := OperatingPoint{Name: "X", FreqHz: 100e6, Vdd: 1.0}
-	if got := op.ClockPeriod(); got != 10*sim.Ns {
-		t.Fatalf("ClockPeriod = %v, want 10ns", got)
-	}
-}
-
-func TestClockPeriodZeroFreqPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	OperatingPoint{}.ClockPeriod()
-}
-
 func TestAlphaPowerLawPlausibility(t *testing.T) {
 	// The default profile's lower operating points must not exceed what the
 	// alpha-power law permits at their voltage (alpha=1.6, Vt=0.4V).
 	p := DefaultProfile()
 	for i := 1; i < 4; i++ {
-		fmax := p.AlphaPowerFreq(p.On[i].Vdd, 0.4, 1.6)
+		fmax := alphaPowerFreq(p, p.On[i].Vdd, 0.4, 1.6)
 		if p.On[i].FreqHz > fmax*1.05 {
 			t.Errorf("%s at %.2gHz exceeds alpha-power bound %.3g",
 				p.On[i].Name, p.On[i].FreqHz, fmax)
 		}
-	}
-	if p.AlphaPowerFreq(0.3, 0.4, 1.6) != 0 {
-		t.Error("frequency below threshold voltage should be 0")
 	}
 }
 
@@ -257,7 +267,7 @@ func TestTaskEnergyProperty(t *testing.T) {
 	f := func(a, b uint16) bool {
 		na, nb := int64(a)+1, int64(a)+1+int64(b)
 		for i := range p.On {
-			if p.TaskEnergy(nb, InstrALU, p.On[i]) < p.TaskEnergy(na, InstrALU, p.On[i]) {
+			if taskEnergy(p, nb, InstrALU, p.On[i]) < taskEnergy(p, na, InstrALU, p.On[i]) {
 				return false
 			}
 		}

@@ -1,11 +1,6 @@
 package power
 
-import (
-	"fmt"
-	"math"
-
-	"godpm/internal/sim"
-)
+import "fmt"
 
 // Regulator models the DC-DC converter between the battery and the
 // voltage-scaled core — the supply path the paper's variable-voltage
@@ -80,28 +75,4 @@ func (r *Regulator) InputPower(loadW, vout float64) float64 {
 		in += r.RatioPenalty * dev * loadW
 	}
 	return in
-}
-
-// Efficiency returns η = load/input at the given operating condition; it is
-// zero at zero load (fixed losses with nothing delivered).
-func (r *Regulator) Efficiency(loadW, vout float64) float64 {
-	if loadW <= 0 {
-		return 0
-	}
-	return loadW / r.InputPower(loadW, vout)
-}
-
-// PeakEfficiencyLoad returns the load power at which efficiency peaks (for
-// a fixed ratio derating the optimum of P/(P + F + kP² + cP) is √(F/k)).
-func (r *Regulator) PeakEfficiencyLoad() float64 {
-	if r.CondLossPerW == 0 {
-		return 0 // efficiency is monotone increasing in load
-	}
-	return math.Sqrt(r.FixedLossW / r.CondLossPerW)
-}
-
-// EnergyOverhead integrates the converter's loss for a constant load over a
-// duration: E_loss = (P_in − P_load)·t.
-func (r *Regulator) EnergyOverhead(loadW, vout float64, d sim.Time) float64 {
-	return (r.InputPower(loadW, vout) - math.Max(loadW, 0)) * d.Seconds()
 }

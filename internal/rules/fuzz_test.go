@@ -50,18 +50,18 @@ func FuzzParseRules(f *testing.F) {
 
 		// Round-trip through the recorded rule sources.
 		var sb strings.Builder
-		for _, r := range tab.Rules() {
+		for _, r := range tab.rules {
 			sb.WriteString(r.Source)
 			sb.WriteByte('\n')
 		}
-		if def, ok := tab.Default(); ok {
+		if def, ok := tab.def, tab.hasDefault; ok {
 			fmt.Fprintf(&sb, "default %s\n", def)
 		}
 		tab2, err := Parse(sb.String())
 		if err != nil {
 			t.Fatalf("accepted script did not round-trip: %v\nrebuilt:\n%s", err, sb.String())
 		}
-		r1, r2 := tab.Rules(), tab2.Rules()
+		r1, r2 := tab.rules, tab2.rules
 		if len(r1) != len(r2) {
 			t.Fatalf("round trip changed rule count: %d != %d", len(r1), len(r2))
 		}
@@ -71,8 +71,8 @@ func FuzzParseRules(f *testing.F) {
 				t.Fatalf("round trip changed rule %d: %+v != %+v", i, r1[i], r2[i])
 			}
 		}
-		d1, ok1 := tab.Default()
-		d2, ok2 := tab2.Default()
+		d1, ok1 := tab.def, tab.hasDefault
+		d2, ok2 := tab2.def, tab2.hasDefault
 		if ok1 != ok2 || d1 != d2 {
 			t.Fatalf("round trip changed default: (%v,%v) != (%v,%v)", d1, ok1, d2, ok2)
 		}
@@ -99,7 +99,7 @@ func TestParseNoiseOnlyLine(t *testing.T) {
 	if tab.Len() != 1 {
 		t.Fatalf("got %d rules, want 1", tab.Len())
 	}
-	if def, ok := tab.Default(); !ok || def.String() != "ON3" {
+	if def, ok := tab.def, tab.hasDefault; !ok || def.String() != "ON3" {
 		t.Fatalf("default = %v, %v", def, ok)
 	}
 }

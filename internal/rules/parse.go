@@ -76,15 +76,6 @@ func Parse(script string) (*Table, error) {
 	return t, nil
 }
 
-// MustParse is Parse that panics on error, for compiled-in rule scripts.
-func MustParse(script string) *Table {
-	t, err := Parse(script)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // lex lowercases, drops the article "the", and merges the two-word values
 // "very high" → "veryhigh" and "power supply" → "mains".
 func lex(line string) []string {

@@ -55,7 +55,7 @@ func TestAnalyzeConsistencyProperty(t *testing.T) {
 				return false
 			}
 		}
-		rs := tbl.Rules()
+		rs := tbl.rules
 		for _, c := range cov.Unmatched {
 			for _, r := range rs {
 				if r.Matches(c.Priority, c.Battery, c.Temp) {
@@ -76,7 +76,7 @@ func TestDefaultOnlyFillsGapsProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		bare := randomTable(seed, int(n%6)+1)
 		cov := bare.Analyze()
-		withDef := NewTable(bare.Rules()).WithDefault(acpi.ON3)
+		withDef := NewTable(bare.rules).WithDefault(acpi.ON3)
 		if !withDef.Total() {
 			return false
 		}

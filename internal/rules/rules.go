@@ -111,17 +111,6 @@ func (t *Table) WithDefault(s acpi.State) *Table {
 	return t
 }
 
-// Default returns the state applied when no rule matches, and whether one
-// is configured.
-func (t *Table) Default() (acpi.State, bool) { return t.def, t.hasDefault }
-
-// Rules returns a copy of the rule list.
-func (t *Table) Rules() []Rule {
-	cp := make([]Rule, len(t.rules))
-	copy(cp, t.rules)
-	return cp
-}
-
 // Len returns the number of rules (excluding the default).
 func (t *Table) Len() int { return len(t.rules) }
 

@@ -219,15 +219,6 @@ func TestParseErrorMentionsLine(t *testing.T) {
 	}
 }
 
-func TestMustParsePanicsOnError(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustParse("garbage")
-}
-
 func TestCommentsAndBlankLines(t *testing.T) {
 	tbl, err := Parse("# header\n\n  if priority is low then ON4 # trailing\n\n")
 	if err != nil {
@@ -314,16 +305,6 @@ func TestFormatMatchesReference(t *testing.T) {
 	}
 }
 
-func TestRulesReturnsCopy(t *testing.T) {
-	tbl := Table1()
-	rs := tbl.Rules()
-	rs[0].Target = acpi.SoftOff
-	got, _, _ := tbl.Select(task.VeryHigh, battery.Empty, thermal.LowTemp)
-	if got != acpi.ON4 {
-		t.Fatal("mutating Rules() copy affected the table")
-	}
-}
-
 // Property: Select is deterministic and the returned rule index, when >= 0,
 // actually matches the inputs.
 func TestSelectConsistencyProperty(t *testing.T) {
@@ -338,7 +319,7 @@ func TestSelectConsistencyProperty(t *testing.T) {
 			return false
 		}
 		if i1 >= 0 {
-			return tbl.Rules()[i1].Matches(pr, ba, te)
+			return tbl.rules[i1].Matches(pr, ba, te)
 		}
 		return true
 	}
@@ -350,7 +331,7 @@ func TestSelectConsistencyProperty(t *testing.T) {
 // Property: for every input the selected rule is the first matching rule.
 func TestFirstMatchProperty(t *testing.T) {
 	tbl := Table1()
-	rs := tbl.Rules()
+	rs := tbl.rules
 	f := func(p, b, tc uint8) bool {
 		pr := task.Priority(p % 4)
 		ba := battery.Status(b % 6)

@@ -2,26 +2,6 @@ package sim
 
 import "testing"
 
-func TestNotifyNowRunsInSameEvaluation(t *testing.T) {
-	k := NewKernel()
-	e := k.NewEvent("e")
-	var order []string
-	k.Method("late", func() { order = append(order, "late") }).Sensitive(e).DontInitialize()
-	k.Method("driver", func() {
-		order = append(order, "driver")
-		e.NotifyNow()
-	})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[1] != "late" {
-		t.Fatalf("order = %v", order)
-	}
-	if k.DeltaCount() != 0 {
-		t.Fatalf("immediate notification consumed %d delta cycles", k.DeltaCount())
-	}
-}
-
 func TestCancelDeltaNotification(t *testing.T) {
 	k := NewKernel()
 	e := k.NewEvent("e")

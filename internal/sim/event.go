@@ -11,7 +11,6 @@ package sim
 type Event struct {
 	k    *Kernel
 	name string
-	id   int
 
 	// static subscribers (processes whose sensitivity list includes this
 	// event) and dynamic waiters (processes with an armed NextTrigger) —
@@ -77,13 +76,6 @@ func (e *Event) NotifyDelta() {
 	e.k.deltaQueue = append(e.k.deltaQueue, e)
 }
 
-// NotifyNow fires the event immediately: processes sensitive to it become
-// runnable within the current evaluation phase. Use sparingly; immediate
-// notification is order-sensitive just as in SystemC.
-func (e *Event) NotifyNow() {
-	e.fire()
-}
-
 // Cancel removes any pending (timed or delta) notification.
 func (e *Event) Cancel() {
 	if e.pendingAt != pendingNone {
@@ -94,20 +86,11 @@ func (e *Event) Cancel() {
 	e.pendingDelta = false // delta entry becomes a no-op when drained
 }
 
-// Pending reports whether a timed or delta notification is outstanding.
-func (e *Event) Pending() bool { return e.pendingDelta || e.pendingAt != pendingNone }
-
 // fire makes every subscribed process runnable and clears dynamic waiters;
-// a static subscriber with an armed dynamic wait is skipped.
-// A pending timed notification still set here means the event fired out of
-// band (NotifyNow) while its heap entry is still queued — count that entry
-// stale. The kernel's timed pop path clears pendingAt before calling fire,
-// so entries that left the heap are never double-counted.
+// a static subscriber with an armed dynamic wait is skipped. No timed
+// notification is pending here: the timed pop path clears pendingAt before
+// calling fire, and a delta notification cancels any timed one.
 func (e *Event) fire() {
-	if e.pendingAt != pendingNone {
-		e.pendingAt = pendingNone
-		e.k.timed.noteStale()
-	}
 	e.pendingDelta = false
 	for _, p := range e.static {
 		if len(p.waitSet) == 0 {

@@ -187,29 +187,6 @@ func TestGapFastForwardAllocFree(t *testing.T) {
 	}
 }
 
-// TestQuiescentUntil pins the diagnostic: with only the gap tick pending
-// the kernel is quiescent forever; another live notification bounds it.
-func TestQuiescentUntil(t *testing.T) {
-	k := NewKernel()
-	tick := k.NewEvent("tick")
-	k.Method("sampler", func() { tick.Notify(gapTick) }).Sensitive(tick).DontInitialize()
-	k.GapPeriodic(tick, gapTick, func(Time, int) int { return 1 })
-	tick.Notify(gapTick)
-	if got := k.QuiescentUntil(); got != MaxTime {
-		t.Errorf("QuiescentUntil with only the gap tick = %s, want MaxTime", got)
-	}
-	other := k.NewEvent("other")
-	k.Method("m", func() {}).Sensitive(other).DontInitialize()
-	other.Notify(5 * Us)
-	if got := k.QuiescentUntil(); got != 5*Us {
-		t.Errorf("QuiescentUntil = %s, want %s", got, 5*Us)
-	}
-	other.Cancel()
-	if got := k.QuiescentUntil(); got != MaxTime {
-		t.Errorf("QuiescentUntil after cancel = %s, want MaxTime", got)
-	}
-}
-
 // TestGapPeriodicValidation pins the registration guards.
 func TestGapPeriodicValidation(t *testing.T) {
 	mustPanic := func(name string, f func()) {

@@ -5,10 +5,11 @@ import (
 	"fmt"
 )
 
-// Kernel owns simulated time, the event queues and every process, event and
-// signal of one simulation. It is not safe for concurrent use: all model
-// code runs inside Run, on the calling goroutine, and a later Run may come
-// from another goroutine.
+// Kernel owns simulated time, the event queues and every process of one
+// simulation; its events and signals hold a pointer to it, and it keeps no
+// list of them. It is not safe for concurrent use: all model code runs
+// inside Run, on the calling goroutine, and a later Run may come from
+// another goroutine.
 //
 // The scheduling hot path is allocation-free in steady state: the timed
 // queue is a concrete value-slice heap (timedQueue), and the runnable,
@@ -30,8 +31,7 @@ type Kernel struct {
 	updates    []updater // signals with a pending update this delta
 	updSpare   []updater
 
-	procs  []*process
-	events []*Event
+	procs []*process
 
 	stopRequested bool
 	started       bool
@@ -45,10 +45,6 @@ type Kernel struct {
 	// processes re-notifying each other forever at the same time). Zero
 	// means the default of 1,000,000.
 	MaxDeltasPerInstant int
-
-	// onUpdate hooks run after each update phase; the trace package uses
-	// them to sample changed signals.
-	onUpdate []func(Time)
 
 	// gap is the registered idle fast-forward subscriber (GapPeriodic);
 	// gapSeq is the timed queue's push count when the current gap began
@@ -87,9 +83,7 @@ func (k *Kernel) DeltaCount() uint64 { return k.deltaCount }
 
 // NewEvent creates a named event owned by this kernel.
 func (k *Kernel) NewEvent(name string) *Event {
-	e := &Event{k: k, name: name, id: len(k.events), pendingAt: pendingNone}
-	k.events = append(k.events, e)
-	return e
+	return &Event{k: k, name: name, pendingAt: pendingNone}
 }
 
 // Method registers a method process: fn is invoked once per activation and
@@ -158,14 +152,6 @@ func (k *Kernel) Quiet() bool {
 // the gap fast-forward path (0 when no GapPeriodic subscriber is
 // registered or the model never went quiescent).
 func (k *Kernel) FastForwardedInstants() uint64 { return k.ffInstants }
-
-// QuiescentUntil returns the earliest live timed notification other than
-// the gap subscriber's tick — the horizon up to which the kernel can prove
-// nothing but the periodic subscriber will run — and MaxTime when no such
-// notification is pending. Diagnostic; O(n) over the timed queue.
-func (k *Kernel) QuiescentUntil() Time {
-	return k.timed.minLiveExcept(k.gap.ev)
-}
 
 // ErrDeltaLivelock is returned by Run when one simulated instant exceeds
 // MaxDeltasPerInstant delta cycles.
@@ -367,9 +353,6 @@ func (k *Kernel) applyUpdates() {
 	for _, u := range ups {
 		u.applyUpdate()
 	}
-	for _, h := range k.onUpdate {
-		h(k.now)
-	}
 	k.updSpare = ups[:0]
 }
 
@@ -391,11 +374,3 @@ func (k *Kernel) scheduleUpdate(u updater) {
 func (k *Kernel) scheduleTimed(e *Event, at Time, gen uint64) {
 	k.timed.push(at, gen, e)
 }
-
-// timedLen reports the number of entries (live + dead) in the timed queue;
-// the compaction regression tests assert it stays bounded under churn.
-func (k *Kernel) timedLen() int { return k.timed.len() }
-
-// AfterUpdate registers a hook invoked after every update phase. Intended
-// for tracing infrastructure.
-func (k *Kernel) AfterUpdate(h func(Time)) { k.onUpdate = append(k.onUpdate, h) }

@@ -111,11 +111,11 @@ func TestCancelRemovesPending(t *testing.T) {
 		}
 	}).Sensitive(e)
 	e.Notify(5 * Ns)
-	if !e.Pending() {
+	if e.pendingAt != 5*Ns {
 		t.Fatal("event should be pending after Notify")
 	}
 	e.Cancel()
-	if e.Pending() {
+	if e.pendingAt != pendingNone || e.pendingDelta {
 		t.Fatal("event still pending after Cancel")
 	}
 	if err := k.Run(MaxTime); err != nil {

@@ -108,19 +108,6 @@ func (q *timedQueue) popTop() timedEntry {
 // notification (nothing else moves the counter).
 func (q *timedQueue) seqCount() uint64 { return q.seq }
 
-// minLiveExcept returns the time of the earliest live entry whose event is
-// not `skip`, or MaxTime when there is none. O(n); diagnostic use only.
-func (q *timedQueue) minLiveExcept(skip *Event) Time {
-	min := MaxTime
-	for i := range q.entries {
-		e := &q.entries[i]
-		if e.ev != skip && e.live() && e.at < min {
-			min = e.at
-		}
-	}
-	return min
-}
-
 // nextTime prunes dead entries off the top and returns the time of the
 // earliest live notification. After it returns ok==true the root is live,
 // so the kernel pops it with popTop without validating it a second time.

@@ -21,7 +21,7 @@ func TestTimedQueueBoundedUnderChurn(t *testing.T) {
 	for i := 0; i < n; i++ {
 		e.Notify(Time(2*n-i) * Ns)
 	}
-	if got := k.timedLen(); got > 2*compactMin {
+	if got := k.timed.len(); got > 2*compactMin {
 		t.Fatalf("timed queue holds %d entries after %d re-notifications, want <= %d", got, n, 2*compactMin)
 	}
 	// The one live notification must still fire, exactly once, at the
@@ -38,7 +38,7 @@ func TestTimedQueueBoundedUnderChurn(t *testing.T) {
 	if want := Time(2*n-(n-1)) * Ns; at != want {
 		t.Fatalf("fired at %v, want %v", at, want)
 	}
-	if got := k.timedLen(); got != 0 {
+	if got := k.timed.len(); got != 0 {
 		t.Fatalf("queue not drained: %d entries", got)
 	}
 }
@@ -53,7 +53,7 @@ func TestTimedQueueCancelChurnBounded(t *testing.T) {
 		e.Notify(Time(i+1) * Us)
 		e.Cancel()
 	}
-	if got := k.timedLen(); got > 2*compactMin {
+	if got := k.timed.len(); got > 2*compactMin {
 		t.Fatalf("timed queue holds %d entries after %d notify/cancel pairs, want <= %d", got, n, 2*compactMin)
 	}
 }
@@ -71,6 +71,7 @@ func TestTimedQueuePopOrder(t *testing.T) {
 		ev  *Event
 	}
 	var want []sched
+	seqOf := map[*Event]int{}
 	const n = 500
 	for i := 0; i < n; i++ {
 		// Few distinct times so equal-time FIFO ordering is exercised hard.
@@ -78,6 +79,7 @@ func TestTimedQueuePopOrder(t *testing.T) {
 		e := k.NewEvent("e")
 		e.Notify(at)
 		want = append(want, sched{at: at, seq: i, ev: e})
+		seqOf[e] = i
 	}
 	// Churn a disjoint set of events to force at least one compaction
 	// while the n live entries are queued.
@@ -106,14 +108,14 @@ func TestTimedQueuePopOrder(t *testing.T) {
 	}
 	for i, s := range want {
 		if got[i] != s.ev {
-			t.Fatalf("pop %d: got event scheduled #%d, want #%d (at=%v)", i, got[i].id, s.ev.id, s.at)
+			t.Fatalf("pop %d: got event scheduled #%d, want #%d (at=%v)", i, seqOf[got[i]], s.seq, s.at)
 		}
 	}
 }
 
 // TestTimedQueueStaleCountExact: the stale counter must exactly track dead
 // entries through every invalidation path (supersede, cancel, delta
-// override, out-of-band fire), or compaction would trigger early/late.
+// override), or compaction would trigger early/late.
 func TestTimedQueueStaleCountExact(t *testing.T) {
 	k := NewKernel()
 	check := func(label string, wantStale int) {
@@ -132,11 +134,10 @@ func TestTimedQueueStaleCountExact(t *testing.T) {
 		}
 	}
 
-	a, b, c, d := k.NewEvent("a"), k.NewEvent("b"), k.NewEvent("c"), k.NewEvent("d")
+	a, b, c := k.NewEvent("a"), k.NewEvent("b"), k.NewEvent("c")
 	a.Notify(10 * Us)
 	b.Notify(10 * Us)
 	c.Notify(10 * Us)
-	d.Notify(10 * Us)
 	check("after scheduling", 0)
 
 	a.Notify(5 * Us) // supersede
@@ -151,7 +152,4 @@ func TestTimedQueueStaleCountExact(t *testing.T) {
 
 	c.NotifyDelta() // delta beats timed
 	check("after delta override", 3)
-
-	d.NotifyNow() // out-of-band fire kills the queued entry
-	check("after immediate fire", 4)
 }

@@ -97,8 +97,9 @@ func TestAccountantGapAllocFree(t *testing.T) {
 func TestAccountantStreamsStatistics(t *testing.T) {
 	k, acct, interval := buildAccountant(t, true)
 	var ref stats.Series
-	ref.Add(0, acct.temp.Last()) // the seeded initial temperature
-	refPeak := acct.temp.Last()
+	seed := acct.plant.tempC() // the seeded initial temperature
+	ref.Add(0, seed)
+	refPeak := seed
 	const ticks = 500
 	for i := 0; i < ticks; i++ {
 		if err := k.Run(k.Now() + interval); err != nil {
@@ -138,7 +139,6 @@ func TestEnergyMeterAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		m.SetPower(0.5)
-		m.AddPower(0.1)
 		m.AddEnergy(1e-6)
 		if m.EnergyJ() <= 0 {
 			t.Fatal("no energy accumulated")

@@ -80,23 +80,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// PairedDelta summarizes the per-replicate differences policy[i]−base[i]:
-// the paired design that cancels workload-seed variance when two policies
-// run the identical generated scenarios. The slices must align by seed.
-func PairedDelta(policy, base []float64) (Summary, error) {
-	if len(policy) != len(base) {
-		return Summary{}, fmt.Errorf("stats: paired samples differ in length (%d vs %d)", len(policy), len(base))
-	}
-	if len(policy) == 0 {
-		return Summary{}, fmt.Errorf("stats: empty paired sample")
-	}
-	ds := make([]float64, len(policy))
-	for i := range policy {
-		ds[i] = policy[i] - base[i]
-	}
-	return Summarize(ds), nil
-}
-
 // PairedPct summarizes the per-replicate percent changes
 // (policy[i]−base[i])/base[i]·100 — the tournament's "energy vs baseline"
 // column. Every baseline observation must be nonzero.

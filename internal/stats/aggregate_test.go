@@ -51,22 +51,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestPairedDelta(t *testing.T) {
-	d, err := PairedDelta([]float64{3, 5, 7}, []float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Mean != 4 || d.N != 3 || d.Min != 2 || d.Max != 6 {
-		t.Fatalf("paired delta = %+v", d)
-	}
-	if _, err := PairedDelta([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := PairedDelta(nil, nil); err == nil {
-		t.Error("empty pairs accepted")
-	}
-}
-
 func TestPairedPct(t *testing.T) {
 	p, err := PairedPct([]float64{50, 150}, []float64{100, 100})
 	if err != nil {

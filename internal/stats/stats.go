@@ -46,13 +46,6 @@ func (m *EnergyMeter) SetPower(w float64) {
 	m.power = w
 }
 
-// AddPower adjusts the current power level by a delta (used when a
-// component contributes several independent terms).
-func (m *EnergyMeter) AddPower(dw float64) {
-	m.settle()
-	m.power += dw
-}
-
 // Accrue settles the meter at t, one step of secs seconds after its last
 // settle, and returns the energy. The caller has converted the step once
 // for every meter it samples; the result is bit-identical to EnergyJ at t
@@ -110,14 +103,6 @@ func (s *Series) Add(t sim.Time, v float64) {
 
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.times) }
-
-// Last returns the most recent value (0 when empty).
-func (s *Series) Last() float64 {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	return s.vals[len(s.vals)-1]
-}
 
 // Max returns the maximum value (0 when empty).
 func (s *Series) Max() float64 {
@@ -224,9 +209,6 @@ func (w *TimeWeighted) AddStep(t sim.Time, secs, v float64) {
 
 // Len returns the number of samples accumulated.
 func (w *TimeWeighted) Len() int { return w.n }
-
-// Last returns the most recent value (0 when empty).
-func (w *TimeWeighted) Last() float64 { return w.lastV }
 
 // Max returns the maximum sample seen (0 when empty).
 func (w *TimeWeighted) Max() float64 {

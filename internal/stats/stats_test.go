@@ -36,13 +36,12 @@ func TestEnergyMeterPiecewise(t *testing.T) {
 func TestEnergyMeterAddPowerAndEnergy(t *testing.T) {
 	k := sim.NewKernel()
 	m := NewEnergyMeter(k, "m")
-	m.AddPower(1.0)
-	m.AddPower(0.5)
+	m.SetPower(1.5)
 	if m.Power() != 1.5 {
 		t.Fatalf("Power = %v", m.Power())
 	}
 	advance(t, k, 2*sim.Sec) // 3 J
-	m.AddPower(-1.5)
+	m.SetPower(0)
 	m.AddEnergy(0.25)
 	if got := m.EnergyJ(); math.Abs(got-3.25) > 1e-9 {
 		t.Fatalf("EnergyJ = %v, want 3.25", got)
@@ -73,16 +72,24 @@ func TestSeriesTimeWeightedMean(t *testing.T) {
 	}
 }
 
+// last is a series' most recent value (0 when empty).
+func last(s *Series) float64 {
+	if len(s.vals) == 0 {
+		return 0
+	}
+	return s.vals[len(s.vals)-1]
+}
+
 func TestSeriesStats(t *testing.T) {
 	var s Series
-	if s.Max() != 0 || s.Min() != 0 || s.Last() != 0 {
+	if s.Max() != 0 || s.Min() != 0 || last(&s) != 0 {
 		t.Fatal("empty series stats should be 0")
 	}
 	s.Add(0, 5)
 	s.Add(sim.Sec, -2)
 	s.Add(2*sim.Sec, 7)
-	if s.Max() != 7 || s.Min() != -2 || s.Last() != 7 || s.Len() != 3 {
-		t.Fatalf("Max=%v Min=%v Last=%v Len=%d", s.Max(), s.Min(), s.Last(), s.Len())
+	if s.Max() != 7 || s.Min() != -2 || last(&s) != 7 || s.Len() != 3 {
+		t.Fatalf("Max=%v Min=%v Last=%v Len=%d", s.Max(), s.Min(), last(&s), s.Len())
 	}
 }
 
@@ -242,7 +249,7 @@ func TestTimeWeightedMatchesSeries(t *testing.T) {
 		if got, want := w.Min(), s.Min(); got != want {
 			t.Fatalf("trial %d: streaming min %v != series min %v", trial, got, want)
 		}
-		if got, want := w.Last(), s.Last(); got != want {
+		if got, want := w.lastV, last(&s); got != want {
 			t.Fatalf("trial %d: streaming last %v != series last %v", trial, got, want)
 		}
 		if w.Len() != s.Len() {
@@ -253,9 +260,9 @@ func TestTimeWeightedMatchesSeries(t *testing.T) {
 
 func TestTimeWeightedEmpty(t *testing.T) {
 	var w TimeWeighted
-	if w.MeanUntil(sim.Sec) != 0 || w.Max() != 0 || w.Min() != 0 || w.Last() != 0 || w.Len() != 0 {
+	if w.MeanUntil(sim.Sec) != 0 || w.Max() != 0 || w.Min() != 0 || w.lastV != 0 || w.Len() != 0 {
 		t.Errorf("empty accumulator must report zeros, got mean=%v max=%v min=%v last=%v len=%d",
-			w.MeanUntil(sim.Sec), w.Max(), w.Min(), w.Last(), w.Len())
+			w.MeanUntil(sim.Sec), w.Max(), w.Min(), w.lastV, w.Len())
 	}
 }
 

@@ -57,11 +57,13 @@ func (p NetworkParams) Validate() error {
 // Network is the multi-node thermal component.
 type Network struct {
 	p        NetworkParams
-	names    []string
 	nodes    []float64
 	spreader float64
 	fanOn    bool
-	hottest  *sim.Signal[float64]
+	// hottest carries the hottest node temperature. Nothing reads it, but
+	// its change notifications are delta cycles that Result.Deltas counts
+	// and every result digest pins, so StepSecs keeps writing it.
+	hottest *sim.Signal[float64]
 
 	// onStep, when set (AttachSensors), refreshes the quantising sensors
 	// after every integration step.
@@ -79,7 +81,6 @@ func NewNetwork(k *sim.Kernel, name string, p NetworkParams, names []string, ini
 	}
 	n := &Network{
 		p:        p,
-		names:    append([]string(nil), names...),
 		nodes:    make([]float64, len(names)),
 		spreader: initialC,
 		hottest:  sim.NewSignal(k, name+".hottest", initialC),
@@ -91,7 +92,7 @@ func NewNetwork(k *sim.Kernel, name string, p NetworkParams, names []string, ini
 }
 
 // integrate runs the sub-stepped Euler solution over secs, mutating the
-// given node/spreader state in place. Step passes the live state;
+// given node/spreader state in place. StepSecs passes the live state;
 // PeekStepHottest passes copies — sharing the core keeps the two paths
 // bit-identical.
 func (n *Network) integrate(nodes []float64, spreader *float64, powers []float64, secs float64) {
@@ -125,15 +126,11 @@ func (n *Network) integrate(nodes []float64, spreader *float64, powers []float64
 	}
 }
 
-// Step integrates the network for dt with the given per-node powers (one
-// entry per node, watts).
-func (n *Network) Step(powers []float64, dt sim.Time) { n.StepSecs(powers, dt.Seconds()) }
-
-// StepSecs is Step over secs seconds, for callers that have converted the
-// interval already.
+// StepSecs integrates the network for secs seconds with the given per-node
+// powers (one entry per node, watts).
 func (n *Network) StepSecs(powers []float64, secs float64) {
 	if len(powers) != len(n.nodes) {
-		panic(fmt.Sprintf("thermal: Step with %d powers for %d nodes", len(powers), len(n.nodes)))
+		panic(fmt.Sprintf("thermal: StepSecs with %d powers for %d nodes", len(powers), len(n.nodes)))
 	}
 	n.integrate(n.nodes, &n.spreader, powers, secs)
 	_, hot := n.Hottest()
@@ -143,7 +140,7 @@ func (n *Network) StepSecs(powers []float64, secs float64) {
 	}
 }
 
-// PeekStepHottest returns the hottest node temperature Step(powers, dt)
+// PeekStepHottest returns the hottest node temperature StepSecs over dt
 // would reach, without mutating the network, its sensors or signals: the
 // identical sub-stepped arithmetic on copies. Run snapshots close the
 // final partial interval through it. It allocates (one copy of the node
@@ -167,16 +164,6 @@ func (n *Network) PeekStepHottest(powers []float64, dt sim.Time) float64 {
 // NodeTempC returns a node's temperature by index.
 func (n *Network) NodeTempC(i int) float64 { return n.nodes[i] }
 
-// NodeTempByName returns a node's temperature by name.
-func (n *Network) NodeTempByName(name string) (float64, bool) {
-	for i, nm := range n.names {
-		if nm == name {
-			return n.nodes[i], true
-		}
-	}
-	return 0, false
-}
-
 // SpreaderTempC returns the spreader temperature.
 func (n *Network) SpreaderTempC() float64 { return n.spreader }
 
@@ -191,10 +178,6 @@ func (n *Network) Hottest() (int, float64) {
 	return idx, hot
 }
 
-// HottestSignal carries the hottest node temperature (updated each Step);
-// quantise it with a Node-style sensor or trace it directly.
-func (n *Network) HottestSignal() *sim.Signal[float64] { return n.hottest }
-
 // SetFan switches the spreader fan.
 func (n *Network) SetFan(on bool) { n.fanOn = on }
 
@@ -203,27 +186,3 @@ func (n *Network) FanOn() bool { return n.fanOn }
 
 // NumNodes returns the node count.
 func (n *Network) NumNodes() int { return len(n.nodes) }
-
-// SteadyStateC returns the steady-state temperature of node i under the
-// given constant per-node powers (with the current fan setting):
-// Ts = Tamb + Rsa·ΣP, Ti = Ts + Ri·Pi.
-func (n *Network) SteadyStateC(i int, powers []float64) float64 {
-	if len(powers) != len(n.nodes) {
-		panic("thermal: SteadyStateC power count mismatch")
-	}
-	rsa := n.p.SpreaderRthKperW
-	if n.fanOn {
-		rsa *= n.p.FanFactor
-	}
-	var total float64
-	for _, p := range powers {
-		if p > 0 {
-			total += p
-		}
-	}
-	pi := powers[i]
-	if pi < 0 {
-		pi = 0
-	}
-	return n.p.AmbientC + rsa*total + n.p.NodeRthKperW*pi
-}

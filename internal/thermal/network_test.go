@@ -14,6 +14,21 @@ func newNet(t *testing.T, names ...string) *Network {
 	return NewNetwork(k, "net", DefaultNetworkParams(), names, 45)
 }
 
+// netSteadyStateC is the closed-form equilibrium of node i of a network
+// under constant per-node powers: the spreader settles at Tamb + Rsa·ΣP
+// (Rsa scaled by FanFactor while the fan runs) and node i at Ts + Ri·Pi.
+func netSteadyStateC(p NetworkParams, fan bool, i int, powers []float64) float64 {
+	rsa := p.SpreaderRthKperW
+	if fan {
+		rsa *= p.FanFactor
+	}
+	var total float64
+	for _, pw := range powers {
+		total += max(pw, 0)
+	}
+	return p.AmbientC + rsa*total + p.NodeRthKperW*max(powers[i], 0)
+}
+
 func TestNetworkParamsValidate(t *testing.T) {
 	if err := DefaultNetworkParams().Validate(); err != nil {
 		t.Fatal(err)
@@ -47,10 +62,10 @@ func TestNetworkConstructionErrors(t *testing.T) {
 func TestNetworkSteadyState(t *testing.T) {
 	n := newNet(t, "a", "b")
 	powers := []float64{0.5, 0.1}
-	want0 := n.SteadyStateC(0, powers)
-	want1 := n.SteadyStateC(1, powers)
+	want0 := netSteadyStateC(DefaultNetworkParams(), false, 0, powers)
+	want1 := netSteadyStateC(DefaultNetworkParams(), false, 1, powers)
 	for i := 0; i < 500; i++ {
-		n.Step(powers, sim.Ms)
+		n.StepSecs(powers, sim.Ms.Seconds())
 	}
 	if math.Abs(n.NodeTempC(0)-want0) > 0.5 {
 		t.Fatalf("node 0 at %v, want ≈%v", n.NodeTempC(0), want0)
@@ -70,7 +85,7 @@ func TestNetworkNeighbourHeating(t *testing.T) {
 	// neighbour burns power — the effect the single-node model can't show.
 	n := newNet(t, "hot", "cold")
 	for i := 0; i < 300; i++ {
-		n.Step([]float64{1.0, 0}, sim.Ms)
+		n.StepSecs([]float64{1.0, 0}, sim.Ms.Seconds())
 	}
 	cold := n.NodeTempC(1)
 	if cold <= 46 {
@@ -94,8 +109,8 @@ func TestNetworkFanCoolsEverything(t *testing.T) {
 	}
 	powers := []float64{0.5, 0.5}
 	for i := 0; i < 300; i++ {
-		a.Step(powers, sim.Ms)
-		b.Step(powers, sim.Ms)
+		a.StepSecs(powers, sim.Ms.Seconds())
+		b.StepSecs(powers, sim.Ms.Seconds())
 	}
 	if b.NodeTempC(0) >= a.NodeTempC(0) {
 		t.Fatalf("fan did not cool: %v vs %v", b.NodeTempC(0), a.NodeTempC(0))
@@ -106,7 +121,7 @@ func TestNetworkCoolsToAmbient(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNetwork(k, "net", DefaultNetworkParams(), []string{"a"}, 90)
 	for i := 0; i < 1000; i++ {
-		n.Step([]float64{0}, sim.Ms)
+		n.StepSecs([]float64{0}, sim.Ms.Seconds())
 	}
 	if math.Abs(n.NodeTempC(0)-45) > 0.5 || math.Abs(n.SpreaderTempC()-45) > 0.5 {
 		t.Fatalf("did not cool to ambient: node %v spreader %v", n.NodeTempC(0), n.SpreaderTempC())
@@ -115,12 +130,6 @@ func TestNetworkCoolsToAmbient(t *testing.T) {
 
 func TestNetworkNodeLookup(t *testing.T) {
 	n := newNet(t, "cpu", "dsp")
-	if _, ok := n.NodeTempByName("cpu"); !ok {
-		t.Fatal("cpu not found")
-	}
-	if _, ok := n.NodeTempByName("gpu"); ok {
-		t.Fatal("phantom node found")
-	}
 	if n.NumNodes() != 2 {
 		t.Fatalf("NumNodes = %d", n.NumNodes())
 	}
@@ -133,7 +142,7 @@ func TestNetworkStepPowerCountMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	n.Step([]float64{1}, sim.Ms)
+	n.StepSecs([]float64{1}, sim.Ms.Seconds())
 }
 
 func TestNetworkHottestSignalUpdates(t *testing.T) {
@@ -142,7 +151,7 @@ func TestNetworkHottestSignalUpdates(t *testing.T) {
 	e := k.NewEvent("tick")
 	i := 0
 	k.Method("drv", func() {
-		n.Step([]float64{2.0}, sim.Ms)
+		n.StepSecs([]float64{2.0}, sim.Ms.Seconds())
 		i++
 		if i < 50 {
 			e.Notify(sim.Ms)
@@ -151,8 +160,8 @@ func TestNetworkHottestSignalUpdates(t *testing.T) {
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if n.HottestSignal().Read() <= 46 {
-		t.Fatalf("hottest signal %v did not track heating", n.HottestSignal().Read())
+	if _, hot := n.Hottest(); hot <= 46 {
+		t.Fatalf("hottest node %v did not track heating", hot)
 	}
 }
 
@@ -163,10 +172,10 @@ func TestNetworkBoundedProperty(t *testing.T) {
 		k := sim.NewKernel()
 		n := NewNetwork(k, "net", DefaultNetworkParams(), []string{"a", "b"}, 45)
 		powers := []float64{float64(p1%30) / 10, float64(p2%30) / 10}
-		hi0 := n.SteadyStateC(0, powers) + 1e-6
-		hi1 := n.SteadyStateC(1, powers) + 1e-6
+		hi0 := netSteadyStateC(DefaultNetworkParams(), false, 0, powers) + 1e-6
+		hi1 := netSteadyStateC(DefaultNetworkParams(), false, 1, powers) + 1e-6
 		for i := 0; i < 100; i++ {
-			n.Step(powers, sim.Ms)
+			n.StepSecs(powers, sim.Ms.Seconds())
 			if n.NodeTempC(0) < 45-1e-6 || n.NodeTempC(0) > hi0 {
 				return false
 			}

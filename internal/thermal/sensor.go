@@ -45,12 +45,6 @@ type SensorThresholds struct {
 	HysteresisC  float64
 }
 
-// DefaultSensorThresholds matches DefaultParams.
-func DefaultSensorThresholds() SensorThresholds {
-	p := DefaultParams()
-	return SensorThresholds{MediumAboveC: p.MediumAboveC, HighAboveC: p.HighAboveC, HysteresisC: p.HysteresisC}
-}
-
 // classify applies thresholds with hysteresis relative to the current
 // class (shared by all sensors).
 func (th SensorThresholds) classify(t float64, cur Class) Class {
@@ -92,7 +86,7 @@ type NetworkSensor struct {
 }
 
 // NewNetworkSensor attaches a quantising sensor to node `index` of net.
-// refresh() must be called after each network Step (the Network does this
+// refresh() must be called after each network StepSecs (the Network does this
 // for sensors created via AttachSensors).
 func NewNetworkSensor(k *sim.Kernel, name string, net *Network, index int, th SensorThresholds) *NetworkSensor {
 	if index < 0 || index >= net.NumNodes() {
@@ -143,7 +137,7 @@ type NetworkHottest struct {
 }
 
 // AttachSensors builds one sensor per network node plus the hottest-node
-// aggregate, and hooks them so every Network.Step refreshes all classes.
+// aggregate, and hooks them so every Network.StepSecs refreshes all classes.
 func AttachSensors(k *sim.Kernel, name string, net *Network, th SensorThresholds) (*NetworkHottest, []*NetworkSensor) {
 	sensors := make([]*NetworkSensor, net.NumNodes())
 	for i := range sensors {

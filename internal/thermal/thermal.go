@@ -47,16 +47,6 @@ func (c Class) Append(b []byte) []byte {
 	return append(b, ')')
 }
 
-// ParseClass converts a name back to a Class.
-func ParseClass(name string) (Class, error) {
-	for c := Class(0); int(c) < NumClasses; c++ {
-		if c.String() == name {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("thermal: unknown class %q", name)
-}
-
 // Params describes the RC thermal network and the sensor.
 type Params struct {
 	AmbientC float64 // ambient temperature, °C
@@ -117,8 +107,8 @@ type Node struct {
 	class *sim.Signal[Class]
 
 	// Per-fan-state integration constants, precomputed so the accountant's
-	// per-sample Step costs no divisions for them. The values are the
-	// exact same expressions Step historically evaluated per call, so
+	// per-sample Advance costs no divisions for them. The values are the
+	// exact same expressions Advance historically evaluated per call, so
 	// results are bit-identical.
 	tau, tauFan         float64 // Rth·Cth and Rth·FanFactor·Cth
 	maxStep, maxStepFan float64 // tau/10 Euler stability bounds
@@ -144,8 +134,8 @@ func NewNode(k *sim.Kernel, name string, p Params, initialC float64) *Node {
 // explicit-Euler sub-stepped solution of dT/dt = P/Cth − (T − Tamb)/tau.
 // It does not touch the node, so run snapshots can close a final partial
 // interval with it and the power accountant can carry the temperature in
-// a local across samples. Step is Advance on the live temperature
-// followed by Set, so every path shares this arithmetic.
+// a local across samples, storing it back with Set; every path shares
+// this arithmetic.
 func (n *Node) Advance(tempC, power, secs float64) float64 {
 	if power < 0 {
 		power = 0
@@ -165,10 +155,6 @@ func (n *Node) Advance(tempC, power, secs float64) float64 {
 	}
 	return tempC
 }
-
-// Step integrates dT/dt = P/Cth − (T − Tamb)/(Rth·Cth) over dt with the
-// given dissipated power, then refreshes the sensor class.
-func (n *Node) Step(power float64, dt sim.Time) { n.Set(n.Advance(n.tempC, power, dt.Seconds())) }
 
 // Set stores a die temperature reached through Advance and refreshes the
 // sensor class. It must be called from a kernel process.
@@ -195,20 +181,6 @@ func (n *Node) SetFan(on bool) { n.fanOn = on }
 
 // FanOn reports the fan state.
 func (n *Node) FanOn() bool { return n.fanOn }
-
-// Params returns the node's characterisation.
-func (n *Node) Params() Params { return n.p }
-
-// SteadyStateC returns the temperature the node would settle at under a
-// constant power draw (with the current fan setting) — used by the LEM to
-// predict the temperature at the end of a task.
-func (n *Node) SteadyStateC(power float64) float64 {
-	rth := n.p.RthKperW
-	if n.fanOn {
-		rth *= n.p.FanFactor
-	}
-	return n.p.AmbientC + power*rth
-}
 
 // PredictClass estimates the sensor class after running at `power` for dt,
 // without mutating the node — the LEM's end-of-task temperature estimate.

@@ -9,16 +9,21 @@ import (
 	"godpm/internal/sim"
 )
 
-func TestClassStringsAndParse(t *testing.T) {
-	for c := Class(0); int(c) < NumClasses; c++ {
-		got, err := ParseClass(c.String())
-		if err != nil || got != c {
-			t.Errorf("round trip failed for %v", c)
-		}
+// step advances n by dt at power the way the SoC's accountant does:
+// Advance from the live temperature, then Set.
+func step(n *Node, power float64, dt sim.Time) {
+	n.Set(n.Advance(n.TempC(), power, dt.Seconds()))
+}
+
+// steadyStateC is the closed-form equilibrium of the single-node RC model
+// under a constant power draw: Tamb + P·Rth, with Rth scaled by FanFactor
+// while the fan runs.
+func steadyStateC(p Params, fan bool, power float64) float64 {
+	rth := p.RthKperW
+	if fan {
+		rth *= p.FanFactor
 	}
-	if _, err := ParseClass("Scorching"); err == nil {
-		t.Error("bogus class parsed")
-	}
+	return p.AmbientC + power*rth
 }
 
 func TestDefaultParamsValidate(t *testing.T) {
@@ -48,9 +53,9 @@ func TestValidateCatchesBadParams(t *testing.T) {
 func TestHeatingTowardsSteadyState(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNode(k, "die", DefaultParams(), 45)
-	want := n.SteadyStateC(0.648) // ≈ 45 + 0.648·50 = 77.4
+	want := steadyStateC(DefaultParams(), false, 0.648) // ≈ 45 + 0.648·50 = 77.4
 	for i := 0; i < 100; i++ {
-		n.Step(0.648, sim.Ms) // 100 ms >> tau of 5 ms
+		step(n, 0.648, sim.Ms) // 100 ms >> tau of 5 ms
 	}
 	if math.Abs(n.TempC()-want) > 0.5 {
 		t.Fatalf("TempC = %v, want ≈%v", n.TempC(), want)
@@ -61,7 +66,7 @@ func TestCoolingTowardsAmbient(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNode(k, "die", DefaultParams(), 90)
 	for i := 0; i < 100; i++ {
-		n.Step(0, sim.Ms)
+		step(n, 0, sim.Ms)
 	}
 	if math.Abs(n.TempC()-45) > 0.5 {
 		t.Fatalf("TempC = %v, want ambient 45", n.TempC())
@@ -70,12 +75,19 @@ func TestCoolingTowardsAmbient(t *testing.T) {
 
 func TestFanLowersSteadyState(t *testing.T) {
 	k := sim.NewKernel()
+	a := NewNode(k, "a", DefaultParams(), 45)
 	n := NewNode(k, "die", DefaultParams(), 45)
-	noFan := n.SteadyStateC(1.0)
 	n.SetFan(true)
-	withFan := n.SteadyStateC(1.0)
+	for i := 0; i < 100; i++ { // 100 ms >> tau of 5 ms
+		step(a, 1.0, sim.Ms)
+		step(n, 1.0, sim.Ms)
+	}
+	noFan, withFan := a.TempC(), n.TempC()
 	if withFan >= noFan {
 		t.Fatalf("fan did not lower steady state: %v vs %v", withFan, noFan)
+	}
+	if want := steadyStateC(DefaultParams(), true, 1.0); math.Abs(withFan-want) > 0.5 {
+		t.Fatalf("fan-cooled node settled at %v, want ≈%v", withFan, want)
 	}
 	if !n.FanOn() {
 		t.Fatal("FanOn not reported")
@@ -88,8 +100,8 @@ func TestFanSpeedsCooling(t *testing.T) {
 	b := NewNode(k, "b", DefaultParams(), 90)
 	b.SetFan(true)
 	for i := 0; i < 3; i++ {
-		a.Step(0, sim.Ms)
-		b.Step(0, sim.Ms)
+		step(a, 0, sim.Ms)
+		step(b, 0, sim.Ms)
 	}
 	if b.TempC() >= a.TempC() {
 		t.Fatalf("fan-cooled node %v not cooler than %v", b.TempC(), a.TempC())
@@ -113,7 +125,7 @@ func TestSensorClasses(t *testing.T) {
 	}
 }
 
-// settle applies pending signal updates (Step called outside a process
+// settle applies pending signal updates (step called outside a process
 // schedules the class write; the kernel must run to apply it).
 func settle(t *testing.T, k *sim.Kernel) {
 	t.Helper()
@@ -130,21 +142,21 @@ func TestSensorHysteresis(t *testing.T) {
 	}
 	// Cool to just below the High threshold but within hysteresis: stays High.
 	n.tempC = 79
-	n.Step(0, sim.Time(1)) // negligible dt, just to reclassify
+	step(n, 0, sim.Time(1)) // negligible dt, just to reclassify
 	settle(t, k)
 	if n.Class() != HighTemp {
 		t.Fatalf("class at 79°C falling = %v, want HighTemp (hysteresis)", n.Class())
 	}
 	// Below threshold minus hysteresis: drops to Medium.
 	n.tempC = 77
-	n.Step(0, sim.Time(1))
+	step(n, 0, sim.Time(1))
 	settle(t, k)
 	if n.Class() != MediumTemp {
 		t.Fatalf("class at 77°C falling = %v, want MediumTemp", n.Class())
 	}
 	// Rising again needs to reach the full threshold.
 	n.tempC = 79
-	n.Step(0, sim.Time(1))
+	step(n, 0, sim.Time(1))
 	settle(t, k)
 	if n.Class() != MediumTemp {
 		t.Fatalf("class at 79°C rising = %v, want MediumTemp", n.Class())
@@ -159,7 +171,7 @@ func TestClassSignalFiresOnChange(t *testing.T) {
 	e := k.NewEvent("tick")
 	i := 0
 	k.Method("heat", func() {
-		n.Step(2.0, sim.Ms) // strong heating
+		step(n, 2.0, sim.Ms) // strong heating
 		i++
 		if i < 20 {
 			e.Notify(sim.Ms)
@@ -183,7 +195,7 @@ func TestPredictClassMatchesStepping(t *testing.T) {
 	// Actually run it.
 	m := NewNode(k, "die2", DefaultParams(), 50)
 	for i := 0; i < 20; i++ {
-		m.Step(1.5, sim.Ms)
+		step(m, 1.5, sim.Ms)
 	}
 	settle(t, k)
 	if got := m.Class(); got != predicted {
@@ -198,7 +210,7 @@ func TestPredictClassMatchesStepping(t *testing.T) {
 func TestNegativePowerIgnored(t *testing.T) {
 	k := sim.NewKernel()
 	n := NewNode(k, "die", DefaultParams(), 45)
-	n.Step(-10, sim.Ms)
+	step(n, -10, sim.Ms)
 	if n.TempC() < 44.9 {
 		t.Fatalf("negative power cooled below ambient: %v", n.TempC())
 	}
@@ -212,10 +224,10 @@ func TestTemperatureBoundedProperty(t *testing.T) {
 		power := float64(p) / 100 // 0..2.55 W
 		start := 45 + float64(t0%60)
 		n := NewNode(k, "die", DefaultParams(), start)
-		ss := n.SteadyStateC(power)
+		ss := steadyStateC(DefaultParams(), false, power)
 		lo, hi := math.Min(start, ss)-1e-6, math.Max(start, ss)+1e-6
 		for i := 0; i < 50; i++ {
-			n.Step(power, sim.Ms)
+			step(n, power, sim.Ms)
 			if n.TempC() < lo || n.TempC() > hi {
 				return false
 			}

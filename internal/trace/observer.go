@@ -53,7 +53,7 @@ func (o *VCDObserver) RunStart(info *soc.RunInfo) {
 }
 
 // registerString declares a string-valued variable (rendered as a VCD real
-// of 16 characters, as AttachStringer does) with its initial value.
+// of 16 characters) with its initial value.
 func (o *VCDObserver) registerString(name, initial string) string {
 	id := o.v.register(sanitize(name), "real", 8*16, "")
 	o.v.vars[len(o.v.vars)-1].initial = "s" + vcdString(initial) + " " + id
@@ -95,9 +95,8 @@ func (o *VCDObserver) Err() error { return o.v.Err() }
 // soc.Config.TraceCSV writer field with byte-identical output.
 type CSVObserver struct {
 	soc.NopObserver
-	w    io.Writer
-	rows int
-	err  error
+	w   io.Writer
+	err error
 }
 
 // NewCSVObserver creates a sampled-scalar CSV observer writing to w.
@@ -131,13 +130,8 @@ func (o *CSVObserver) Sample(t sim.Time, s *soc.Sample) {
 	}
 	if _, err := fmt.Fprintln(o.w, b.String()); err != nil {
 		o.err = err
-		return
 	}
-	o.rows++
 }
-
-// Rows returns the number of data rows written so far.
-func (o *CSVObserver) Rows() int { return o.rows }
 
 // Err implements soc.Observer: the first write error, if any.
 func (o *CSVObserver) Err() error { return o.err }

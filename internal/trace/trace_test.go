@@ -4,7 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"godpm/internal/acpi"
+	"godpm/internal/battery"
 	"godpm/internal/sim"
+	"godpm/internal/soc"
+	"godpm/internal/thermal"
 )
 
 func TestIDCodeUniqueAndPrintable(t *testing.T) {
@@ -23,100 +27,70 @@ func TestIDCodeUniqueAndPrintable(t *testing.T) {
 	}
 }
 
-func TestBinstr(t *testing.T) {
-	cases := []struct {
-		v    uint64
-		w    int
-		want string
-	}{
-		{0, 4, "0000"},
-		{5, 4, "0101"},
-		{255, 8, "11111111"},
-		{1, 1, "1"},
-		{6, 3, "110"},
-	}
-	for _, c := range cases {
-		if got := binstr(c.v, c.w); got != c.want {
-			t.Errorf("binstr(%d,%d) = %q, want %q", c.v, c.w, got, c.want)
-		}
-	}
+// startRun registers one IP's variables on a fresh VCDObserver, as a
+// run's RunStart does, and returns it with its output.
+func startRun(t *testing.T) (*VCDObserver, *strings.Builder) {
+	t.Helper()
+	var sb strings.Builder
+	o := NewVCDObserver(&sb)
+	o.RunStart(&soc.RunInfo{
+		IPs:            []string{"cpu"},
+		InitialStates:  []acpi.State{acpi.ON1},
+		InitialBattery: battery.Full,
+		InitialThermal: thermal.LowTemp,
+		BatterySignal:  "battery.status",
+		ThermalSignal:  "die.class",
+	})
+	return o, &sb
 }
 
 func TestVCDHeaderAndChanges(t *testing.T) {
-	k := sim.NewKernel()
-	var sb strings.Builder
-	v := NewVCD(&sb, "soc", sim.Ns)
-	b := sim.NewSignal(k, "enable", false)
-	n := sim.NewSignal(k, "count", 0)
-	r := sim.NewSignal(k, "power", 0.0)
-	v.AttachBool(b)
-	AttachInt(v, n, 8)
-	v.AttachReal(r)
-	if err := v.WriteHeader(); err != nil {
-		t.Fatal(err)
-	}
-	e := k.NewEvent("tick")
-	i := 0
-	k.Method("drv", func() {
-		i++
-		b.Write(i%2 == 1)
-		n.Write(i)
-		r.Write(float64(i) * 0.5)
-		if i < 3 {
-			e.Notify(10 * sim.Ns)
-		}
-	}).Sensitive(e)
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
+	o, sb := startRun(t)
+	o.PSMTransition(10*sim.Ns, 0, true)
+	o.PSMState(10*sim.Ns, 0, acpi.ON4)
+	o.PSMTransition(20*sim.Ns, 0, false)
+	o.BatteryStatus(20*sim.Ns, battery.High)
+	o.ThermalClass(30*sim.Ns, thermal.MediumTemp)
 	out := sb.String()
 	for _, want := range []string{
 		"$timescale 1 ns $end",
 		"$scope module soc $end",
-		"$var wire 1 ! enable $end",
-		"$var wire 8 \" count $end",
-		"$var real 64 # power $end",
-		"$dumpvars",
-		"#0",
-		"1!",
-		"b00000001 \"",
-		"r0.5 #",
-		"#10",
-		"#20",
+		"$var real 128 ! cpu.state $end",
+		"$var wire 1 \" cpu.transitioning $end",
+		"$var real 128 # battery.status $end",
+		"$var real 128 $ die.class $end",
+		"$dumpvars\nsON1 !\n0\"\nsFull #\nsLow $\n$end\n",
+		"#10\n1\"\nsON4 !\n",
+		"#20\n0\"\nsHigh #\n",
+		"#30\nsMedium $\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("VCD output missing %q\n---\n%s", want, out)
 		}
 	}
-	if v.Err() != nil {
-		t.Fatalf("VCD error: %v", v.Err())
+	if o.Err() != nil {
+		t.Fatalf("VCD error: %v", o.Err())
 	}
 }
 
 func TestVCDStringerAttachment(t *testing.T) {
-	k := sim.NewKernel()
 	var sb strings.Builder
-	v := NewVCD(&sb, "m", sim.Ns)
-	s := sim.NewSignal(k, "state", "idle state")
-	AttachStringer(v, s, func(x string) string { return x })
-	if err := v.WriteHeader(); err != nil {
+	o := NewVCDObserver(&sb)
+	id := o.registerString("state", "idle state")
+	if err := o.v.WriteHeader(); err != nil {
 		t.Fatal(err)
 	}
-	k.Method("drv", func() { s.Write("busy") })
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
+	o.v.change(0, "s"+vcdString("busy\tnow")+" "+id)
 	out := sb.String()
 	if !strings.Contains(out, "sidle_state") {
 		t.Errorf("initial string value not escaped/dumped:\n%s", out)
 	}
-	if !strings.Contains(out, "sbusy") {
-		t.Errorf("string change not dumped:\n%s", out)
+	if !strings.Contains(out, "sbusy_now") {
+		t.Errorf("string change not escaped/dumped:\n%s", out)
 	}
 }
 
 func TestVCDRegisterAfterHeaderPanics(t *testing.T) {
-	k := sim.NewKernel()
 	var sb strings.Builder
 	v := NewVCD(&sb, "m", sim.Ns)
 	if err := v.WriteHeader(); err != nil {
@@ -127,29 +101,16 @@ func TestVCDRegisterAfterHeaderPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	v.AttachBool(sim.NewSignal(k, "late", false))
+	v.register("late", "wire", 1, "")
 }
 
 func TestVCDTimestampMonotonic(t *testing.T) {
-	k := sim.NewKernel()
-	var sb strings.Builder
-	v := NewVCD(&sb, "m", sim.Ns)
-	s := sim.NewSignal(k, "x", 0)
-	AttachInt(v, s, 4)
-	if err := v.WriteHeader(); err != nil {
-		t.Fatal(err)
-	}
-	e := k.NewEvent("t")
-	i := 0
-	k.Method("d", func() {
-		i++
-		s.Write(i)
-		if i < 5 {
-			e.Notify(3 * sim.Ns)
-		}
-	}).Sensitive(e)
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
+	o, sb := startRun(t)
+	for i := 1; i <= 5; i++ {
+		// Two changes per instant share one timestamp.
+		at := sim.Time(3*i) * sim.Ns
+		o.PSMTransition(at, 0, i%2 == 1)
+		o.ThermalClass(at, thermal.Class(i%thermal.NumClasses))
 	}
 	last := int64(-1)
 	for _, line := range strings.Split(sb.String(), "\n") {
@@ -158,8 +119,8 @@ func TestVCDTimestampMonotonic(t *testing.T) {
 			if _, err := fmtSscanf(line, &ts); err != nil {
 				t.Fatalf("bad timestamp line %q", line)
 			}
-			if ts < last {
-				t.Fatalf("timestamps not monotonic: %d after %d", ts, last)
+			if ts <= last {
+				t.Fatalf("timestamps not strictly increasing: %d after %d", ts, last)
 			}
 			last = ts
 		}

@@ -8,16 +8,14 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"godpm/internal/sim"
 )
 
-// VCD streams value changes in IEEE 1364 VCD format. Register variables
-// before the simulation starts, then call Attach-style helpers which hook
-// signal OnChange callbacks; Flush after the run emits nothing further but
-// reports any accumulated write error.
+// VCD streams value changes in IEEE 1364 VCD format. Register every
+// variable before WriteHeader, then record value changes in time order;
+// Err reports the first write error.
 type VCD struct {
 	w         io.Writer
 	timescale sim.Time
@@ -75,40 +73,8 @@ func (v *VCD) register(name, kind string, width int, initial string) string {
 	return id
 }
 
-// AttachBool traces a boolean signal as a 1-bit wire.
-func (v *VCD) AttachBool(s *sim.Signal[bool]) {
-	id := v.register(sanitize(s.Name()), "wire", 1, "")
-	v.vars[len(v.vars)-1].initial = boolBit(s.Read()) + id
-	s.OnChange(func(t sim.Time, val bool) { v.change(t, boolBit(val)+id) })
-}
-
-// AttachInt traces an integer signal as a width-bit binary vector.
-func AttachInt[T ~int | ~int32 | ~int64 | ~uint | ~uint32 | ~uint64](v *VCD, s *sim.Signal[T], width int) {
-	if width <= 0 || width > 64 {
-		panic("trace: AttachInt width must be 1..64")
-	}
-	id := v.register(sanitize(s.Name()), "wire", width, "")
-	v.vars[len(v.vars)-1].initial = "b" + binstr(uint64(s.Read()), width) + " " + id
-	s.OnChange(func(t sim.Time, val T) { v.change(t, "b"+binstr(uint64(val), width)+" "+id) })
-}
-
-// AttachReal traces a float signal as a VCD real variable.
-func (v *VCD) AttachReal(s *sim.Signal[float64]) {
-	id := v.register(sanitize(s.Name()), "real", 64, "")
-	v.vars[len(v.vars)-1].initial = fmt.Sprintf("r%g %s", s.Read(), id)
-	s.OnChange(func(t sim.Time, val float64) { v.change(t, fmt.Sprintf("r%g %s", val, id)) })
-}
-
-// AttachStringer traces any comparable signal (e.g. an enum with a String
-// method) as a real-width string variable rendered via format.
-func AttachStringer[T comparable](v *VCD, s *sim.Signal[T], format func(T) string) {
-	id := v.register(sanitize(s.Name()), "real", 8*16, "")
-	v.vars[len(v.vars)-1].initial = "s" + vcdString(format(s.Read())) + " " + id
-	s.OnChange(func(t sim.Time, val T) { v.change(t, "s"+vcdString(format(val))+" "+id) })
-}
-
 // WriteHeader emits the declaration section and initial values. It must be
-// called after all variables are attached and before the simulation runs.
+// called after all variables are registered and before the simulation runs.
 func (v *VCD) WriteHeader() error {
 	if v.headerOut {
 		return nil
@@ -168,19 +134,6 @@ func boolBit(b bool) string {
 	return "0"
 }
 
-func binstr(v uint64, width int) string {
-	b := make([]byte, width)
-	for i := width - 1; i >= 0; i-- {
-		if v&1 == 1 {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-		v >>= 1
-	}
-	return string(b)
-}
-
 func vcdString(s string) string {
 	return strings.Map(func(r rune) rune {
 		if r == ' ' || r == '\n' || r == '\t' {
@@ -212,12 +165,4 @@ func timescaleString(t sim.Time) string {
 	default:
 		return fmt.Sprintf("%d ps", t)
 	}
-}
-
-// SortVarsByName is exposed for deterministic golden tests on header output.
-func (v *VCD) SortVarsByName() {
-	if v.headerOut {
-		panic("trace: cannot sort after header written")
-	}
-	sort.Slice(v.vars, func(i, j int) bool { return v.vars[i].name < v.vars[j].name })
 }

@@ -7,13 +7,10 @@
 package workload
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"strconv"
-	"strings"
 
 	"godpm/internal/power"
 	"godpm/internal/sim"
@@ -74,15 +71,6 @@ func (s Sequence) TotalInstructions() int64 {
 		n += it.Task.Instructions
 	}
 	return n
-}
-
-// TotalIdle sums the idle gaps.
-func (s Sequence) TotalIdle() sim.Time {
-	var t sim.Time
-	for _, it := range s {
-		t += it.IdleAfter
-	}
-	return t
 }
 
 // Validate checks every task in the sequence.
@@ -263,58 +251,7 @@ func weightedPick(rng *rand.Rand, ws []float64) int {
 	return len(ws) - 1
 }
 
-// Export writes the sequence as text, one "id instructions class priority
-// idle_ps" line per item, suitable for Import.
-func Export(w io.Writer, s Sequence) error {
-	for _, it := range s {
-		_, err := fmt.Fprintf(w, "%d %d %s %s %d\n",
-			it.Task.ID, it.Task.Instructions, it.Task.Class, it.Task.Priority, int64(it.IdleAfter))
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Import reads a sequence written by Export.
-func Import(r io.Reader) (Sequence, error) {
-	var seq Sequence
-	sc := bufio.NewScanner(r)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var id int
-		var instr, idle int64
-		var classStr, prioStr string
-		if _, err := fmt.Sscanf(line, "%d %d %s %s %d", &id, &instr, &classStr, &prioStr, &idle); err != nil {
-			return nil, fmt.Errorf("workload: line %d: %v", lineNo, err)
-		}
-		class, err := parseClass(classStr)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %v", lineNo, err)
-		}
-		prio, err := task.ParsePriority(prioStr)
-		if err != nil {
-			return nil, fmt.Errorf("workload: line %d: %v", lineNo, err)
-		}
-		seq = append(seq, Item{
-			Task:      task.Task{ID: id, Instructions: instr, Class: class, Priority: prio},
-			IdleAfter: sim.Time(idle),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := seq.Validate(); err != nil {
-		return nil, err
-	}
-	return seq, nil
-}
-
+// parseClass converts an instruction class name back to its value.
 func parseClass(s string) (power.InstructionClass, error) {
 	for c := power.InstructionClass(0); c < power.NumInstrClasses; c++ {
 		if c.String() == s {

@@ -12,6 +12,15 @@ import (
 	"godpm/internal/task"
 )
 
+// totalIdle sums a sequence's idle gaps.
+func totalIdle(s Sequence) sim.Time {
+	var t sim.Time
+	for _, it := range s {
+		t += it.IdleAfter
+	}
+	return t
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	p := HighActivity(42, 100)
 	a := p.MustGenerate()
@@ -66,9 +75,9 @@ func TestInstructionJitterBounds(t *testing.T) {
 func TestActivityLevels(t *testing.T) {
 	hi := HighActivity(5, 300).MustGenerate()
 	lo := LowActivity(5, 300).MustGenerate()
-	if lo.TotalIdle() <= hi.TotalIdle() {
+	if totalIdle(lo) <= totalIdle(hi) {
 		t.Fatalf("low-activity idle %v not greater than high-activity %v",
-			lo.TotalIdle(), hi.TotalIdle())
+			totalIdle(lo), totalIdle(hi))
 	}
 	// Same seed and task parameters: the busy work is identical.
 	if hi.TotalInstructions() != lo.TotalInstructions() {
@@ -89,7 +98,7 @@ func TestFixedDistribution(t *testing.T) {
 func TestExponentialMeanApproximate(t *testing.T) {
 	p := HighActivity(11, 4000)
 	s := p.MustGenerate()
-	mean := float64(s.TotalIdle()) / float64(len(s))
+	mean := float64(totalIdle(s)) / float64(len(s))
 	want := float64(p.MeanIdle)
 	if math.Abs(mean-want)/want > 0.1 {
 		t.Fatalf("empirical mean idle %v deviates >10%% from %v", mean, want)
@@ -165,10 +174,10 @@ func TestPriorityMixCoversClasses(t *testing.T) {
 func TestExportImportRoundTrip(t *testing.T) {
 	s := HighActivity(23, 100).MustGenerate()
 	var sb strings.Builder
-	if err := Export(&sb, s); err != nil {
+	if err := ExportCSV(&sb, s); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Import(strings.NewReader(sb.String()))
+	got, err := ImportCSV(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,25 +193,17 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 func TestImportRejectsGarbage(t *testing.T) {
 	bad := []string{
-		"1 1000 ALU",          // short line
-		"x 1000 ALU Medium 5", // bad id
-		"1 1000 FPU Medium 5", // bad class
-		"1 1000 ALU Urgent 5", // bad priority
-		"1 0 ALU Medium 5",    // zero instructions (fails Validate)
-		"1 100 ALU Medium -5", // negative idle
+		"1,1000,ALU",          // short line
+		"x,1000,ALU,Medium,5", // bad id
+		"1,1000,FPU,Medium,5", // bad class
+		"1,1000,ALU,Urgent,5", // bad priority
+		"1,0,ALU,Medium,5",    // zero instructions (fails Validate)
+		"1,100,ALU,Medium,-5", // negative idle
 	}
 	for _, src := range bad {
-		if _, err := Import(strings.NewReader(src)); err == nil {
-			t.Errorf("Import(%q) succeeded", src)
+		if _, err := ImportCSV(strings.NewReader(src)); err == nil {
+			t.Errorf("ImportCSV(%q) succeeded", src)
 		}
-	}
-}
-
-func TestImportSkipsCommentsAndBlanks(t *testing.T) {
-	src := "# header\n\n0 100 ALU Low 5000\n"
-	s, err := Import(strings.NewReader(src))
-	if err != nil || len(s) != 1 {
-		t.Fatalf("Import = %v,%v", s, err)
 	}
 }
 
