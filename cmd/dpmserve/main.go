@@ -760,12 +760,20 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Config != nil {
 		rec.ConfigDigest = jr.Key
 	}
+	if jr.Err == nil && jr.Result == nil {
+		jr.Err = fmt.Errorf("%w: job %s has no result", godpm.ErrEngineInternal, jobID)
+	}
 	if jr.Err != nil {
+		// A config the model refuses is the client's fault (422); a job the
+		// engine could not finish is the server's (500).
 		status := http.StatusUnprocessableEntity
 		rec.Outcome = godpm.JournalOutcomeError
-		if errors.Is(jr.Err, context.Canceled) {
+		switch {
+		case errors.Is(jr.Err, context.Canceled):
 			status = http.StatusRequestTimeout
 			rec.Outcome = godpm.JournalOutcomeCanceled
+		case errors.Is(jr.Err, godpm.ErrEngineInternal):
+			status = http.StatusInternalServerError
 		}
 		http.Error(w, jr.Err.Error(), status)
 		rec.Status = status

@@ -444,6 +444,25 @@ func TestInvalidInlineConfigAnswers422(t *testing.T) {
 	}
 }
 
+// TestOversizedWorkloadAnswers422: a closed-loop generator asked for 2⁶²
+// tasks used to panic in its make on an engine worker and take the whole
+// process down. It is refused with 422 before anything is allocated, and
+// the server goes on answering a valid request with 200.
+func TestOversizedWorkloadAnswers422(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{MaxInflight: 2})
+	gen := func(n string) string {
+		return `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":` + n + `,"MeanInstructions":100000}}}]}}`
+	}
+	resp, msg := postJSON(t, ts.URL+"/v1/simulate", gen("4611686018427387904"))
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "exceeds the cap") {
+		t.Fatalf("2^62 tasks: status %d (%s), want 422 naming the cap", resp.StatusCode, bytes.TrimSpace(msg))
+	}
+	resp, msg = postJSON(t, ts.URL+"/v1/simulate", gen("5"))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid request after the refusal: status %d (%s), want 200", resp.StatusCode, bytes.TrimSpace(msg))
+	}
+}
+
 // TestLoadgenDedupRatioAndBoundedCache drives the built-in load
 // generator at an in-process server: a mixed duplicate/distinct stream
 // must be served from exactly `distinct` simulations, and the cache

@@ -297,6 +297,10 @@ type (
 // commands' -chaos-seed flags apply.
 func DefaultChaosPlan(seed WorkloadSeed) ChaosPlan { return chaos.DefaultPlan(seed) }
 
+// ErrEngineInternal marks a job error that is a fault of the engine or
+// the model (a panic the engine contained), not of the job's config.
+var ErrEngineInternal = engine.ErrInternal
+
 // OSCacheFS is the real filesystem for DiskCacheOptions.FS (the default
 // when FS is nil); chaos plans wrap it.
 var OSCacheFS CacheFS = engine.OSFS

@@ -96,19 +96,25 @@ func (th Thresholds) Validate() error {
 type Wells struct{ Available, Bound float64 }
 
 // Model is a battery chemistry: it integrates load through Drain and
-// reports state of charge.
+// reads a state of charge off the available charge through SoCOf.
+//
+// SoCOf depends on the available charge alone and is non-decreasing in it.
+// Pack relies on both: it classifies a state by comparing Available
+// against the least available charge that reaches each threshold, which
+// is exact only under that contract.
 type Model interface {
 	// Wells returns the model's charge state; SetWells stores one.
 	Wells() Wells
 	SetWells(Wells)
 	// Drain returns the state w reaches under a constant draw of power
-	// watts for secs seconds, and the usable state of charge it reads as.
-	// It does not touch the model, so a caller can step its own copy of
-	// the state across many samples and store it back once.
-	Drain(w Wells, power, secs float64) (Wells, float64)
-	// SoC returns the usable state of charge in [0,1] — what the status
-	// encoder observes.
-	SoC() float64
+	// watts for secs seconds. It does not touch the model, so a caller can
+	// step its own copy of the state across many samples and store it
+	// back once.
+	Drain(w Wells, power, secs float64) Wells
+	// SoCOf returns the usable state of charge in [0,1] that a state with
+	// the given available charge reads as — what the status encoder
+	// observes.
+	SoCOf(available float64) float64
 	// CapacityJ returns the nominal capacity in joules.
 	CapacityJ() float64
 }
@@ -139,7 +145,7 @@ func (b *Linear) Wells() Wells { return Wells{Available: b.charge} }
 func (b *Linear) SetWells(w Wells) { b.charge = w.Available }
 
 // Drain implements Model.
-func (b *Linear) Drain(w Wells, power, secs float64) (Wells, float64) {
+func (b *Linear) Drain(w Wells, power, secs float64) Wells {
 	if power < 0 {
 		power = 0
 	}
@@ -151,11 +157,11 @@ func (b *Linear) Drain(w Wells, power, secs float64) (Wells, float64) {
 	if w.Available < 0 {
 		w.Available = 0
 	}
-	return w, w.Available / b.capacity
+	return w
 }
 
-// SoC implements Model.
-func (b *Linear) SoC() float64 { return b.charge / b.capacity }
+// SoCOf implements Model.
+func (b *Linear) SoCOf(available float64) float64 { return available / b.capacity }
 
 // CapacityJ implements Model.
 func (b *Linear) CapacityJ() float64 { return b.capacity }
@@ -172,7 +178,7 @@ type KiBaM struct {
 	c        float64 // available-well fraction, 0 < c < 1
 	kPerSec  float64 // valve rate constant (1/s)
 	maxStep  float64 // Euler stability bound 1/(10k), precomputed
-	// 1−c and c·capacity, precomputed for Drain and SoC: the same
+	// 1−c and c·capacity, precomputed for Drain and SoCOf: the same
 	// operations on the same inputs, so the results are bit-identical.
 	boundFrac, availCap float64
 	available           float64 // joules in the available well
@@ -204,42 +210,46 @@ func (b *KiBaM) Wells() Wells { return Wells{Available: b.available, Bound: b.bo
 // SetWells implements Model.
 func (b *KiBaM) SetWells(w Wells) { b.available, b.bound = w.Available, w.Bound }
 
-// Drain implements Model: it integrates the two-well ODEs with
-// sub-stepping for stability.
-func (b *KiBaM) Drain(w Wells, power, secs float64) (Wells, float64) {
+// Drain implements Model: it integrates the two-well ODEs by explicit
+// Euler, in sub-steps of at most 1/(10k) for stability. A step within that
+// bound (every 100 µs accountant sample) is one sub-step.
+func (b *KiBaM) Drain(w Wells, power, secs float64) Wells {
 	if power < 0 {
 		power = 0
 	}
-	remaining := secs
-	// Explicit Euler with steps bounded by 1/(10k) for stability.
-	maxStep := b.maxStep
-	for remaining > 1e-15 {
+	if secs > 1e-15 && secs <= b.maxStep {
+		return b.euler(w, power, secs)
+	}
+	for remaining := secs; remaining > 1e-15; {
 		h := remaining
-		if h > maxStep {
-			h = maxStep
+		if h > b.maxStep {
+			h = b.maxStep
 		}
-		h1 := w.Available / b.c
-		h2 := w.Bound / b.boundFrac
-		flow := b.kPerSec * (h2 - h1) // joules/sec from bound to available
-		w.Available += (flow - power) * h
-		w.Bound -= flow * h
-		if w.Available < 0 {
-			w.Available = 0
-		}
-		if w.Bound < 0 {
-			w.Bound = 0
-		}
+		w = b.euler(w, power, h)
 		remaining -= h
 	}
-	return w, b.socOf(w.Available)
+	return w
 }
 
-// SoC implements Model: the usable state of charge is the available well
-// relative to its share of capacity.
-func (b *KiBaM) SoC() float64 { return b.socOf(b.available) }
+// euler takes one explicit Euler step of h seconds at power watts.
+func (b *KiBaM) euler(w Wells, power, h float64) Wells {
+	h1 := w.Available / b.c
+	h2 := w.Bound / b.boundFrac
+	flow := b.kPerSec * (h2 - h1) // joules/sec from bound to available
+	w.Available += (flow - power) * h
+	w.Bound -= flow * h
+	if w.Available < 0 {
+		w.Available = 0
+	}
+	if w.Bound < 0 {
+		w.Bound = 0
+	}
+	return w
+}
 
-// socOf is the usable state of charge of an available well.
-func (b *KiBaM) socOf(available float64) float64 {
+// SoCOf implements Model: the usable state of charge is the available well
+// relative to its share of capacity.
+func (b *KiBaM) SoCOf(available float64) float64 {
 	soc := available / b.availCap
 	if soc > 1 {
 		return 1

@@ -9,13 +9,13 @@ import (
 )
 
 // drain draws power watts from m for secs seconds the way the SoC's
-// accountant does, through Drain and SetWells, and returns the usable state
-// of charge Drain reports.
-func drain(m Model, power, secs float64) float64 {
-	w, soc := m.Drain(m.Wells(), power, secs)
-	m.SetWells(w)
-	return soc
+// accountant does, through Drain and SetWells.
+func drain(m Model, power, secs float64) {
+	m.SetWells(m.Drain(m.Wells(), power, secs))
 }
+
+// socOf is m's usable state of charge.
+func socOf(m Model) float64 { return m.SoCOf(m.Wells().Available) }
 
 // totalCharge is m's remaining energy fraction, bound charge included.
 func totalCharge(m Model) float64 {
@@ -53,10 +53,10 @@ func TestThresholdsValidate(t *testing.T) {
 func TestLinearDischarge(t *testing.T) {
 	b := NewLinear(100, 1.0) // 100 J
 	drain(b, 1.0, 10)        // 1 W for 10 s = 10 J
-	if soc := b.SoC(); soc < 0.899 || soc > 0.901 {
+	if soc := socOf(b); soc < 0.899 || soc > 0.901 {
 		t.Fatalf("SoC = %v, want 0.9", soc)
 	}
-	if totalCharge(b) != b.SoC() {
+	if totalCharge(b) != socOf(b) {
 		t.Fatal("linear total charge should equal SoC")
 	}
 }
@@ -64,8 +64,8 @@ func TestLinearDischarge(t *testing.T) {
 func TestLinearNeverNegative(t *testing.T) {
 	b := NewLinear(10, 0.1)
 	drain(b, 100, 10)
-	if b.SoC() != 0 {
-		t.Fatalf("SoC = %v, want clamped to 0", b.SoC())
+	if socOf(b) != 0 {
+		t.Fatalf("SoC = %v, want clamped to 0", socOf(b))
 	}
 }
 
@@ -78,16 +78,16 @@ func TestLinearRateCapacityPenalty(t *testing.T) {
 	hi.RateK, hi.RefPower = 0.5, 1.0
 	drain(lo, 1.0, 20) // 20 J at 1 W
 	drain(hi, 2.0, 10) // 20 J at 2 W
-	if hi.SoC() >= lo.SoC() {
-		t.Fatalf("rate-capacity penalty missing: hi %v >= lo %v", hi.SoC(), lo.SoC())
+	if socOf(hi) >= socOf(lo) {
+		t.Fatalf("rate-capacity penalty missing: hi %v >= lo %v", socOf(hi), socOf(lo))
 	}
 }
 
 func TestLinearNegativePowerIgnored(t *testing.T) {
 	b := NewLinear(100, 0.5)
 	drain(b, -5, 1)
-	if b.SoC() != 0.5 {
-		t.Fatalf("negative power changed charge: %v", b.SoC())
+	if socOf(b) != 0.5 {
+		t.Fatalf("negative power changed charge: %v", socOf(b))
 	}
 }
 
@@ -103,7 +103,7 @@ func TestLinearBadParamsPanics(t *testing.T) {
 func TestKiBaMDischargeAndBounds(t *testing.T) {
 	b := NewKiBaM(100, 1.0, 0.4, 0.1)
 	drain(b, 1.0, 10)
-	if b.SoC() >= 1.0 {
+	if socOf(b) >= 1.0 {
 		t.Fatal("KiBaM did not discharge")
 	}
 	if totalCharge(b) > 0.91 || totalCharge(b) < 0.89 {
@@ -116,8 +116,8 @@ func TestKiBaMRateCapacityEffect(t *testing.T) {
 	// refills: usable SoC drops below total charge.
 	b := NewKiBaM(100, 1.0, 0.3, 0.05)
 	drain(b, 5.0, 4)
-	if b.SoC() >= totalCharge(b) {
-		t.Fatalf("SoC %v should lag total charge %v under load", b.SoC(), totalCharge(b))
+	if socOf(b) >= totalCharge(b) {
+		t.Fatalf("SoC %v should lag total charge %v under load", socOf(b), totalCharge(b))
 	}
 }
 
@@ -126,10 +126,10 @@ func TestKiBaMRecoveryEffect(t *testing.T) {
 	// well: SoC rises with zero draw. This drives scenario B/C.
 	b := NewKiBaM(100, 1.0, 0.3, 0.05)
 	drain(b, 5.0, 4)
-	low := b.SoC()
+	low := socOf(b)
 	drain(b, 0, 60)
-	if b.SoC() <= low {
-		t.Fatalf("no recovery: SoC %v after rest, was %v", b.SoC(), low)
+	if socOf(b) <= low {
+		t.Fatalf("no recovery: SoC %v after rest, was %v", socOf(b), low)
 	}
 	// Total charge must not increase during rest (no free energy).
 	if totalCharge(b) > 0.81 {
@@ -178,7 +178,7 @@ func TestDischargeMonotoneProperty(t *testing.T) {
 		l1, l2 := NewLinear(1000, 1), NewLinear(1000, 1)
 		drain(l1, a, 10)
 		drain(l2, b, 10)
-		if l2.SoC() > l1.SoC()+1e-12 {
+		if socOf(l2) > socOf(l1)+1e-12 {
 			return false
 		}
 		k1 := NewKiBaM(1000, 1, 0.4, 0.1)
@@ -203,7 +203,8 @@ func TestPackStatusSignal(t *testing.T) {
 	e := k.NewEvent("tick")
 	n := 0
 	k.Method("drain", func() {
-		p.Refresh(drain(p.Model(), 10, 2)) // 20 J per tick
+		drain(p.Model(), 10, 2) // 20 J per tick
+		p.Refresh(p.Model().Wells())
 		n++
 		if n < 5 {
 			e.Notify(sim.Ms)

@@ -41,7 +41,7 @@ func (b *Peukert) Wells() Wells { return Wells{Available: b.charge} }
 func (b *Peukert) SetWells(w Wells) { b.charge = w.Available }
 
 // Drain implements Model.
-func (b *Peukert) Drain(w Wells, power, secs float64) (Wells, float64) {
+func (b *Peukert) Drain(w Wells, power, secs float64) Wells {
 	if power > 0 {
 		eff := power * math.Pow(power/b.RefPower, b.Exponent-1)
 		w.Available -= eff * secs
@@ -49,11 +49,11 @@ func (b *Peukert) Drain(w Wells, power, secs float64) (Wells, float64) {
 			w.Available = 0
 		}
 	}
-	return w, w.Available / b.capacity
+	return w
 }
 
-// SoC implements Model.
-func (b *Peukert) SoC() float64 { return b.charge / b.capacity }
+// SoCOf implements Model.
+func (b *Peukert) SoCOf(available float64) float64 { return available / b.capacity }
 
 // CapacityJ implements Model.
 func (b *Peukert) CapacityJ() float64 { return b.capacity }

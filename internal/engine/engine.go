@@ -179,6 +179,11 @@ func (e *Engine) simulate(ctx context.Context, job Job) (*soc.Result, error) {
 	return r, err
 }
 
+// ErrInternal marks the error of a job that panicked, or of one that
+// otherwise ended with neither a result nor an error: a fault of the
+// engine or the model, not of the job's config.
+var ErrInternal = errors.New("engine: internal failure")
+
 // Run executes every job of the plan and returns the results index-aligned
 // with plan.Jobs. It always returns a full-length slice; jobs that failed
 // (or were abandoned on cancellation) carry their error in their slot, and
@@ -281,6 +286,10 @@ feed:
 
 	var errs []error
 	for i := range results {
+		if results[i].Result == nil && results[i].Err == nil {
+			results[i].Job = plan.Jobs[i]
+			results[i].Err = fmt.Errorf("%w: job %s finished without a result", ErrInternal, plan.Jobs[i].ID)
+		}
 		if results[i].Err != nil {
 			errs = append(errs, fmt.Errorf("engine: job %s: %w", results[i].Job.ID, results[i].Err))
 		}
@@ -334,7 +343,23 @@ func (e *Engine) warmer(plan Plan) Warmer {
 // costs one run and never double-counts Misses. probed says the caller's
 // Lookup has just missed this job's key, so the first pre-flight probe
 // is skipped and the local tiers count one miss, as on Run.
-func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool) JobResult {
+//
+// A panic anywhere in the job — normalizing or keying its config, the
+// run, the record — is contained in the job's result as an error wrapping
+// ErrInternal, and a flight the job leads is finished with it, so the
+// job's waiters get the error too instead of waiting forever.
+func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool) (jr JobResult) {
+	var led *flight // the flight this job leads, until it finishes it
+	defer func() {
+		if p := recover(); p != nil {
+			err := fmt.Errorf("%w: job %s panicked: %v", ErrInternal, job.ID, p)
+			if led != nil {
+				e.flights.finish(keys.key, led, nil, nil, err)
+			}
+			e.errs.Add(1)
+			jr = JobResult{Job: job, Key: keys.key, Err: err}
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		e.canceled.Add(1)
 		return JobResult{Job: job, Err: err}
@@ -342,7 +367,7 @@ func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool)
 	if !keys.done {
 		keys = keysOf(job, false)
 	}
-	jr := JobResult{Job: job, Key: keys.key}
+	jr = JobResult{Job: job, Key: keys.key}
 	if keys.err != nil {
 		e.errs.Add(1)
 		jr.Err = keys.err
@@ -401,12 +426,14 @@ func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool)
 				return jr
 			}
 		}
+		led = f
 		// Leader. A sibling may have populated the cache between our miss
 		// and the join; re-probe — this time through every tier, remote
 		// included — before paying for a simulation. An undecodable record
 		// is treated as a miss, so the simulation below heals the slot.
 		if rec, ok := e.probe(jr.Key, false); ok {
 			if r, derr := rec.Result(); derr == nil {
+				led = nil
 				e.flights.finish(jr.Key, f, r, rec, nil)
 				e.hits.Add(1)
 				jr.Result, jr.Record, jr.CacheHit = r, rec, true
@@ -428,6 +455,7 @@ func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool)
 		} else {
 			e.countFailure(runErr)
 		}
+		led = nil
 		e.flights.finish(jr.Key, f, r, rec, runErr)
 		jr.Result, jr.Record, jr.Err = r, rec, runErr
 		return jr

@@ -265,6 +265,38 @@ func TestJobErrorsAreCollected(t *testing.T) {
 	}
 }
 
+// panicObserver panics as its run starts, outside the kernel's own
+// recovery: a stand-in for any fault in keying, running or recording a job.
+type panicObserver struct{ soc.NopObserver }
+
+func (panicObserver) RunStart(*soc.RunInfo) { panic("observer exploded") }
+
+// TestJobPanicIsContained: a panicking job fails alone with an error that
+// wraps ErrInternal and names it, its flight is finished (a later job with
+// the same key runs instead of waiting forever), and its sibling and the
+// engine are unharmed.
+func TestJobPanicIsContained(t *testing.T) {
+	eng := engine.New(engine.Options{Workers: 2})
+	var p engine.Plan
+	p.Jobs = append(p.Jobs, engine.Job{ID: "boom", Config: testConfig(1, soc.PolicyDPM, 5),
+		Options: soc.RunOptions{Observers: []soc.Observer{panicObserver{}}}})
+	p.Add("ok", testConfig(2, soc.PolicyDPM, 5))
+	results, err := eng.Run(context.Background(), p)
+	if err == nil || !errors.Is(results[0].Err, engine.ErrInternal) ||
+		!strings.Contains(results[0].Err.Error(), "boom") || !strings.Contains(results[0].Err.Error(), "observer exploded") {
+		t.Fatalf("panicking job: err %v, result err %v; want ErrInternal naming the job and the panic", err, results[0].Err)
+	}
+	if results[1].Err != nil || results[1].Result == nil {
+		t.Fatalf("sibling of a panicking job: %+v", results[1].Err)
+	}
+	var again engine.Plan
+	again.Add("again", testConfig(1, soc.PolicyDPM, 5))
+	results, err = eng.Run(context.Background(), again)
+	if err != nil || results[0].Result == nil || results[0].CacheHit {
+		t.Fatalf("same key after the panic: err %v, hit %v; want a fresh run", err, results[0].CacheHit)
+	}
+}
+
 func TestOnResultObservesEveryJob(t *testing.T) {
 	plan := testPlan(5)
 	seen := make(map[int]bool)

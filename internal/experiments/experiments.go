@@ -160,6 +160,15 @@ func All(t Tuning) []Scenario {
 	return []Scenario{A1(t), A2(t), A3(t), A4(t), B(t), C(t)}
 }
 
+// checkTasks refuses a task count the workload generators would refuse,
+// before any scenario generates one.
+func (t Tuning) checkTasks() error {
+	if t.NumTasks > workload.MaxTasks {
+		return fmt.Errorf("experiments: %d tasks per IP exceeds the cap of %d", t.NumTasks, workload.MaxTasks)
+	}
+	return nil
+}
+
 // paperScenarios maps each Table 2 ID to its constructor, so resolving
 // one scenario builds (and generates the workloads of) that one only.
 var paperScenarios = map[string]func(Tuning) Scenario{
@@ -168,6 +177,9 @@ var paperScenarios = map[string]func(Tuning) Scenario{
 
 // ByID returns the named scenario.
 func ByID(id string, t Tuning) (Scenario, error) {
+	if err := t.checkTasks(); err != nil {
+		return Scenario{}, err
+	}
 	if build, ok := paperScenarios[id]; ok {
 		return build(t), nil
 	}
@@ -183,6 +195,9 @@ var scenarioIDs = []string{"A1", "A2", "A3", "A4", "B", "C", "B-perip", "B-openl
 // the match is built, so an unknown name is refused, with the list of
 // IDs, before any workload is generated however many tasks t asks for.
 func Resolve(name string, t Tuning) (Scenario, error) {
+	if err := t.checkTasks(); err != nil {
+		return Scenario{}, err
+	}
 	name = strings.TrimSpace(name)
 	for _, id := range scenarioIDs {
 		if !strings.EqualFold(id, name) {

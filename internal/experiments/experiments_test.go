@@ -51,6 +51,16 @@ func TestByID(t *testing.T) {
 	if _, err := ByID("Z9", DefaultTuning()); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
+	// A task count the generators refuse is an error, not a panic in a
+	// scenario's workload generation.
+	huge := DefaultTuning()
+	huge.NumTasks = workload.MaxTasks + 1
+	if _, err := ByID("B", huge); err == nil {
+		t.Fatal("ByID accepted a task count above the cap")
+	}
+	if _, err := Resolve("B-openloop", huge); err == nil {
+		t.Fatal("Resolve accepted a task count above the cap")
+	}
 }
 
 // TestLookupsMatchCatalogs pins the id → constructor tables to the

@@ -117,7 +117,7 @@ func TestReevaluationOnClassChange(t *testing.T) {
 	drain := r.k.NewEvent("drain")
 	r.k.Method("drainer", func() {
 		r.model.SetWells(battery.Wells{Available: 0.2 * r.model.CapacityJ()})
-		r.pack.Refresh(r.model.SoC())
+		r.pack.Refresh(r.model.Wells())
 	}).Sensitive(drain).DontInitialize()
 	drain.Notify(sim.Ms)
 	if err := r.k.Run(10 * sim.Ms); err != nil {

@@ -140,7 +140,7 @@ func TestAcquireOnParksOnEmptyBatteryUntilCharge(t *testing.T) {
 	recharge := r.k.NewEvent("recharge")
 	r.k.Method("charger", func() {
 		r.model.SetWells(battery.Wells{Available: 0.5 * r.model.CapacityJ()})
-		r.pack.Refresh(r.model.SoC()) // refresh the status signal
+		r.pack.Refresh(r.model.Wells()) // refresh the status signal
 	}).Sensitive(recharge).DontInitialize()
 	recharge.Notify(5 * sim.Ms)
 	if err := r.k.Run(100 * sim.Ms); err != nil {

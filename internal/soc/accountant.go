@@ -20,19 +20,21 @@ import (
 // kernel round trip instead of one per sample. A call's first sample takes
 // the general route, since a meter may have been settled mid-interval;
 // after it, nothing but the accountant runs until the call ends, so meter
-// powers are constant and every step is exactly one interval. The call
-// ends right after the first sample that does more than update the
-// accountant's own state — changes a battery or thermal signal, fires a
-// stop condition or fork watch, or polls the GEM — and the kernel takes
-// that instant from there in ticked order. The same float operations run
-// in the same order either way, so results are bit-identical to ticked
-// execution.
+// powers are constant and every step is exactly one interval. Those steady
+// samples run in a loop from locals, classify the battery and the die
+// temperature by comparing against the bounds of the classes current at
+// the start of the call (no division, no signal read), and fall back to
+// the general route for a sample that may change a class. The call ends
+// right after the first sample that does more than update the accountant's
+// own state — changes a battery or thermal signal, fires a stop condition
+// or fork watch, or polls the GEM — and the kernel takes that instant from
+// there in ticked order. The same float operations run in the same order
+// either way, so results are bit-identical to ticked execution.
 //
-// Within a call the battery wells and the die temperature are carried in
-// locals and every component steps from one seconds conversion per
-// sample; between calls all state lives in pre-sized fields. The temperature statistics stream in
-// O(1) memory, and the sampler is pinned to zero allocations by
-// TestAccountantTickAllocFree and TestAccountantGapAllocFree.
+// Meters, battery wells and die temperature are stored back once per call;
+// between calls all state lives in pre-sized fields. The temperature
+// statistics stream in O(1) memory, and the sampler is pinned to zero
+// allocations by TestAccountantTickAllocFree and TestAccountantGapAllocFree.
 type accountant struct {
 	k     *sim.Kernel
 	pack  *battery.Pack
@@ -41,6 +43,10 @@ type accountant struct {
 
 	meters    []*stats.EnergyMeter
 	busEnergy *float64 // bus energy meter owned by Run
+	// held carries each meter's energy and held power through a sampler
+	// call when there are more meters than the sampler's local array
+	// holds; nil otherwise.
+	held []heldMeter
 
 	// DC-DC regulator between battery and rail (nil: battery sees the load
 	// directly); railV is the intermediate rail voltage.
@@ -90,6 +96,12 @@ type accountant struct {
 	watches []*forkWatch
 }
 
+// heldMeter is one meter's state as the sampler carries it within a call.
+type heldMeter struct{ energy, power float64 }
+
+// localMeters is how many meters the sampler carries in a local array.
+const localMeters = 8
+
 // forkWatch tracks one fork member's stop conditions on a shared session.
 type forkWatch struct {
 	conds []StopCondition
@@ -112,6 +124,9 @@ func newAccountant(k *sim.Kernel, cfg *Config, pack *battery.Pack, plant *therma
 	}
 	if !pack.Mains() {
 		a.cell = pack.Model()
+	}
+	if len(meters) > localMeters {
+		a.held = make([]heldMeter, len(meters))
 	}
 	if plant.network != nil {
 		a.perIP = make([]float64, len(meters))
@@ -160,20 +175,25 @@ func (a *accountant) run(first sim.Time, n int) (ran int) {
 // battery and the thermal plant, the temperature into the streaming
 // statistics — and returns how many it took. The kernel's time must be
 // first. The stop conditions and fork watches are evaluated after every
-// sample.
+// sample. A zero-length first interval is a no-op. Must not allocate.
 //
-// The first sample settles the meters at the kernel's time, since a meter
-// may have been settled mid-interval. Every later sample is steady: one
-// interval after the previous one with no meter touched in between, so
-// each meter accrues one interval at its held power. The battery wells
-// and the die temperature are carried in locals from sample to sample and
-// stored back once per call; nothing reads them from their components
-// within a call (the stop probe gets the locals). A battery or thermal
-// class change is written to its signal at the sample that causes it.
-// The call ends right after a sample whose work reached the kernel
-// (sim.Kernel.Quiet); a GEM poll reads the bus occupancy at the kernel's
-// time, which stays at first, so it limits the call to one sample. A
-// zero-length first interval is a no-op. Must not allocate.
+// The prologue settles every meter at the kernel's time, since a meter may
+// have been settled mid-interval, and the call's first sample takes the
+// general route. Every later sample is steady: one interval after the
+// previous one with nothing but the sampler running in between, so each
+// meter accrues one interval at its held power. Steady samples run in a
+// loop from locals — the meters' energies and powers, the battery wells,
+// the die temperature and the battery and thermal classes current at the
+// start of the call, which no signal update can change within it — and the
+// meters, the wells and the temperature are stored back once per call.
+//
+// A steady sample that would change a class, and every sample of the
+// per-IP network (which writes signals), take the general route instead:
+// it recomputes the sample from the same operands, so with the same bits,
+// and writes the class to its signal. The call ends right after a sample
+// whose work reached the kernel (sim.Kernel.Quiet). A GEM poll reads the
+// bus occupancy at the kernel's time, which stays at first, so it limits
+// the call to one sample.
 func (a *accountant) sample(first sim.Time, n int) (ran int) {
 	secs := a.intervalSecs
 	if dt := first - a.lastAt; dt != a.interval {
@@ -185,73 +205,135 @@ func (a *accountant) sample(first sim.Time, n int) (ran int) {
 	if a.gemReeval {
 		n = 1
 	}
-	checking := len(a.stops) > 0 || len(a.watches) > 0
-	node := a.plant.single
-	var w battery.Wells
-	if a.cell != nil {
-		w = a.cell.Wells()
+	// Bus first, then meters in slice order: every result digest depends
+	// on this summation order. Only processes move the bus meter, and none
+	// runs within a call.
+	var local [localMeters]heldMeter
+	held := a.held
+	if held == nil {
+		held = local[:len(a.meters)]
 	}
-	var tempC float64
+	busE := *a.busEnergy
+	e := busE
+	for i, m := range a.meters {
+		held[i] = heldMeter{energy: m.EnergyJ(), power: m.Power()}
+		e += held[i].energy
+	}
+
+	checking := len(a.stops) > 0 || len(a.watches) > 0
+	cell, pack, node := a.cell, a.pack, a.plant.single
+	var w battery.Wells
+	var battLo, battHi float64 // the available charges that keep the battery's class
+	if cell != nil {
+		w = cell.Wells()
+		battLo, battHi = pack.ClassRange(pack.Status())
+	}
+	var tempC, thermLo, thermHi float64 // the temperatures that keep the sensor's class
 	if node != nil {
 		tempC = node.TempC()
+		thermLo, thermHi = node.ClassRange()
 	}
-	soc := 1.0 // a mains pack reports full charge
+	temp := a.temp
 	lastE := a.lastE
 	t := first
+	interval, step := a.interval, a.intervalSecs
+samples:
 	for {
-		// Bus first, then meters in slice order: every result digest
-		// depends on this summation order.
-		e := *a.busEnergy
-		for i, m := range a.meters {
-			var me float64
-			if ran == 0 {
-				me = m.EnergyJ()
-			} else {
-				me = m.Accrue(t, secs)
-			}
-			e += me
-			if a.perIP != nil {
-				a.perIP[i] = (me - a.lastEs[i]) / secs
-				a.lastEs[i] = me
-			}
-		}
+		// The general route.
 		pAvg := (e - lastE) / secs
 		lastE = e
-		if a.cell != nil {
-			w, soc = a.cell.Drain(w, a.batteryDraw(pAvg), secs)
-			a.pack.Refresh(soc)
+		if cell != nil {
+			w = cell.Drain(w, a.batteryDraw(pAvg), secs)
+			pack.Refresh(w) // a class change reaches the kernel: Quiet ends the call
 		}
 		if node != nil {
 			tempC = node.Advance(tempC, pAvg, secs)
-			if node.ClassOf(tempC) != node.Class() {
-				node.Set(tempC) // the sensor changes class: Quiet ends the call
+			if !(tempC >= thermLo && tempC < thermHi) {
+				node.Set(tempC) // the sensor may change class: Quiet ends the call if it does
 			}
 		} else {
+			for i := range held {
+				a.perIP[i] = (held[i].energy - a.lastEs[i]) / secs
+				a.lastEs[i] = held[i].energy
+			}
 			tempC = a.plant.stepNetwork(a.perIP, secs)
 		}
-		a.temp.AddStep(t, secs, tempC)
+		temp.AddStep(t, secs, tempC)
 		if a.gemReeval {
 			a.g.Reevaluate()
 		}
 		ran++
 		if checking {
-			a.probe.Now, a.probe.TempC, a.probe.SoC, a.probe.EnergyJ = t, tempC, soc, e
-			a.checkStop()
+			a.check(t, tempC, w, e)
 		}
 		if ran == n || !a.k.Quiet() {
 			break
 		}
-		t += a.interval
-		secs = a.intervalSecs
+
+		// Steady samples, until one takes the general route.
+		for {
+			t += interval
+			secs = step
+			e = busE
+			for i := range held {
+				h := &held[i]
+				h.energy += h.power * secs
+				e += h.energy
+			}
+			if node == nil {
+				break
+			}
+			pAvg := (e - lastE) / secs
+			sw := w
+			if cell != nil {
+				sw = cell.Drain(w, a.batteryDraw(pAvg), secs)
+				if !(sw.Available >= battLo && sw.Available < battHi) {
+					break
+				}
+			}
+			sTempC := node.Advance(tempC, pAvg, secs)
+			if !(sTempC >= thermLo && sTempC < thermHi) {
+				break
+			}
+			w, tempC, lastE = sw, sTempC, e
+			temp.AddStep(t, secs, tempC)
+			ran++
+			if checking {
+				a.check(t, tempC, w, e)
+				if !a.k.Quiet() {
+					break samples
+				}
+			}
+			if ran == n {
+				break samples
+			}
+		}
 	}
-	if a.cell != nil {
-		a.cell.SetWells(w)
+	if ran > 1 {
+		for i, m := range a.meters {
+			m.SetSettled(t, held[i].energy)
+		}
+	}
+	if cell != nil {
+		cell.SetWells(w)
 	}
 	if node != nil {
 		node.Set(tempC)
 	}
+	a.temp = temp
 	a.lastE, a.lastAt = lastE, t
 	return ran
+}
+
+// check fills the stop probe with the sample at t and evaluates the stop
+// conditions and fork watches against it.
+func (a *accountant) check(t sim.Time, tempC float64, w battery.Wells, energyJ float64) {
+	soc := 1.0 // a mains pack reports full charge
+	if a.cell != nil {
+		soc = a.cell.SoCOf(w.Available)
+	}
+	a.probe.Now, a.probe.TempC, a.probe.SoC, a.probe.EnergyJ = t, tempC, soc, energyJ
+	a.checkStop()
 }
 
 // pollCtx checks the context once per sampler call and stops the kernel

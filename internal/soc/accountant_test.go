@@ -3,12 +3,14 @@ package soc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"godpm/internal/battery"
 	"godpm/internal/sim"
 	"godpm/internal/stats"
 	"godpm/internal/task"
+	"godpm/internal/thermal"
 	"godpm/internal/workload"
 )
 
@@ -17,12 +19,16 @@ import (
 // only by the accountant's own tick event — through the idle fast-forward
 // when fastForward is set, through the ticked method otherwise.
 func buildAccountant(t *testing.T, fastForward bool) (*sim.Kernel, *accountant, sim.Time) {
+	return buildAccountantWith(t, fastForward, Config{}, 0.4, 0.2)
+}
+
+// buildAccountantWith is buildAccountant with cfg's battery and initial
+// temperature and the two meters' powers given.
+func buildAccountantWith(t *testing.T, fastForward bool, cfg Config, powerA, powerB float64) (*sim.Kernel, *accountant, sim.Time) {
 	t.Helper()
-	cfg := Config{
-		IPs: []IPSpec{
-			{Name: "a", Sequence: workload.Sequence{{Task: task.Task{ID: 1, Instructions: 100}, IdleAfter: sim.Ms}}},
-			{Name: "b", Sequence: workload.Sequence{{Task: task.Task{ID: 1, Instructions: 100}, IdleAfter: sim.Ms}}},
-		},
+	cfg.IPs = []IPSpec{
+		{Name: "a", Sequence: workload.Sequence{{Task: task.Task{ID: 1, Instructions: 100}, IdleAfter: sim.Ms}}},
+		{Name: "b", Sequence: workload.Sequence{{Task: task.Task{ID: 1, Instructions: 100}, IdleAfter: sim.Ms}}},
 	}
 	cfg, err := cfg.Normalized()
 	if err != nil {
@@ -37,8 +43,8 @@ func buildAccountant(t *testing.T, fastForward bool) (*sim.Kernel, *accountant, 
 	plant := buildThermalPlant(k, &cfg, []string{"a", "b"})
 	meters := []*stats.EnergyMeter{stats.NewEnergyMeter(k, "a"), stats.NewEnergyMeter(k, "b")}
 	busEnergy := 0.0
-	meters[0].SetPower(0.4)
-	meters[1].SetPower(0.2)
+	meters[0].SetPower(powerA)
+	meters[1].SetPower(powerB)
 	acct := newAccountant(k, &cfg, pack, plant, meters, &busEnergy, nil)
 	acct.noFastForward = !fastForward
 	acct.start()
@@ -88,6 +94,44 @@ func TestAccountantGapAllocFree(t *testing.T) {
 	}
 	if k.FastForwardedInstants() <= before {
 		t.Fatal("no instants were fast-forwarded")
+	}
+}
+
+// TestAccountantClassChangesMatchTicked: a battery or thermal class
+// change inside an idle gap, where the sampler runs its steady loop, lands
+// at the same instant as in a ticked run, and the run ends in the same
+// state. Each battery starts just above a class bound, so it crosses it a
+// few dozen samples into the gap, and 1.2 W heats the die from 45 °C past
+// the 68 °C Medium threshold.
+func TestAccountantClassChangesMatchTicked(t *testing.T) {
+	for _, bat := range []BatteryConfig{
+		{Kind: "linear", CapacityJ: 60, InitialSoC: 0.3001},
+		{Kind: "kibam", CapacityJ: 20, InitialSoC: 0.3005, KiBaMC: 0.35, KiBaMK: 0.08},
+	} {
+		type change struct {
+			at    sim.Time
+			batt  battery.Status
+			therm thermal.Class
+		}
+		run := func(fastForward bool) (changes []change, w battery.Wells, tempC, mean float64) {
+			k, a, interval := buildAccountantWith(t, fastForward, Config{Battery: bat}, 0.8, 0.4)
+			a.pack.StatusSignal().OnChange(func(at sim.Time, s battery.Status) { changes = append(changes, change{at: at, batt: s}) })
+			a.plant.classSignal().OnChange(func(at sim.Time, c thermal.Class) { changes = append(changes, change{at: at, therm: c}) })
+			end := 3000 * interval
+			if err := k.Run(end); err != nil {
+				t.Fatal(err)
+			}
+			return changes, a.cell.Wells(), a.plant.tempC(), a.temp.MeanUntil(end)
+		}
+		ticked, tw, tt, tm := run(false)
+		fast, fw, ft, fm := run(true)
+		if len(ticked) < 2 {
+			t.Fatalf("%s: %d class changes, want a battery and a thermal one", bat.Kind, len(ticked))
+		}
+		if fmt.Sprint(fast) != fmt.Sprint(ticked) || fw != tw || ft != tt || fm != tm {
+			t.Fatalf("%s: fast-forward changes %v, wells %v, %v °C, mean %v; ticked %v, %v, %v °C, %v",
+				bat.Kind, fast, fw, ft, fm, ticked, tw, tt, tm)
+		}
 	}
 }
 

@@ -261,7 +261,7 @@ func (s *session) finish(stopReason string) *Result {
 		}
 		pAvg := (e - a.lastE) / secs
 		if a.cell != nil {
-			_, finalSoC = a.cell.Drain(a.cell.Wells(), a.batteryDraw(pAvg), secs)
+			finalSoC = a.cell.SoCOf(a.cell.Drain(a.cell.Wells(), a.batteryDraw(pAvg), secs).Available)
 		}
 		temp.Add(now, s.plant.peekTempC(pAvg, a.perIP, dt))
 		if a.gemReeval {

@@ -46,14 +46,13 @@ func (m *EnergyMeter) SetPower(w float64) {
 	m.power = w
 }
 
-// Accrue settles the meter at t, one step of secs seconds after its last
-// settle, and returns the energy. The caller has converted the step once
-// for every meter it samples; the result is bit-identical to EnergyJ at t
-// whenever t − (last settle) converts to secs.
-func (m *EnergyMeter) Accrue(t sim.Time, secs float64) float64 {
-	m.energy += m.power * secs
-	m.lastAt = t
-	return m.energy
+// SetSettled stores energyJ as the meter's energy settled at t. It is for a
+// caller that accrued the meter's held power itself, step by step, while
+// nothing else touched the meter: with energy += Power()·secs per step,
+// the value is bit-identical to settling at each step's end, since settle
+// computes the same product whenever the step converts to secs.
+func (m *EnergyMeter) SetSettled(t sim.Time, energyJ float64) {
+	m.energy, m.lastAt = energyJ, t
 }
 
 // AddEnergy records an instantaneous energy quantum (joules).

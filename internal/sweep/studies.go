@@ -152,6 +152,9 @@ func StudyNames() []string {
 // built, so an unknown name is refused, with the list of names, before
 // any workload is generated however many tasks it asks for.
 func Resolve(name string, seed int64, numTasks int) (Sweep, error) {
+	if numTasks > workload.MaxTasks {
+		return Sweep{}, fmt.Errorf("sweep: %d tasks exceeds the cap of %d", numTasks, workload.MaxTasks)
+	}
 	name = strings.TrimSpace(name)
 	for _, st := range studies {
 		if strings.EqualFold(st.name, name) {

@@ -123,6 +123,10 @@ func TestResolveStudy(t *testing.T) {
 		}
 	}
 
+	if _, err := Resolve("alpha", 1, workload.MaxTasks+1); err == nil {
+		t.Fatal("Resolve accepted a task count above the cap")
+	}
+
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := Resolve("nope", 1, 200000)

@@ -77,6 +77,23 @@ func (th SensorThresholds) classify(t float64, cur Class) Class {
 	}
 }
 
+// keeps returns the temperatures [lo, hi) at which classify keeps class
+// cur: classify(t, cur) == cur whenever lo <= t < hi, and for no other
+// finite t. A class classify never keeps gets an empty range.
+func (th SensorThresholds) keeps(cur Class) (lo, hi float64) {
+	med, high := th.MediumAboveC, th.HighAboveC
+	switch cur {
+	case HighTemp:
+		return high - th.HysteresisC, math.Inf(1)
+	case MediumTemp:
+		return med - th.HysteresisC, high
+	case LowTemp:
+		return math.Inf(-1), math.Min(med, high)
+	default:
+		return 0, 0
+	}
+}
+
 // NetworkSensor is the per-IP view of one node of a thermal Network.
 type NetworkSensor struct {
 	net   *Network

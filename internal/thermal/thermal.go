@@ -131,11 +131,11 @@ func NewNode(k *sim.Kernel, name string, p Params, initialC float64) *Node {
 
 // Advance returns the temperature the node reaches from tempC after
 // dissipating power for secs seconds under the current fan setting: the
-// explicit-Euler sub-stepped solution of dT/dt = P/Cth − (T − Tamb)/tau.
-// It does not touch the node, so run snapshots can close a final partial
-// interval with it and the power accountant can carry the temperature in
-// a local across samples, storing it back with Set; every path shares
-// this arithmetic.
+// explicit-Euler sub-stepped solution of dT/dt = P/Cth − (T − Tamb)/tau;
+// a step within the stability bound is one sub-step. It does not touch
+// the node, so run snapshots can close a final partial interval with it
+// and the power accountant can carry the temperature in a local across
+// samples, storing it back with Set; every path shares this arithmetic.
 func (n *Node) Advance(tempC, power, secs float64) float64 {
 	if power < 0 {
 		power = 0
@@ -143,6 +143,9 @@ func (n *Node) Advance(tempC, power, secs float64) float64 {
 	tau, maxStep := n.tau, n.maxStep
 	if n.fanOn {
 		tau, maxStep = n.tauFan, n.maxStepFan
+	}
+	if secs > 1e-15 && secs <= maxStep {
+		return tempC + (power/n.p.CthJperK-(tempC-n.p.AmbientC)/tau)*secs
 	}
 	remaining := secs
 	for remaining > 1e-15 {
@@ -160,12 +163,13 @@ func (n *Node) Advance(tempC, power, secs float64) float64 {
 // sensor class. It must be called from a kernel process.
 func (n *Node) Set(tempC float64) {
 	n.tempC = tempC
-	n.class.Write(n.ClassOf(tempC))
+	n.class.Write(n.th.classify(tempC, n.class.Read()))
 }
 
-// ClassOf returns the class the sensor would read at tempC, given its
-// current class (the hysteresis state).
-func (n *Node) ClassOf(tempC float64) Class { return n.th.classify(tempC, n.class.Read()) }
+// ClassRange returns the temperatures [lo, hi) at which the sensor keeps
+// its current class: Set(t) keeps the class whenever lo <= t < hi, and for
+// no other finite t.
+func (n *Node) ClassRange() (lo, hi float64) { return n.th.keeps(n.class.Read()) }
 
 // TempC returns the current die temperature.
 func (n *Node) TempC() float64 { return n.tempC }

@@ -3,6 +3,7 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -267,5 +268,38 @@ func TestClassAppendMatchesString(t *testing.T) {
 	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(100, func() { buf = Class(1).Append(buf[:0]); _ = Class(2).String() }); n != 0 {
 		t.Errorf("Append/String of an in-range value allocate %.0f times, want 0", n)
+	}
+}
+
+// TestClassRangeMatchesClassify: a temperature lies in keeps(cur) exactly
+// when classify keeps class cur, at the shipped thresholds and at random
+// ones, on every threshold and its float64 neighbours and at random
+// temperatures.
+func TestClassRangeMatchesClassify(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	check := func(th SensorThresholds) {
+		temps := []float64{-math.MaxFloat64, math.MaxFloat64}
+		for _, x := range []float64{th.MediumAboveC, th.HighAboveC,
+			th.MediumAboveC - th.HysteresisC, th.HighAboveC - th.HysteresisC} {
+			temps = append(temps, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+		}
+		for i := 0; i < 50; i++ {
+			temps = append(temps, r.Float64()*400-100)
+		}
+		for cur := Class(-1); cur <= Class(NumClasses); cur++ {
+			lo, hi := th.keeps(cur)
+			for _, tc := range temps {
+				if in, keep := lo <= tc && tc < hi, th.classify(tc, cur) == cur; in != keep {
+					t.Fatalf("%+v: %v°C in keeps(%v) = [%v, %v) is %v, classify keeps it: %v",
+						th, tc, cur, lo, hi, in, keep)
+				}
+			}
+		}
+	}
+	p := DefaultParams()
+	check(SensorThresholds{MediumAboveC: p.MediumAboveC, HighAboveC: p.HighAboveC, HysteresisC: p.HysteresisC})
+	for i := 0; i < 300; i++ {
+		med := r.Float64()*200 - 50
+		check(SensorThresholds{MediumAboveC: med, HighAboveC: med + 0.5 + r.Float64()*100, HysteresisC: r.Float64() * 5})
 	}
 }

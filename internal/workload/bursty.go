@@ -54,8 +54,8 @@ func DefaultBurst(seed int64, numTasks int) BurstProfile {
 
 // Validate checks the parameters.
 func (p BurstProfile) Validate() error {
-	if p.NumTasks <= 0 {
-		return fmt.Errorf("workload: NumTasks must be positive")
+	if err := checkNumTasks(p.NumTasks); err != nil {
+		return err
 	}
 	if p.TasksPerBurst < 1 {
 		return fmt.Errorf("workload: TasksPerBurst must be >= 1")

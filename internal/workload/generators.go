@@ -56,9 +56,26 @@ func (ts *taskSampler) draw(id int) task.Task {
 	}
 }
 
-func validateTaskParams(numTasks int, mean int64, jitter float64) error {
-	if numTasks <= 0 {
+// MaxTasks caps a generator's NumTasks and a trace's length. A workload
+// above it is refused before anything is allocated for it, so no config
+// can ask a generator for an allocation the process cannot make. It sits
+// far above every shipped scenario, study and benchmark workload.
+const MaxTasks = 1 << 20
+
+// checkNumTasks refuses a task count outside [1, MaxTasks].
+func checkNumTasks(n int) error {
+	if n <= 0 {
 		return fmt.Errorf("workload: NumTasks must be positive")
+	}
+	if n > MaxTasks {
+		return fmt.Errorf("workload: NumTasks %d exceeds the cap of %d", n, MaxTasks)
+	}
+	return nil
+}
+
+func validateTaskParams(numTasks int, mean int64, jitter float64) error {
+	if err := checkNumTasks(numTasks); err != nil {
+		return err
 	}
 	if mean <= 0 {
 		return fmt.Errorf("workload: MeanInstructions must be positive")
@@ -512,6 +529,9 @@ func (s Spec) Validate() error {
 	case GenTrace:
 		if len(s.Trace) == 0 {
 			return fmt.Errorf("workload: empty trace")
+		}
+		if len(s.Trace) > MaxTasks {
+			return fmt.Errorf("workload: trace of %d tasks exceeds the cap of %d", len(s.Trace), MaxTasks)
 		}
 		return s.Trace.Validate()
 	default:

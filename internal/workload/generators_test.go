@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"godpm/internal/power"
@@ -191,6 +192,39 @@ func TestGeneratorValidation(t *testing.T) {
 		}
 		if _, _, err := s.Materialize(); err == nil {
 			t.Errorf("spec %d materialized but should not", i)
+		}
+	}
+}
+
+// TestNumTasksCapped: every generator refuses a task count above MaxTasks
+// (2⁶² among them) with an error before it allocates, and accepts MaxTasks
+// itself.
+func TestNumTasksCapped(t *testing.T) {
+	specs := func(n int) []Spec {
+		return []Spec{
+			ClosedSpec(HighActivity(1, n)),
+			BurstSpec(DefaultBurst(1, n)),
+			MMPPSpec(DefaultMMPP(1, n)),
+			PeriodicSpec(DefaultPeriodic(1, n)),
+			HeavyTailSpec(DefaultHeavyTail(1, n)),
+		}
+	}
+	for _, n := range []int{MaxTasks + 1, 1 << 62} {
+		for _, s := range specs(n) {
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+				t.Errorf("%s with %d tasks: Validate = %v, want the cap refusal", s.Kind, n, err)
+			}
+			if _, _, err := s.Materialize(); err == nil {
+				t.Errorf("%s with %d tasks materialized", s.Kind, n)
+			}
+		}
+	}
+	if _, err := HighActivity(1, MaxTasks+1).GenerateArrivals(200e6); err == nil {
+		t.Error("GenerateArrivals accepted a task count above the cap")
+	}
+	for _, s := range specs(MaxTasks) {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s with MaxTasks tasks: %v", s.Kind, err)
 		}
 	}
 }

@@ -133,8 +133,8 @@ func LowActivity(seed int64, numTasks int) Profile {
 
 // Validate checks the profile parameters.
 func (p Profile) Validate() error {
-	if p.NumTasks <= 0 {
-		return fmt.Errorf("workload: NumTasks must be positive")
+	if err := checkNumTasks(p.NumTasks); err != nil {
+		return err
 	}
 	if p.MeanInstructions <= 0 {
 		return fmt.Errorf("workload: MeanInstructions must be positive")
