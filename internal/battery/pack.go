@@ -121,8 +121,14 @@ func (p *Pack) Model() Model { return p.model }
 
 // PredictStatus estimates the class after drawing `power` watts for dt,
 // without mutating the model — the LEM's "estimate the battery status at
-// the end of the task" step. The estimate is first-order: charge decreases
-// by power·dt (recovery during the task is ignored, which is conservative).
+// the end of the task" step. The estimate is first-order: it subtracts
+// power·dt / CapacityJ() from the state of charge, ignoring recovery
+// during the task. That is the exact drop only for a Linear pack; for
+// the others it is optimistic, not conservative. A KiBaM's state of
+// charge is relative to its available well, c·CapacityJ(), so the
+// estimate understates the drop by a factor of 1/c (10× at c = 0.10,
+// about 2.9× at c = 0.35), and a Peukert pack above its reference power
+// draws more than power·dt.
 func (p *Pack) PredictStatus(power float64, dt sim.Time) Status {
 	if p.mains {
 		return Mains

@@ -1,6 +1,10 @@
 package engine
 
-import "godpm/internal/soc"
+import (
+	"context"
+
+	"godpm/internal/soc"
+)
 
 // Hooks for the external engine_test package, whose tests need the
 // experiments and sweep catalogs (which import this package).
@@ -35,4 +39,19 @@ func CountNormalizations(count func()) (restore func()) {
 		return orig(c)
 	}
 	return func() { normalizeConfig = orig }
+}
+
+// PanicInRunForked makes every fork group's shared session panic with
+// msg until the returned restore func is called.
+func PanicInRunForked(msg string) (restore func()) {
+	orig := runForked
+	runForked = func(context.Context, soc.Config, []soc.ForkMember) ([]*soc.Result, error) { panic(msg) }
+	return func() { runForked = orig }
+}
+
+// InFlight returns the number of flights the engine has not finished.
+func InFlight(e *Engine) int {
+	e.flights.mu.Lock()
+	defer e.flights.mu.Unlock()
+	return len(e.flights.m)
 }

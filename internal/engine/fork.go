@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"godpm/internal/soc"
@@ -87,20 +88,47 @@ func (e *Engine) planUnits(plan Plan) ([]jobKeys, []workUnit) {
 	return keys, units
 }
 
+// runForked runs a fork group's shared session; tests replace it.
+var runForked = soc.RunForked
+
 // runGroup executes one fork group: members already cached are served as
 // ordinary hits, members led elsewhere (a concurrent identical job holds
 // the flight) fall back to the solo path, and everything else runs as ONE
 // shared soc.RunForked session whose per-member snapshots are stored
 // under the members' individual cache keys. Results land in out at each
 // member's plan position; keys are the plan's precomputed job keys.
+//
+// A panic costs the group's jobs, not the process: as in runJob, every
+// flight the group still leads is finished with an error wrapping
+// ErrInternal that names the member, and every member left with neither
+// a result nor an error gets one.
 func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indices []int, out []JobResult) {
 	type liveMember struct {
 		i      int
 		key    string
-		flight *flight
+		flight *flight // nil once finished
 	}
 	var live []liveMember
 	var fallback []int
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		for _, i := range indices {
+			if out[i].Result != nil || out[i].Err != nil {
+				continue
+			}
+			e.errs.Add(1)
+			err := fmt.Errorf("%w: job %s: its fork group panicked: %v", ErrInternal, jobs[i].ID, p)
+			out[i] = JobResult{Job: jobs[i], Key: keys[i].key, Err: err}
+		}
+		for _, m := range live {
+			if m.flight != nil {
+				e.flights.finish(m.key, m.flight, nil, nil, out[m.i].Err)
+			}
+		}
+	}()
 	for _, i := range indices {
 		job := jobs[i]
 		if err := ctx.Err(); err != nil {
@@ -131,15 +159,16 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indic
 			fallback = append(fallback, i)
 			continue
 		}
+		live = append(live, liveMember{i: i, key: key, flight: f})
 		if rec, ok := e.probe(key, false); ok {
 			if r, derr := rec.Result(); derr == nil {
+				live = live[:len(live)-1]
 				e.flights.finish(key, f, r, rec, nil)
 				e.hits.Add(1)
 				out[i].Result, out[i].Record, out[i].CacheHit = r, rec, true
 				continue
 			}
 		}
-		live = append(live, liveMember{i: i, key: key, flight: f})
 	}
 
 	if len(live) > 0 {
@@ -153,13 +182,14 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indic
 		e.misses.Add(int64(len(live)))
 		e.runs.Add(1)
 		t0 := time.Now()
-		rs, err := soc.RunForked(ctx, jobs[live[0].i].Config, members)
+		rs, err := runForked(ctx, jobs[live[0].i].Config, members)
 		e.runLat.RecordDuration(time.Since(t0))
 		if err != nil {
-			for _, m := range live {
+			for j, m := range live {
 				e.countFailure(err)
-				e.flights.finish(m.key, m.flight, nil, nil, err)
 				out[m.i].Err = err
+				live[j].flight = nil
+				e.flights.finish(m.key, m.flight, nil, nil, err)
 			}
 		} else {
 			e.forked.Add(int64(len(live) - 1))
@@ -169,8 +199,9 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indic
 				if rec, _ = NewRecord(m.key, r); rec != nil {
 					_ = e.cache.Put(m.key, rec)
 				}
-				e.flights.finish(m.key, m.flight, r, rec, nil)
 				out[m.i].Result, out[m.i].Record = r, rec
+				live[j].flight = nil
+				e.flights.finish(m.key, m.flight, r, rec, nil)
 			}
 		}
 	}

@@ -2,7 +2,9 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"godpm/internal/engine"
@@ -144,5 +146,42 @@ func TestForkGroupIneligible(t *testing.T) {
 	}
 	if st := eng2.Stats(); st.Forked != 0 || st.Runs != 2 {
 		t.Fatalf("NoFastForward jobs forked: Runs=%d Forked=%d", st.Runs, st.Forked)
+	}
+}
+
+// TestForkGroupPanicIsContained: a panic in a fork group's shared session
+// fails every member with an error that wraps ErrInternal and names it,
+// finishes every flight the group led, and leaves the engine serving: the
+// same plan afterwards runs fresh instead of waiting on a dead flight.
+func TestForkGroupPanicIsContained(t *testing.T) {
+	plan := horizonPlan(3, []sim.Time{30 * sim.Ms, 75 * sim.Ms, 60 * sim.Sec})
+	eng := engine.New(engine.Options{Workers: 2})
+	restore := engine.PanicInRunForked("session exploded")
+	results, err := eng.Run(context.Background(), plan)
+	restore()
+	if err == nil {
+		t.Fatal("a panicking fork group reported no error")
+	}
+	for i, jr := range results {
+		id := plan.Jobs[i].ID
+		if !errors.Is(jr.Err, engine.ErrInternal) || !strings.Contains(jr.Err.Error(), id) ||
+			!strings.Contains(jr.Err.Error(), "session exploded") || jr.Result != nil {
+			t.Errorf("member %s: result %v, err %v; want an ErrInternal error naming it and the panic", id, jr.Result, jr.Err)
+		}
+	}
+	if n := engine.InFlight(eng); n != 0 {
+		t.Fatalf("%d flights left waiting after the panic", n)
+	}
+	if st := eng.Stats(); st.Runs != 1 {
+		t.Fatalf("Stats.Runs = %d, want the 1 group session", st.Runs)
+	}
+	results, err = eng.Run(context.Background(), plan)
+	if err != nil {
+		t.Fatalf("same plan after the panic: %v", err)
+	}
+	for i, jr := range results {
+		if jr.Result == nil || jr.CacheHit {
+			t.Errorf("member %s after the panic: hit %v; want a fresh run", plan.Jobs[i].ID, jr.CacheHit)
+		}
 	}
 }

@@ -22,7 +22,7 @@ import (
 // without this test knowing about it. Values are drawn from pools of edge
 // cases: NaN, ±Inf, -0 and subnormal floats; sim.Times at ±2⁶³ and at
 // unit boundaries; out-of-range enum values; strings holding the
-// encoding's own separators and invalid UTF-8.
+// encodings' own separators, characters JSON escapes and invalid UTF-8.
 type filler struct{ rng *rand.Rand }
 
 var (
@@ -47,6 +47,10 @@ func (f filler) fill(v reflect.Value) {
 		v.Set(reflect.ValueOf(t))
 		return
 	case ledgerType:
+		if f.rng.Intn(4) == 0 {
+			v.Set(reflect.Zero(v.Type()))
+			return
+		}
 		var recs []stats.TaskRecord
 		f.fill(reflect.ValueOf(&recs).Elem())
 		l := &stats.Ledger{}
@@ -144,7 +148,8 @@ func (f filler) time() sim.Time {
 }
 
 func (f filler) string() string {
-	alphabet := []string{"a", "Z", "0", "|", "=", "{", "}", " ", ":", "[", "]", "\n", "é", "\xff", "%v"}
+	alphabet := []string{"a", "Z", "0", "|", "=", "{", "}", " ", ":", "[", "]", "\n", "é", "\xff", "%v",
+		"\"", "\\", "<", "&", "\x00", "\t", "\u2028"}
 	n := f.rng.Intn(6)
 	var b []byte
 	for i := 0; i < n; i++ {

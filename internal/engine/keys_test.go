@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"sync/atomic"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"godpm/internal/experiments"
 	"godpm/internal/soc"
 	"godpm/internal/sweep"
+	"godpm/internal/workload"
 )
 
 // realisticConfigs are every built-in configuration: the paper's
@@ -104,6 +106,52 @@ func TestResultDigestMatchesReference(t *testing.T) {
 		want := sha256Hex(engine.RefResultEncoding(res))
 		if got := engine.ResultDigest(res); got != want {
 			t.Errorf("%s: digest %s, reference %s", s.ID, got, want)
+		}
+	}
+}
+
+// TestRecordBodyMatchesJSONOnRealResults requires NewRecord's body to be
+// json.Marshal's bytes for the real results of every Table 2 run (DPM
+// and baseline) and every arena entrant, on workload seeds 1-4.
+func TestRecordBodyMatchesJSONOnRealResults(t *testing.T) {
+	seeds := []workload.Seed{1, 2, 3, 4}
+	var cfgs []soc.Config
+	for _, seed := range seeds {
+		tun := experiments.DefaultTuning()
+		tun.Seed = int64(seed)
+		for _, s := range experiments.All(tun) {
+			cfgs = append(cfgs, s.Config, experiments.Baseline(s))
+		}
+	}
+	arena := engine.Tournament{Policies: engine.StandardPolicies(), Scenarios: engine.ArenaScenarios(40), Seeds: seeds}
+	plan, err := arena.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range plan.Jobs {
+		cfgs = append(cfgs, job.Config)
+	}
+	for i, cfg := range cfgs {
+		res, err := soc.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := engine.NewRecord("k", res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rec.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon := *res
+		canon.WallSeconds = 0
+		want, err := json.Marshal(&canon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("config %d: record body is not json.Marshal's (%d vs %d bytes)", i, len(got), len(want))
 		}
 	}
 }

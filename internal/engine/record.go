@@ -16,7 +16,7 @@ import (
 
 // Record is the unit every cache tier stores and every server serves: the
 // canonical encoded bytes of one soc.Result plus its lazily-decoded value.
-// Building a Record marshals the result exactly once; after that, a cache
+// Building a Record encodes the result exactly once; after that, a cache
 // hit — whether served from memory, disk, the remote store, or an HTTP
 // response — is a copy of pre-encoded bytes, never a re-marshal, and the
 // decoded Result is materialised at most once per record per process, only
@@ -105,7 +105,8 @@ const (
 const RecordContentType = "application/x-gdpm-record"
 
 // NewRecord builds a record from a freshly-computed result: the canonical
-// JSON is marshalled once, here, and the content digest is computed from
+// JSON is written once, here, into a pooled buffer (see body.go) and
+// copied out at its exact size, and the content digest is computed from
 // the result's deterministic fields (see ResultDigest). Host timing
 // (WallSeconds) is zeroed in the canonical body, mirroring the digest's
 // exclusion of it: equal simulations produce byte-identical records, so
@@ -114,10 +115,15 @@ const RecordContentType = "application/x-gdpm-record"
 func NewRecord(key string, r *soc.Result) (*Record, error) {
 	canon := *r
 	canon.WallSeconds = 0
-	raw, err := json.Marshal(&canon)
+	buf := getBuf()
+	defer putBuf(buf)
+	b, err := appendResultJSON((*buf)[:0], &canon)
+	*buf = b
 	if err != nil {
 		return nil, fmt.Errorf("engine: encode result: %w", err)
 	}
+	raw := make([]byte, len(b))
+	copy(raw, b)
 	rec := &Record{key: key, digest: ResultDigest(&canon), rawLen: len(raw), raw: raw}
 	rec.res.Store(&canon)
 	return rec, nil

@@ -37,12 +37,18 @@ const (
 // until the event queue drains.
 const MaxTime Time = 1<<63 - 1
 
-// timeUnits are the units String renders with, largest first; anything
-// finer than a nanosecond renders in whole picoseconds.
+// timeUnits are the units String renders with, largest first, with the
+// number of decimal digits in each divisor; anything finer than a
+// nanosecond renders in whole picoseconds.
 var timeUnits = [...]struct {
-	div  uint64
-	name string
-}{{uint64(Sec), "s"}, {uint64(Ms), "ms"}, {uint64(Us), "us"}, {uint64(Ns), "ns"}}
+	div    uint64
+	digits int
+	name   string
+}{{uint64(Sec), 12, "s"}, {uint64(Ms), 9, "ms"}, {uint64(Us), 6, "us"}, {uint64(Ns), 3, "ns"}}
+
+// exactBelow bounds the magnitudes whose fractions Append renders from
+// integers; see Append for why the bytes equal strconv's.
+const exactBelow = 1e15
 
 // String renders the time with the largest unit that divides it cleanly,
 // e.g. "150ns", "2.5us", "0s".
@@ -55,6 +61,19 @@ func (t Time) String() string {
 // b's growth. A value that no unit divides is rendered in the largest
 // unit it reaches, as the shortest decimal that parses back to the
 // float64 quotient (strconv's 'g' format).
+//
+// Below 10¹⁵ ps that decimal is written from integer arithmetic, with
+// the same bytes. The magnitude and the divisor are both below 2⁵³, so
+// both convert to float64 exactly, and IEEE division rounds the exact
+// quotient d = mag/div correctly. d has at most 15 significant digits,
+// and distinct decimals of 15 or fewer significant digits convert to
+// distinct float64s (DBL_DIG is 15). The shortest decimal that parses
+// back to the quotient has no more digits than d and parses to the same
+// float64, so it is d. 'g' switches to an exponent only for a shortest
+// form at 10⁶ or above, and a magnitude below 10¹⁵ keeps the quotient
+// below 10³ in every unit, so d prints plainly: the integer part, a point
+// and the remainder zero-padded to the divisor's digits, trailing zeros
+// trimmed. Larger magnitudes keep strconv's float path.
 func (t Time) Append(b []byte) []byte {
 	if t == 0 {
 		return append(b, "0s"...)
@@ -65,19 +84,38 @@ func (t Time) Append(b []byte) []byte {
 		b = append(b, '-')
 		mag = -mag
 	}
-	for _, u := range timeUnits {
+	for i := range timeUnits {
+		u := &timeUnits[i] // not a copy of the table: Append is on every key's path
 		if mag < u.div {
 			continue
 		}
-		if mag%u.div == 0 {
+		switch rem := mag % u.div; {
+		case rem == 0:
 			b = strconv.AppendUint(b, mag/u.div, 10)
-		} else {
+		case mag < exactBelow:
+			b = appendFraction(strconv.AppendUint(b, mag/u.div, 10), rem, u.digits)
+		default:
 			b = strconv.AppendFloat(b, float64(mag)/float64(u.div), 'g', -1, 64)
 		}
 		return append(b, u.name...)
 	}
 	b = strconv.AppendUint(b, mag, 10)
 	return append(b, "ps"...)
+}
+
+// appendFraction appends "." and the nonzero remainder rem, zero-padded
+// to digits places, without its trailing zeros.
+func appendFraction(b []byte, rem uint64, digits int) []byte {
+	for rem%10 == 0 {
+		rem /= 10
+		digits--
+	}
+	var d [12]byte
+	for i := digits - 1; i >= 0; i-- {
+		d[i] = byte('0' + rem%10)
+		rem /= 10
+	}
+	return append(append(b, '.'), d[:digits]...)
 }
 
 // Seconds converts the time to floating-point seconds.

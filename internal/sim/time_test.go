@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +116,99 @@ func TestTimeStringMatchesReference(t *testing.T) {
 			t.Fatalf("Time(%d).String() = %q, reference %q", int64(v), got, want)
 		}
 	}
+}
+
+// refTimeAppend is Append before fractions were rendered from integers:
+// every fraction goes through strconv's shortest 'g' form of the float64
+// quotient. Append must agree with it on every value.
+func refTimeAppend(t Time, b []byte) []byte {
+	if t == 0 {
+		return append(b, "0s"...)
+	}
+	mag := uint64(t)
+	if t < 0 {
+		b = append(b, '-')
+		mag = -mag
+	}
+	for _, u := range timeUnits {
+		if mag < u.div {
+			continue
+		}
+		if mag%u.div == 0 {
+			b = strconv.AppendUint(b, mag/u.div, 10)
+		} else {
+			b = strconv.AppendFloat(b, float64(mag)/float64(u.div), 'g', -1, 64)
+		}
+		return append(b, u.name...)
+	}
+	b = strconv.AppendUint(b, mag, 10)
+	return append(b, "ps"...)
+}
+
+// TestTimeAppendMatchesStrconv compares Append with the strconv reference
+// on a million times: uniform over the whole int64 range, random
+// magnitudes of every decade in every unit, and one picosecond either
+// side of each edge of the integer path (10¹⁵ ps, a quotient of 10⁶ s,
+// 2⁵³ ps and the unit boundaries), all with both signs.
+func TestTimeAppendMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	edges := []Time{exactBelow, 1e6 * Sec, 1 << 53, Ns, Us, Ms, Sec, 1000 * Sec, MaxTime - 1}
+	var got, want []byte
+	check := func(v Time) {
+		got, want = v.Append(got[:0]), refTimeAppend(v, want[:0])
+		if !bytes.Equal(got, want) {
+			t.Fatalf("Time(%d).Append = %q, strconv reference %q", int64(v), got, want)
+		}
+	}
+	for _, e := range edges {
+		for d := Time(-3); d <= 3; d++ {
+			check(e + d)
+			check(-(e + d))
+		}
+	}
+	check(math.MinInt64)
+	for i := 0; i < 1_000_000; i++ {
+		var v Time
+		switch i % 4 {
+		case 0:
+			v = Time(rng.Uint64())
+		case 1:
+			// A random magnitude below 10^k ps for every k, so each unit
+			// and each digit count of the fraction is drawn often.
+			v = Time(rng.Int63n(pow10[1+rng.Intn(18)]))
+		case 2:
+			e := edges[rng.Intn(len(edges))]
+			v = e + Time(rng.Int63n(2001)-1000)
+		default:
+			// Few significant digits: a multiple of a power of ten.
+			v = Time(rng.Int63n(1e6)) * Time(pow10[rng.Intn(13)])
+		}
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		check(v)
+	}
+}
+
+var pow10 = func() (p [19]int64) {
+	p[0] = 1
+	for i := 1; i < len(p); i++ {
+		p[i] = p[i-1] * 10
+	}
+	return p
+}()
+
+// FuzzTimeAppend requires Append to equal the strconv reference on any
+// int64.
+func FuzzTimeAppend(f *testing.F) {
+	for _, v := range []int64{0, 1, -1, 1500, 1e15 - 1, 1e15, 1e15 + 1, 1e18 + 1, math.MaxInt64, math.MinInt64} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v int64) {
+		if got, want := Time(v).Append(nil), refTimeAppend(Time(v), nil); !bytes.Equal(got, want) {
+			t.Fatalf("Time(%d).Append = %q, strconv reference %q", v, got, want)
+		}
+	})
 }
 
 func TestTimeStringAllocs(t *testing.T) {

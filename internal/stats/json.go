@@ -3,8 +3,10 @@ package stats
 import "encoding/json"
 
 // MarshalJSON serialises the ledger as its record array, so results that
-// embed a Ledger (soc.Result) survive a JSON round trip — the on-disk
-// result cache in internal/engine depends on this.
+// embed a Ledger (soc.Result) survive a JSON round trip. The engine's
+// cache records do not call it: their body appenders write the same
+// bytes, and encoding/json through this method is the reference their
+// tests compare against. It serves every other JSON user of a Result.
 func (l Ledger) MarshalJSON() ([]byte, error) {
 	if l.records == nil {
 		return []byte("[]"), nil
