@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"godpm"
+	"godpm/internal/soc"
 )
 
 func newTestServer(t *testing.T, o serverOptions) (*server, *httptest.Server) {
@@ -460,6 +461,25 @@ func TestOversizedWorkloadAnswers422(t *testing.T) {
 	resp, msg = postJSON(t, ts.URL+"/v1/simulate", gen("5"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("valid request after the refusal: status %d (%s), want 200", resp.StatusCode, bytes.TrimSpace(msg))
+	}
+}
+
+// TestTooManyIPsAnswers422: an inline config with more than soc.MaxIPs
+// IPs is refused at normalization and answered 422 naming the cap; one
+// with MaxIPs IPs still runs.
+func TestTooManyIPsAnswers422(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{MaxInflight: 2})
+	ips := func(n int) string {
+		ip := `{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":2,"MeanInstructions":100000}}}`
+		return `{"config":{"IPs":[` + strings.Repeat(ip+",", n-1) + ip + `]}}`
+	}
+	resp, msg := postJSON(t, ts.URL+"/v1/simulate", ips(soc.MaxIPs+1))
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "exceeds the cap") {
+		t.Fatalf("%d IPs: status %d (%s), want 422 naming the cap", soc.MaxIPs+1, resp.StatusCode, bytes.TrimSpace(msg))
+	}
+	resp, msg = postJSON(t, ts.URL+"/v1/simulate", ips(soc.MaxIPs))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d IPs: status %d (%s), want 200", soc.MaxIPs, resp.StatusCode, bytes.TrimSpace(msg))
 	}
 }
 

@@ -176,6 +176,19 @@ func ffCases() []ffCase {
 					PeukertExponent: 1.3, PeukertRefPower: 0.5},
 			}
 		}},
+		{name: "coarse-interval-substeps", cfg: func(seed uint64) soc.Config {
+			// A 1 ms sample spans four thermal and two KiBaM Euler
+			// sub-steps, so the steady loop must keep Advance and Drain
+			// instead of their one-sub-step steps.
+			b := soc.DefaultBattery(0.95)
+			b.KiBaMK = 200
+			return soc.Config{
+				IPs:            []soc.IPSpec{{Name: "ip0", Gen: idleMMPP(seed, 24)}},
+				Policy:         soc.PolicyDPM,
+				Battery:        b,
+				SampleInterval: sim.Ms,
+			}
+		}},
 		{name: "gem-fan-B", cfg: hotStart(experiments.B), fan: true},
 		{name: "gem-fan-C", cfg: hotStart(experiments.C), fan: true},
 		{name: "stop-on-temperature-in-gap", cfg: func(seed uint64) soc.Config {

@@ -212,13 +212,13 @@ func (b *KiBaM) SetWells(w Wells) { b.available, b.bound = w.Available, w.Bound 
 
 // Drain implements Model: it integrates the two-well ODEs by explicit
 // Euler, in sub-steps of at most 1/(10k) for stability. A step within that
-// bound (every 100 µs accountant sample) is one sub-step.
+// bound (every 100 µs accountant sample) is one sub-step, taken by Step.
 func (b *KiBaM) Drain(w Wells, power, secs float64) Wells {
+	if b.OneStep(secs) {
+		return b.Step(w, power, secs)
+	}
 	if power < 0 {
 		power = 0
-	}
-	if secs > 1e-15 && secs <= b.maxStep {
-		return b.euler(w, power, secs)
 	}
 	for remaining := secs; remaining > 1e-15; {
 		h := remaining
@@ -229,6 +229,22 @@ func (b *KiBaM) Drain(w Wells, power, secs float64) Wells {
 		remaining -= h
 	}
 	return w
+}
+
+// OneStep reports whether Drain integrates a step of secs seconds in one
+// Euler sub-step, which Step then takes.
+func (b *KiBaM) OneStep(secs float64) bool { return secs > 1e-15 && secs <= b.maxStep }
+
+// Step is Drain for a step that OneStep accepts, with the same arithmetic
+// (Drain calls it). It is small enough for the compiler to inline, so a
+// caller that checks OneStep once can step a KiBaM without a call; the
+// range check stays in OneStep because inside Step it would exceed the
+// inlining budget.
+func (b *KiBaM) Step(w Wells, power, secs float64) Wells {
+	if power < 0 {
+		power = 0
+	}
+	return b.euler(w, power, secs)
 }
 
 // euler takes one explicit Euler step of h seconds at power watts.

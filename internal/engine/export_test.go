@@ -55,3 +55,29 @@ func InFlight(e *Engine) int {
 	defer e.flights.mu.Unlock()
 	return len(e.flights.m)
 }
+
+// PlanUnits returns what Run derives for plan on e before dispatch: each
+// job's cache key and fork-prefix key ("" where Run leaves keying to the
+// worker) and the plan positions of each work unit, in dispatch order.
+func PlanUnits(e *Engine, plan Plan) (keys, prefixes []string, units [][]int) {
+	ks, us := e.planUnits(plan)
+	for _, k := range ks {
+		keys = append(keys, k.key)
+		prefixes = append(prefixes, k.prefix)
+	}
+	for _, u := range us {
+		units = append(units, u.indices)
+	}
+	return keys, prefixes, units
+}
+
+// CountKeyGoroutines calls count for every keying goroutine planUnits
+// starts until the returned restore func is called.
+func CountKeyGoroutines(count func()) (restore func()) {
+	orig := goKeyer
+	goKeyer = func(f func()) {
+		count()
+		orig(f)
+	}
+	return func() { goKeyer = orig }
+}

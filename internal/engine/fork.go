@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"godpm/internal/soc"
@@ -49,6 +51,12 @@ type workUnit struct {
 // observed jobs, single-job serving plans) key in parallel and never pay
 // for the prefix hash.
 //
+// The up-front keys are derived in parallel too, on at most e.workers
+// goroutines counting the caller (see keyJobs), so keying a grid does not
+// hold every worker back by the sum of its jobs' keying times. Grouping
+// runs serially afterwards, over the index-aligned keys, so unit order and
+// fork groups do not depend on which goroutine keyed which job.
+//
 // Unforkable jobs (and jobs whose config does not normalize — runJob
 // surfaces the error) become solo units; forkable jobs sharing a prefix
 // key collapse into one group unit. The prefix key is the fingerprint of
@@ -65,14 +73,18 @@ func (e *Engine) planUnits(plan Plan) ([]jobKeys, []workUnit) {
 		}
 	}
 	warming := e.warmer(plan) != nil
+	var need []keyTask
+	for i, job := range plan.Jobs {
+		if fork := nForkable >= 2 && e.forkable(job); fork || warming {
+			need = append(need, keyTask{i: i, fork: fork})
+		}
+	}
 	keys := make([]jobKeys, len(plan.Jobs))
+	keyJobs(plan.Jobs, need, keys, e.workers)
+
 	units := make([]workUnit, 0, len(plan.Jobs))
 	slot := make(map[string]int)
-	for i, job := range plan.Jobs {
-		fork := nForkable >= 2 && e.forkable(job)
-		if fork || warming {
-			keys[i] = keysOf(job, fork)
-		}
+	for i := range plan.Jobs {
 		prefix := keys[i].prefix
 		if prefix == "" {
 			units = append(units, workUnit{indices: []int{i}})
@@ -86,6 +98,65 @@ func (e *Engine) planUnits(plan Plan) ([]jobKeys, []workUnit) {
 		units = append(units, workUnit{indices: []int{i}})
 	}
 	return keys, units
+}
+
+// keyTask names a job planUnits keys up front, and whether it needs the
+// fork-prefix key.
+type keyTask struct {
+	i    int
+	fork bool
+}
+
+// goKeyer starts one keying goroutine; tests count the calls.
+var goKeyer = func(f func()) { go f() }
+
+// keyJobs derives keys[t.i] for every task, on the caller and up to
+// workers−1 more goroutines, which take tasks from a shared counter. Every
+// job's keys land in its own slot, so the result does not depend on the
+// schedule. Fewer than two tasks start no goroutine. A panic while keying
+// becomes that job's key error, wrapping ErrInternal, as runJob would
+// report it: a keying goroutine has no caller to unwind to.
+func keyJobs(jobs []Job, tasks []keyTask, keys []jobKeys, workers int) {
+	if workers > len(tasks) {
+		workers = len(tasks)
+	}
+	if workers <= 1 {
+		for _, t := range tasks {
+			keys[t.i] = safeKeysOf(jobs[t.i], t.fork)
+		}
+		return
+	}
+	var next atomic.Int64
+	keyAll := func() {
+		for {
+			n := int(next.Add(1) - 1)
+			if n >= len(tasks) {
+				return
+			}
+			t := tasks[n]
+			keys[t.i] = safeKeysOf(jobs[t.i], t.fork)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		goKeyer(func() {
+			defer wg.Done()
+			keyAll()
+		})
+	}
+	keyAll()
+	wg.Wait()
+}
+
+// safeKeysOf is keysOf with a panic turned into the keys' error.
+func safeKeysOf(job Job, withPrefix bool) (k jobKeys) {
+	defer func() {
+		if p := recover(); p != nil {
+			k = jobKeys{err: fmt.Errorf("%w: job %s: keying panicked: %v", ErrInternal, job.ID, p), done: true}
+		}
+	}()
+	return keysOf(job, withPrefix)
 }
 
 // runForked runs a fork group's shared session; tests replace it.

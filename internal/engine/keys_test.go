@@ -6,6 +6,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -239,5 +242,118 @@ func TestRunKeysOnWorkersWithoutFork(t *testing.T) {
 	}
 	if got := calls.Load(); got != 0 {
 		t.Errorf("canceled run: %d normalizations, want 0", got)
+	}
+}
+
+// warmingCache is an LRU that claims to pre-fetch, so a Run keys every job
+// of a multi-job plan up front.
+type warmingCache struct{ engine.Cache }
+
+func (warmingCache) Warm(context.Context, []string) int { return 0 }
+
+// TestPlanUnitsKeysInParallel: planUnits keys a plan's jobs on up to
+// Workers goroutines, and at Workers 1, 2 and 8 returns the keys a serial
+// pass of JobKeys derives and the units that grouping those keys by
+// fork-prefix key in plan order gives — for a Table 2 grid, a horizon
+// study (fork groups), an arena tournament, and a horizon study with an
+// observed, unforkable job, which only a warming engine keys up front. A
+// single-job plan starts no goroutine.
+func TestPlanUnitsKeysInParallel(t *testing.T) {
+	tun := experiments.DefaultTuning()
+	tun.NumTasks = 20
+	grid := experiments.Plan(experiments.All(tun))
+	arena, err := engine.Tournament{Policies: engine.StandardPolicies(), Scenarios: engine.ArenaScenarios(20),
+		Seeds: []workload.Seed{1, 2}}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := sweep.HorizonStudy(1, 20).Plan()
+	observed.Jobs[1].Options.Observers = []soc.Observer{soc.NopObserver{}}
+	single := engine.Plan{Jobs: grid.Jobs[:1]}
+
+	warming := func() engine.Cache { return warmingCache{engine.NewLRU(engine.LRUOptions{})} }
+
+	var started atomic.Int64
+	defer engine.CountKeyGoroutines(func() { started.Add(1) })()
+	for _, tc := range []struct {
+		name    string
+		plan    engine.Plan
+		cache   func() engine.Cache
+		fork    bool // whether the plan has fork groups
+		unkeyed int  // the job left to its worker, or -1
+	}{
+		{"table2", grid, nil, false, -1},
+		{"horizon", sweep.HorizonStudy(1, 20).Plan(), nil, true, -1},
+		{"arena", arena, nil, false, -1},
+		{"observed", observed, nil, true, 1},
+		{"warming", observed, warming, true, -1},
+		{"single", single, nil, false, 0},
+	} {
+		for _, workers := range []int{1, 2, 8} {
+			opts := engine.Options{Workers: workers}
+			if tc.cache != nil {
+				opts.Cache = tc.cache()
+			}
+			started.Store(0)
+			keys, prefixes, units := engine.PlanUnits(engine.New(opts), tc.plan)
+			keyed := 0
+			for _, k := range keys {
+				if k != "" {
+					keyed++
+				}
+			}
+			if want := max(min(workers, keyed)-1, 0); started.Load() != int64(want) {
+				t.Errorf("%s, %d workers: %d keying goroutines for %d keyed jobs, want %d",
+					tc.name, workers, started.Load(), keyed, want)
+			}
+
+			slot := map[string]int{}
+			var want [][]int
+			grouped := false
+			for i, job := range tc.plan.Jobs {
+				key, prefix, err := engine.JobKeys(job)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if keys[i] != "" && keys[i] != key || prefixes[i] != "" && prefixes[i] != prefix {
+					t.Fatalf("%s, %d workers: job %d keyed %q/%q, want %q/%q", tc.name, workers, i, keys[i], prefixes[i], key, prefix)
+				}
+				if keyed := keys[i] != ""; keyed != (i != tc.unkeyed) {
+					t.Fatalf("%s, %d workers: job %d keyed up front: %v", tc.name, workers, i, keyed)
+				}
+				if u, ok := slot[prefixes[i]]; ok && prefixes[i] != "" {
+					want[u] = append(want[u], i)
+					grouped = true
+					continue
+				}
+				slot[prefixes[i]] = len(want)
+				want = append(want, []int{i})
+			}
+			if grouped != tc.fork {
+				t.Errorf("%s, %d workers: fork groups %v, want %v", tc.name, workers, grouped, tc.fork)
+			}
+			if fmt.Sprint(units) != fmt.Sprint(want) {
+				t.Errorf("%s, %d workers: units %v, want %v", tc.name, workers, units, want)
+			}
+		}
+	}
+}
+
+// TestKeyingPanicIsContained: a panic while planUnits keys a job, on the
+// caller or on a keying goroutine, becomes that job's error wrapping
+// ErrInternal instead of killing the process.
+func TestKeyingPanicIsContained(t *testing.T) {
+	defer engine.CountNormalizations(func() { panic("keying exploded") })()
+	plan := sweep.HorizonStudy(1, 20).Plan()
+	for _, workers := range []int{1, 4} {
+		results, err := engine.New(engine.Options{Workers: workers}).Run(context.Background(), plan)
+		if err == nil {
+			t.Fatalf("%d workers: no error", workers)
+		}
+		for i, jr := range results {
+			if !errors.Is(jr.Err, engine.ErrInternal) || !strings.Contains(jr.Err.Error(), "keying exploded") {
+				t.Fatalf("%d workers: job %d: err %v, want ErrInternal naming the panic", workers, i, jr.Err)
+			}
+		}
 	}
 }

@@ -31,6 +31,17 @@ import (
 // there in ticked order. The same float operations run in the same order
 // either way, so results are bit-identical to ticked execution.
 //
+// A steady sample steps a KiBaM battery and the die node through their
+// inlined one-sub-step steps (battery.KiBaM.Step and thermal.Node.Step),
+// once the call has checked that one interval is one Euler sub-step for
+// both. Calling Drain through the battery.Model interface and Advance,
+// whose sub-step loop keeps it from being inlined, would spill and reload
+// the loop's live floats around each call, since amd64 saves no float
+// register across one. Only the KiBaM is devirtualised: it is the battery
+// of every shipped scenario, study and arena scenario. A Linear or Peukert
+// cell, or an interval longer than a sub-step, keeps the Drain and
+// Advance calls, and TestSteadyStepsInline keeps both steps inlined.
+//
 // Meters, battery wells and die temperature are stored back once per call;
 // between calls all state lives in pre-sized fields. The temperature
 // statistics stream in O(1) memory, and the sampler is pinned to zero
@@ -237,6 +248,17 @@ func (a *accountant) sample(first sim.Time, n int) (ran int) {
 	lastE := a.lastE
 	t := first
 	interval, step := a.interval, a.intervalSecs
+	// Every steady sample is one interval, and the fan only switches when
+	// the GEM evaluates: in its own process, which does not run within a
+	// call, or in a poll, which limits the call to one sample. So whether
+	// the battery and the die take a steady sample in one Euler sub-step
+	// is settled once per call; when they do, the steady loop calls their
+	// inlined one-sub-step steps.
+	kibam, _ := cell.(*battery.KiBaM)
+	if kibam != nil && !kibam.OneStep(step) {
+		kibam = nil
+	}
+	nodeOneStep := node != nil && node.OneStep(step)
 samples:
 	for {
 		// The general route.
@@ -286,12 +308,21 @@ samples:
 			pAvg := (e - lastE) / secs
 			sw := w
 			if cell != nil {
-				sw = cell.Drain(w, a.batteryDraw(pAvg), secs)
+				if kibam != nil {
+					sw = kibam.Step(w, a.batteryDraw(pAvg), secs)
+				} else {
+					sw = cell.Drain(w, a.batteryDraw(pAvg), secs)
+				}
 				if !(sw.Available >= battLo && sw.Available < battHi) {
 					break
 				}
 			}
-			sTempC := node.Advance(tempC, pAvg, secs)
+			var sTempC float64
+			if nodeOneStep {
+				sTempC = node.Step(tempC, pAvg, secs)
+			} else {
+				sTempC = node.Advance(tempC, pAvg, secs)
+			}
 			if !(sTempC >= thermLo && sTempC < thermHi) {
 				break
 			}

@@ -293,6 +293,12 @@ func (r *Result) KCyclesPerSec() float64 {
 	return r.Cycles / r.WallSeconds / 1000
 }
 
+// MaxIPs caps a config's IP count. Every IP adds its processes, energy
+// meter and managers to a run and its workload to the config, so an
+// inline config may not ask for an unbounded number of them. The largest
+// shipped scenario, study, arena scenario and benchmark workload has 4.
+const MaxIPs = 64
+
 // Normalized returns a copy of the configuration with every defaultable
 // field filled in, exactly as Run will interpret it. Two configurations
 // that normalize identically produce identical simulations, which makes
@@ -301,7 +307,13 @@ func (r *Result) KCyclesPerSec() float64 {
 // filling defaults never mutates the receiver — but Profile pointers and
 // Sequence/Arrivals backing arrays stay shared; treat them as immutable
 // (Run only reads them).
+//
+// A config with more than MaxIPs IPs is refused before anything is
+// copied or generated for it.
 func (c Config) Normalized() (Config, error) {
+	if len(c.IPs) > MaxIPs {
+		return Config{}, fmt.Errorf("soc: %d IPs exceeds the cap of %d", len(c.IPs), MaxIPs)
+	}
 	c.IPs = append([]IPSpec(nil), c.IPs...)
 	if err := c.fillDefaults(); err != nil {
 		return Config{}, err

@@ -2,6 +2,7 @@ package soc
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -180,6 +181,40 @@ func TestConfigValidation(t *testing.T) {
 	badBatt.Battery.Kind = "fusion"
 	if _, err := Run(badBatt); err == nil {
 		t.Error("unknown battery kind accepted")
+	}
+}
+
+// TestNormalizedCapsIPs: a config with MaxIPs IPs normalizes; one more is
+// refused, and refused before Normalized copies or generates anything, so
+// a request for 2¹⁶ IPs costs no more than one for MaxIPs+1.
+func TestNormalizedCapsIPs(t *testing.T) {
+	withIPs := func(n int) Config {
+		cfg := smallConfig(PolicyDPM, 2)
+		spec := cfg.IPs[0]
+		spec.Name, spec.Sequence = "", nil
+		spec.Gen = workload.ClosedSpec(workload.HighActivity(1, 2))
+		cfg.IPs = make([]IPSpec, n)
+		for i := range cfg.IPs {
+			cfg.IPs[i] = spec
+		}
+		return cfg
+	}
+	if _, err := withIPs(MaxIPs).Normalized(); err != nil {
+		t.Fatalf("%d IPs: %v", MaxIPs, err)
+	}
+	for _, n := range []int{MaxIPs + 1, 1 << 16} {
+		cfg := withIPs(n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := cfg.Normalized()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "exceeds the cap") {
+			t.Fatalf("%d IPs: error %v, want the cap", n, err)
+		}
+		// Copying the specs alone would take megabytes at 2¹⁶ IPs.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Errorf("%d IPs: the refusal allocated %d bytes", n, alloc)
+		}
 	}
 }
 

@@ -137,26 +137,47 @@ func NewNode(k *sim.Kernel, name string, p Params, initialC float64) *Node {
 // and the power accountant can carry the temperature in a local across
 // samples, storing it back with Set; every path shares this arithmetic.
 func (n *Node) Advance(tempC, power, secs float64) float64 {
-	if power < 0 {
-		power = 0
+	if n.OneStep(secs) {
+		return n.Step(tempC, power, secs)
 	}
-	tau, maxStep := n.tau, n.maxStep
+	maxStep := n.maxStep
 	if n.fanOn {
-		tau, maxStep = n.tauFan, n.maxStepFan
+		maxStep = n.maxStepFan
 	}
-	if secs > 1e-15 && secs <= maxStep {
-		return tempC + (power/n.p.CthJperK-(tempC-n.p.AmbientC)/tau)*secs
-	}
-	remaining := secs
-	for remaining > 1e-15 {
+	for remaining := secs; remaining > 1e-15; {
 		h := remaining
 		if h > maxStep {
 			h = maxStep
 		}
-		tempC += (power/n.p.CthJperK - (tempC-n.p.AmbientC)/tau) * h
+		tempC = n.Step(tempC, power, h)
 		remaining -= h
 	}
 	return tempC
+}
+
+// OneStep reports whether Advance integrates a step of secs seconds in one
+// Euler sub-step under the current fan setting, which Step then takes.
+func (n *Node) OneStep(secs float64) bool {
+	maxStep := n.maxStep
+	if n.fanOn {
+		maxStep = n.maxStepFan
+	}
+	return secs > 1e-15 && secs <= maxStep
+}
+
+// Step is Advance for a step that OneStep accepts: one explicit Euler
+// step, which Advance takes for each of its sub-steps. It is small enough
+// for the compiler to inline, so a caller that checks OneStep once can
+// step the node without a call.
+func (n *Node) Step(tempC, power, secs float64) float64 {
+	if power < 0 {
+		power = 0
+	}
+	tau := n.tau
+	if n.fanOn {
+		tau = n.tauFan
+	}
+	return tempC + (power/n.p.CthJperK-(tempC-n.p.AmbientC)/tau)*secs
 }
 
 // Set stores a die temperature reached through Advance and refreshes the
