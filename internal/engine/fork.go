@@ -120,12 +120,6 @@ func keyJobs(jobs []Job, tasks []keyTask, keys []jobKeys, workers int) {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			keys[t.i] = safeKeysOf(jobs[t.i], t.fork)
-		}
-		return
-	}
 	var next atomic.Int64
 	keyAll := func() {
 		for {
