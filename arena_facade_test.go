@@ -59,7 +59,10 @@ func TestGeneratorFacade(t *testing.T) {
 }
 
 func TestWorkloadCSVFacade(t *testing.T) {
-	seq := godpm.DefaultHeavyTail(godpm.NewSeed(4), 20).MustGenerate()
+	seq, err := godpm.DefaultHeavyTail(godpm.NewSeed(4), 20).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := godpm.ExportWorkloadCSV(&buf, seq); err != nil {
 		t.Fatal(err)

@@ -59,12 +59,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cache godpm.Cache
-	if *cacheDir != "" {
-		if cache, err = godpm.NewDiskCache(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	cache, err := godpm.NewTieredCache(godpm.NewLRUCache(godpm.LRUOptions{}), *cacheDir, godpm.DiskCacheOptions{}, nil)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	opts := godpm.EngineOptions{Workers: *workers, Cache: cache}
 	if *verbose {

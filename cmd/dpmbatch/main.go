@@ -92,32 +92,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cache godpm.Cache
-	if *cacheDir != "" {
-		if cache, err = godpm.NewDiskCache(*cacheDir); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
 	// A shared dpmremote store layers behind the local tiers: grids some
 	// other process (or a previous invocation on another machine) already
 	// ran are fetched instead of simulated, and fresh results replicate
 	// to the fleet via write-behind PUTs.
-	var tiered *godpm.TieredCache
+	var remote *godpm.RemoteCacheOptions
 	if *remoteURL != "" {
-		if cache == nil {
-			cache = godpm.NewLRUCache(godpm.LRUOptions{})
-		}
-		remote, err := godpm.NewRemoteCache(godpm.RemoteCacheOptions{BaseURL: *remoteURL})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		tiered = godpm.NewTieredCache(
-			godpm.CacheTier{Name: "local", Cache: cache},
-			godpm.CacheTier{Name: godpm.TierRemote, Cache: remote, AsyncPut: true},
-		)
-		cache = tiered
+		remote = &godpm.RemoteCacheOptions{BaseURL: *remoteURL}
+	}
+	cache, err := godpm.NewTieredCache(godpm.NewLRUCache(godpm.LRUOptions{}), *cacheDir, godpm.DiskCacheOptions{}, remote)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	opts := godpm.EngineOptions{Workers: *workers, Cache: cache}
 	if *verbose {
@@ -162,11 +148,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if tiered != nil {
-		// Flush the write-behind queue so this grid's fresh results reach
-		// the shared store before the process exits.
-		tiered.Close()
-	}
+	// Flush the write-behind queue so this grid's fresh results reach the
+	// shared store before the process exits.
+	cache.Close()
 	st := eng.Stats()
 	fmt.Fprintf(os.Stderr, "%d jobs on %d workers: %d simulated, %d cache hits (%d deduped), %d errors, %d canceled\n",
 		plan.Len(), eng.Workers(), st.Runs, st.Hits, st.Deduped, st.Errors, st.Canceled)

@@ -157,17 +157,14 @@ type server struct {
 }
 
 func newServer(o serverOptions) (*server, error) {
-	opts := godpm.DiskCacheOptions{
-		MaxBytes: o.DiskBytes,
-		Memory:   godpm.LRUOptions{MaxEntries: o.MemEntries, MaxBytes: o.MemBytes},
-		Sync:     o.Sync,
-	}
+	opts := godpm.DiskCacheOptions{MaxBytes: o.DiskBytes, Sync: o.Sync}
 	if o.ChaosSeed != 0 {
 		plan := godpm.DefaultChaosPlan(godpm.NewSeed(o.ChaosSeed))
 		opts.FS = plan.WrapFS(godpm.OSCacheFS)
 		log.Printf("chaos: injecting fault schedule %s (seed %d) into store filesystem", plan.Hash()[:12], o.ChaosSeed)
 	}
-	store, err := godpm.NewDiskCacheWith(o.StoreDir, opts)
+	memory := godpm.NewLRUCache(godpm.LRUOptions{MaxEntries: o.MemEntries, MaxBytes: o.MemBytes})
+	store, err := godpm.NewTieredCache(memory, o.StoreDir, opts, nil)
 	if err != nil {
 		return nil, err
 	}

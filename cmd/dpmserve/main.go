@@ -224,9 +224,7 @@ func main() {
 	// Flush the write-behind queue so results computed moments before
 	// SIGTERM still reach the shared store for the rest of the fleet,
 	// then stop the rate sampler and seal the request journal.
-	if s.tiered != nil {
-		_ = s.tiered.Close()
-	}
+	_ = s.cache.Close()
 	s.close()
 	st := s.eng.Stats()
 	log.Printf("drained cleanly: %d runs, %d hits (%d deduped), %d evictions, %d errors, %d canceled",
@@ -243,7 +241,7 @@ type serverOptions struct {
 	RemoteURL     string
 	RemoteTimeout time.Duration
 	MaxInflight   int
-	// ChaosSeed, when non-zero, wraps the local cache and the remote
+	// ChaosSeed, when non-zero, wraps the memory tier and the remote
 	// transport in the seed's deterministic fault schedule, so the
 	// fail-open and anti-poisoning guarantees can be exercised against a
 	// live replica. Testing only.
@@ -271,7 +269,7 @@ type serverOptions struct {
 // queue FIFO (bounded by maxInflight) for their units.
 type server struct {
 	eng         *godpm.Engine
-	tiered      *godpm.TieredCache // non-nil when a remote tier is wired in
+	cache       *godpm.TieredCache
 	inflight    chan struct{}
 	gate        *workGate
 	maxInflight int
@@ -340,50 +338,33 @@ func (s *server) tourStart(total int) (progress func(done, total int, leader str
 }
 
 func newServer(o serverOptions) (*server, error) {
-	var cache godpm.Cache
-	var err error
-	if o.CacheDir != "" {
-		cache, err = godpm.NewDiskCacheWith(o.CacheDir, godpm.DiskCacheOptions{
-			MaxBytes: o.DiskBytes,
-			Memory:   godpm.LRUOptions{MaxEntries: o.CacheEntries, MaxBytes: o.CacheBytes},
-		})
-	} else {
-		cache = godpm.NewLRUCache(godpm.LRUOptions{MaxEntries: o.CacheEntries, MaxBytes: o.CacheBytes})
-	}
-	if err != nil {
-		return nil, err
-	}
-	// The chaos seams: faults injected above the local cache (misses and
+	var memory godpm.Cache = godpm.NewLRUCache(godpm.LRUOptions{MaxEntries: o.CacheEntries, MaxBytes: o.CacheBytes})
+	// The chaos seams: faults injected into the memory tier (misses and
 	// put errors) and inside the remote transport (latency, flapping,
 	// corrupt and truncated bodies). The engine must shrug all of it off.
 	var plan godpm.ChaosPlan
 	if o.ChaosSeed != 0 {
 		plan = godpm.DefaultChaosPlan(godpm.NewSeed(o.ChaosSeed))
-		cache = plan.WrapCache(cache)
+		memory = plan.WrapCache(memory)
 		log.Printf("chaos: injecting fault schedule %s (seed %d) into cache and transport", plan.Hash()[:12], o.ChaosSeed)
 	}
 	// A remote store layers behind the local tiers: read-through with
 	// promotion, write-behind PUTs, and fail-open degradation — a dead
 	// dpmremote makes this replica self-sufficient, never broken.
-	var tiered *godpm.TieredCache
+	var remote *godpm.RemoteCacheOptions
 	if o.RemoteURL != "" {
-		ropts := godpm.RemoteCacheOptions{
+		remote = &godpm.RemoteCacheOptions{
 			BaseURL: o.RemoteURL,
 			Timeout: o.RemoteTimeout,
 			Logf:    log.Printf,
 		}
 		if o.ChaosSeed != 0 {
-			ropts.WrapTransport = plan.WrapTransport
+			remote.WrapTransport = plan.WrapTransport
 		}
-		remote, err := godpm.NewRemoteCache(ropts)
-		if err != nil {
-			return nil, err
-		}
-		tiered = godpm.NewTieredCache(
-			godpm.CacheTier{Name: "local", Cache: cache},
-			godpm.CacheTier{Name: godpm.TierRemote, Cache: remote, AsyncPut: true},
-		)
-		cache = tiered
+	}
+	cache, err := godpm.NewTieredCache(memory, o.CacheDir, godpm.DiskCacheOptions{MaxBytes: o.DiskBytes}, remote)
+	if err != nil {
+		return nil, err
 	}
 	eng := godpm.NewEngine(godpm.EngineOptions{Workers: o.Workers, Cache: cache})
 	maxInflight := o.MaxInflight
@@ -392,7 +373,7 @@ func newServer(o serverOptions) (*server, error) {
 	}
 	s := &server{
 		eng:         eng,
-		tiered:      tiered,
+		cache:       cache,
 		inflight:    make(chan struct{}, maxInflight),
 		gate:        newWorkGate(eng.Workers()),
 		maxInflight: maxInflight,

@@ -2,10 +2,12 @@ package godpm_test
 
 import (
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -30,11 +32,12 @@ const deadMethodAllowlist = "testdata/deadcode_methods.txt"
 // non-test file of the module or of bench/ references, and compares each
 // list with its allowlist. A func or type counts as referenced by any
 // identifier of that name elsewhere in its own package, or by a selector
-// through an import of its package. A method counts as referenced by any
-// selector of its name (a call, a method value or a method expression,
-// through any type or interface), or when the standard library calls it
-// through one of its own interfaces (implicitMethods). Both rules err
-// towards calling code live.
+// through an import of its package. Methods are judged on the
+// type-checked code (go/types): a method counts as referenced when a
+// selector (a call, a method value or a method expression) outside the
+// method itself selects it on its own type, or selects the method of an
+// interface its type satisfies, or when the standard library calls it
+// through one of its own interfaces (implicitMethods).
 func TestNoUnreferencedDeclarations(t *testing.T) {
 	funcs, methods := unreferencedDecls(t, ".")
 	checkDeadAllowlist(t, deadAllowlist, funcs, false)
@@ -150,8 +153,9 @@ func unreferencedDecls(t *testing.T, root string) (funcs, methods []string) {
 	fset := token.NewFileSet()
 	type decl struct{ pkg, name string }
 	var decls []decl
-	type method struct{ pkg, recv, name, sig string }
-	var meths []method
+	// methodDecls are the methods declared under internal/.
+	var methodDecls []*ast.FuncDecl
+	methodPkg := map[*ast.FuncDecl]string{}
 	// used[pkg][name]: referenced from pkg's own files or through an import.
 	used := map[string]map[string]bool{}
 	use := func(pkg, name string) {
@@ -160,7 +164,7 @@ func unreferencedDecls(t *testing.T, root string) (funcs, methods []string) {
 		}
 		used[pkg][name] = true
 	}
-	selected := map[string]bool{} // method names selected anywhere
+	files := map[string][]*ast.File{} // import path → non-test files
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -182,6 +186,7 @@ func unreferencedDecls(t *testing.T, root string) (funcs, methods []string) {
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			pkg += "/" + dir
 		}
+		files[pkg] = append(files[pkg], f)
 		internal := strings.HasPrefix(pkg, module+"/internal/")
 		imports := map[string]string{} // local name → import path
 		for _, im := range f.Imports {
@@ -197,17 +202,15 @@ func unreferencedDecls(t *testing.T, root string) (funcs, methods []string) {
 		}
 		for _, d := range f.Decls {
 			// The names d declares; identifiers inside d that spell one of
-			// them (recursion, self-referencing types) do not count, nor
-			// do selectors inside a method that spell its own name.
+			// them (recursion, self-referencing types) do not count.
 			var own []string
-			self := ""
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				switch {
 				case d.Recv != nil:
-					self = d.Name.Name
 					if internal && len(d.Recv.List) == 1 {
-						meths = append(meths, method{pkg, recvTypeName(d.Recv.List[0].Type), d.Name.Name, signature(d.Type)})
+						methodDecls = append(methodDecls, d)
+						methodPkg[d] = pkg
 					}
 				case d.Name.Name != "init" && d.Name.Name != "main":
 					own = append(own, d.Name.Name)
@@ -234,9 +237,6 @@ func unreferencedDecls(t *testing.T, root string) (funcs, methods []string) {
 							return false
 						}
 					}
-					if n.Sel.Name != self {
-						selected[n.Sel.Name] = true
-					}
 				case *ast.Ident:
 					if !slices.Contains(own, n.Name) {
 						use(pkg, n.Name)
@@ -255,12 +255,136 @@ func unreferencedDecls(t *testing.T, root string) (funcs, methods []string) {
 			funcs = append(funcs, d.pkg+"."+d.name)
 		}
 	}
-	for _, m := range meths {
-		if !selected[m.name] && implicitMethods[m.name] != m.sig {
-			methods = append(methods, m.pkg+"."+m.recv+"."+m.name)
+	slices.Sort(funcs)
+
+	info := typeCheck(t, fset, files)
+	// Every method selection outside the selected method itself: concrete
+	// methods are referenced directly, interface methods through every
+	// type that satisfies their interface.
+	referenced := map[*types.Func]bool{}
+	var viaIface []*types.Func
+	for _, fs := range files {
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				var self *types.Func
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+					self, _ = info.Defs[fd.Name].(*types.Func)
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					sx, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					sel := info.Selections[sx]
+					if sel == nil || sel.Kind() == types.FieldVal {
+						return true
+					}
+					fn := sel.Obj().(*types.Func).Origin()
+					switch {
+					case fn == self:
+					case types.IsInterface(fn.Type().(*types.Signature).Recv().Type()):
+						viaIface = append(viaIface, fn)
+					default:
+						referenced[fn] = true
+					}
+					return true
+				})
+			}
 		}
 	}
-	slices.Sort(funcs)
+	for _, d := range methodDecls {
+		fn, _ := info.Defs[d.Name].(*types.Func)
+		if fn == nil {
+			t.Fatalf("%s.%s was not type-checked", methodPkg[d], d.Name.Name)
+		}
+		if referenced[fn] || implicitMethods[d.Name.Name] == signature(d.Type) || satisfiesSelected(fn, viaIface) {
+			continue
+		}
+		methods = append(methods, methodPkg[d]+"."+recvTypeName(d.Recv.List[0].Type)+"."+d.Name.Name)
+	}
 	slices.Sort(methods)
 	return funcs, methods
+}
+
+// satisfiesSelected reports whether fn's receiver type, or a pointer to
+// it, satisfies the interface of a selected interface method of fn's
+// name. A generic receiver satisfies an interface whose method names its
+// method set all has.
+func satisfiesSelected(fn *types.Func, selected []*types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok {
+		return false
+	}
+	ptr := types.NewPointer(named)
+	for _, im := range selected {
+		if im.Name() != fn.Name() {
+			continue
+		}
+		iface := im.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+		if named.TypeParams().Len() == 0 {
+			if types.Implements(named, iface) || types.Implements(ptr, iface) {
+				return true
+			}
+			continue
+		}
+		mset := types.NewMethodSet(ptr)
+		all := true
+		for i := 0; i < iface.NumMethods(); i++ {
+			m := iface.Method(i)
+			if mset.Lookup(m.Pkg(), m.Name()) == nil {
+				all = false
+				break
+			}
+		}
+		if all {
+			return true
+		}
+	}
+	return false
+}
+
+// typeCheck type-checks the parsed packages, keyed by import path, from
+// source, importing the standard library through go/importer, and
+// returns the definitions and selections of them all.
+func typeCheck(t *testing.T, fset *token.FileSet, files map[string][]*ast.File) *types.Info {
+	t.Helper()
+	info := &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	im := &sourceImporter{fset: fset, files: files, info: info, std: importer.Default(), done: map[string]*types.Package{}}
+	for _, path := range slices.Sorted(maps.Keys(files)) {
+		if _, err := im.Import(path); err != nil {
+			t.Fatalf("type-check %s: %v", path, err)
+		}
+	}
+	return info
+}
+
+// sourceImporter type-checks the module's own packages from their parsed
+// files, each once, and imports everything else from std.
+type sourceImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	info  *types.Info
+	std   types.Importer
+	done  map[string]*types.Package
+}
+
+func (im *sourceImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im.done[path]; ok {
+		return p, nil
+	}
+	fs, ok := im.files[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	conf := types.Config{Importer: im}
+	p, err := conf.Check(path, im.fset, fs, im.info)
+	im.done[path] = p
+	return p, err
 }

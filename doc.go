@@ -24,11 +24,13 @@
 // Horizon warm-start from a shared snapshot-forked session: the common
 // trajectory prefix simulates once and each job's result is cut at its
 // own horizon (Stats.Forked counts the replicates served this way),
-// while every job keeps its own cache key. Caches compose
-// into tiers (NewTieredCache): memory → disk → a shared hash-addressed
-// result store served by cmd/dpmremote (NewRemoteCache speaks its
-// versioned blob protocol), so a fleet of dpmserve replicas runs each
-// distinct configuration once fleet-wide. Every tier stores one
+// while every job keeps its own cache key. Results live in one store
+// (NewTieredCache) whose tiers form a flat list, fastest first: memory,
+// then optionally a directory of record files, then optionally a client
+// of the shared hash-addressed result store served by cmd/dpmremote
+// (RemoteCacheOptions configures it; it speaks a versioned blob
+// protocol), so a fleet of dpmserve replicas runs each distinct
+// configuration once fleet-wide. Every tier stores one
 // currency, CacheRecord: a versioned, checksummed, flate-compressed
 // binary container of the result's canonical JSON, so cache hits and
 // blob transfers copy pre-encoded bytes instead of re-marshalling, byte

@@ -114,8 +114,8 @@ func TestEngineThroughFacade(t *testing.T) {
 }
 
 // TestBoundedCachesThroughFacade exercises the serving-layer cache
-// exports: a bounded LRU engine cache and a bounded disk cache, with
-// eviction counters surfacing in EngineStats.
+// exports: a bounded LRU engine cache and a store with a bounded disk
+// tier, with eviction counters surfacing in EngineStats.
 func TestBoundedCachesThroughFacade(t *testing.T) {
 	lru := godpm.NewLRUCache(godpm.LRUOptions{MaxEntries: 2, Shards: 1})
 	eng := godpm.NewEngine(godpm.EngineOptions{Workers: 1, Cache: lru})
@@ -132,18 +132,23 @@ func TestBoundedCachesThroughFacade(t *testing.T) {
 		t.Fatalf("stats %+v, want 2 entries / 1 eviction under a 2-entry cap", st)
 	}
 
-	disk, err := godpm.NewDiskCacheWith(t.TempDir(), godpm.DiskCacheOptions{MaxBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	openDisk := func() *godpm.TieredCache {
+		s, err := godpm.NewTieredCache(godpm.NewLRUCache(godpm.LRUOptions{}), dir, godpm.DiskCacheOptions{MaxBytes: 1 << 20}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 	rec, err := godpm.NewCacheRecord("cafe0123", &godpm.Result{EnergyJ: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := disk.Put("cafe0123", rec); err != nil {
+	if err := openDisk().Put("cafe0123", rec); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := disk.Get("cafe0123")
+	// A fresh store over the directory serves the entry from its files.
+	got, ok := openDisk().Get("cafe0123")
 	if !ok {
 		t.Fatal("disk round trip missed")
 	}

@@ -190,10 +190,14 @@ type (
 	Job = engine.Job
 	// JobResult is one job's outcome (result, cache hit, error).
 	JobResult = engine.JobResult
-	// Cache stores records by fingerprint (see NewLRUCache/NewDiskCache).
-	// Records handed out by Cache.Get are shared across jobs, engines and
-	// — under dpmserve — HTTP requests: treat them as strictly immutable.
+	// Cache is one tier of a TieredCache: memory (LRUCache), files or
+	// the shared remote store. Records
+	// handed out by Cache.Get are shared across jobs, engines and — under
+	// dpmserve — HTTP requests: treat them as strictly immutable.
 	Cache = engine.Cache
+	// CacheStorage is what EngineOptions.Cache and NewBlobServer take: a
+	// *TieredCache, or an *LRUCache, which runs as a memory-only store.
+	CacheStorage = engine.Storage
 	// CacheRecord is the unit every cache tier stores and every server
 	// serves: one result's pre-encoded canonical bytes (versioned binary
 	// container, compressed body, checksum, cached content digest) plus
@@ -202,24 +206,17 @@ type (
 	// CacheCodec identifies a record body's compression (the container's
 	// codec byte).
 	CacheCodec = engine.Codec
-	// LRUCache is the sharded, bounded in-memory cache (the engine's
-	// default when EngineOptions.Cache is nil).
+	// LRUCache is the sharded, bounded in-memory cache: a store's memory
+	// tier, and the engine's default when EngineOptions.Cache is nil.
 	LRUCache = engine.LRU
 	// LRUOptions bounds an LRUCache (entry cap, approximate byte cap,
 	// shard count).
 	LRUOptions = engine.LRUOptions
-	// DiskCache is the directory-backed record cache (bounded memory
-	// front + one binary record container per fingerprint). It also
-	// serves as the store behind a BlobServer.
-	DiskCache = engine.Disk
-	// DiskCacheOptions bounds a disk cache (on-disk byte cap with
-	// LRU-by-mtime GC, front-memory bounds).
+	// DiskCacheOptions bounds a disk tier (on-disk byte cap with
+	// LRU-by-mtime GC, fsync, filesystem seam).
 	DiskCacheOptions = engine.DiskOptions
-	// CacheStats are a cache's occupancy and eviction counters, folded
-	// into EngineStats for caches that report them.
-	CacheStats = engine.CacheStats
-	// TierStats are one cache tier's hit/miss/occupancy counters,
-	// surfaced in EngineStats.Tiers for caches that report them.
+	// TierStats are one store tier's hit/miss/occupancy counters,
+	// surfaced in EngineStats.Tiers and BlobServerStats.Tiers.
 	TierStats = engine.TierStats
 )
 
@@ -227,21 +224,15 @@ type (
 // hash-addressed result store, so each distinct simulation happens once
 // fleet-wide.
 type (
-	// RemoteCache is a client cache tier backed by a dpmremote server.
-	// It fails open: a down, slow or corrupt remote degrades to a miss,
-	// never to a request failure.
-	RemoteCache = engine.Remote
-	// RemoteCacheOptions configures a RemoteCache (base URL, per-op
-	// timeout, retries, breaker, connection pool bound).
+	// RemoteCacheOptions configures a store's client tier for a
+	// dpmremote server (base URL, per-op timeout, retries, breaker). The
+	// client fails open: a down, slow or corrupt remote degrades to a
+	// miss, never to a request failure.
 	RemoteCacheOptions = engine.RemoteOptions
-	// TieredCache composes caches fastest-first with read-through
-	// promotion and write-behind Puts to async tiers.
-	TieredCache = engine.Tiered
-	// CacheTier is one layer of a TieredCache.
-	CacheTier = engine.Tier
-	// TieredCacheOptions tunes a TieredCache (write-behind queue bound,
-	// warm-up fetch concurrency).
-	TieredCacheOptions = engine.TieredOptions
+	// TieredCache is the result store: memory, then optionally files,
+	// then optionally the shared remote store, with read-through
+	// promotion and write-behind Puts to the remote tier.
+	TieredCache = engine.Store
 	// BlobServer is the server side of the dpmremote protocol: an
 	// http.Handler serving HEAD/GET/PUT /v1/blob/{fingerprint} and the
 	// batched POST /v1/stat over a result store.
@@ -288,7 +279,7 @@ type (
 	// ChaosSpec sets one seam's fault probabilities (latency, transient/
 	// permanent errors, corruption, torn writes, outage window).
 	ChaosSpec = chaos.Spec
-	// CacheFS is the filesystem seam a DiskCache's writes go through
+	// CacheFS is the filesystem seam a disk tier's writes go through
 	// (DiskCacheOptions.FS); wrap it to inject filesystem faults.
 	CacheFS = engine.FS
 )
@@ -305,27 +296,18 @@ var ErrEngineInternal = engine.ErrInternal
 // when FS is nil); chaos plans wrap it.
 var OSCacheFS CacheFS = engine.OSFS
 
-// NewRemoteCache builds a client for a dpmremote shared result store,
-// usable directly as an engine cache or (canonically) as the last tier
-// of NewTieredCache.
-func NewRemoteCache(opts RemoteCacheOptions) (*RemoteCache, error) {
-	return engine.NewRemote(opts)
-}
-
-// NewTieredCache composes caches fastest-first (memory→disk→remote)
-// with read-through promotion; tiers marked AsyncPut receive stores
-// write-behind. Call Close on the result to flush the write-behind
-// queue on shutdown.
-func NewTieredCache(tiers ...CacheTier) *TieredCache { return engine.NewTiered(tiers...) }
-
-// NewTieredCacheWith composes a tiered cache with explicit options.
-func NewTieredCacheWith(opts TieredCacheOptions, tiers ...CacheTier) *TieredCache {
-	return engine.NewTieredWith(opts, tiers...)
+// NewTieredCache builds the result store over the memory tier (an
+// LRUCache, or a chaos wrapper of one): a non-empty dir adds a disk tier
+// with the given bounds, and a non-nil remote adds a client of the
+// dpmremote store at remote.BaseURL. Call Close on the result to flush
+// the write-behind queue on shutdown.
+func NewTieredCache(memory Cache, dir string, disk DiskCacheOptions, remote *RemoteCacheOptions) (*TieredCache, error) {
+	return engine.NewStore(memory, dir, disk, remote)
 }
 
 // NewBlobServer builds the dpmremote protocol handler over a result
-// store (canonically a size-capped disk cache).
-func NewBlobServer(store Cache, opts BlobServerOptions) *BlobServer {
+// store (canonically one with a size-capped disk tier).
+func NewBlobServer(store CacheStorage, opts BlobServerOptions) *BlobServer {
 	return engine.NewBlobServer(store, opts)
 }
 
@@ -335,15 +317,6 @@ func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 // NewLRUCache builds a sharded bounded in-memory result cache; the zero
 // LRUOptions selects the defaults the engine itself uses.
 func NewLRUCache(opts LRUOptions) *LRUCache { return engine.NewLRU(opts) }
-
-// NewDiskCache opens a directory-backed result cache for EngineOptions,
-// sweeping temp files abandoned by crashed writers.
-func NewDiskCache(dir string) (*DiskCache, error) { return engine.NewDisk(dir) }
-
-// NewDiskCacheWith opens a disk cache with explicit bounds.
-func NewDiskCacheWith(dir string, opts DiskCacheOptions) (*DiskCache, error) {
-	return engine.NewDiskWith(dir, opts)
-}
 
 // Fingerprint returns the canonical content hash of a configuration (the
 // engine's cache key).

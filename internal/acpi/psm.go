@@ -42,9 +42,6 @@ func NewPSM(k *sim.Kernel, name string, prof *power.Profile, initial State) *PSM
 	return p
 }
 
-// Name returns the PSM name.
-func (p *PSM) Name() string { return p.name }
-
 // State returns the current stable state. During a transition it still
 // reads the origin state; use Transitioning to distinguish.
 func (p *PSM) State() State { return p.state.Read() }
@@ -54,10 +51,6 @@ func (p *PSM) StateSignal() *sim.Signal[State] { return p.state }
 
 // Transitioning exposes the transition-in-progress flag.
 func (p *PSM) Transitioning() *sim.Signal[bool] { return p.transitioning }
-
-// Done fires (delta-notified) when a requested transition completes,
-// including the degenerate request to the current state.
-func (p *PSM) Done() *sim.Event { return p.done }
 
 // OnEnergy registers the sink for transition energy.
 func (p *PSM) OnEnergy(fn func(joules float64)) { p.onEnergy = fn }

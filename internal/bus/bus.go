@@ -64,7 +64,6 @@ type Bus struct {
 
 	busyTime sim.Time
 	lastAcq  sim.Time
-	energy   float64
 
 	// onEnergy, if set, receives each transaction's energy (wired to the
 	// SoC energy meter).
@@ -157,7 +156,6 @@ func (b *Bus) TransferPri(x *Transfer, words, priority int) (wait *sim.Event, ho
 	b.busy = false
 	b.busyTime += b.k.Now() - b.lastAcq
 	e := float64(words) * b.cfg.EnergyPerWord
-	b.energy += e
 	if b.onEnergy != nil && e > 0 {
 		b.onEnergy(e)
 	}
@@ -209,6 +207,3 @@ func (b *Bus) dequeue(me *pending) {
 		}
 	}
 }
-
-// EnergyJ returns the total bus energy dissipated.
-func (b *Bus) EnergyJ() float64 { return b.energy }

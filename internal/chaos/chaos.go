@@ -103,12 +103,6 @@ type Spec struct {
 	OutageLen   int `json:"outage_len,omitempty"`
 }
 
-// enabled reports whether the spec can ever inject anything.
-func (s Spec) enabled() bool {
-	return s.PLatency > 0 || s.PTransient > 0 || s.PPermanent > 0 ||
-		s.PCorrupt > 0 || s.PTorn > 0 || s.OutageLen > 0
-}
-
 // Plan is a complete seeded fault schedule for a process: one Spec per
 // seam, all derived decisions rooted at Seed. It is a pure value — two
 // equal Plans inject bit-identical schedules — and hashes like a
@@ -233,20 +227,6 @@ func (in *Injector) Next() Decision {
 		in.stats.Delayed++
 	}
 	return d
-}
-
-// Stats snapshots the injector's counters.
-func (in *Injector) Stats() InjectorStats {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.stats
-}
-
-// Ops reports how many operations the injector has admitted.
-func (in *Injector) Ops() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.n
 }
 
 func inOutage(spec Spec, k int) bool {

@@ -123,8 +123,8 @@ func TestPlanHash(t *testing.T) {
 	}
 }
 
-// TestTierFaultsAreMissesAndErrors: the cache wrapper maps every fault
-// onto the Cache contract — Get misses, Put errors — and never lets a
+// TestTierFaultsAreMissesAndErrors: the tier wrapper maps every fault
+// onto the tier contract — Get misses, Put errors — and never lets a
 // fault fabricate or mutate a value.
 func TestTierFaultsAreMissesAndErrors(t *testing.T) {
 	inner := engine.NewLRU(engine.LRUOptions{})
@@ -162,11 +162,8 @@ func TestTierFaultsAreMissesAndErrors(t *testing.T) {
 	if !clear.Has(key) {
 		t.Fatal("Has not forwarded")
 	}
-	if clear.CacheStats().Entries != 1 {
-		t.Fatalf("CacheStats not forwarded: %+v", clear.CacheStats())
-	}
-	if ts := clear.TierStats(); len(ts) == 0 {
-		t.Fatal("TierStats not forwarded")
+	if st := clear.Stats(); st.Tier != engine.TierMemory || st.Entries != 1 {
+		t.Fatalf("Stats not forwarded: %+v", st)
 	}
 
 	gs, ps := tier.get.Stats(), tier.put.Stats()

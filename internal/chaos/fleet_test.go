@@ -90,10 +90,10 @@ func TestFleetInvariantsUnderChaos(t *testing.T) {
 		keyDigest[jr.Key] = wantDigest[i]
 	}
 
-	// Shared store: crash-safe Disk over the fault-injecting filesystem.
+	// Shared store: crash-safe disk files over the fault-injecting filesystem.
 	storeDir := t.TempDir()
 	storeFS := basePlan.WrapFS(engine.OSFS)
-	store, err := engine.NewDiskWith(storeDir, engine.DiskOptions{Sync: true, FS: storeFS})
+	store, err := engine.NewStore(engine.NewLRU(engine.LRUOptions{}), storeDir, engine.DiskOptions{Sync: true, FS: storeFS}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFleetInvariantsUnderChaos(t *testing.T) {
 		inner := engine.NewLRU(engine.LRUOptions{})
 		local := rplan.WrapCache(inner)
 		var rt *RoundTripper
-		remote, err := engine.NewRemote(engine.RemoteOptions{
+		tiered, err := engine.NewStore(local, "", engine.DiskOptions{}, &engine.RemoteOptions{
 			BaseURL:          ts.URL,
 			Timeout:          2 * time.Second,
 			Retries:          -1, // every round-trip is one op: the outage maps 1:1 onto op failures
@@ -125,10 +125,6 @@ func TestFleetInvariantsUnderChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tiered := engine.NewTiered(
-			engine.Tier{Cache: local},
-			engine.Tier{Cache: remote, AsyncPut: true},
-		)
 		eng := engine.New(engine.Options{Workers: 4, Cache: tiered})
 
 		const rounds = 3
@@ -176,7 +172,10 @@ func TestFleetInvariantsUnderChaos(t *testing.T) {
 		if err := tiered.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, tier := range remote.TierStats() {
+		for _, tier := range eng.Stats().Tiers {
+			if tier.Tier != engine.TierRemote {
+				continue
+			}
 			remoteHits += tier.Hits
 			trips += tier.BreakerTrips
 		}

@@ -25,9 +25,6 @@ func NewFaultFS(inner engine.FS, seed workload.Seed, spec Spec) *FaultFS {
 	return &FaultFS{inner: inner, inj: NewInjector(seed.Split("fs"), spec)}
 }
 
-// Stats snapshots the filesystem schedule's counters.
-func (f *FaultFS) Stats() InjectorStats { return f.inj.Stats() }
-
 // fail maps a decision onto an error, applying latency; nil means the
 // operation may proceed.
 func (f *FaultFS) fail(op string, d Decision) error {

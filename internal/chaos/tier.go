@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -9,9 +8,10 @@ import (
 	"godpm/internal/workload"
 )
 
-// Tier wraps an engine.Cache with a deterministic fault schedule. This
-// seam carries whole records, not raw bytes, so faults map onto the
-// Cache contract's only two failure shapes: a faulted Get is a miss, a
+// Tier wraps a store tier (an engine.Cache, in every shipped
+// configuration the memory tier) with a deterministic fault schedule.
+// This seam carries whole records, not raw bytes, so faults map onto the
+// tier contract's only two failure shapes: a faulted Get is a miss, a
 // faulted Put returns an error. Corrupt/torn decisions degrade to the
 // same — fabricating a corrupted *engine.Record here would poison
 // callers by construction, which is exactly the bug class the
@@ -19,16 +19,19 @@ import (
 //
 // Gets and Puts draw from independent schedules (independent seed
 // splits), so the mix of operations does not perturb either stream.
+// Has and Stats forward to the inner tier unfaulted: Has is an
+// optimisation seam, where a false negative would only change where a
+// lookup happens, and stats must stay visible under test.
 type Tier struct {
-	inner engine.Cache
-	get   *Injector
-	put   *Injector
+	engine.Cache
+	get *Injector
+	put *Injector
 }
 
 // NewTier wraps inner with the spec's fault schedule rooted at seed.
 func NewTier(inner engine.Cache, seed workload.Seed, spec Spec) *Tier {
 	return &Tier{
-		inner: inner,
+		Cache: inner,
 		get:   NewInjector(seed.Split("get"), spec),
 		put:   NewInjector(seed.Split("put"), spec),
 	}
@@ -45,7 +48,7 @@ func (t *Tier) Get(key string) (*engine.Record, bool) {
 	if d.Fault != FaultNone {
 		return nil, false
 	}
-	return t.inner.Get(key)
+	return t.Cache.Get(key)
 }
 
 // Put applies the schedule, then delegates. Faulted Puts error without
@@ -59,41 +62,5 @@ func (t *Tier) Put(key string, rec *engine.Record) error {
 	if d.Fault != FaultNone {
 		return fmt.Errorf("chaos: put %s: %w", d.Fault, ErrInjected)
 	}
-	return t.inner.Put(key, rec)
-}
-
-// Has forwards the side-effect-free probe when the inner cache offers
-// it. Probes are not faulted: Has is an optimisation seam, and a false
-// negative here would only change *where* a lookup happens, adding
-// schedule noise without exercising any failure contract.
-func (t *Tier) Has(key string) bool {
-	if h, ok := t.inner.(interface{ Has(string) bool }); ok {
-		return h.Has(key)
-	}
-	return false
-}
-
-// Warm forwards plan warm-up when the inner cache supports it.
-func (t *Tier) Warm(ctx context.Context, keys []string) int {
-	if w, ok := t.inner.(engine.Warmer); ok {
-		return w.Warm(ctx, keys)
-	}
-	return 0
-}
-
-// CacheStats forwards the inner cache's occupancy.
-func (t *Tier) CacheStats() engine.CacheStats {
-	if r, ok := t.inner.(engine.StatsReporter); ok {
-		return r.CacheStats()
-	}
-	return engine.CacheStats{}
-}
-
-// TierStats forwards the inner cache's per-tier counters, so wrapping a
-// cache in chaos does not blind the stats surface being tested.
-func (t *Tier) TierStats() []engine.TierStats {
-	if r, ok := t.inner.(engine.TierStatsReporter); ok {
-		return r.TierStats()
-	}
-	return nil
+	return t.Cache.Put(key, rec)
 }

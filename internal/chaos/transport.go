@@ -37,9 +37,6 @@ func NewRoundTripper(inner http.RoundTripper, seed workload.Seed, spec Spec) *Ro
 	return &RoundTripper{inner: inner, inj: NewInjector(seed.Split("roundtrip"), spec)}
 }
 
-// Stats snapshots the transport schedule's counters.
-func (rt *RoundTripper) Stats() InjectorStats { return rt.inj.Stats() }
-
 // drain satisfies the RoundTripper contract on fabricated outcomes: the
 // request body must always be consumed and closed.
 func drain(req *http.Request) {

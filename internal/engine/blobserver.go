@@ -17,34 +17,38 @@ type BlobServerOptions struct {
 	// MaxBlobBytes caps a PUT body; default 32 MiB. Oversized uploads
 	// are refused with 413 before touching the store.
 	MaxBlobBytes int64
-	// MaxStatKeys caps one batched stat request; default 4096. Larger
-	// batches are refused with 400 — clients chunk.
-	MaxStatKeys int
 }
 
-const defaultMaxStatKeys = 4096
+// maxStatKeys caps one batched stat request. Larger batches are refused
+// with 400 — clients chunk.
+const maxStatKeys = 4096
 
 // BlobServerStats are the server's cumulative request counters plus the
 // backing store's occupancy.
 type BlobServerStats struct {
-	Gets       int64      `json:"gets"`
-	GetHits    int64      `json:"get_hits"`
-	Heads      int64      `json:"heads"`
-	HeadHits   int64      `json:"head_hits"`
-	Puts       int64      `json:"puts"`
-	PutRejects int64      `json:"put_rejects"`
-	StatBatch  int64      `json:"stat_batches"`
-	StatKeys   int64      `json:"stat_keys"`
-	Store      CacheStats `json:"store"`
-	// Tiers splits the store's counters per layer when it reports them
-	// (the canonical Disk store reports memory front + files).
+	Gets       int64 `json:"gets"`
+	GetHits    int64 `json:"get_hits"`
+	Heads      int64 `json:"heads"`
+	HeadHits   int64 `json:"head_hits"`
+	Puts       int64 `json:"puts"`
+	PutRejects int64 `json:"put_rejects"`
+	StatBatch  int64 `json:"stat_batches"`
+	StatKeys   int64 `json:"stat_keys"`
+	// Store is the backing store's occupancy: the entries and bytes of
+	// its deepest local tier, and the evictions summed over its tiers.
+	Store struct {
+		Entries   int64 `json:"entries"`
+		Bytes     int64 `json:"bytes"`
+		Evictions int64 `json:"evictions"`
+	} `json:"store"`
+	// Tiers splits the store's counters per tier, fastest first.
 	Tiers []TierStats `json:"tiers,omitempty"`
 }
 
 // BlobServer serves the dpmremote hash-addressed protocol over a result
-// store (canonically a size-capped engine Disk cache, so admission is
+// store (canonically one with a size-capped Disk tier, so admission is
 // bounded twice: per-request body caps here, total occupancy by the
-// store's LRU GC):
+// disk tier's LRU GC):
 //
 //	HEAD /v1/blob/{fingerprint}
 //	GET  /v1/blob/{fingerprint}
@@ -62,10 +66,8 @@ type BlobServerStats struct {
 // BlobServer is an http.Handler; liveness, stats surfacing and drain
 // orchestration belong to the embedding command (see cmd/dpmremote).
 type BlobServer struct {
-	store   Cache
-	has     func(string) bool
+	store   *Store
 	maxBlob int64
-	maxStat int
 
 	gets, getHits, heads, headHits atomic.Int64
 	puts, putRejects               atomic.Int64
@@ -73,20 +75,11 @@ type BlobServer struct {
 }
 
 // NewBlobServer builds the protocol handler over store.
-func NewBlobServer(store Cache, opts BlobServerOptions) *BlobServer {
+func NewBlobServer(store Storage, opts BlobServerOptions) *BlobServer {
 	if opts.MaxBlobBytes <= 0 {
-		opts.MaxBlobBytes = defaultMaxBlobBytes
+		opts.MaxBlobBytes = maxBlobBytes
 	}
-	if opts.MaxStatKeys <= 0 {
-		opts.MaxStatKeys = defaultMaxStatKeys
-	}
-	s := &BlobServer{store: store, maxBlob: opts.MaxBlobBytes, maxStat: opts.MaxStatKeys}
-	if h, ok := store.(haser); ok {
-		s.has = h.Has
-	} else {
-		s.has = func(key string) bool { _, ok := store.Get(key); return ok }
-	}
-	return s
+	return &BlobServer{store: store.store(), maxBlob: opts.MaxBlobBytes}
 }
 
 // Stats snapshots the request counters and store occupancy.
@@ -101,12 +94,7 @@ func (s *BlobServer) Stats() BlobServerStats {
 		StatBatch:  s.statBatch.Load(),
 		StatKeys:   s.statKeys.Load(),
 	}
-	if r, ok := s.store.(StatsReporter); ok {
-		st.Store = r.CacheStats()
-	}
-	if r, ok := s.store.(TierStatsReporter); ok {
-		st.Tiers = r.TierStats()
-	}
+	st.Tiers, st.Store.Entries, st.Store.Bytes, st.Store.Evictions = s.store.snapshot()
 	return st
 }
 
@@ -141,7 +129,7 @@ func (s *BlobServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *BlobServer) handleHead(w http.ResponseWriter, key string) {
 	s.heads.Add(1)
-	if !s.has(key) {
+	if !s.store.Has(key) {
 		w.WriteHeader(http.StatusNotFound)
 		return
 	}
@@ -222,15 +210,15 @@ func (s *BlobServer) handleStat(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad stat body", http.StatusBadRequest)
 		return
 	}
-	if len(req.Keys) > s.maxStat {
-		http.Error(w, fmt.Sprintf("too many keys (max %d per batch)", s.maxStat), http.StatusBadRequest)
+	if len(req.Keys) > maxStatKeys {
+		http.Error(w, fmt.Sprintf("too many keys (max %d per batch)", maxStatKeys), http.StatusBadRequest)
 		return
 	}
 	s.statBatch.Add(1)
 	s.statKeys.Add(int64(len(req.Keys)))
 	resp := statResponse{Present: make([]string, 0, len(req.Keys))}
 	for _, k := range req.Keys {
-		if validKey(k) && s.has(k) {
+		if validKey(k) && s.store.Has(k) {
 			resp.Present = append(resp.Present, k)
 		}
 	}

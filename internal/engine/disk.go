@@ -11,48 +11,14 @@ import (
 	"time"
 )
 
-// Cache stores simulation records by configuration fingerprint. Every
-// tier deals in *Record — the encoded canonical bytes plus the lazily
-// decoded Result — so a value crosses tiers (memory → disk → remote)
-// and reaches a socket without ever being re-marshalled. Records handed
-// out by Get are shared — with singleflight dedup and a serving layer
-// on top, one entry may back many concurrent jobs and HTTP responses,
-// so callers must treat them as strictly immutable: never mutate a
-// Record, or a Result (or its Ledger/maps) obtained from one.
-// Implementations must be safe for concurrent use.
-type Cache interface {
-	Get(key string) (*Record, bool)
-	Put(key string, rec *Record) error
-}
-
-// CacheStats are a cache's occupancy and eviction counters.
-type CacheStats struct {
-	// Entries and Bytes are the current occupancy. Bytes is exact in
-	// record terms: for the LRU it is the sum of live records' MemSize,
-	// for Disk the total encoded container size on disk.
-	Entries int64 `json:"entries"`
-	Bytes   int64 `json:"bytes"`
-	// Evictions counts entries dropped to enforce a bound.
-	Evictions int64 `json:"evictions"`
-}
-
-// StatsReporter is implemented by caches that track occupancy;
-// Engine.Stats folds the counters into its snapshot when present.
-type StatsReporter interface {
-	CacheStats() CacheStats
-}
-
-// DiskOptions bounds a disk cache. The zero value means: default
-// front-memory bounds, no on-disk size cap, no fsync, real filesystem.
+// DiskOptions bounds a disk tier. The zero value means: no size cap, no
+// fsync, real filesystem.
 type DiskOptions struct {
 	// MaxBytes caps the total size of the cached *.rec containers; when
 	// an insert overflows it, the least-recently-modified entries are
 	// deleted until the cache fits under 90% of the cap (the hysteresis
 	// amortises the GC's directory scan). 0 means unbounded.
 	MaxBytes int64
-	// Memory bounds the in-process front cache (see LRUOptions); the
-	// zero value selects the LRU defaults.
-	Memory LRUOptions
 	// Sync makes Put crash-consistent against power loss, not just
 	// process death: the temp file is fsynced before the atomic rename
 	// publishes it (so a crash can never expose a torn final entry) and
@@ -68,13 +34,13 @@ type DiskOptions struct {
 	FS FS
 }
 
-// Disk is a directory-backed record cache: one binary record container
-// (`<fingerprint>.rec`, see Record) per entry. It layers a bounded LRU in
-// front of the files, so within one process each entry is read and
-// checksummed at most once while hot — and thanks to the record's lazy
-// decode, only ever unmarshalled if a consumer needs the decoded Result.
-// Safe for concurrent use within a process; concurrent writers in
-// separate processes are harmless because writes are atomic
+// Disk is a directory-backed record tier: one binary record container
+// (`<fingerprint>.rec`, see Record) per entry. It holds files only: a
+// Store puts its memory tier in front, so within one process each entry
+// is read and checksummed at most once while hot — and thanks to the
+// record's lazy decode, only ever unmarshalled if a consumer needs the
+// decoded Result. Safe for concurrent use within a process; concurrent
+// writers in separate processes are harmless because writes are atomic
 // (write-to-temp + rename) and entries are content-addressed.
 //
 // Opening the cache sweeps temp files abandoned by crashed writers. A Get
@@ -82,7 +48,6 @@ type DiskOptions struct {
 // heals with the next Put instead of re-missing every process lifetime.
 type Disk struct {
 	dir  string
-	mem  *LRU
 	fs   FS
 	sync bool
 
@@ -103,13 +68,8 @@ type Disk struct {
 // recExt is the on-disk extension of binary record containers.
 const recExt = ".rec"
 
-// NewDisk opens (creating if needed) an unbounded disk cache rooted at
-// dir, sweeping stale temp files left by crashed writers.
-func NewDisk(dir string) (*Disk, error) {
-	return NewDiskWith(dir, DiskOptions{})
-}
-
-// NewDiskWith opens a disk cache with explicit bounds.
+// NewDiskWith opens (creating if needed) a disk tier rooted at dir,
+// sweeping stale temp files left by crashed writers.
 func NewDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: cache dir: %w", err)
@@ -118,7 +78,7 @@ func NewDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 	if fs == nil {
 		fs = OSFS
 	}
-	c := &Disk{dir: dir, mem: NewLRU(opts.Memory), fs: fs, sync: opts.Sync, maxBytes: opts.MaxBytes}
+	c := &Disk{dir: dir, fs: fs, sync: opts.Sync, maxBytes: opts.MaxBytes}
 	c.sweepTemp()
 	c.bytes, c.entries = c.scan()
 	if c.maxBytes > 0 {
@@ -160,14 +120,10 @@ func (c *Disk) scan() (bytes, entries int64) {
 	return bytes, entries
 }
 
-// Get returns the cached record for key from memory or disk. A disk load
-// validates the container header and body checksum (cheap — no
-// decompression) before promoting to the front memory, so a torn or
+// Get returns the record stored for key. A load validates the container
+// header and body checksum (cheap — no decompression), so a torn or
 // bit-rotted file is deleted and reported as a miss, never served.
 func (c *Disk) Get(key string) (*Record, bool) {
-	if rec, ok := c.mem.Get(key); ok {
-		return rec, true
-	}
 	path := c.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -185,13 +141,12 @@ func (c *Disk) Get(key string) (*Record, bool) {
 	}
 	c.touch(path)
 	c.diskHits.Add(1)
-	c.mem.Put(key, rec)
 	return rec, true
 }
 
 // touch refreshes the entry's mtime so the size-cap GC's recency order
 // reflects access, not just write order (a hit loads from disk at most
-// once per process lifetime — after this the front memory serves it).
+// once per process lifetime — after this the store's memory tier serves it).
 // A failing touch (read-only directory, exotic filesystem) is a
 // degraded recency signal, not a degraded cache: log it once, stop
 // retrying, and keep serving hits.
@@ -207,18 +162,15 @@ func (c *Disk) touch(path string) {
 	}
 }
 
-// Has probes for key in memory or on disk without loading, decoding or
-// promoting the entry — the side-effect-free existence check the blob
-// server's HEAD/stat endpoints and warm-up use.
+// Has probes for key on disk without loading or decoding the entry — the
+// side-effect-free existence check the blob server's HEAD/stat endpoints
+// and warm-up use.
 func (c *Disk) Has(key string) bool {
-	if c.mem.Has(key) {
-		return true
-	}
 	_, err := os.Stat(c.path(key))
 	return err == nil
 }
 
-// Put stores a record in memory and on disk, then enforces the size cap.
+// Put stores a record on disk, then enforces the size cap.
 // The on-disk payload is the record's flate-compressed binary container
 // — encoding is cached on the record, so a record replicated to several
 // stores compresses once. The write is atomic
@@ -227,7 +179,6 @@ func (c *Disk) Has(key string) bool {
 // it, so a crash at any point leaves the slot holding the old entry, the
 // complete new entry, or nothing — never a torn file.
 func (c *Disk) Put(key string, rec *Record) error {
-	c.mem.Put(key, rec)
 	data, err := rec.Encode(CodecFlate)
 	if err != nil {
 		return fmt.Errorf("engine: encode record: %w", err)
@@ -306,7 +257,7 @@ func (c *Disk) remove(path string, size int64) {
 // scan: at steady
 // state each gc buys ~MaxBytes/10 of writes before the next one, so Put
 // is not O(directory) per insert. Entries evicted here are only files:
-// the front memory keeps serving its own (bounded) working set.
+// the store's memory tier keeps serving its own (bounded) working set.
 func (c *Disk) gc() {
 	c.gcMu.Lock()
 	defer c.gcMu.Unlock()
@@ -345,27 +296,14 @@ func (c *Disk) gc() {
 	c.bytes, c.entries = total, kept
 }
 
-// CacheStats reports the on-disk occupancy from the maintained counters —
-// O(1), so a serving layer can scrape it per request without re-listing
-// the cache directory (counters are approximate when separate processes
-// share the directory). Entries/Bytes are the persistent layer; the
-// eviction count sums both layers — size-cap GC deletions plus the
-// bounded front memory's evictions — so pressure on either bound is
-// observable.
-func (c *Disk) CacheStats() CacheStats {
-	memEvictions := c.mem.CacheStats().Evictions
+// Stats reports the disk tier from the maintained counters — O(1), so a
+// serving layer can scrape it per request without re-listing the
+// directory (counters are approximate when separate processes share the
+// directory). Evictions are the size-cap GC's deletions.
+func (c *Disk) Stats() TierStats {
 	c.gcMu.Lock()
 	defer c.gcMu.Unlock()
-	return CacheStats{Entries: c.entries, Bytes: c.bytes, Evictions: c.evictions + memEvictions}
-}
-
-// TierStats splits the layered counters: the front memory and the
-// persistent files report as separate tiers (the disk tier's evictions
-// are the size-cap GC's alone; CacheStats sums both layers).
-func (c *Disk) TierStats() []TierStats {
-	ts := c.mem.TierStats()
-	c.gcMu.Lock()
-	disk := TierStats{
+	return TierStats{
 		Tier:      TierDisk,
 		Hits:      c.diskHits.Load(),
 		Misses:    c.diskMisses.Load(),
@@ -373,6 +311,4 @@ func (c *Disk) TierStats() []TierStats {
 		Bytes:     c.bytes,
 		Evictions: c.evictions,
 	}
-	c.gcMu.Unlock()
-	return append(ts, disk)
 }

@@ -56,7 +56,7 @@ func energyHit(t testing.TB, rec *engine.Record) float64 {
 // cache is opened, and committed entries are untouched.
 func TestDiskSweepsStaleTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	seed, err := engine.NewDisk(dir)
+	seed, err := engine.NewDiskWith(dir, engine.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestDiskSweepsStaleTempFiles(t *testing.T) {
 		}
 	}
 
-	if _, err := engine.NewDisk(dir); err != nil {
+	if _, err := engine.NewDiskWith(dir, engine.DiskOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if left := listFiles(t, dir, "*.tmp*"); len(left) != 0 {
@@ -84,7 +84,7 @@ func TestDiskSweepsStaleTempFiles(t *testing.T) {
 // miss AND is deleted, so the next Put heals the slot permanently.
 func TestDiskDeletesCorruptEntry(t *testing.T) {
 	dir := t.TempDir()
-	c, err := engine.NewDisk(dir)
+	c, err := engine.NewDiskWith(dir, engine.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestDiskDeletesCorruptEntry(t *testing.T) {
 	if err := c.Put(key, mustRecord(t, key, &soc.Result{EnergyJ: 42})); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := engine.NewDisk(dir)
+	c2, err := engine.NewDiskWith(dir, engine.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestDiskDeletesCorruptEntry(t *testing.T) {
 // must not serve the wrong payload.
 func TestDiskKeyMismatchIsMiss(t *testing.T) {
 	dir := t.TempDir()
-	c, err := engine.NewDisk(dir)
+	c, err := engine.NewDiskWith(dir, engine.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestDiskKeyMismatchIsMiss(t *testing.T) {
 // is exact; entries are told apart by the key in the record header.
 func TestDiskSizeCapGC(t *testing.T) {
 	dir := t.TempDir()
-	unbounded, err := engine.NewDisk(dir)
+	unbounded, err := engine.NewDiskWith(dir, engine.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestDiskSizeCapGC(t *testing.T) {
 	if err := capped.Put(fakeDiskKey(100), mustRecord(t, fakeDiskKey(100), same)); err != nil {
 		t.Fatal(err)
 	}
-	st := capped.CacheStats()
+	st := capped.Stats()
 	if st.Bytes > maxBytes {
 		t.Fatalf("size cap violated after Put: %d > %d", st.Bytes, maxBytes)
 	}
@@ -238,14 +238,14 @@ func TestDiskCodecRoundTrip(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	c, err := engine.NewDisk(dir)
+	c, err := engine.NewDiskWith(dir, engine.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Put("k1", mustRecord(t, "k1", r)); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := engine.NewDisk(dir)
+	reopened, err := engine.NewDiskWith(dir, engine.DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,10 +6,11 @@
 // no matter which worker finished first.
 //
 // Every job is content-addressed: Fingerprint hashes the normalized
-// soc.Config, and a Cache (a sharded bounded LRU in memory, or layered
-// over a directory of binary record containers) short-circuits jobs
-// whose fingerprint has already been computed. Concurrent jobs with the same fingerprint
-// additionally collapse to one simulation (singleflight): the waiters are
+// soc.Config, and a Store (a sharded bounded LRU in memory, optionally
+// over a directory of binary record containers and the fleet's shared
+// store) short-circuits jobs whose fingerprint has already been
+// computed. Concurrent jobs with the same fingerprint additionally
+// collapse to one simulation (singleflight): the waiters are
 // served the winner's result as cache hits. Repeated invocations of the
 // same experiment grid — the paper's Table 2 scenarios, ablation sweeps,
 // seed-replication fan-outs — therefore cost one simulation per distinct
@@ -33,9 +34,10 @@ import (
 type Options struct {
 	// Workers bounds the worker pool; 0 means runtime.NumCPU().
 	Workers int
-	// Cache stores results by fingerprint; nil means a fresh in-memory
-	// cache (use NewDisk to persist across processes).
-	Cache Cache
+	// Cache stores results by fingerprint: a *Store (see NewStore for
+	// one that persists across processes), or an *LRU, which runs as a
+	// memory-only store; nil means a fresh default LRU.
+	Cache Storage
 	// NoCache disables caching entirely (every job simulates), used by
 	// benchmarks that need cold runs. It takes precedence over Cache.
 	NoCache bool
@@ -90,17 +92,17 @@ type Stats struct {
 	// the first member. They are included in Misses but not in Runs, so
 	// Runs == Misses - Forked when caching is enabled.
 	Forked int64 `json:"forked"`
-	// Evictions, CacheEntries and CacheBytes mirror the cache's counters
-	// when the configured cache reports them (see StatsReporter); zero
-	// otherwise.
+	// Evictions, CacheEntries and CacheBytes are the store's occupancy:
+	// evictions summed over its tiers, entries and bytes of its deepest
+	// local tier (the files when there are any, else memory); zero
+	// without a store.
 	Evictions    int64 `json:"evictions"`
 	CacheEntries int64 `json:"cache_entries"`
 	CacheBytes   int64 `json:"cache_bytes"`
-	// Tiers splits the cache counters per tier (memory/disk/remote hits
-	// and misses) when the cache reports them (see TierStatsReporter);
-	// nil otherwise. This is how fleet-wide dedup is observed rather
-	// than inferred: remote-tier hits are simulations another process
-	// ran.
+	// Tiers splits the store's counters per tier (memory/disk/remote hits
+	// and misses), fastest first; nil without a store. This is how
+	// fleet-wide dedup is observed rather than inferred: remote-tier hits
+	// are simulations another process ran.
 	Tiers []TierStats `json:"tiers,omitempty"`
 	// RunLatency is the wall-clock distribution of executed simulations
 	// (cache hits excluded — they are the serving layer's latency, not
@@ -114,7 +116,7 @@ type Stats struct {
 // the same plan observably cache-served.
 type Engine struct {
 	workers  int
-	cache    Cache
+	cache    *Store // nil when caching is off
 	flights  flightGroup
 	onStart  func(i int, job Job)
 	onResult func(i int, jr JobResult)
@@ -130,11 +132,13 @@ func New(opts Options) *Engine {
 	if w <= 0 {
 		w = runtime.NumCPU()
 	}
-	c := opts.Cache
-	if opts.NoCache {
-		c = nil
-	} else if c == nil {
-		c = NewLRU(LRUOptions{})
+	var c *Store
+	switch {
+	case opts.NoCache:
+	case opts.Cache == nil:
+		c = NewLRU(LRUOptions{}).store()
+	default:
+		c = opts.Cache.store()
 	}
 	return &Engine{workers: w, cache: c, onStart: opts.OnStart, onResult: opts.OnResult}
 }
@@ -143,7 +147,7 @@ func New(opts Options) *Engine {
 func (e *Engine) Workers() int { return e.workers }
 
 // Stats returns a snapshot of the cumulative counters, including the
-// cache's occupancy and eviction counters when the cache reports them.
+// store's per-tier counters and occupancy.
 func (e *Engine) Stats() Stats {
 	st := Stats{
 		Hits:     e.hits.Load(),
@@ -154,14 +158,8 @@ func (e *Engine) Stats() Stats {
 		Deduped:  e.deduped.Load(),
 		Forked:   e.forked.Load(),
 	}
-	if r, ok := e.cache.(StatsReporter); ok {
-		cs := r.CacheStats()
-		st.Evictions = cs.Evictions
-		st.CacheEntries = cs.Entries
-		st.CacheBytes = cs.Bytes
-	}
-	if r, ok := e.cache.(TierStatsReporter); ok {
-		st.Tiers = r.TierStats()
+	if e.cache != nil {
+		st.Tiers, st.CacheEntries, st.CacheBytes, st.Evictions = e.cache.snapshot()
 	}
 	if snap := e.runLat.Snapshot(); snap.Count > 0 {
 		l := stats.LatencyOf(snap)
@@ -297,15 +295,14 @@ feed:
 	return results, errors.Join(errs...)
 }
 
-// warm pre-populates a Warmer cache (a Tiered one with a remote tier)
-// with the plan's distinct fingerprints before dispatch: one batched
-// stat against the shared store replaces per-job remote round-trips,
-// and every entry the fleet already computed arrives in the local tiers
-// before a worker would have simulated it. Single-job plans skip it —
-// the per-job Get covers them.
+// warm pre-populates a store with a remote tier with the plan's
+// distinct fingerprints before dispatch: one batched stat against the
+// shared store replaces per-job remote round-trips, and every entry the
+// fleet already computed arrives in the local tiers before a worker
+// would have simulated it. Single-job plans skip it — the per-job Get
+// covers them.
 func (e *Engine) warm(ctx context.Context, plan Plan, keys []jobKeys) {
-	w := e.warmer(plan)
-	if w == nil {
+	if !e.warms(plan) {
 		return
 	}
 	seen := make(map[string]struct{}, len(plan.Jobs))
@@ -322,18 +319,13 @@ func (e *Engine) warm(ctx context.Context, plan Plan, keys []jobKeys) {
 		distinct = append(distinct, k)
 	}
 	if len(distinct) > 0 {
-		w.Warm(ctx, distinct)
+		e.cache.Warm(ctx, distinct)
 	}
 }
 
-// warmer returns the cache's Warmer when warm will use it for the plan,
-// and nil otherwise.
-func (e *Engine) warmer(plan Plan) Warmer {
-	if len(plan.Jobs) < 2 || e.cache == nil {
-		return nil
-	}
-	w, _ := e.cache.(Warmer)
-	return w
+// warms reports whether warm does anything for the plan.
+func (e *Engine) warms(plan Plan) bool {
+	return len(plan.Jobs) >= 2 && e.cache != nil && e.cache.remote != nil
 }
 
 // runJob executes one job: key derivation (unless planUnits already did
@@ -506,13 +498,11 @@ func (e *Engine) RunAfterLookup(ctx context.Context, job Job) JobResult {
 	return jr
 }
 
-// probe looks the key up in the cache; localOnly restricts the lookup
-// to the cheap local tiers when the cache can tell them apart.
+// probe looks the key up in the store; localOnly restricts the lookup
+// to the cheap local tiers.
 func (e *Engine) probe(key string, localOnly bool) (*Record, bool) {
 	if localOnly {
-		if lp, ok := e.cache.(localProber); ok {
-			return lp.GetLocal(key)
-		}
+		return e.cache.GetLocal(key)
 	}
 	return e.cache.Get(key)
 }

@@ -30,6 +30,23 @@ func testConfig(seed int64, policy soc.PolicyKind, numTasks int) soc.Config {
 	}
 }
 
+// newStore builds a store over a default memory tier, with a disk tier
+// under dir unless dir is empty and a remote tier talking to the store
+// at remote unless remote is empty. The test closes it.
+func newStore(t *testing.T, dir, remote string) *engine.Store {
+	t.Helper()
+	var ropts *engine.RemoteOptions
+	if remote != "" {
+		ropts = &engine.RemoteOptions{BaseURL: remote}
+	}
+	s, err := engine.NewStore(engine.NewLRU(engine.LRUOptions{}), dir, engine.DiskOptions{}, ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // testPlan fans three seeds out over DPM and the always-on baseline.
 func testPlan(numTasks int) engine.Plan {
 	var p engine.Plan
@@ -195,11 +212,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	plan := testPlan(10)
 
-	c1, err := engine.NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng1 := engine.New(engine.Options{Workers: 2, Cache: c1})
+	eng1 := engine.New(engine.Options{Workers: 2, Cache: newStore(t, dir, "")})
 	first, err := eng1.Run(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -207,11 +220,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 
 	// A separate engine over the same directory — as a fresh process would
 	// see it — must serve every job from disk, digest-identically.
-	c2, err := engine.NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng2 := engine.New(engine.Options{Workers: 2, Cache: c2})
+	eng2 := engine.New(engine.Options{Workers: 2, Cache: newStore(t, dir, "")})
 	second, err := eng2.Run(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +328,7 @@ func TestOnResultObservesEveryJob(t *testing.T) {
 
 // TestLookupServesLocalHitsOnly pins Lookup's contract: a local-tier hit
 // returns the stored result and counts one hit; an absent key, a record
-// that does not decode, and a record held only by a remote-style tier all
+// that does not decode, and a record held only by the remote tier all
 // return false and count nothing, leaving Run to count the miss and heal.
 func TestLookupServesLocalHitsOnly(t *testing.T) {
 	ctx := context.Background()
@@ -381,17 +390,12 @@ func TestLookupServesLocalHitsOnly(t *testing.T) {
 		t.Fatal("Lookup missed the healed slot")
 	}
 
-	// A record only a remote-style tier holds is left to Run's flight.
-	deep := engine.NewLRU(engine.LRUOptions{})
+	// A record only the remote tier holds is left to Run's flight.
+	ts, _, deep := blobServerForTest(t)
 	if err := deep.Put(key, res[0].Record); err != nil {
 		t.Fatal(err)
 	}
-	tiered := engine.NewTiered(
-		engine.Tier{Cache: engine.NewLRU(engine.LRUOptions{}), Name: "local"},
-		engine.Tier{Cache: statingCache{deep}, Name: "deep"},
-	)
-	defer tiered.Close()
-	eng = engine.New(engine.Options{Workers: 1, Cache: tiered})
+	eng = engine.New(engine.Options{Workers: 1, Cache: newStore(t, "", ts.URL)})
 	if _, ok := eng.Lookup(key); ok {
 		t.Fatal("Lookup reached past the local tiers")
 	}

@@ -81,3 +81,17 @@ func CountKeyGoroutines(count func()) (restore func()) {
 	}
 	return func() { goKeyer = orig }
 }
+
+// SetWriteBehindQueue bounds the write-behind queue of stores built until
+// restore is called.
+func SetWriteBehindQueue(n int) (restore func()) {
+	old := writeBehindQueue
+	writeBehindQueue = n
+	return func() { writeBehindQueue = old }
+}
+
+// StoreTiers reports the store's per-tier counters, fastest first.
+func StoreTiers(s *Store) []TierStats {
+	tiers, _, _, _ := s.snapshot()
+	return tiers
+}

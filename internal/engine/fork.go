@@ -43,7 +43,7 @@ type workUnit struct {
 
 // planUnits partitions the plan into work units, preserving plan order by
 // first occurrence, and derives up front the keys a plan-wide step needs:
-// every job's cache key when a Warmer pre-fetches the plan, and the keys
+// every job's cache key when the store warms up for the plan, and the keys
 // of forkable jobs when the plan has at least two of them. Each of those
 // jobs is normalized and encoded once, and its cache key and fork-prefix
 // key share that encoding. All other keys stay zero; runJob derives them
@@ -72,7 +72,7 @@ func (e *Engine) planUnits(plan Plan) ([]jobKeys, []workUnit) {
 			nForkable++
 		}
 	}
-	warming := e.warmer(plan) != nil
+	warming := e.warms(plan)
 	var need []keyTask
 	for i, job := range plan.Jobs {
 		if fork := nForkable >= 2 && e.forkable(job); fork || warming {

@@ -245,12 +245,6 @@ func TestRunKeysOnWorkersWithoutFork(t *testing.T) {
 	}
 }
 
-// warmingCache is an LRU that claims to pre-fetch, so a Run keys every job
-// of a multi-job plan up front.
-type warmingCache struct{ engine.Cache }
-
-func (warmingCache) Warm(context.Context, []string) int { return 0 }
-
 // TestPlanUnitsKeysInParallel: planUnits keys a plan's jobs on up to
 // Workers goroutines, and at Workers 1, 2 and 8 returns the keys a serial
 // pass of JobKeys derives and the units that grouping those keys by
@@ -271,14 +265,17 @@ func TestPlanUnitsKeysInParallel(t *testing.T) {
 	observed.Jobs[1].Options.Observers = []soc.Observer{soc.NopObserver{}}
 	single := engine.Plan{Jobs: grid.Jobs[:1]}
 
-	warming := func() engine.Cache { return warmingCache{engine.NewLRU(engine.LRUOptions{})} }
+	// A store with a remote tier warms up for a multi-job plan, so its
+	// engine keys every job up front.
+	ts, _, _ := blobServerForTest(t)
+	warming := func() engine.Storage { return newStore(t, "", ts.URL) }
 
 	var started atomic.Int64
 	defer engine.CountKeyGoroutines(func() { started.Add(1) })()
 	for _, tc := range []struct {
 		name    string
 		plan    engine.Plan
-		cache   func() engine.Cache
+		cache   func() engine.Storage
 		fork    bool // whether the plan has fork groups
 		unkeyed int  // the job left to its worker, or -1
 	}{

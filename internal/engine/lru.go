@@ -43,7 +43,7 @@ const (
 // independent mutex, hash map and intrusive recency list, so concurrent
 // workers rarely contend on the same lock. When an insert overflows a
 // shard's entry or byte budget, the least-recently-used entries of that
-// shard are evicted (counted in CacheStats.Evictions).
+// shard are evicted (counted in Stats().Evictions).
 //
 // Records handed out by Get are shared with every other caller of the
 // same key — treat them (and their decoded Results) as immutable.
@@ -221,10 +221,14 @@ func (c *LRU) Len() int {
 	return n
 }
 
-// CacheStats returns occupancy and eviction counters; Engine.Stats folds
-// them into its snapshot.
-func (c *LRU) CacheStats() CacheStats {
-	st := CacheStats{Evictions: c.evictions.Load()}
+// Stats reports the cache as the memory tier.
+func (c *LRU) Stats() TierStats {
+	st := TierStats{
+		Tier:      TierMemory,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
@@ -235,18 +239,8 @@ func (c *LRU) CacheStats() CacheStats {
 	return st
 }
 
-// TierStats reports the cache as one memory tier.
-func (c *LRU) TierStats() []TierStats {
-	cs := c.CacheStats()
-	return []TierStats{{
-		Tier:      TierMemory,
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Entries:   cs.Entries,
-		Bytes:     cs.Bytes,
-		Evictions: cs.Evictions,
-	}}
-}
+// store runs the cache alone, as a memory-only Store.
+func (c *LRU) store() *Store { return &Store{tiers: []Cache{c}, local: 1} }
 
 func (s *lruShard) pushFront(e *lruEntry) {
 	e.prev, e.next = nil, s.head

@@ -64,7 +64,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 			t.Fatalf("key %d evicted, want only key 2 gone", want)
 		}
 	}
-	if st := c.CacheStats(); st.Evictions != 1 || st.Entries != 4 {
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != 4 {
 		t.Fatalf("stats %+v, want 1 eviction, 4 entries", st)
 	}
 }
@@ -81,7 +81,7 @@ func TestLRUHoldsEntryCapUnderDistinctStream(t *testing.T) {
 			t.Fatalf("after %d puts: %d entries > cap %d", i+1, n, capN)
 		}
 	}
-	st := c.CacheStats()
+	st := c.Stats()
 	if st.Entries > capN {
 		t.Fatalf("final occupancy %d > cap %d", st.Entries, capN)
 	}
@@ -188,7 +188,7 @@ func TestLRUMatchesModel(t *testing.T) {
 			c.Put(key, rec)
 			m.put(key, rec)
 		}
-		st := c.CacheStats()
+		st := c.Stats()
 		if st.Entries != int64(len(m.vals)) || st.Bytes != m.bytes() || st.Evictions != m.evictions {
 			t.Fatalf("op %d: stats %+v diverge from model entries=%d bytes=%d evictions=%d",
 				op, st, len(m.vals), m.bytes(), m.evictions)
@@ -214,10 +214,10 @@ func TestLRUUpdateAccountingShrink(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Put(key, big)
 		c.Put(key, small)
-		if st := c.CacheStats(); st.Bytes != small.MemSize() {
+		if st := c.Stats(); st.Bytes != small.MemSize() {
 			t.Fatalf("cycle %d: accounted %d bytes, want exactly the live record's %d", i, st.Bytes, small.MemSize())
 		}
-		if st := c.CacheStats(); st.Bytes < 0 {
+		if st := c.Stats(); st.Bytes < 0 {
 			t.Fatalf("cycle %d: accounting underflowed to %d", i, st.Bytes)
 		}
 	}
@@ -229,7 +229,7 @@ func TestLRUUpdateAccountingShrink(t *testing.T) {
 		c.Put(fakeKey(i), rec)
 		sum += rec.MemSize()
 	}
-	if st := c.CacheStats(); st.Bytes != sum {
+	if st := c.Stats(); st.Bytes != sum {
 		t.Fatalf("after churn: accounted %d, want Σ live sizes %d", st.Bytes, sum)
 	}
 }
@@ -280,7 +280,7 @@ func TestLRUSmallCapAutoShards(t *testing.T) {
 	if n := c.Len(); n != capN {
 		t.Fatalf("%d of %d entries resident under an exact-fit working set", n, capN)
 	}
-	if st := c.CacheStats(); st.Evictions != 0 {
+	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("%d evictions while under the cap", st.Evictions)
 	}
 }

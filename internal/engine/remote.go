@@ -85,16 +85,12 @@ type RemoteOptions struct {
 	// RetryBackoff is the first retry's delay, doubled per attempt;
 	// default 50ms.
 	RetryBackoff time.Duration
-	// MaxConns bounds the connection pool to the server; default 32.
-	MaxConns int
 	// FailureThreshold is how many consecutive failed operations trip
 	// the breaker; default 5.
 	FailureThreshold int
 	// Cooldown is how long a tripped breaker skips the remote before
 	// probing it again; default 2s.
 	Cooldown time.Duration
-	// MaxBlobBytes bounds a GET response body; default 32 MiB.
-	MaxBlobBytes int64
 	// JitterSeed seeds the deterministic ±20% retry-backoff jitter that
 	// keeps a fleet's retries from synchronizing; 0 derives a seed from
 	// BaseURL so distinct replicas pointing at one store still spread.
@@ -112,19 +108,22 @@ const (
 	defaultRemoteTimeout   = 2 * time.Second
 	defaultRemoteRetries   = 2
 	defaultRemoteBackoff   = 50 * time.Millisecond
-	defaultRemoteMaxConns  = 32
 	defaultRemoteThreshold = 5
 	defaultRemoteCooldown  = 2 * time.Second
-	defaultMaxBlobBytes    = 32 << 20
-	statChunkSize          = 1024
+	// remoteMaxConns bounds the client's connection pool to the server.
+	remoteMaxConns = 32
+	// maxBlobBytes bounds a blob body: a GET response the client reads,
+	// and by default a PUT the server accepts.
+	maxBlobBytes  = 32 << 20
+	statChunkSize = 1024
 )
 
-// Remote is a client-side cache tier backed by a dpmremote server: a
+// Remote is a client-side store tier backed by a dpmremote server: a
 // shared hash-addressed result store that lets a fleet of processes
 // deduplicate simulations fleet-wide. It implements Cache with strict
 // fail-open semantics — a down, slow or corrupt remote turns Gets into
 // misses and Puts into no-ops, never into request failures — so it is
-// always safe to layer behind local tiers (see Tiered).
+// always safe to layer behind local tiers (see Store).
 //
 // Failure handling: each operation retries transient errors with
 // exponential backoff; after FailureThreshold consecutive failed
@@ -142,7 +141,6 @@ type Remote struct {
 	backoff   time.Duration
 	threshold int64
 	cooldown  time.Duration
-	maxBlob   int64
 	logf      func(format string, args ...any)
 
 	hits, misses, errors atomic.Int64
@@ -179,21 +177,15 @@ func NewRemote(opts RemoteOptions) (*Remote, error) {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = defaultRemoteBackoff
 	}
-	if opts.MaxConns <= 0 {
-		opts.MaxConns = defaultRemoteMaxConns
-	}
 	if opts.FailureThreshold <= 0 {
 		opts.FailureThreshold = defaultRemoteThreshold
 	}
 	if opts.Cooldown <= 0 {
 		opts.Cooldown = defaultRemoteCooldown
 	}
-	if opts.MaxBlobBytes <= 0 {
-		opts.MaxBlobBytes = defaultMaxBlobBytes
-	}
 	var transport http.RoundTripper = &http.Transport{
-		MaxConnsPerHost:     opts.MaxConns,
-		MaxIdleConnsPerHost: opts.MaxConns,
+		MaxConnsPerHost:     remoteMaxConns,
+		MaxIdleConnsPerHost: remoteMaxConns,
 		IdleConnTimeout:     90 * time.Second,
 	}
 	if opts.WrapTransport != nil {
@@ -211,7 +203,6 @@ func NewRemote(opts RemoteOptions) (*Remote, error) {
 		backoff:   opts.RetryBackoff,
 		threshold: int64(opts.FailureThreshold),
 		cooldown:  opts.Cooldown,
-		maxBlob:   opts.MaxBlobBytes,
 		logf:      opts.Logf,
 		closed:    make(chan struct{}),
 		jrng:      rand.New(rand.NewSource(int64(jseed))),
@@ -344,12 +335,12 @@ func (c *Remote) Get(key string) (*Record, bool) {
 		switch {
 		case resp.StatusCode == http.StatusOK:
 			digest = resp.Header.Get(digestHeader)
-			data, err = io.ReadAll(io.LimitReader(resp.Body, c.maxBlob+1))
+			data, err = io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes+1))
 			if err != nil {
 				return false, err
 			}
-			if int64(len(data)) > c.maxBlob {
-				return true, fmt.Errorf("blob for %s exceeds %d bytes", key, c.maxBlob)
+			if int64(len(data)) > maxBlobBytes {
+				return true, fmt.Errorf("blob for %s exceeds %d bytes", key, maxBlobBytes)
 			}
 			return true, nil
 		case resp.StatusCode == http.StatusNotFound:
@@ -410,8 +401,8 @@ func (c *Remote) Get(key string) (*Record, bool) {
 // Put stores a record in the remote store, uploading its compressed
 // binary container (encoded once per record, shared with the disk
 // tier's copy). Failures are counted and swallowed into the returned
-// error; callers (Tiered write-behind, the engine) treat a failed Put
-// as a lost replication opportunity, not a job failure.
+// error; the Store's write-behind treats a failed Put as a lost
+// replication opportunity, not a job failure.
 func (c *Remote) Put(key string, rec *Record) error {
 	if !validKey(key) {
 		return fmt.Errorf("engine: remote cache: invalid key %q", key)
@@ -490,7 +481,7 @@ func (c *Remote) Stat(ctx context.Context, keys []string) (map[string]bool, erro
 			return nil, fmt.Errorf("engine: remote cache: stat: %w", err)
 		}
 		var sr statResponse
-		err = json.NewDecoder(io.LimitReader(resp.Body, c.maxBlob)).Decode(&sr)
+		err = json.NewDecoder(io.LimitReader(resp.Body, maxBlobBytes)).Decode(&sr)
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		cancel()
@@ -530,46 +521,32 @@ func (c *Remote) Has(key string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-// CacheStats reports zero occupancy: the blobs live on the server, and
-// a client cannot cheaply know their count. Lookup counters are in
-// TierStats.
-func (c *Remote) CacheStats() CacheStats { return CacheStats{} }
-
-// BreakerState reports the circuit breaker's current condition: whether
-// it is open (skipping the remote), the consecutive-failure count
-// feeding it, and — when open — how long until the next probe.
-func (c *Remote) BreakerState() (open bool, consecutiveFails int64, retryIn time.Duration) {
-	until := c.downUntil.Load()
-	now := time.Now().UnixNano()
-	if now < until {
-		return true, c.fails.Load(), time.Duration(until - now)
+// Stats reports the remote tier's lookup/transport counters plus the
+// breaker's state, so an operator reading /statsz can see not just that
+// the remote tier went quiet but why and for how long. Occupancy is
+// zero: the blobs live on the server.
+func (c *Remote) Stats() TierStats {
+	st := TierStats{
+		Tier:         TierRemote,
+		Hits:         c.hits.Load(),
+		Misses:       c.misses.Load(),
+		Errors:       c.errors.Load() + c.putErrs.Load(),
+		Puts:         c.puts.Load(),
+		Rejected:     c.rejected.Load(),
+		Breaker:      breakerClosed,
+		BreakerFails: c.fails.Load(),
+		BreakerTrips: c.trips.Load(),
+		BreakerSkips: c.skipped.Load(),
 	}
-	return false, c.fails.Load(), 0
+	if wait := c.downUntil.Load() - time.Now().UnixNano(); wait > 0 {
+		st.Breaker = breakerOpen
+		st.BreakerWaitMs = time.Duration(wait).Milliseconds()
+	}
+	return st
 }
 
-// TierStats reports the remote tier's lookup/transport counters plus
-// the breaker's state, so an operator reading /statsz can see not just
-// that the remote tier went quiet but why and for how long.
-func (c *Remote) TierStats() []TierStats {
-	open, fails, retryIn := c.BreakerState()
-	state := breakerClosed
-	if open {
-		state = breakerOpen
-	}
-	return []TierStats{{
-		Tier:          TierRemote,
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Errors:        c.errors.Load() + c.putErrs.Load(),
-		Puts:          c.puts.Load(),
-		Rejected:      c.rejected.Load(),
-		Breaker:       state,
-		BreakerFails:  fails,
-		BreakerTrips:  c.trips.Load(),
-		BreakerSkips:  c.skipped.Load(),
-		BreakerWaitMs: retryIn.Milliseconds(),
-	}}
-}
-
-// Skipped counts operations the open breaker short-circuited.
-func (c *Remote) Skipped() int64 { return c.skipped.Load() }
+// Breaker state labels used in TierStats.Breaker.
+const (
+	breakerOpen   = "open"
+	breakerClosed = "closed"
+)

@@ -91,12 +91,8 @@ func TestRemoteBlobServerRoundtrip(t *testing.T) {
 	if st.GetHits != 1 || st.Puts != 1 || st.StatBatch != 1 || st.StatKeys != 2 {
 		t.Fatalf("server stats = %+v, want 1 get hit, 1 put, 1 stat batch of 2 keys", st)
 	}
-	tiers := remote.TierStats()
-	if len(tiers) != 1 || tiers[0].Tier != engine.TierRemote {
-		t.Fatalf("TierStats = %+v, want one %q entry", tiers, engine.TierRemote)
-	}
-	if tiers[0].Hits != 1 || tiers[0].Puts != 1 {
-		t.Fatalf("TierStats = %+v, want 1 hit and 1 put", tiers[0])
+	if ts := remote.Stats(); ts.Tier != engine.TierRemote || ts.Hits != 1 || ts.Puts != 1 {
+		t.Fatalf("Stats = %+v, want the %q tier with 1 hit and 1 put", ts, engine.TierRemote)
 	}
 }
 
@@ -129,18 +125,15 @@ func TestFleetDedupAcrossEngines(t *testing.T) {
 	ts, blob, _ := blobServerForTest(t)
 	plan := testPlan(12)
 
-	tieredA := engine.NewTiered(
-		engine.Tier{Cache: engine.NewLRU(engine.LRUOptions{}), Name: "local"},
-		engine.Tier{Cache: newRemote(t, engine.RemoteOptions{BaseURL: ts.URL}), AsyncPut: true},
-	)
-	engA := engine.New(engine.Options{Workers: 4, Cache: tieredA})
+	storeA := newStore(t, "", ts.URL)
+	engA := engine.New(engine.Options{Workers: 4, Cache: storeA})
 	resA, err := engA.Run(context.Background(), plan)
 	if err != nil {
 		t.Fatalf("engine A: %v", err)
 	}
 	// Close flushes the write-behind queue, so every result reaches the
 	// shared store before the "second replica" starts.
-	if err := tieredA.Close(); err != nil {
+	if err := storeA.Close(); err != nil {
 		t.Fatalf("close A: %v", err)
 	}
 	distinct := int64(engA.Stats().Runs)
@@ -148,17 +141,11 @@ func TestFleetDedupAcrossEngines(t *testing.T) {
 		t.Fatalf("store holds %d entries after flush, want %d", got, distinct)
 	}
 
-	remoteB := newRemote(t, engine.RemoteOptions{BaseURL: ts.URL})
-	tieredB := engine.NewTiered(
-		engine.Tier{Cache: engine.NewLRU(engine.LRUOptions{}), Name: "local"},
-		engine.Tier{Cache: remoteB, AsyncPut: true},
-	)
-	engB := engine.New(engine.Options{Workers: 4, Cache: tieredB})
+	engB := engine.New(engine.Options{Workers: 4, Cache: newStore(t, "", ts.URL)})
 	resB, err := engB.Run(context.Background(), plan)
 	if err != nil {
 		t.Fatalf("engine B: %v", err)
 	}
-	defer tieredB.Close()
 
 	stB := engB.Stats()
 	if stB.Runs != 0 {
@@ -183,19 +170,19 @@ func TestFleetDedupAcrossEngines(t *testing.T) {
 	}
 }
 
-// runWithRemote runs the standard plan through a tiered cache whose
-// remote tier points at base, and asserts the run itself is unharmed.
-func runWithRemote(t *testing.T, base string, opts engine.RemoteOptions) (*engine.Engine, *engine.LRU, *engine.Remote) {
+// runWithRemote runs the standard plan through a store whose remote tier
+// points at base, and asserts the run itself is unharmed. It returns the
+// engine and the store's memory tier.
+func runWithRemote(t *testing.T, base string, opts engine.RemoteOptions) (*engine.Engine, *engine.LRU) {
 	t.Helper()
 	opts.BaseURL = base
-	remote := newRemote(t, opts)
 	local := engine.NewLRU(engine.LRUOptions{})
-	tiered := engine.NewTiered(
-		engine.Tier{Cache: local, Name: "local"},
-		engine.Tier{Cache: remote, AsyncPut: true},
-	)
-	t.Cleanup(func() { tiered.Close() })
-	eng := engine.New(engine.Options{Workers: 4, Cache: tiered})
+	store, err := engine.NewStore(local, "", engine.DiskOptions{}, &opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	eng := engine.New(engine.Options{Workers: 4, Cache: store})
 	plan := testPlan(12)
 	results, err := eng.Run(context.Background(), plan)
 	if err != nil {
@@ -210,7 +197,19 @@ func runWithRemote(t *testing.T, base string, opts engine.RemoteOptions) (*engin
 	if st.Errors != 0 {
 		t.Fatalf("engine booked %d errors, want 0 (remote must fail open)", st.Errors)
 	}
-	return eng, local, remote
+	return eng, local
+}
+
+// remoteTier returns the remote tier's counters from the engine's stats.
+func remoteTier(t *testing.T, eng *engine.Engine) engine.TierStats {
+	t.Helper()
+	for _, ts := range eng.Stats().Tiers {
+		if ts.Tier == engine.TierRemote {
+			return ts
+		}
+	}
+	t.Fatal("no remote tier in the engine's stats")
+	return engine.TierStats{}
 }
 
 func TestRemoteDownFailsOpen(t *testing.T) {
@@ -222,7 +221,7 @@ func TestRemoteDownFailsOpen(t *testing.T) {
 	base := "http://" + ln.Addr().String()
 	ln.Close()
 
-	eng, _, _ := runWithRemote(t, base, engine.RemoteOptions{
+	eng, _ := runWithRemote(t, base, engine.RemoteOptions{
 		Timeout: 200 * time.Millisecond, Retries: -1, // -1 → no retries
 	})
 	if st := eng.Stats(); st.Runs == 0 {
@@ -236,12 +235,11 @@ func TestRemoteServerErrorFailsOpen(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	_, _, remote := runWithRemote(t, ts.URL, engine.RemoteOptions{
+	eng, _ := runWithRemote(t, ts.URL, engine.RemoteOptions{
 		Timeout: 200 * time.Millisecond, Retries: -1, RetryBackoff: time.Millisecond,
 	})
-	tiers := remote.TierStats()
-	if tiers[0].Errors == 0 {
-		t.Fatalf("remote tier reports no errors against an always-500 server: %+v", tiers[0])
+	if rt := remoteTier(t, eng); rt.Errors == 0 {
+		t.Fatalf("remote tier reports no errors against an always-500 server: %+v", rt)
 	}
 }
 
@@ -276,7 +274,7 @@ func TestCorruptRemoteDoesNotPoison(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	eng, local, remote := runWithRemote(t, ts.URL, engine.RemoteOptions{
+	eng, local := runWithRemote(t, ts.URL, engine.RemoteOptions{
 		Timeout: time.Second, Retries: -1,
 	})
 	st := eng.Stats()
@@ -302,8 +300,8 @@ func TestCorruptRemoteDoesNotPoison(t *testing.T) {
 			t.Fatalf("local cache poisoned for %s", job.ID)
 		}
 	}
-	if tiers := remote.TierStats(); tiers[0].Errors == 0 {
-		t.Fatalf("corrupt bodies were not counted as remote errors: %+v", tiers[0])
+	if rt := remoteTier(t, eng); rt.Errors == 0 {
+		t.Fatalf("corrupt bodies were not counted as remote errors: %+v", rt)
 	}
 }
 
@@ -331,11 +329,12 @@ func TestRemoteBreakerTrips(t *testing.T) {
 	if got := requests.Load(); got != 3 {
 		t.Fatalf("server saw %d requests, want exactly 3 (threshold) before the breaker opened", got)
 	}
-	if trips := remote.TierStats()[0].BreakerTrips; trips != 1 {
-		t.Fatalf("BreakerTrips = %d, want 1", trips)
+	st := remote.Stats()
+	if st.BreakerTrips != 1 {
+		t.Fatalf("BreakerTrips = %d, want 1", st.BreakerTrips)
 	}
-	if remote.Skipped() != 7 {
-		t.Fatalf("Skipped = %d, want 7 (10 gets - 3 real attempts)", remote.Skipped())
+	if st.BreakerSkips != 7 {
+		t.Fatalf("BreakerSkips = %d, want 7 (10 gets - 3 real attempts)", st.BreakerSkips)
 	}
 }
 
@@ -411,17 +410,16 @@ func TestEngineWarmPrefetchesPlan(t *testing.T) {
 	ts, blob, _ := blobServerForTest(t)
 	plan := testPlan(12)
 
-	// Seed the store synchronously (AsyncPut off → Put writes through).
-	seeder := engine.New(engine.Options{Workers: 4, Cache: engine.NewTiered(
-		engine.Tier{Cache: engine.NewLRU(engine.LRUOptions{}), Name: "local"},
-		engine.Tier{Cache: newRemote(t, engine.RemoteOptions{BaseURL: ts.URL})},
-	)})
+	// Seed the store; Close flushes the write-behind queue.
+	seedStore := newStore(t, "", ts.URL)
+	seeder := engine.New(engine.Options{Workers: 4, Cache: seedStore})
 	if _, err := seeder.Run(context.Background(), plan); err != nil {
 		t.Fatal(err)
 	}
+	seedStore.Close()
 	distinct := seeder.Stats().Runs
 
-	eng, _, _ := runWithRemote(t, ts.URL, engine.RemoteOptions{Timeout: 2 * time.Second})
+	eng, _ := runWithRemote(t, ts.URL, engine.RemoteOptions{Timeout: 2 * time.Second})
 	st := eng.Stats()
 	if st.Runs != 0 {
 		t.Fatalf("warmed engine ran %d simulations, want 0", st.Runs)
@@ -453,12 +451,7 @@ func TestSingleflightCollapsesRemoteProbe(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	tiered := engine.NewTiered(
-		engine.Tier{Cache: engine.NewLRU(engine.LRUOptions{}), Name: "local"},
-		engine.Tier{Cache: newRemote(t, engine.RemoteOptions{BaseURL: ts.URL}), AsyncPut: true},
-	)
-	defer tiered.Close()
-	eng := engine.New(engine.Options{Workers: 8, Cache: tiered})
+	eng := engine.New(engine.Options{Workers: 8, Cache: newStore(t, "", ts.URL)})
 
 	var plan engine.Plan
 	cfg := testConfig(1, soc.PolicyDPM, 12)

@@ -30,7 +30,7 @@ func TestDiskConcurrentCorruptHealing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := d.CacheStats(); st.Entries != 1 {
+	if st := d.Stats(); st.Entries != 1 {
 		t.Fatalf("open scan found %d entries, want 1", st.Entries)
 	}
 
@@ -51,7 +51,7 @@ func TestDiskConcurrentCorruptHealing(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	if st := d.CacheStats(); st.Entries != 0 {
+	if st := d.Stats(); st.Entries != 0 {
 		t.Fatalf("occupancy after racing heals = %d entries, want exactly 0 (exactly-once delete)", st.Entries)
 	}
 	if _, err := os.Stat(filepath.Join(dir, key+".rec")); !os.IsNotExist(err) {
@@ -66,7 +66,7 @@ func TestDiskConcurrentCorruptHealing(t *testing.T) {
 	if !ok || got.Digest() != engine.ResultDigest(res) {
 		t.Fatal("slot did not re-fill after healing")
 	}
-	if st := d.CacheStats(); st.Entries != 1 {
+	if st := d.Stats(); st.Entries != 1 {
 		t.Fatalf("occupancy after re-fill = %d entries, want 1", st.Entries)
 	}
 }
@@ -105,7 +105,7 @@ func TestRemoteRejectsDigestMismatch(t *testing.T) {
 	if _, ok := remote.Get(key); ok {
 		t.Fatal("Get returned a result whose digest the server contradicted")
 	}
-	st := remote.TierStats()[0]
+	st := remote.Stats()
 	if st.Rejected != 1 {
 		t.Fatalf("Rejected = %d, want 1", st.Rejected)
 	}
@@ -172,7 +172,7 @@ func TestBlobServerDigests(t *testing.T) {
 	}
 }
 
-// TestRemoteBreakerStateSurfaced: TierStats exposes the breaker's
+// TestRemoteBreakerStateSurfaced: Stats exposes the breaker's
 // condition — closed while healthy, open with trips/skips/time-to-retry
 // once the threshold is crossed.
 func TestRemoteBreakerStateSurfaced(t *testing.T) {
@@ -185,7 +185,7 @@ func TestRemoteBreakerStateSurfaced(t *testing.T) {
 		BaseURL: ts.URL, Timeout: time.Second, Retries: -1,
 		FailureThreshold: 2, Cooldown: time.Hour,
 	})
-	if st := remote.TierStats()[0]; st.Breaker != "closed" || st.BreakerTrips != 0 {
+	if st := remote.Stats(); st.Breaker != "closed" || st.BreakerTrips != 0 {
 		t.Fatalf("fresh client breaker = %+v, want closed with 0 trips", st)
 	}
 
@@ -193,7 +193,7 @@ func TestRemoteBreakerStateSurfaced(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		remote.Get(key)
 	}
-	st := remote.TierStats()[0]
+	st := remote.Stats()
 	if st.Breaker != "open" {
 		t.Fatalf("breaker = %q after threshold failures, want open", st.Breaker)
 	}

@@ -35,32 +35,26 @@ type pinStack struct {
 // part of TestStatsSurfacePinned that a store refactor may rewrite.
 func buildPinStack(t *testing.T, kind, dir, remote string) pinStack {
 	t.Helper()
-	noWarm := func(context.Context, []string) int { return 0 }
-	var local engine.Cache
-	switch {
-	case kind == "memory":
-		local = engine.NewLRU(engine.LRUOptions{MaxEntries: 4, Shards: 1})
-	case strings.HasPrefix(kind, "disk"):
-		d, err := engine.NewDisk(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		local = d
-	default:
-		local = engine.NewLRU(engine.LRUOptions{})
+	mem := engine.LRUOptions{}
+	if kind == "memory" {
+		mem = engine.LRUOptions{MaxEntries: 4, Shards: 1}
 	}
-	if !strings.HasSuffix(kind, "+remote") {
-		return pinStack{eng: engine.New(engine.Options{Workers: 1, Cache: local}), warm: noWarm, close: func() {}}
+	var dirArg string
+	if strings.HasPrefix(kind, "disk") {
+		dirArg = dir
 	}
-	r, err := engine.NewRemote(engine.RemoteOptions{BaseURL: remote})
+	var ropts *engine.RemoteOptions
+	if strings.HasSuffix(kind, "+remote") {
+		ropts = &engine.RemoteOptions{BaseURL: remote}
+	}
+	store, err := engine.NewStore(engine.NewLRU(mem), dirArg, engine.DiskOptions{}, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiered := engine.NewTiered(engine.Tier{Cache: local}, engine.Tier{Cache: r, AsyncPut: true})
 	return pinStack{
-		eng:   engine.New(engine.Options{Workers: 1, Cache: tiered}),
-		warm:  tiered.Warm,
-		close: func() { _ = tiered.Close() },
+		eng:   engine.New(engine.Options{Workers: 1, Cache: store}),
+		warm:  store.Warm,
+		close: func() { _ = store.Close() },
 	}
 }
 
@@ -68,7 +62,7 @@ func buildPinStack(t *testing.T, kind, dir, remote string) pinStack {
 // default memory tier) over dir and returns its URL and its stats.
 func buildPinServer(t *testing.T, dir string) (string, func() engine.BlobServerStats) {
 	t.Helper()
-	store, err := engine.NewDiskWith(dir, engine.DiskOptions{Sync: true})
+	store, err := engine.NewStore(engine.NewLRU(engine.LRUOptions{}), dir, engine.DiskOptions{Sync: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

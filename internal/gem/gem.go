@@ -162,9 +162,6 @@ func (g *GEM) Changed() *sim.Event { return g.changed }
 // paper's "the LEM forwards the request to the GEM").
 func (g *GEM) NotifyRequest(id int) { g.ips[id].requests++ }
 
-// Requests returns how many task requests the IP forwarded.
-func (g *GEM) Requests(id int) int { return g.ips[id].requests }
-
 // OtherPower returns the current total power drawn by all IPs except id —
 // the "energy requested by the other IP blocks" the LEM folds into its
 // battery/temperature predictions.
@@ -183,6 +180,3 @@ func (g *GEM) Evaluations() int { return g.evaluations }
 
 // FanSwitches returns how many times the fan was toggled.
 func (g *GEM) FanSwitches() int { return g.fanSwitches }
-
-// Priority returns the static priority of the IP.
-func (g *GEM) Priority(id int) int { return g.ips[id].priority }

@@ -274,9 +274,6 @@ func (b *IP) finishTask() {
 	b.phase = phNext
 }
 
-// Name returns the IP name.
-func (b *IP) Name() string { return b.cfg.Name }
-
 // TasksDone returns the number of completed tasks.
 func (b *IP) TasksDone() int { return b.tasksDone }
 

@@ -167,10 +167,6 @@ func (w *Writer) writeLine(line []byte) error {
 	return nil
 }
 
-// Start returns the journal's anchor time (Record.T offsets are relative
-// to it).
-func (w *Writer) Start() time.Time { return w.start }
-
 // Path returns the active journal file's path.
 func (w *Writer) Path() string { return w.path }
 
@@ -300,10 +296,6 @@ func (r *Reader) Next() (Record, error) {
 	}
 	return Record{}, io.EOF
 }
-
-// Start returns the journal's header start time (zero when the stream had
-// no header).
-func (r *Reader) Start() time.Time { return r.start }
 
 // Skipped counts undecodable lines passed over so far.
 func (r *Reader) Skipped() int { return r.skipped }

@@ -58,11 +58,6 @@ func (p *Adaptive) Observe(actual sim.Time) {
 	p.seen = true
 }
 
-// Name implements Predictor.
-func (p *Adaptive) Name() string {
-	return fmt.Sprintf("adaptive(%.2f/%.2f)", p.fast.Alpha, p.slow.Alpha)
-}
-
 func absTime(t sim.Time) float64 {
 	if t < 0 {
 		t = -t
@@ -114,9 +109,4 @@ func (p *WindowQuantile) Observe(actual sim.Time) {
 	}
 	p.hist[p.next] = actual
 	p.next = (p.next + 1) % p.Window
-}
-
-// Name implements Predictor.
-func (p *WindowQuantile) Name() string {
-	return fmt.Sprintf("quantile(%d,%.2f)", p.Window, p.Quantile)
 }

@@ -131,17 +131,8 @@ func (l *LEM) AttachGEM(g *gem.GEM, id int) {
 	l.parked = append(l.parked, g.Changed())
 }
 
-// Name returns the LEM name.
-func (l *LEM) Name() string { return l.name }
-
 // Stats returns the decision statistics collected so far.
 func (l *LEM) Stats() Stats { return l.stats }
-
-// PSM returns the controlled power state machine.
-func (l *LEM) PSM() *acpi.PSM { return l.psm }
-
-// Predictor returns the configured idle predictor.
-func (l *LEM) Predictor() Predictor { return l.cfg.Predictor }
 
 // AcquireOn is the IP's step towards executing task t. It returns the
 // operating point and nil once the PSM has reached the ON state the policy

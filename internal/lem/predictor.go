@@ -22,8 +22,6 @@ type Predictor interface {
 	// Observe records the actual duration of the idle period that just
 	// ended.
 	Observe(actual sim.Time)
-	// Name identifies the predictor in reports.
-	Name() string
 }
 
 // LastValue predicts that the next idle period lasts exactly as long as
@@ -46,9 +44,6 @@ func (p *LastValue) Observe(actual sim.Time) {
 	p.last = actual
 	p.seen = true
 }
-
-// Name implements Predictor.
-func (p *LastValue) Name() string { return "last-value" }
 
 // EWMA predicts with an exponentially weighted moving average:
 // pred ← α·actual + (1−α)·pred. This is the predictor the experiments use
@@ -85,9 +80,6 @@ func (p *EWMA) Observe(actual sim.Time) {
 	p.pred = p.Alpha*float64(actual) + (1-p.Alpha)*p.pred
 }
 
-// Name implements Predictor.
-func (p *EWMA) Name() string { return fmt.Sprintf("ewma(%.2f)", p.Alpha) }
-
 // Perfect is the oracle predictor: it returns the caller's hint verbatim.
 // It bounds how much better any idle predictor could make the policy.
 type Perfect struct{}
@@ -97,6 +89,3 @@ func (Perfect) Predict(hint sim.Time) sim.Time { return hint }
 
 // Observe implements Predictor.
 func (Perfect) Observe(sim.Time) {}
-
-// Name implements Predictor.
-func (Perfect) Name() string { return "perfect" }

@@ -28,9 +28,6 @@ type Event struct {
 
 const pendingNone Time = -1
 
-// Name returns the diagnostic name given at creation.
-func (e *Event) Name() string { return e.name }
-
 // Notify schedules the event to fire after delay. A zero delay schedules a
 // delta-cycle notification (SystemC SC_ZERO_TIME semantics). If a timed
 // notification is already pending at an earlier or equal time the call has

@@ -27,9 +27,6 @@ type process struct {
 // Proc is the public handle to a process.
 type Proc struct{ p *process }
 
-// Name returns the process name.
-func (pr *Proc) Name() string { return pr.p.name }
-
 // Sensitive appends events to the process's static sensitivity list.
 func (pr *Proc) Sensitive(evs ...*Event) *Proc {
 	for _, e := range evs {

@@ -47,14 +47,6 @@ func (s *Signal[T]) Write(v T) {
 	s.next = v
 }
 
-// Set writes v and returns whether that differs from the current value —
-// convenience for conditional logging in models.
-func (s *Signal[T]) Set(v T) bool {
-	changed := v != s.cur
-	s.Write(v)
-	return changed
-}
-
 // Changed returns the event fired (as a delta notification) whenever the
 // signal's value actually changes.
 func (s *Signal[T]) Changed() *Event { return s.changed }

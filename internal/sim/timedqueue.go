@@ -41,8 +41,6 @@ type timedQueue struct {
 // O(n) filter+heapify; dead tops are cheap to prune at this scale.
 const compactMin = 64
 
-func (q *timedQueue) len() int { return len(q.entries) }
-
 func (q *timedQueue) less(i, j int) bool {
 	a, b := &q.entries[i], &q.entries[j]
 	if a.at != b.at {

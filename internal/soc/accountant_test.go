@@ -136,13 +136,13 @@ func TestAccountantClassChangesMatchTicked(t *testing.T) {
 }
 
 // TestAccountantStreamsStatistics checks the streaming accumulator against
-// the retained Series over the same tick sequence: identical mean and peak,
-// bit for bit.
+// a retained reference over the same tick sequence: identical mean and
+// peak, bit for bit. The reference integrates the piecewise-constant
+// samples left to right, the order the accumulator promises.
 func TestAccountantStreamsStatistics(t *testing.T) {
 	k, acct, interval := buildAccountant(t, true)
-	var ref stats.Series
 	seed := acct.plant.tempC() // the seeded initial temperature
-	ref.Add(0, seed)
+	times, vals := []sim.Time{0}, []float64{seed}
 	refPeak := seed
 	const ticks = 500
 	for i := 0; i < ticks; i++ {
@@ -150,24 +150,33 @@ func TestAccountantStreamsStatistics(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc := acct.plant.tempC()
-		ref.Add(k.Now(), tc)
+		times, vals = append(times, k.Now()), append(vals, tc)
 		if tc > refPeak {
 			refPeak = tc
 		}
 	}
-	if got, want := acct.temp.MeanUntil(k.Now()), ref.MeanUntil(k.Now()); got != want {
-		t.Errorf("streaming mean = %v, Series mean = %v", got, want)
+	var area float64
+	for i := range times {
+		until := k.Now()
+		if i+1 < len(times) {
+			until = times[i+1]
+		}
+		area += vals[i] * (until - times[i]).Seconds()
+	}
+	refMean := area / (k.Now() - times[0]).Seconds()
+	if got := acct.temp.MeanUntil(k.Now()); got != refMean {
+		t.Errorf("streaming mean = %v, reference mean = %v", got, refMean)
 	}
 	if got := acct.temp.Max(); got != refPeak {
 		t.Errorf("streaming peak = %v, reference peak = %v", got, refPeak)
 	}
-	if acct.temp.Len() != ref.Len() {
-		t.Errorf("streaming saw %d samples, Series %d", acct.temp.Len(), ref.Len())
+	if acct.temp.Len() != len(times) {
+		t.Errorf("streaming saw %d samples, reference %d", acct.temp.Len(), len(times))
 	}
 	// Temperature must actually have moved (0.6 W into the default node),
 	// or the comparison above is vacuous.
-	if acct.temp.Max() <= acct.temp.Min() {
-		t.Errorf("temperature never rose: max %v, min %v", acct.temp.Max(), acct.temp.Min())
+	if acct.temp.Max() <= seed {
+		t.Errorf("temperature never rose: max %v, seed %v", acct.temp.Max(), seed)
 	}
 }
 

@@ -96,9 +96,6 @@ func (h *Histogram) Record(v int64) {
 // for display).
 func (h *Histogram) RecordDuration(d time.Duration) { h.Record(d.Microseconds()) }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Snapshot captures the current state as a mergeable value. Concurrent
 // Records may straddle the capture (the snapshot is not a single atomic
 // cut), so Count is re-derived from the bucket sum for internal
@@ -114,10 +111,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 	return s
 }
-
-// Quantile is Snapshot().Quantile(p) — convenient for single readers; use
-// a Snapshot when reading several quantiles, or when merging.
-func (h *Histogram) Quantile(p float64) int64 { return h.Snapshot().Quantile(p) }
 
 // HistSnapshot is a point-in-time histogram: sparse parallel arrays of
 // occupied bucket indices and their counts, plus the exact observation

@@ -6,7 +6,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
 
 	"godpm/internal/sim"
 )
@@ -26,9 +25,6 @@ type EnergyMeter struct {
 func NewEnergyMeter(k *sim.Kernel, name string) *EnergyMeter {
 	return &EnergyMeter{k: k, name: name, lastAt: k.Now()}
 }
-
-// Name returns the meter name.
-func (m *EnergyMeter) Name() string { return m.name }
 
 // settle accumulates energy up to the current simulation time.
 func (m *EnergyMeter) settle() {
@@ -83,87 +79,11 @@ func (m *EnergyMeter) PeekEnergyJ() float64 {
 	return m.energy
 }
 
-// Series is a time-weighted scalar series (e.g. die temperature): each Add
-// declares the value holding from that time until the next Add. Statistics
-// treat the value as piecewise constant.
-type Series struct {
-	times []sim.Time
-	vals  []float64
-}
-
-// Add appends a sample; times must be non-decreasing.
-func (s *Series) Add(t sim.Time, v float64) {
-	if n := len(s.times); n > 0 && t < s.times[n-1] {
-		panic(fmt.Sprintf("stats: series times must be non-decreasing (%v after %v)", t, s.times[n-1]))
-	}
-	s.times = append(s.times, t)
-	s.vals = append(s.vals, v)
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.times) }
-
-// Max returns the maximum value (0 when empty).
-func (s *Series) Max() float64 {
-	max := math.Inf(-1)
-	for _, v := range s.vals {
-		if v > max {
-			max = v
-		}
-	}
-	if math.IsInf(max, -1) {
-		return 0
-	}
-	return max
-}
-
-// Min returns the minimum value (0 when empty).
-func (s *Series) Min() float64 {
-	min := math.Inf(1)
-	for _, v := range s.vals {
-		if v < min {
-			min = v
-		}
-	}
-	if math.IsInf(min, 1) {
-		return 0
-	}
-	return min
-}
-
-// MeanUntil returns the time-weighted mean over [first sample, end]. With
-// fewer than one sample it returns 0.
-func (s *Series) MeanUntil(end sim.Time) float64 {
-	n := len(s.times)
-	if n == 0 {
-		return 0
-	}
-	if end < s.times[n-1] {
-		end = s.times[n-1]
-	}
-	span := end - s.times[0]
-	if span <= 0 {
-		return s.vals[0]
-	}
-	var area float64
-	for i := 0; i < n; i++ {
-		var until sim.Time
-		if i+1 < n {
-			until = s.times[i+1]
-		} else {
-			until = end
-		}
-		area += s.vals[i] * (until - s.times[i]).Seconds()
-	}
-	return area / span.Seconds()
-}
-
-// TimeWeighted is a streaming time-weighted accumulator: the O(1) memory
-// replacement for collecting a Series and calling MeanUntil/Max at the end.
+// TimeWeighted is a streaming time-weighted accumulator with O(1) memory.
 // Each Add declares the value holding from that time until the next Add
-// (piecewise constant, like Series). The accumulation order matches
-// Series.MeanUntil exactly — one area term per sample, added left to right
-// — so for identical samples the two produce bit-identical means.
+// (piecewise constant). The accumulation order is one area term per
+// sample, added left to right — the order the tests' reference Series
+// uses, so for identical samples the two produce bit-identical means.
 type TimeWeighted struct {
 	t0     sim.Time // time of the first sample
 	v0     float64  // first value (degenerate zero-span mean)
@@ -215,32 +135,6 @@ func (w *TimeWeighted) Max() float64 {
 		return 0
 	}
 	return w.peak
-}
-
-// Min returns the minimum sample seen (0 when empty).
-func (w *TimeWeighted) Min() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	return w.min
-}
-
-// Advance integrates the held value over an arbitrary gap: the area
-// lastV·(t − lastAt) is folded into the accumulator and the hold point
-// moves to t, without recording a new sample. Statistics after
-// Advance(t) are bit-identical to not having advanced at all (MeanUntil
-// extends the hold with exactly the same term) — Advance exists so gap
-// integrators can fold provably-constant stretches into the accumulator
-// eagerly and so snapshots can close their copy's integral at a cut
-// point. Note that Advance(t) is NOT equivalent to re-Adding the held
-// value at intermediate points: splitting an interval changes the
-// floating-point summation. It is a no-op with no samples or t <= lastAt.
-func (w *TimeWeighted) Advance(t sim.Time) {
-	if w.n == 0 || t <= w.lastAt {
-		return
-	}
-	w.area += w.lastV * (t - w.lastAt).Seconds()
-	w.lastAt = t
 }
 
 // MeanUntil returns the time-weighted mean over [first sample, end],

@@ -57,13 +57,6 @@ func (s Sweep) Validate() error {
 	return nil
 }
 
-// Run executes the sweep on a default batch engine (one worker per CPU,
-// fresh in-memory cache). Results are identical to a serial run: points
-// come back in Values order and every simulation is deterministic.
-func (s Sweep) Run() ([]Point, error) {
-	return s.RunWith(context.Background(), engine.New(engine.Options{}))
-}
-
 // Plan lays the sweep out as engine jobs: per value the config under test
 // and, when BuildBaseline is set, its reference config as the adjacent job.
 func (s Sweep) Plan() engine.Plan {

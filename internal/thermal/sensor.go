@@ -19,8 +19,6 @@ type Source interface {
 	// PredictClass estimates the class after running at power for dt,
 	// without mutating the model.
 	PredictClass(power float64, dt sim.Time) Class
-	// TempC returns the current temperature.
-	TempC() float64
 }
 
 // FanSource is a Source with a controllable fan (what the GEM needs).
@@ -180,12 +178,6 @@ func (h *NetworkHottest) Class() Class { return h.class.Read() }
 
 // ClassSignal implements Source.
 func (h *NetworkHottest) ClassSignal() *sim.Signal[Class] { return h.class }
-
-// TempC implements Source (the hottest node's temperature).
-func (h *NetworkHottest) TempC() float64 {
-	_, hot := h.net.Hottest()
-	return hot
-}
 
 // PredictClass implements Source: the aggregate prediction applies the
 // power to the currently hottest node's sensor.

@@ -41,15 +41,6 @@ func (s ArrivalSequence) Validate() error {
 	return nil
 }
 
-// TotalInstructions sums the work across all arrivals.
-func (s ArrivalSequence) TotalInstructions() int64 {
-	var n int64
-	for _, a := range s {
-		n += a.Task.Instructions
-	}
-	return n
-}
-
 // GenerateArrivals produces an open-loop workload from the profile: the
 // inter-arrival gap after each task is the task's nominal duration at the
 // reference frequency plus the profile's idle-gap draw, so the offered

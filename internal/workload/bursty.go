@@ -115,12 +115,3 @@ func (p BurstProfile) Generate() (Sequence, error) {
 	}
 	return seq, nil
 }
-
-// MustGenerate is Generate that panics on error.
-func (p BurstProfile) MustGenerate() Sequence {
-	s, err := p.Generate()
-	if err != nil {
-		panic(err)
-	}
-	return s
-}

@@ -273,15 +273,6 @@ func (p PeriodicProfile) Generate() (ArrivalSequence, error) {
 	return arr, nil
 }
 
-// MustGenerate is Generate that panics on error.
-func (p PeriodicProfile) MustGenerate() ArrivalSequence {
-	s, err := p.Generate()
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // HeavyTailProfile generates a closed-loop sequence whose idle gaps are
 // Pareto distributed with a configurable tail exponent — the self-similar
 // "mostly short gaps, occasionally enormous ones" statistic measured on
@@ -368,15 +359,6 @@ func (p HeavyTailProfile) Generate() (Sequence, error) {
 		seq[i] = Item{Task: ts.draw(i), IdleAfter: sim.Time(v)}
 	}
 	return seq, nil
-}
-
-// MustGenerate is Generate that panics on error.
-func (p HeavyTailProfile) MustGenerate() Sequence {
-	s, err := p.Generate()
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // ExportCSV writes the sequence as CSV with a header:
