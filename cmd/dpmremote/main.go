@@ -13,10 +13,11 @@
 //	GET  /healthz                 liveness (503 while draining)
 //	GET  /statsz                  request counters + store occupancy
 //
-// The store is the hardened engine disk cache: atomic writes, crashed-
-// writer temp sweeping, corrupt-entry healing, an LRU-by-mtime size cap
-// (-disk-bytes) and a bounded in-memory front (-mem-entries/-mem-bytes),
-// so the server's footprint is bounded no matter what the fleet uploads.
+// The store is the engine's result store with a hardened disk tier
+// (atomic writes, crashed-writer temp sweeping, corrupt-entry healing, an
+// LRU-by-mtime size cap set by -disk-bytes) behind a bounded memory tier
+// (-mem-entries/-mem-bytes), so the server's footprint is bounded no
+// matter what the fleet uploads.
 // Admission is bounded per request too: -max-inflight refuses excess
 // requests with 429, and oversized or undecodable PUT bodies are
 // refused before they touch the store.
@@ -49,8 +50,8 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8081", "listen address")
 		storeDir    = flag.String("store", "", "store directory (required)")
 		diskBytes   = flag.Int64("disk-bytes", 0, "store size cap in bytes (0 = unbounded)")
-		memEntries  = flag.Int("mem-entries", 0, "in-memory front entry cap (0 = default)")
-		memBytes    = flag.Int64("mem-bytes", 0, "approximate in-memory front byte cap (0 = unbounded)")
+		memEntries  = flag.Int("mem-entries", 0, "memory tier entry cap (0 = default)")
+		memBytes    = flag.Int64("mem-bytes", 0, "memory tier byte cap, exact record accounting (0 = unbounded)")
 		maxBlob     = flag.Int64("max-blob-bytes", 0, "per-PUT body cap in bytes (0 = 32 MiB)")
 		maxInflight = flag.Int("max-inflight", 256, "max concurrent requests before 429")
 		drainGrace  = flag.Duration("drain-grace", 2*time.Second, "healthz-503 window before the listener closes")
