@@ -17,31 +17,20 @@
 // with 429 and a Retry-After header rather than queued without bound. On
 // SIGTERM/SIGINT the server stops accepting work and drains in-flight
 // requests gracefully (-drain-timeout).
-//
-// A built-in load generator hammers a running server with a mixed
-// duplicate/distinct scenario stream and reports (optionally asserts)
-// the dedup ratio and cache occupancy:
-//
-//	dpmserve -loadgen -target http://127.0.0.1:8080 \
-//	         -requests 200 -distinct 8 -concurrency 16
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -66,101 +55,8 @@ func main() {
 		journalMax   = flag.Int64("journal-max-bytes", 0, "rotate the journal when it would exceed this size (0 = 64 MiB; one rotation kept)")
 		drainGrace   = flag.Duration("drain-grace", 2*time.Second, "healthz-503 window before the listener closes (lets load balancers stop routing)")
 		drainTO      = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget after the grace window")
-
-		loadgen     = flag.Bool("loadgen", false, "run the load generator instead of serving")
-		target      = flag.String("target", "http://127.0.0.1:8080", "loadgen: server base URL")
-		replicas    = flag.String("replicas", "", "loadgen: comma-separated replica base URLs to round-robin across (overrides -target)")
-		requests    = flag.Int("requests", 200, "loadgen: total simulate requests")
-		distinct    = flag.Int("distinct", 8, "loadgen: distinct configurations in the stream")
-		concurrency = flag.Int("concurrency", 16, "loadgen: concurrent clients")
-		lgTasks     = flag.Int("tasks", 20, "loadgen: tasks per request's scenario")
-		replayPath  = flag.String("replay", "", "loadgen: replay this request journal instead of the synthetic mix (original request mix and arrival spacing)")
-		speedup     = flag.Float64("speedup", 1, "loadgen replay: divide the journal's arrival spacing by this factor")
-		assertRFp   = flag.Bool("assert-replay-fingerprints", false, "loadgen replay: fail unless every distinct fingerprint in the journal was served by the replay")
-		assertDedup = flag.Float64("assert-dedup", -1, "loadgen: fail unless served-without-simulation ratio ≥ this (-1 = report only)")
-		assertEnt   = flag.Int64("assert-max-entries", 0, "loadgen: fail if any replica's cache_entries exceeds this (0 = report only)")
-		assertRuns  = flag.Int64("assert-fleet-runs", 0, "loadgen: fail if the summed simulations across replicas exceed this (0 = report only)")
-		assertRHits = flag.Int64("assert-remote-hits", 0, "loadgen: fail unless summed remote-tier hits across replicas ≥ this (0 = report only)")
 	)
 	flag.Parse()
-
-	if *loadgen {
-		if *replayPath != "" && *speedup <= 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: -speedup must be > 0 (got %g)\n", *speedup)
-			os.Exit(2)
-		}
-		targets := []string{*target}
-		if *replicas != "" {
-			targets = targets[:0]
-			for _, t := range strings.Split(*replicas, ",") {
-				if t = strings.TrimSpace(t); t != "" {
-					targets = append(targets, t)
-				}
-			}
-		}
-		var rep loadReport
-		var err error
-		if *replayPath != "" {
-			rep, err = runReplay(replayOptions{
-				Path:        *replayPath,
-				Speedup:     *speedup,
-				Targets:     targets,
-				Concurrency: *concurrency,
-			})
-		} else {
-			rep, err = runLoadgen(loadgenOptions{
-				Targets:     targets,
-				Requests:    *requests,
-				Distinct:    *distinct,
-				Concurrency: *concurrency,
-				Tasks:       *lgTasks,
-			})
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.String())
-		fail := false
-		if rep.Failed > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: %d requests failed\n", rep.Failed)
-			fail = true
-		}
-		if rep.Poisoned > 0 {
-			fmt.Fprintf(os.Stderr, "loadgen: %d poisoned responses (digest mismatch for an already-seen key)\n", rep.Poisoned)
-			fail = true
-		}
-		if *assertDedup >= 0 && rep.DedupRatio < *assertDedup {
-			fmt.Fprintf(os.Stderr, "assert-dedup: ratio %.3f < %.3f\n", rep.DedupRatio, *assertDedup)
-			fail = true
-		}
-		if *assertEnt > 0 {
-			for i, st := range rep.Replicas {
-				if st.CacheEntries > *assertEnt {
-					fmt.Fprintf(os.Stderr, "assert-max-entries: replica %d: %d > %d\n", i, st.CacheEntries, *assertEnt)
-					fail = true
-				}
-			}
-		}
-		if *assertRuns > 0 && rep.FleetRuns > *assertRuns {
-			fmt.Fprintf(os.Stderr, "assert-fleet-runs: %d simulations across %d replicas > %d — fleet dedup is not holding\n",
-				rep.FleetRuns, len(rep.Replicas), *assertRuns)
-			fail = true
-		}
-		if *assertRHits > 0 && rep.RemoteHits < *assertRHits {
-			fmt.Fprintf(os.Stderr, "assert-remote-hits: %d < %d — the shared store served nothing\n", rep.RemoteHits, *assertRHits)
-			fail = true
-		}
-		if *assertRFp && !rep.ReplayFingerprintsHit {
-			fmt.Fprintf(os.Stderr, "assert-replay-fingerprints: journal's %d distinct fingerprints not all served (missing %v)\n",
-				rep.JournalDistinct, rep.MissingFingerprints)
-			fail = true
-		}
-		if fail {
-			os.Exit(1)
-		}
-		return
-	}
 
 	s, err := newServer(serverOptions{
 		Workers:        *workers,
@@ -563,8 +459,8 @@ type simulateResponse struct {
 	TasksDone int     `json:"tasks_done"`
 	Completed bool    `json:"completed"`
 	FinalSoC  float64 `json:"final_soc"`
-	// Digest is the result's content hash — clients (and the load
-	// generator) can cross-check that every replica serves byte-identical
+	// Digest is the result's content hash — clients (dpmload among
+	// them) can cross-check that every replica serves byte-identical
 	// measurements for the same key.
 	Digest string `json:"digest"`
 }
@@ -1160,359 +1056,4 @@ func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
-}
-
-// loadgenOptions parameterises the load generator.
-type loadgenOptions struct {
-	// Targets are the replica base URLs; requests round-robin across
-	// them by request index, so duplicates of one configuration land on
-	// every replica and fleet-wide dedup (via a shared dpmremote store)
-	// is actually exercised.
-	Targets     []string
-	Requests    int
-	Distinct    int
-	Concurrency int
-	Tasks       int
-}
-
-// loadReport summarises one loadgen run.
-type loadReport struct {
-	Requests int
-	OK       int
-	TooMany  int // 429 responses (retried)
-	Failed   int
-	Hits     int // responses served from cache/dedup
-	// Poisoned counts responses whose digest contradicted an earlier
-	// response for the same key — a corrupt result reached a client.
-	// Always a failure; there is no threshold flag because the only
-	// acceptable value is zero.
-	Poisoned int
-	// DedupRatio is the fraction of successful requests served without a
-	// fresh simulation.
-	DedupRatio float64
-	// Stats is the first replica's snapshot; Replicas has all of them.
-	Stats    statszResponse
-	Replicas []statszResponse
-	// FleetRuns sums simulations across replicas: with a shared store,
-	// a duplicate-heavy fleet-wide stream keeps it at the number of
-	// distinct configurations.
-	FleetRuns int64
-	// RemoteHits sums the replicas' remote-tier cache hits — lookups
-	// served by the shared store, i.e. simulations some other replica
-	// ran.
-	RemoteHits int64
-	// Latency summarises client-observed latency of successful requests
-	// (the final attempt only — 429 backoff is backpressure, not service
-	// time), with the same quantile definitions as the servers' /statsz.
-	Latency godpm.LatencySummary
-	// Replay-mode fields (zero in synthetic mode): Replayed counts
-	// records re-issued, SkippedRecords counts journal records that were
-	// not replayable (inline-config, throttled, torn lines),
-	// JournalDistinct/ServedDistinct count distinct fingerprints in the
-	// journal vs observed during replay, and ReplayFingerprintsHit is
-	// whether every journal fingerprint was served (MissingFingerprints
-	// lists up to a few that were not).
-	Replayed              int
-	SkippedRecords        int
-	JournalDistinct       int
-	ServedDistinct        int
-	ReplayFingerprintsHit bool
-	MissingFingerprints   []string
-}
-
-func (r loadReport) String() string {
-	s := fmt.Sprintf(
-		"loadgen: %d requests → %d ok, %d retried (429), %d failed\n"+
-			"served without simulation: %d/%d (ratio %.3f)\n",
-		r.Requests, r.OK, r.TooMany, r.Failed,
-		r.Hits, r.OK, r.DedupRatio)
-	if r.Latency.Count > 0 {
-		s += fmt.Sprintf("latency: p50 %.1fms p90 %.1fms p99 %.1fms max %.1fms (n=%d)\n",
-			r.Latency.P50Ms, r.Latency.P90Ms, r.Latency.P99Ms, r.Latency.MaxMs, r.Latency.Count)
-	}
-	if r.Replayed > 0 {
-		s += fmt.Sprintf("replay: %d records re-issued (%d skipped), fingerprints served %d/%d\n",
-			r.Replayed, r.SkippedRecords, r.JournalDistinct-len(r.MissingFingerprints), r.JournalDistinct)
-	}
-	for i, st := range r.Replicas {
-		s += fmt.Sprintf("replica %d: runs=%d hits=%d deduped=%d evictions=%d cache_entries=%d cache_bytes=%d%s\n",
-			i, st.Runs, st.Hits, st.Deduped, st.Evictions,
-			st.CacheEntries, st.CacheBytes, tierSummary(st.Tiers))
-	}
-	if len(r.Replicas) > 1 {
-		s += fmt.Sprintf("fleet: %d simulations across %d replicas, %d remote hits\n",
-			r.FleetRuns, len(r.Replicas), r.RemoteHits)
-	}
-	return s
-}
-
-// tierSummary renders per-tier hit counters compactly.
-func tierSummary(tiers []godpm.TierStats) string {
-	if len(tiers) == 0 {
-		return ""
-	}
-	parts := make([]string, len(tiers))
-	for i, t := range tiers {
-		parts[i] = fmt.Sprintf("%s %d/%d", t.Tier, t.Hits, t.Hits+t.Misses)
-	}
-	return " tiers[hits/lookups]: " + strings.Join(parts, ", ")
-}
-
-// runLoadgen hammers the targets with a mixed duplicate/distinct
-// simulate stream: request i uses seed 1+i%distinct against target
-// i%len(targets), so duplicates dominate when requests ≫ distinct and
-// every replica sees every configuration when distinct and the replica
-// count are coprime. 429s are retried with backoff (they are
-// backpressure, not failures).
-func runLoadgen(o loadgenOptions) (loadReport, error) {
-	if len(o.Targets) == 0 {
-		return loadReport{}, fmt.Errorf("loadgen: no targets")
-	}
-	if o.Distinct < 1 {
-		o.Distinct = 1
-	}
-	if o.Concurrency < 1 {
-		o.Concurrency = 1
-	}
-	client := &http.Client{Timeout: 120 * time.Second}
-	rep := loadReport{Requests: o.Requests}
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var lat godpm.Histogram
-	// First-seen digest per key: every replica must serve byte-identical
-	// measurements for the same configuration, chaos or not. A mismatch
-	// means a poisoned result reached a client.
-	seen := make(map[string]string)
-	next := make(chan int)
-	for w := 0; w < o.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				body, _ := json.Marshal(simulateRequest{
-					Scenario: "A1",
-					Tasks:    o.Tasks,
-					Seed:     int64(1 + i%o.Distinct),
-				})
-				ok, hit, retries, key, digest, took := postSimulate(client, o.Targets[i%len(o.Targets)], body)
-				mu.Lock()
-				rep.TooMany += retries
-				if ok {
-					rep.OK++
-					lat.RecordDuration(took)
-					if hit {
-						rep.Hits++
-					}
-					if prev, dup := seen[key]; dup && prev != digest {
-						rep.Poisoned++
-					} else if !dup {
-						seen[key] = digest
-					}
-				} else {
-					rep.Failed++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for i := 0; i < o.Requests; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	if rep.OK > 0 {
-		rep.DedupRatio = float64(rep.Hits) / float64(rep.OK)
-	}
-	rep.Latency = godpm.LatencyOf(lat.Snapshot()).LatencySummary
-	if err := collectReplicas(client, o.Targets, &rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// collectReplicas appends each target's /statsz snapshot to the report
-// and folds the fleet aggregates (shared by synthetic and replay modes).
-func collectReplicas(client *http.Client, targets []string, rep *loadReport) error {
-	for _, target := range targets {
-		resp, err := client.Get(target + "/statsz")
-		if err != nil {
-			return fmt.Errorf("statsz %s: %w", target, err)
-		}
-		var st statszResponse
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("statsz %s: %w", target, err)
-		}
-		rep.Replicas = append(rep.Replicas, st)
-		rep.FleetRuns += st.Runs
-		for _, t := range st.Tiers {
-			if t.Tier == godpm.TierRemote {
-				rep.RemoteHits += t.Hits
-			}
-		}
-	}
-	rep.Stats = rep.Replicas[0]
-	return nil
-}
-
-// replayOptions configures a journal replay run.
-type replayOptions struct {
-	Path        string
-	Speedup     float64
-	Targets     []string
-	Concurrency int
-}
-
-// runReplay re-issues a recorded request journal against the targets:
-// the same scenario/tasks/seed mix in arrival order, sleeping so each
-// request fires at its original offset from the run's start (divided by
-// Speedup). Inline-config and throttled records cannot be re-issued and
-// are counted as skipped. The report's fingerprint fields verify the
-// replay reproduced the journal's distinct working set.
-func runReplay(o replayOptions) (loadReport, error) {
-	if len(o.Targets) == 0 {
-		return loadReport{}, fmt.Errorf("replay: no targets")
-	}
-	if o.Speedup <= 0 {
-		// The speedup divides arrival offsets; zero or negative would turn
-		// the schedule into NaN/negative due-times — refuse loudly rather
-		// than silently substituting a default.
-		return loadReport{}, fmt.Errorf("replay: -speedup must be > 0 (got %g)", o.Speedup)
-	}
-	if o.Concurrency < 1 {
-		o.Concurrency = 1
-	}
-	recs, torn, err := godpm.ReadJournal(o.Path)
-	if err != nil {
-		return loadReport{}, fmt.Errorf("replay: %w", err)
-	}
-	journalFp := make(map[string]bool)
-	var todo []godpm.JournalRecord
-	skipped := torn
-	for _, rec := range recs {
-		if rec.Fingerprint != "" {
-			journalFp[rec.Fingerprint] = true
-		}
-		if rec.Replayable() {
-			todo = append(todo, rec)
-		} else {
-			skipped++
-		}
-	}
-	sort.Slice(todo, func(i, j int) bool { return todo[i].T < todo[j].T })
-	if len(todo) == 0 {
-		return loadReport{}, fmt.Errorf("replay: %s has no replayable records (%d skipped)", o.Path, skipped)
-	}
-
-	client := &http.Client{Timeout: 120 * time.Second}
-	rep := loadReport{Requests: len(todo), Replayed: len(todo), SkippedRecords: skipped, JournalDistinct: len(journalFp)}
-
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var lat godpm.Histogram
-	seen := make(map[string]string)
-	served := make(map[string]bool)
-	next := make(chan int)
-	for w := 0; w < o.Concurrency; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				rec := todo[i]
-				body, _ := json.Marshal(simulateRequest{
-					Scenario: rec.Scenario,
-					Tasks:    rec.Tasks,
-					Seed:     rec.Seed,
-				})
-				ok, hit, retries, key, digest, took := postSimulate(client, o.Targets[i%len(o.Targets)], body)
-				mu.Lock()
-				rep.TooMany += retries
-				if ok {
-					rep.OK++
-					lat.RecordDuration(took)
-					served[key] = true
-					if hit {
-						rep.Hits++
-					}
-					if prev, dup := seen[key]; dup && prev != digest {
-						rep.Poisoned++
-					} else if !dup {
-						seen[key] = digest
-					}
-				} else {
-					rep.Failed++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	// The dispatcher reproduces arrival spacing: record i is released at
-	// its journal offset (scaled by 1/speedup) from the replay's start.
-	// Offsets are relative to the journal's first record, so replaying a
-	// journal whose traffic began an hour into serving does not start
-	// with an hour of silence.
-	start := time.Now()
-	base := todo[0].T
-	for i := range todo {
-		due := start.Add(time.Duration((todo[i].T - base) / o.Speedup * float64(time.Second)))
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	if rep.OK > 0 {
-		rep.DedupRatio = float64(rep.Hits) / float64(rep.OK)
-	}
-	rep.Latency = godpm.LatencyOf(lat.Snapshot()).LatencySummary
-	rep.ServedDistinct = len(served)
-	rep.ReplayFingerprintsHit = true
-	for fp := range journalFp {
-		if !served[fp] {
-			rep.ReplayFingerprintsHit = false
-			if len(rep.MissingFingerprints) < 5 {
-				rep.MissingFingerprints = append(rep.MissingFingerprints, fp)
-			}
-		}
-	}
-	sort.Strings(rep.MissingFingerprints)
-	if err := collectReplicas(client, o.Targets, &rep); err != nil {
-		return rep, err
-	}
-	return rep, nil
-}
-
-// postSimulate sends one simulate request, retrying 429 backpressure.
-// It returns success, whether the response was cache-served, how many
-// 429s it absorbed, the response's key and content digest (for the
-// cross-replica consistency check), and the latency of the final
-// attempt (backoff excluded — 429s are backpressure, not service time).
-func postSimulate(client *http.Client, target string, body []byte) (ok, hit bool, retries int, key, digest string, took time.Duration) {
-	for attempt := 0; attempt < 50; attempt++ {
-		t0 := time.Now()
-		resp, err := client.Post(target+"/v1/simulate", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return false, false, retries, "", "", 0
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			retries++
-			time.Sleep(time.Duration(10+10*attempt) * time.Millisecond)
-			continue
-		}
-		var sr simulateResponse
-		err = json.NewDecoder(resp.Body).Decode(&sr)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || err != nil {
-			return false, false, retries, "", "", 0
-		}
-		return true, sr.CacheHit, retries, sr.Key, sr.Digest, time.Since(t0)
-	}
-	return false, false, retries, "", "", 0
 }

@@ -10,12 +10,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"godpm"
+	"godpm/internal/loadgen"
 	"godpm/internal/soc"
 )
 
@@ -483,6 +485,28 @@ func TestTooManyIPsAnswers422(t *testing.T) {
 	}
 }
 
+// TestTooManySamplesAnswers422: an inline config whose sample grid
+// (horizon ÷ sample interval) exceeds soc.MaxSamples is refused at
+// normalization and answered 422 naming the cap; a grid at the cap is
+// accepted.
+func TestTooManySamplesAnswers422(t *testing.T) {
+	_, ts := newTestServer(t, serverOptions{MaxInflight: 2})
+	grid := func(horizon int64) string {
+		return `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":2,"MeanInstructions":100000}}}],` +
+			`"SampleInterval":1000000,"Horizon":` + strconv.FormatInt(horizon, 10) + `}}`
+	}
+	for _, horizon := range []int64{(soc.MaxSamples + 1) * 1000000, 1 << 62} {
+		resp, msg := postJSON(t, ts.URL+"/v1/simulate", grid(horizon))
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "exceeds the cap") {
+			t.Fatalf("horizon %d ps: status %d (%s), want 422 naming the cap", horizon, resp.StatusCode, bytes.TrimSpace(msg))
+		}
+	}
+	resp, msg := postJSON(t, ts.URL+"/v1/simulate", grid(soc.MaxSamples*1000000))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("a grid at the cap: status %d (%s), want 200", resp.StatusCode, bytes.TrimSpace(msg))
+	}
+}
+
 // TestLoadgenDedupRatioAndBoundedCache drives the built-in load
 // generator at an in-process server: a mixed duplicate/distinct stream
 // must be served from exactly `distinct` simulations, and the cache
@@ -495,13 +519,7 @@ func TestLoadgenDedupRatioAndBoundedCache(t *testing.T) {
 		concurrency = 8
 	)
 	_, ts := newTestServer(t, serverOptions{MaxInflight: 32, CacheEntries: cacheBound})
-	rep, err := runLoadgen(loadgenOptions{
-		Targets:     []string{ts.URL},
-		Requests:    requests,
-		Distinct:    distinct,
-		Concurrency: concurrency,
-		Tasks:       10,
-	})
+	rep, err := loadgen.Run([]string{ts.URL}, concurrency, loadgen.Mix(requests, distinct, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,9 +554,7 @@ func TestFleetSharedRemoteStore(t *testing.T) {
 	_, ts2 := newTestServer(t, serverOptions{MaxInflight: 32, RemoteURL: bs.URL})
 
 	// Phase 1: warm the fleet store through replica 1 only.
-	rep, err := runLoadgen(loadgenOptions{
-		Targets: []string{ts1.URL}, Requests: 20, Distinct: distinct, Concurrency: 4, Tasks: 8,
-	})
+	rep, err := loadgen.Run([]string{ts1.URL}, 4, loadgen.Mix(20, distinct, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,9 +572,7 @@ func TestFleetSharedRemoteStore(t *testing.T) {
 
 	// Phase 2: the same stream across both replicas. Replica 2 is cold
 	// locally but must not simulate anything — the store serves it.
-	rep, err = runLoadgen(loadgenOptions{
-		Targets: []string{ts1.URL, ts2.URL}, Requests: 30, Distinct: distinct, Concurrency: 4, Tasks: 8,
-	})
+	rep, err = loadgen.Run([]string{ts1.URL, ts2.URL}, 4, loadgen.Mix(30, distinct, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,9 +603,7 @@ func TestFleetRemoteDownFailsOpen(t *testing.T) {
 	_, ts := newTestServer(t, serverOptions{
 		MaxInflight: 32, RemoteURL: dead, RemoteTimeout: 200 * time.Millisecond,
 	})
-	rep, err := runLoadgen(loadgenOptions{
-		Targets: []string{ts.URL}, Requests: 24, Distinct: 4, Concurrency: 4, Tasks: 8,
-	})
+	rep, err := loadgen.Run([]string{ts.URL}, 4, loadgen.Mix(24, 4, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,9 +733,7 @@ func TestJournalRecordsRequests(t *testing.T) {
 func TestRecordThenReplayDeterminism(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "req.journal")
 	s, ts := newTestServer(t, serverOptions{MaxInflight: 32, JournalPath: path})
-	orig, err := runLoadgen(loadgenOptions{
-		Targets: []string{ts.URL}, Requests: 24, Distinct: 4, Concurrency: 4, Tasks: 3,
-	})
+	orig, err := loadgen.Run([]string{ts.URL}, 4, loadgen.Mix(24, 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -736,7 +746,7 @@ func TestRecordThenReplayDeterminism(t *testing.T) {
 	s.close()
 
 	_, fresh := newTestServer(t, serverOptions{MaxInflight: 32})
-	rep, err := runReplay(replayOptions{Path: path, Speedup: 1000, Targets: []string{fresh.URL}, Concurrency: 4})
+	rep, err := replay(path, 1000, []string{fresh.URL}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -782,7 +792,7 @@ func TestReplayPreservesArrivalSpacing(t *testing.T) {
 
 	_, ts := newTestServer(t, serverOptions{MaxInflight: 8})
 	t0 := time.Now()
-	rep, err := runReplay(replayOptions{Path: path, Speedup: 1, Targets: []string{ts.URL}, Concurrency: 3})
+	rep, err := replay(path, 1, []string{ts.URL}, 3)
 	elapsed := time.Since(t0)
 	if err != nil {
 		t.Fatal(err)
@@ -801,12 +811,21 @@ func TestReplayPreservesArrivalSpacing(t *testing.T) {
 
 	_, fresh := newTestServer(t, serverOptions{MaxInflight: 8})
 	t0 = time.Now()
-	if _, err := runReplay(replayOptions{Path: path, Speedup: 6, Targets: []string{fresh.URL}, Concurrency: 3}); err != nil {
+	if _, err := replay(path, 6, []string{fresh.URL}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if sped := time.Since(t0); sped >= 550*time.Millisecond {
 		t.Fatalf("speedup 6 replay took %v, want well under the 0.6s real-time span", sped)
 	}
+}
+
+// replay re-issues the journal at path against targets.
+func replay(path string, speedup float64, targets []string, concurrency int) (loadgen.Report, error) {
+	plan, err := loadgen.Replay(path, speedup)
+	if err != nil {
+		return loadgen.Report{}, err
+	}
+	return loadgen.Run(targets, concurrency, plan)
 }
 
 // TestStatszTournamentProgress pins the tournament progress gauges: the

@@ -39,8 +39,9 @@
 // observable end to end: both servers expose mergeable latency sketches
 // and rolling rates on /statsz (internal/stats, watched live with
 // cmd/dpmtop), and dpmserve can journal every handled request to an
-// append-only NDJSON file (internal/journal) that the loadgen's -replay
-// mode re-issues with the original request mix and arrival spacing:
+// append-only NDJSON file (internal/journal) that cmd/dpmload -replay
+// re-issues with the original request mix and arrival spacing, through
+// the same driver (internal/loadgen) as its synthetic mix:
 //
 //	cfg := godpm.Config{
 //	    IPs:    []godpm.IPSpec{{Name: "cpu", Sequence: seq}},

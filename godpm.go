@@ -521,8 +521,8 @@ func DelayOverheadPct(base, dpm *Ledger) (float64, error) {
 }
 
 // Observability: the HDR-style latency sketch, rolling rate counters and
-// the request journal shared by dpmserve, dpmremote, the loadgen and
-// the dpmtop dashboard (see README "Observability").
+// the request journal shared by dpmserve, dpmremote, dpmload and the
+// dpmtop dashboard (see README "Observability").
 type (
 	// Histogram is a fixed-memory log-bucketed sketch with lock-free
 	// concurrent Record; the zero value is ready to use.

@@ -24,7 +24,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"godpm/internal/engine"
@@ -117,7 +117,7 @@ type Plan struct {
 // DefaultPlan is the stock schedule the -chaos-seed flags apply: enough
 // latency, flapping, corruption and torn writes to exercise every
 // fail-open path, plus a deterministic transport outage long enough to
-// trip the default breaker, while staying sparse enough that a loadgen
+// trip the default breaker, while staying sparse enough that a dpmload
 // run completes with zero client-visible failures.
 func DefaultPlan(seed workload.Seed) Plan {
 	return Plan{
@@ -169,19 +169,6 @@ func (p Plan) WrapFS(inner engine.FS) *FaultFS {
 	return NewFaultFS(inner, p.Seed.Split("fs"), p.FS)
 }
 
-// InjectorStats count what one injector actually did.
-type InjectorStats struct {
-	Ops        int64 `json:"ops"`
-	Delayed    int64 `json:"delayed,omitempty"`
-	Transients int64 `json:"transients,omitempty"`
-	Permanents int64 `json:"permanents,omitempty"`
-	Corrupts   int64 `json:"corrupts,omitempty"`
-	Torn       int64 `json:"torn,omitempty"`
-	// Outage counts ops failed by the deterministic outage window
-	// (included in Transients).
-	Outage int64 `json:"outage,omitempty"`
-}
-
 // Injector turns a (seed, Spec) pair into a deterministic per-operation
 // fault schedule. The decision for the k-th Next call is a pure function
 // of (seed, spec, k): each op draws from its own split of the seed, so
@@ -191,10 +178,7 @@ type InjectorStats struct {
 type Injector struct {
 	seed workload.Seed
 	spec Spec
-
-	mu    sync.Mutex
-	n     int
-	stats InjectorStats
+	ops  atomic.Int64
 }
 
 // NewInjector builds an injector for one seam.
@@ -204,29 +188,7 @@ func NewInjector(seed workload.Seed, spec Spec) *Injector {
 
 // Next admits one operation and returns its scheduled decision.
 func (in *Injector) Next() Decision {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	k := in.n
-	in.n++
-	in.stats.Ops++
-	d := decide(in.seed, in.spec, k)
-	switch d.Fault {
-	case FaultTransient:
-		in.stats.Transients++
-		if inOutage(in.spec, k) {
-			in.stats.Outage++
-		}
-	case FaultPermanent:
-		in.stats.Permanents++
-	case FaultCorrupt:
-		in.stats.Corrupts++
-	case FaultTorn:
-		in.stats.Torn++
-	}
-	if d.Latency > 0 {
-		in.stats.Delayed++
-	}
-	return d
+	return decide(in.seed, in.spec, int(in.ops.Add(1)-1))
 }
 
 func inOutage(spec Spec, k int) bool {

@@ -2,8 +2,8 @@
 // NDJSON record per handled request, written as traffic arrives, so an
 // incident's exact request mix — endpoints, configurations, arrival
 // spacing, outcomes, latencies — survives the incident and can be replayed
-// later as a reproducible benchmark input (the dpmserve loadgen's -replay
-// mode consumes a journal through Reader).
+// later as a reproducible benchmark input (dpmload -replay consumes a
+// journal through ReadFile).
 //
 // The format is deliberately boring: a header line naming the schema
 // version and the journal's start time, then one JSON object per line.

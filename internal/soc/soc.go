@@ -299,6 +299,14 @@ func (r *Result) KCyclesPerSec() float64 {
 // shipped scenario, study, arena scenario and benchmark workload has 4.
 const MaxIPs = 64
 
+// MaxSamples caps a config's sample grid, Horizon / SampleInterval. Every
+// sample steps the battery and thermal models, so the grid bounds how long
+// one run can hold a worker whatever its workload. The largest grid a
+// shipped scenario, study, arena scenario, example, benchmark workload or
+// test uses is 6·10⁶ (examples/battery_aware: 600 s at 100 µs); the cap
+// is 2²⁶ ≈ 6.7·10⁷.
+const MaxSamples = 1 << 26
+
 // Normalized returns a copy of the configuration with every defaultable
 // field filled in, exactly as Run will interpret it. Two configurations
 // that normalize identically produce identical simulations, which makes
@@ -309,7 +317,8 @@ const MaxIPs = 64
 // (Run only reads them).
 //
 // A config with more than MaxIPs IPs is refused before anything is
-// copied or generated for it.
+// copied or generated for it, and one with more than MaxSamples samples
+// before any workload is generated.
 func (c Config) Normalized() (Config, error) {
 	if len(c.IPs) > MaxIPs {
 		return Config{}, fmt.Errorf("soc: %d IPs exceeds the cap of %d", len(c.IPs), MaxIPs)
@@ -371,6 +380,10 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 120 * sim.Sec
+	}
+	if n := int64(c.Horizon / c.SampleInterval); n > MaxSamples {
+		return fmt.Errorf("soc: horizon %v at sample interval %v is %d samples, which exceeds the cap of %d",
+			c.Horizon, c.SampleInterval, n, MaxSamples)
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 5 * sim.Ms

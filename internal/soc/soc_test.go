@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -214,6 +215,42 @@ func TestNormalizedCapsIPs(t *testing.T) {
 		// Copying the specs alone would take megabytes at 2¹⁶ IPs.
 		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
 			t.Errorf("%d IPs: the refusal allocated %d bytes", n, alloc)
+		}
+	}
+}
+
+// TestNormalizedCapsSamples: a sample grid of MaxSamples normalizes; one
+// sample more is refused with an error naming the cap, before the
+// workload is generated, so a 2⁶² ps horizon sampled every microsecond
+// costs nothing however large its generator.
+func TestNormalizedCapsSamples(t *testing.T) {
+	withGrid := func(horizon sim.Time, tasks int) Config {
+		cfg := smallConfig(PolicyDPM, 2)
+		cfg.IPs[0].Sequence = nil
+		cfg.IPs[0].Gen = workload.ClosedSpec(workload.HighActivity(1, tasks))
+		cfg.SampleInterval, cfg.Horizon = sim.Us, horizon
+		return cfg
+	}
+	norm, err := withGrid(MaxSamples*sim.Us, 2).Normalized()
+	if err != nil {
+		t.Fatalf("%d samples: %v", MaxSamples, err)
+	}
+	if norm.Horizon/norm.SampleInterval != MaxSamples {
+		t.Fatalf("normalized grid %d, want %d", int64(norm.Horizon/norm.SampleInterval), MaxSamples)
+	}
+	want := fmt.Sprintf("exceeds the cap of %d", MaxSamples)
+	for _, horizon := range []sim.Time{(MaxSamples + 1) * sim.Us, 1 << 62} {
+		cfg := withGrid(horizon, workload.MaxTasks)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := cfg.Normalized()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("horizon %v: error %v, want %q", horizon, err, want)
+		}
+		// Generating 2²⁰ tasks would take tens of megabytes.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Errorf("horizon %v: the refusal allocated %d bytes", horizon, alloc)
 		}
 	}
 }

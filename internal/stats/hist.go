@@ -36,7 +36,7 @@ const HistRelError = 1.0 / histSubCount
 // ready to use.
 //
 // Read sides take a Snapshot — a mergeable value with Quantile and JSON
-// encoding — so /statsz, the loadgen and dpmtop all compute percentiles from
+// encoding — so /statsz, dpmload and dpmtop all compute percentiles from
 // the identical definition, and a fleet aggregator can Merge replica
 // sketches exactly instead of averaging pre-computed percentiles.
 type Histogram struct {
