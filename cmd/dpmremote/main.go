@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"godpm"
+	"godpm/internal/drain"
 )
 
 func main() {
@@ -84,11 +85,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// conns lets the drain close connections that never started a
+	// request instead of waiting until they are 5 s old.
+	var conns drain.Tracker
 	srv := &http.Server{
 		Handler:           s.handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
+		ConnState:         conns.Track,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -113,7 +118,7 @@ func main() {
 	time.Sleep(*drainGrace)
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
+	if err := conns.Shutdown(shutCtx, srv); err != nil {
 		fmt.Fprintf(os.Stderr, "drain: %v\n", err)
 		os.Exit(1)
 	}

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"godpm"
+	"godpm/internal/drain"
 )
 
 func main() {
@@ -80,6 +81,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// conns lets the drain close connections that never started a
+	// request instead of waiting until they are 5 s old.
+	var conns drain.Tracker
 	// Header/read/idle timeouts keep slow clients from parking goroutines
 	// outside the in-flight bound; no WriteTimeout because tournament
 	// responses stream for as long as the plan runs.
@@ -88,6 +92,7 @@ func main() {
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
+		ConnState:         conns.Track,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -113,7 +118,7 @@ func main() {
 	time.Sleep(*drainGrace)
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
 	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
+	if err := conns.Shutdown(shutCtx, srv); err != nil {
 		fmt.Fprintf(os.Stderr, "drain: %v\n", err)
 		os.Exit(1)
 	}
@@ -809,6 +814,12 @@ func (s *server) handleTournament(w http.ResponseWriter, r *http.Request) {
 	tour, err := buildTournament(req)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	// A tournament the engine would refuse — one over its size caps —
+	// is refused before it takes a slot, as the client's fault.
+	if err := tour.Validate(); err != nil {
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 	s.requests.Add(1)

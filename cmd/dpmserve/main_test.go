@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"godpm"
+	"godpm/internal/engine"
 	"godpm/internal/loadgen"
 	"godpm/internal/soc"
 )
@@ -397,6 +398,11 @@ func TestBadRequests(t *testing.T) {
 		"unknown field":    {"/v1/simulate", `{"scenaro":"A1"}`, http.StatusBadRequest},
 		"unknown policy":   {"/v1/tournament", `{"policies":["nope"]}`, http.StatusBadRequest},
 		"unknown arena":    {"/v1/tournament", `{"scenarios":["nope"]}`, http.StatusBadRequest},
+		"duplicate policy": {"/v1/tournament", `{"policies":["dpm","dpm"]}`, http.StatusUnprocessableEntity},
+		"too many seeds": {"/v1/tournament", `{"tasks":1,"seeds":[` + strings.Repeat("1,", engine.MaxTournamentCells) + `1]}`,
+			http.StatusUnprocessableEntity},
+		"too many tasks": {"/v1/tournament", `{"tasks":1048576,"seeds":[1,2,3,4,5],"scenarios":["steady"]}`,
+			http.StatusUnprocessableEntity},
 	} {
 		resp, _ := postJSON(t, ts.URL+tc.path, tc.body)
 		if resp.StatusCode != tc.want {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -148,13 +149,64 @@ func (p *fleetProc) stop(t *testing.T) error {
 	return p.wait(t)
 }
 
-// requireDrain stops each process with SIGTERM and requires exit 0.
+// requireDrain stops each process with SIGTERM and requires exit 0
+// within the process's -drain-grace plus 1 s.
 func requireDrain(t *testing.T, procs ...*fleetProc) {
 	t.Helper()
 	for _, p := range procs {
-		if err := p.stop(t); err != nil {
+		t0 := time.Now()
+		err := p.stop(t)
+		took := time.Since(t0)
+		if err != nil {
 			t.Errorf("%s drain: %v\n%s", filepath.Base(p.cmd.Path), err, &p.log)
 		}
+		if limit := p.drainGrace(t) + time.Second; took > limit {
+			t.Errorf("%s drain took %v, want at most %v", filepath.Base(p.cmd.Path), took.Round(time.Millisecond), limit)
+		}
+	}
+}
+
+// drainGrace returns the -drain-grace the process was started with, or
+// the servers' 2 s default.
+func (p *fleetProc) drainGrace(t *testing.T) time.Duration {
+	t.Helper()
+	args := p.cmd.Args
+	for i, a := range args {
+		if a == "-drain-grace" && i+1 < len(args) {
+			d, err := time.ParseDuration(args[i+1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+	}
+	return 2 * time.Second
+}
+
+// TestDrainClosesUnusedConnections: a connection that never sends a
+// request does not hold a server's drain. net/http's Shutdown alone
+// counts such a connection as active until it is 5 s old; a client
+// transport's spare connection used to stall a store's drain that long.
+func TestDrainClosesUnusedConnections(t *testing.T) {
+	for _, srv := range []*fleetProc{
+		startFleetProc(t, bin(t, "dpmserve"), "-addr", "127.0.0.1:0", "-drain-grace", "0"),
+		startFleetProc(t, bin(t, "dpmremote"), "-addr", "127.0.0.1:0", "-store", t.TempDir(), "-drain-grace", "0"),
+	} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(srv.url, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// The server accepts connections in order, so once a request on a
+		// second, fresh connection is answered, the first is accepted and
+		// waiting for a request that never comes.
+		fresh := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+		resp, err := fresh.Get(srv.url + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		requireDrain(t, srv)
 	}
 }
 
@@ -293,15 +345,17 @@ func TestServeSmoke(t *testing.T) {
 		t.Errorf("distinct-heavy stream: cache_entries %d > 8", st.CacheEntries)
 	}
 
-	// A workload whose size would exhaust the process, and a horizon whose
-	// sample grid would hold a worker for days, are refused as the
-	// client's fault, and the server stays healthy.
-	for what, body := range map[string]string{
-		"2^62 tasks": `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":4611686018427387904,"MeanInstructions":100000}}}]}}`,
-		"2^62 ps sampled every 1 µs": `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":2,"MeanInstructions":100000}}}],` +
-			`"Horizon":4611686018427387904,"SampleInterval":1000000}}`,
+	// A workload whose size would exhaust the process, a horizon whose
+	// sample grid would hold a worker for days, and a tournament whose
+	// replicates would generate 5·2²⁰ tasks are refused as the client's
+	// fault, and the server stays healthy.
+	for what, req := range map[string]struct{ path, body string }{
+		"2^62 tasks": {"/v1/simulate", `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":4611686018427387904,"MeanInstructions":100000}}}]}}`},
+		"2^62 ps sampled every 1 µs": {"/v1/simulate", `{"config":{"IPs":[{"Gen":{"Kind":"closed","Closed":{"Seed":3,"NumTasks":2,"MeanInstructions":100000}}}],` +
+			`"Horizon":4611686018427387904,"SampleInterval":1000000}}`},
+		"5 seeds of 2^20 tasks": {"/v1/tournament", `{"tasks":1048576,"seeds":[1,2,3,4,5],"scenarios":["steady"]}`},
 	} {
-		resp, msg := postJSON(t, srv.url+"/v1/simulate", body)
+		resp, msg := postJSON(t, srv.url+req.path, req.body)
 		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "exceeds the cap") {
 			t.Errorf("%s: status %d (%s), want 422 naming the cap", what, resp.StatusCode, bytes.TrimSpace(msg))
 		}

@@ -15,6 +15,13 @@
 // same experiment grid — the paper's Table 2 scenarios, ablation sweeps,
 // seed-replication fan-outs — therefore cost one simulation per distinct
 // configuration, ever, when a disk cache is shared between runs.
+//
+// Each job is normalized once: its key is derived from the normalized
+// config (soc.NormalConfig), and a miss simulates that same config. Within
+// one Run, each distinct workload generator spec is generated once and
+// its workload shared by every job that carries it, such as the entrants
+// of one tournament replicate, through a memo that lives only as long as
+// the call (see genMemo).
 package engine
 
 import (
@@ -168,11 +175,11 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// simulate runs the job's simulation, recording its wall-clock cost in
-// the run-latency sketch.
-func (e *Engine) simulate(ctx context.Context, job Job) (*soc.Result, error) {
+// simulate runs a job's normalized config, recording its wall-clock cost
+// in the run-latency sketch.
+func (e *Engine) simulate(ctx context.Context, norm soc.NormalConfig, opts soc.RunOptions) (*soc.Result, error) {
 	t0 := time.Now()
-	r, err := soc.RunWith(ctx, job.Config, job.Options)
+	r, err := norm.Run(ctx, opts)
 	e.runLat.RecordDuration(time.Since(t0))
 	return r, err
 }
@@ -206,10 +213,15 @@ func (e *Engine) Run(ctx context.Context, plan Plan) ([]JobResult, error) {
 // with the engine-wide Options callbacks. It exists for callers that
 // stream progress of one plan (e.g. tournament progress reporting) on a
 // shared long-lived engine.
+//
+// Each distinct workload generator spec is generated once per call, by a
+// memo that every job's normalization goes through and that dies with the
+// call (see genMemo).
 func (e *Engine) RunObserved(ctx context.Context, plan Plan, onResult func(i int, jr JobResult)) ([]JobResult, error) {
 	n := len(plan.Jobs)
 	results := make([]JobResult, n)
-	keys, units := e.planUnits(plan)
+	gen := newGenMemo().materialize
+	keys, units := e.planUnits(plan, gen)
 	e.warm(ctx, plan, keys)
 
 	workers := e.workers
@@ -251,12 +263,12 @@ func (e *Engine) RunObserved(ctx context.Context, plan Plan, onResult func(i int
 				}
 				if len(unit.indices) == 1 {
 					i := unit.indices[0]
-					jr := e.runJob(ctx, plan.Jobs[i], keys[i], false)
+					jr := e.runJob(ctx, plan.Jobs[i], keys[i], false, gen)
 					results[i] = jr
 					notify(i, jr)
 					continue
 				}
-				e.runGroup(ctx, plan.Jobs, keys, unit.indices, results)
+				e.runGroup(ctx, plan.Jobs, keys, unit.indices, results, gen)
 				for _, i := range unit.indices {
 					notify(i, results[i])
 				}
@@ -329,18 +341,20 @@ func (e *Engine) warms(plan Plan) bool {
 }
 
 // runJob executes one job: key derivation (unless planUnits already did
-// it), cache probe, singleflight join, simulate, store. Concurrent jobs
-// with the same key collapse to one simulation — the waiters are served
-// the winner's result as cache hits, so a stampede of identical jobs
-// costs one run and never double-counts Misses. probed says the caller's
-// Lookup has just missed this job's key, so the first pre-flight probe
-// is skipped and the local tiers count one miss, as on Run.
+// it; workloads are generated with gen), cache probe, singleflight join,
+// simulate the normalized config the key was derived from, store.
+// Concurrent jobs with the same key collapse to one simulation — the
+// waiters are served the winner's result as cache hits, so a stampede of
+// identical jobs costs one run and never double-counts Misses. probed
+// says the caller's Lookup has just missed this job's key, so the first
+// pre-flight probe is skipped and the local tiers count one miss, as on
+// Run.
 //
 // A panic anywhere in the job — normalizing or keying its config, the
 // run, the record — is contained in the job's result as an error wrapping
 // ErrInternal, and a flight the job leads is finished with it, so the
 // job's waiters get the error too instead of waiting forever.
-func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool) (jr JobResult) {
+func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool, gen soc.Materializer) (jr JobResult) {
 	var led *flight // the flight this job leads, until it finishes it
 	defer func() {
 		if p := recover(); p != nil {
@@ -357,7 +371,7 @@ func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool)
 		return JobResult{Job: job, Err: err}
 	}
 	if !keys.done {
-		keys = keysOf(job, false)
+		keys = keysOf(job, false, gen)
 	}
 	jr = JobResult{Job: job, Key: keys.key}
 	if keys.err != nil {
@@ -374,7 +388,7 @@ func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool)
 	// not interchangeable.
 	if e.cache == nil || job.Options.Volatile() {
 		e.runs.Add(1)
-		jr.Result, jr.Err = e.simulate(ctx, job)
+		jr.Result, jr.Err = e.simulate(ctx, keys.norm, job.Options)
 		if jr.Err != nil {
 			e.countFailure(jr.Err)
 		}
@@ -434,7 +448,7 @@ func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool)
 		}
 		e.misses.Add(1)
 		e.runs.Add(1)
-		r, runErr := e.simulate(ctx, job)
+		r, runErr := e.simulate(ctx, keys.norm, job.Options)
 		var rec *Record
 		if runErr == nil {
 			// Build the record (the one marshal this result will ever pay)
@@ -489,7 +503,7 @@ func (e *Engine) RunAfterLookup(ctx context.Context, job Job) JobResult {
 		e.onStart(0, job)
 		e.cbMu.Unlock()
 	}
-	jr := e.runJob(ctx, job, jobKeys{}, true)
+	jr := e.runJob(ctx, job, jobKeys{}, true, materializeSpec)
 	if e.onResult != nil {
 		e.cbMu.Lock()
 		e.onResult(0, jr)

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"godpm/internal/soc"
+	"godpm/internal/workload"
 )
 
 // Hooks for the external engine_test package, whose tests need the
@@ -12,7 +13,7 @@ import (
 // JobKeys returns the job's cache key and fork-prefix key as a Run
 // computes them.
 func JobKeys(job Job) (key, prefix string, err error) {
-	k := keysOf(job, true)
+	k := keysOf(job, true, materializeSpec)
 	return k.key, k.prefix, k.err
 }
 
@@ -30,22 +31,41 @@ var (
 	RefForkPrefixKey  = refForkPrefixKey
 )
 
-// CountNormalizations routes key derivation through a counter until the
-// returned restore func is called.
-func CountNormalizations(count func()) (restore func()) {
+// RewriteNormalizations makes the engine normalize rewrite(cfg) in
+// place of every job's config until the returned restore func is called.
+func RewriteNormalizations(rewrite func(soc.Config) soc.Config) (restore func()) {
 	orig := normalizeConfig
-	normalizeConfig = func(c soc.Config) (soc.Config, error) {
-		count()
-		return orig(c)
+	normalizeConfig = func(c soc.Config, gen soc.Materializer) (soc.NormalConfig, error) {
+		return orig(rewrite(c), gen)
 	}
 	return func() { normalizeConfig = orig }
+}
+
+// CountNormalizations routes the engine's normalizations through a
+// counter until the returned restore func is called.
+func CountNormalizations(count func()) (restore func()) {
+	return RewriteNormalizations(func(c soc.Config) soc.Config {
+		count()
+		return c
+	})
+}
+
+// CountMaterializations calls count for every workload the engine
+// generates until the returned restore func is called.
+func CountMaterializations(count func(workload.Spec)) (restore func()) {
+	orig := materializeSpec
+	materializeSpec = func(s workload.Spec) (workload.Sequence, workload.ArrivalSequence, error) {
+		count(s)
+		return orig(s)
+	}
+	return func() { materializeSpec = orig }
 }
 
 // PanicInRunForked makes every fork group's shared session panic with
 // msg until the returned restore func is called.
 func PanicInRunForked(msg string) (restore func()) {
 	orig := runForked
-	runForked = func(context.Context, soc.Config, []soc.ForkMember) ([]*soc.Result, error) { panic(msg) }
+	runForked = func(soc.NormalConfig, context.Context, []soc.ForkMember) ([]*soc.Result, error) { panic(msg) }
 	return func() { runForked = orig }
 }
 
@@ -60,7 +80,7 @@ func InFlight(e *Engine) int {
 // job's cache key and fork-prefix key ("" where Run leaves keying to the
 // worker) and the plan positions of each work unit, in dispatch order.
 func PlanUnits(e *Engine, plan Plan) (keys, prefixes []string, units [][]int) {
-	ks, us := e.planUnits(plan)
+	ks, us := e.planUnits(plan, newGenMemo().materialize)
 	for _, k := range ks {
 		keys = append(keys, k.key)
 		prefixes = append(prefixes, k.prefix)

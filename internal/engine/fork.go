@@ -65,7 +65,7 @@ type workUnit struct {
 // key iff their configs are identical modulo Horizon, which is exactly
 // when they share a trajectory prefix. The returned keys are index-aligned
 // with plan.Jobs.
-func (e *Engine) planUnits(plan Plan) ([]jobKeys, []workUnit) {
+func (e *Engine) planUnits(plan Plan, gen soc.Materializer) ([]jobKeys, []workUnit) {
 	nForkable := 0
 	for _, job := range plan.Jobs {
 		if e.forkable(job) {
@@ -80,7 +80,7 @@ func (e *Engine) planUnits(plan Plan) ([]jobKeys, []workUnit) {
 		}
 	}
 	keys := make([]jobKeys, len(plan.Jobs))
-	keyJobs(plan.Jobs, need, keys, e.workers)
+	keyJobs(plan.Jobs, need, keys, e.workers, gen)
 
 	units := make([]workUnit, 0, len(plan.Jobs))
 	slot := make(map[string]int)
@@ -115,8 +115,9 @@ var goKeyer = func(f func()) { go f() }
 // job's keys land in its own slot, so the result does not depend on the
 // schedule. Fewer than two tasks start no goroutine. A panic while keying
 // becomes that job's key error, wrapping ErrInternal, as runJob would
-// report it: a keying goroutine has no caller to unwind to.
-func keyJobs(jobs []Job, tasks []keyTask, keys []jobKeys, workers int) {
+// report it: a keying goroutine has no caller to unwind to. Workloads are
+// generated by gen.
+func keyJobs(jobs []Job, tasks []keyTask, keys []jobKeys, workers int, gen soc.Materializer) {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
@@ -128,7 +129,7 @@ func keyJobs(jobs []Job, tasks []keyTask, keys []jobKeys, workers int) {
 				return
 			}
 			t := tasks[n]
-			keys[t.i] = safeKeysOf(jobs[t.i], t.fork)
+			keys[t.i] = safeKeysOf(jobs[t.i], t.fork, gen)
 		}
 	}
 	var wg sync.WaitGroup
@@ -144,17 +145,17 @@ func keyJobs(jobs []Job, tasks []keyTask, keys []jobKeys, workers int) {
 }
 
 // safeKeysOf is keysOf with a panic turned into the keys' error.
-func safeKeysOf(job Job, withPrefix bool) (k jobKeys) {
+func safeKeysOf(job Job, withPrefix bool, gen soc.Materializer) (k jobKeys) {
 	defer func() {
 		if p := recover(); p != nil {
 			k = jobKeys{err: fmt.Errorf("%w: job %s: keying panicked: %v", ErrInternal, job.ID, p), done: true}
 		}
 	}()
-	return keysOf(job, withPrefix)
+	return keysOf(job, withPrefix, gen)
 }
 
 // runForked runs a fork group's shared session; tests replace it.
-var runForked = soc.RunForked
+var runForked = soc.NormalConfig.RunForked
 
 // runGroup executes one fork group: members already cached are served as
 // ordinary hits, members led elsewhere (a concurrent identical job holds
@@ -167,7 +168,7 @@ var runForked = soc.RunForked
 // flight the group still leads is finished with an error wrapping
 // ErrInternal that names the member, and every member left with neither
 // a result nor an error gets one.
-func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indices []int, out []JobResult) {
+func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indices []int, out []JobResult, gen soc.Materializer) {
 	type liveMember struct {
 		i      int
 		key    string
@@ -237,17 +238,19 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indic
 	}
 
 	if len(live) > 0 {
+		// Every member runs to its own normalized horizon. A zero Horizon
+		// would select the session's, which is the first member's.
 		members := make([]soc.ForkMember, len(live))
 		for j, m := range live {
 			members[j] = soc.ForkMember{
-				Horizon:  jobs[m.i].Config.Horizon,
+				Horizon:  keys[m.i].norm.Config().Horizon,
 				StopWhen: jobs[m.i].Options.StopWhen,
 			}
 		}
 		e.misses.Add(int64(len(live)))
 		e.runs.Add(1)
 		t0 := time.Now()
-		rs, err := runForked(ctx, jobs[live[0].i].Config, members)
+		rs, err := runForked(keys[live[0].i].norm, ctx, members)
 		e.runLat.RecordDuration(time.Since(t0))
 		if err != nil {
 			for j, m := range live {
@@ -275,6 +278,6 @@ func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indic
 	// ordinary path: wait on that flight, or hit whatever the cache holds
 	// by now.
 	for _, i := range fallback {
-		out[i] = e.runJob(ctx, jobs[i], keys[i], false)
+		out[i] = e.runJob(ctx, jobs[i], keys[i], false, gen)
 	}
 }

@@ -77,6 +77,40 @@ func TestForkGroupSharesPrefix(t *testing.T) {
 	}
 }
 
+// TestForkGroupMemberDefaultHorizon: a job that leaves Horizon zero
+// shares a fork group with one that sets a shorter horizon, and still
+// runs to the default horizon its solo run reaches, not to the horizon
+// of the config the shared session was built from.
+func TestForkGroupMemberDefaultHorizon(t *testing.T) {
+	short := testConfig(7, soc.PolicyDPM, 25)
+	short.Horizon = 30 * sim.Ms
+	unset := testConfig(7, soc.PolicyDPM, 25)
+	unset.Horizon = 0
+	var plan engine.Plan
+	plan.Add("short", short).Add("unset", unset)
+
+	eng := engine.New(engine.Options{Workers: 1})
+	results, err := eng.Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.Forked != 1 {
+		t.Fatalf("the jobs did not share a session: %+v", st)
+	}
+	for i, job := range plan.Jobs {
+		solo, err := soc.Run(job.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := results[i].Result.Duration, solo.Duration; got != want {
+			t.Errorf("job %s: forked run ended at %v, solo at %v", job.ID, got, want)
+		}
+		if got, want := engine.ResultDigest(results[i].Result), engine.ResultDigest(solo); got != want {
+			t.Errorf("job %s: forked digest %s != solo %s", job.ID, got, want)
+		}
+	}
+}
+
 // TestForkGroupStopConditions covers groups cut by stop conditions rather
 // than horizons, mixed with a horizon member.
 func TestForkGroupStopConditions(t *testing.T) {

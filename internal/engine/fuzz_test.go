@@ -52,7 +52,7 @@ func FuzzCanonicalEncoding(f *testing.F) {
 				return
 			}
 		}
-		k := keysOf(Job{Config: cfg}, true)
+		k := keysOf(Job{Config: cfg}, true, materializeSpec)
 		wantKey, wantErr := refFingerprint(cfg)
 		if (k.err == nil) != (wantErr == nil) || k.key != wantKey {
 			t.Fatalf("key %q (err %v), reference %q (err %v)", k.key, k.err, wantKey, wantErr)

@@ -52,9 +52,10 @@ const fingerprintVersion = "godpm-config-v4"
 // resultVersion prefixes every ResultDigest input.
 const resultVersion = "godpm-result-v3"
 
-// normalizeConfig is the normalization every key derives from; tests
+// normalizeConfig is the one normalization the engine makes: every key
+// derives from it, and every run simulates the config it returns. Tests
 // count calls through it.
-var normalizeConfig = soc.Config.Normalized
+var normalizeConfig = soc.Config.Normalize
 
 // Fingerprint returns the canonical content hash of a simulation
 // configuration, usable as a cache key: two configs hash equally iff they
@@ -63,7 +64,7 @@ var normalizeConfig = soc.Config.Normalized
 // key. Config is pure value data — every field affects the Result, so all
 // of them are hashed.
 func Fingerprint(cfg soc.Config) (string, error) {
-	k := keysOf(Job{Config: cfg}, false)
+	k := keysOf(Job{Config: cfg}, false, materializeSpec)
 	return k.key, k.err
 }
 
@@ -78,6 +79,9 @@ type jobKeys struct {
 	key string
 	// prefix is the fork-prefix key (see fork.go); "" unless requested.
 	prefix string
+	// norm is the normalized config both keys hash, and the config the
+	// job's run simulates.
+	norm soc.NormalConfig
 	// err is the normalization error; both keys are "" when it is set.
 	err error
 	// done marks keys that were derived; planUnits leaves a job's keys
@@ -89,19 +93,21 @@ type jobKeys struct {
 // keysOf computes the job's cache key and, when withPrefix is set, its
 // fork-prefix key: the fingerprint of the normalized config with Horizon
 // zeroed. Both hash the same encoding — the prefix key replaces only the
-// horizon field — so the config is normalized and encoded once.
-func keysOf(job Job, withPrefix bool) jobKeys {
-	norm, err := normalizeConfig(job.Config)
+// horizon field — so the config is normalized and encoded once, its
+// workloads generated by gen.
+func keysOf(job Job, withPrefix bool, gen soc.Materializer) jobKeys {
+	norm, err := normalizeConfig(job.Config, gen)
 	if err != nil {
 		return jobKeys{err: err, done: true}
 	}
+	cfg := norm.Config()
 	buf := getBuf()
 	defer putBuf(buf)
 	b := append((*buf)[:0], fingerprintVersion...)
-	b, hz := appendConfig(b, &norm)
+	b, hz := appendConfig(b, &cfg)
 	*buf = b
 
-	k := jobKeys{key: hexSum(sha256.Sum256(b)), done: true}
+	k := jobKeys{key: hexSum(sha256.Sum256(b)), norm: norm, done: true}
 	if len(job.Options.StopWhen) > 0 {
 		var stack [256]byte
 		s := append(stack[:0], fingerprintVersion...)

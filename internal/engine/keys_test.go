@@ -14,6 +14,7 @@ import (
 
 	"godpm/internal/engine"
 	"godpm/internal/experiments"
+	"godpm/internal/sim"
 	"godpm/internal/soc"
 	"godpm/internal/sweep"
 	"godpm/internal/workload"
@@ -193,8 +194,11 @@ const (
 // raceEnabled is set by race_test.go in race-detector builds.
 var raceEnabled bool
 
-// TestRunNormalizesOncePerJob counts normalizations: a multi-job Run keys
-// every job — cache key and fork-prefix key — from one normalization.
+// TestRunNormalizesOncePerJob counts the engine's normalizations through
+// normalizeConfig, the only way it normalizes: exactly one per job,
+// whether the job misses (its run simulates the config its key was
+// derived from) or hits, on a cached engine whose plan forks, on a
+// NoCache engine, and through RunAfterLookup.
 func TestRunNormalizesOncePerJob(t *testing.T) {
 	var calls atomic.Int64
 	defer engine.CountNormalizations(func() { calls.Add(1) })()
@@ -205,16 +209,109 @@ func TestRunNormalizesOncePerJob(t *testing.T) {
 	for _, s := range experiments.All(tun)[:2] {
 		plan.AddPair(s.ID, s.Config, experiments.Baseline(s))
 	}
-	eng := engine.New(engine.Options{Workers: 2})
-	if _, err := eng.Run(context.Background(), plan); err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	count := func(name string, want int, run func()) {
+		t.Helper()
+		calls.Store(0)
+		run()
+		if got := calls.Load(); got != int64(want) {
+			t.Errorf("%s: %d normalizations for %d jobs", name, got, want)
+		}
 	}
+	hits := func(name string, results []engine.JobResult, err error, want bool) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, jr := range results {
+			if jr.CacheHit != want {
+				t.Fatalf("%s: job %s cache hit %v, want %v", name, jr.Job.ID, jr.CacheHit, want)
+			}
+		}
+	}
+
+	eng := engine.New(engine.Options{Workers: 2})
+	count("cached, miss", len(plan.Jobs), func() {
+		results, err := eng.Run(ctx, plan)
+		hits("cached, miss", results, err, false)
+	})
 	if st := eng.Stats(); st.Forked == 0 {
 		t.Fatalf("plan did not fork: %+v", st)
 	}
-	if got, want := calls.Load(), int64(len(plan.Jobs)); got != want {
-		t.Errorf("%d normalizations for %d jobs", got, want)
+	count("cached, hit", len(plan.Jobs), func() {
+		results, err := eng.Run(ctx, plan)
+		hits("cached, hit", results, err, true)
+	})
+	count("NoCache", len(plan.Jobs), func() {
+		results, err := engine.New(engine.Options{Workers: 2, NoCache: true}).Run(ctx, plan)
+		hits("NoCache", results, err, false)
+	})
+
+	srv := engine.New(engine.Options{Workers: 2})
+	job := plan.Jobs[0]
+	for _, want := range []bool{false, true} {
+		name := fmt.Sprintf("RunAfterLookup, hit %v", want)
+		count(name, 1, func() {
+			jr := srv.RunAfterLookup(ctx, job)
+			hits(name, []engine.JobResult{jr}, jr.Err, want)
+		})
 	}
+}
+
+// TestEngineRunsTheConfigItKeyed: the engine simulates the config its
+// normalization returned, not the job's raw config. A normalization that
+// cuts every horizon to a thousandth shows up in every result — solo
+// misses, fork-group members, NoCache runs and RunAfterLookup — as the
+// digest of a solo run of the cut config.
+func TestEngineRunsTheConfigItKeyed(t *testing.T) {
+	cut := func(c soc.Config) soc.Config {
+		c.Horizon /= 1000
+		return c
+	}
+	defer engine.RewriteNormalizations(cut)()
+
+	ctx := context.Background()
+	check := func(name string, job engine.Job, jr engine.JobResult) {
+		t.Helper()
+		if jr.Err != nil {
+			t.Fatalf("%s: job %s: %v", name, job.ID, jr.Err)
+		}
+		solo, err := soc.RunWith(ctx, cut(job.Config), job.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solo.Completed {
+			t.Fatalf("%s: job %s completes within the cut horizon; the check shows nothing", name, job.ID)
+		}
+		if got, want := engine.ResultDigest(jr.Result), engine.ResultDigest(solo); got != want {
+			t.Errorf("%s: job %s: digest %s, a solo run of the keyed config gives %s", name, job.ID, got, want)
+		}
+	}
+	solo := testPlan(25)
+	forked := horizonPlan(7, []sim.Time{30 * sim.Ms, 75 * sim.Ms, 60 * sim.Sec})
+	for _, tc := range []struct {
+		name string
+		plan engine.Plan
+		opts engine.Options
+	}{
+		{"solo", solo, engine.Options{Workers: 2}},
+		{"forked", forked, engine.Options{Workers: 2}},
+		{"NoCache", forked, engine.Options{Workers: 2, NoCache: true}},
+	} {
+		eng := engine.New(tc.opts)
+		results, err := eng.Run(ctx, tc.plan)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if st := eng.Stats(); (st.Forked > 0) != (tc.name == "forked") {
+			t.Fatalf("%s: Forked = %d", tc.name, st.Forked)
+		}
+		for i, job := range tc.plan.Jobs {
+			check(tc.name, job, results[i])
+		}
+	}
+	job := solo.Jobs[0]
+	check("RunAfterLookup", job, engine.New(engine.Options{}).RunAfterLookup(ctx, job))
 }
 
 // TestRunKeysOnWorkersWithoutFork checks that a plan which neither forks

@@ -151,8 +151,40 @@ type Tournament struct {
 	Progress func(done, total int, leader string)
 }
 
-// Validate checks the tournament is runnable.
+// MaxTournamentCells caps a tournament's jobs, policies × scenarios ×
+// seeds: Plan builds every job up front and the run holds a result for
+// each. The largest shipped tournament is dpmarena's default, 5 policies
+// × 5 scenarios × 5 seeds = 125 jobs (examples/tournament has 120, the
+// benchmark's arena cycle 60); the cap is 2¹⁴.
+const MaxTournamentCells = 1 << 14
+
+// MaxTournamentTasks caps a tournament's generated tasks, seeds × the
+// scenarios' tasks (soc.Config.Tasks): every replicate's workload is
+// generated once and kept while the plan runs. The largest shipped
+// tournament generates 5 seeds × 5 scenarios × 60 tasks = 1500
+// (dpmarena's default; examples/tournament 1400, the benchmark's arena
+// cycle 900); the cap is 2²², soc.MaxTotalTasks.
+const MaxTournamentTasks = 1 << 22
+
+// Validate checks the tournament is runnable. Its size is checked first,
+// in integer arithmetic that cannot overflow, before anything is built
+// for it.
 func (t Tournament) Validate() error {
+	if !productWithin(MaxTournamentCells, len(t.Policies), len(t.Scenarios), len(t.Seeds)) {
+		return fmt.Errorf("engine: tournament of %d policies × %d scenarios × %d seeds exceeds the cap of %d jobs",
+			len(t.Policies), len(t.Scenarios), len(t.Seeds), MaxTournamentCells)
+	}
+	perSeed := 0
+	for _, s := range t.Scenarios {
+		// Tasks saturates at soc.MaxTotalTasks+1, so the sum stays small.
+		if perSeed += s.Config.Tasks(); perSeed > MaxTournamentTasks {
+			break
+		}
+	}
+	if !productWithin(MaxTournamentTasks, perSeed, len(t.Seeds)) {
+		return fmt.Errorf("engine: tournament of %d seeds × %d tasks per seed exceeds the cap of %d generated tasks",
+			len(t.Seeds), perSeed, MaxTournamentTasks)
+	}
 	if len(t.Scenarios) == 0 {
 		return fmt.Errorf("engine: tournament has no scenarios")
 	}
@@ -186,6 +218,22 @@ func (t Tournament) Validate() error {
 		return fmt.Errorf("engine: baseline policy %q is not an entrant", t.Baseline)
 	}
 	return nil
+}
+
+// productWithin reports whether the product of the non-negative factors
+// is at most limit, without computing a product above it.
+func productWithin(limit int, factors ...int) bool {
+	if slices.Contains(factors, 0) {
+		return true
+	}
+	p := 1
+	for _, f := range factors {
+		if p > limit/f {
+			return false
+		}
+		p *= f
+	}
+	return true
 }
 
 // baseline resolves the baseline policy name.

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -51,6 +53,77 @@ func TestTournamentValidate(t *testing.T) {
 		mutate(&bad)
 		if err := bad.Validate(); err == nil {
 			t.Errorf("case %d validated but should not", i)
+		}
+	}
+}
+
+// TestTournamentValidateCaps: a tournament of MaxTournamentCells jobs,
+// and one generating MaxTournamentTasks tasks, validate; one job or one
+// task more is refused with an error naming the cap, and RunTournament
+// then runs nothing. productWithin never overflows.
+func TestTournamentValidateCaps(t *testing.T) {
+	scenarios := func(tasks ...int) []NamedConfig {
+		out := make([]NamedConfig, len(tasks))
+		for i, n := range tasks {
+			out[i] = ArenaScenarios(n)[0]
+			out[i].Name = fmt.Sprintf("s%d", i)
+		}
+		return out
+	}
+	seeds := func(n int) []workload.Seed {
+		out := make([]workload.Seed, n)
+		for i := range out {
+			out[i] = workload.NewSeed(uint64(i))
+		}
+		return out
+	}
+	pols := StandardPolicies()
+	cases := []struct {
+		name string
+		tour Tournament
+		want string // "" validates
+	}{
+		{"cells at cap", Tournament{Policies: pols[:4], Scenarios: scenarios(1, 1, 1, 1), Seeds: seeds(MaxTournamentCells / 16)}, ""},
+		{"cells over cap", Tournament{Policies: pols[:4], Scenarios: scenarios(1, 1, 1, 1), Seeds: seeds(MaxTournamentCells/16 + 1)},
+			fmt.Sprintf("exceeds the cap of %d jobs", MaxTournamentCells)},
+		{"tasks at cap", Tournament{Policies: pols[:1], Scenarios: scenarios(MaxTournamentTasks/8, MaxTournamentTasks/8), Seeds: seeds(4)}, ""},
+		{"tasks over cap", Tournament{Policies: pols[:1], Scenarios: scenarios(MaxTournamentTasks/8, MaxTournamentTasks/8+1), Seeds: seeds(4)},
+			fmt.Sprintf("exceeds the cap of %d generated tasks", MaxTournamentTasks)},
+		{"oversized workloads", Tournament{Policies: pols[:1], Scenarios: scenarios(1<<62, 1<<62), Seeds: seeds(1)},
+			fmt.Sprintf("exceeds the cap of %d generated tasks", MaxTournamentTasks)},
+	}
+	for _, tc := range cases {
+		err := tc.tour.Validate()
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		eng := New(Options{Workers: 2})
+		if _, err := RunTournament(context.Background(), eng, tc.tour); err == nil {
+			t.Errorf("%s: RunTournament ran", tc.name)
+		}
+		if st := eng.Stats(); st.Misses+st.Hits+st.Errors != 0 {
+			t.Errorf("%s: RunTournament ran jobs: %+v", tc.name, st)
+		}
+	}
+
+	for _, tc := range []struct {
+		factors []int
+		want    bool
+	}{
+		{[]int{4, 4, 1024}, true},
+		{[]int{4, 4, 1025}, false},
+		{[]int{0, math.MaxInt, math.MaxInt}, true},
+		{[]int{math.MaxInt, math.MaxInt}, false},
+		{[]int{1 << 40, 1 << 40, 0}, true},
+	} {
+		if got := productWithin(MaxTournamentCells, tc.factors...); got != tc.want {
+			t.Errorf("productWithin(%d, %v) = %v, want %v", MaxTournamentCells, tc.factors, got, tc.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package soc
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -55,6 +56,69 @@ func TestGenSpecMaterializesInNormalize(t *testing.T) {
 	bad.IPs[0].Gen.HeavyTail.Shape = 0.5
 	if _, err := bad.Normalized(); err == nil {
 		t.Fatal("invalid generator spec normalized without error")
+	}
+}
+
+// TestNormalizeRoute: Normalize with a supplied Materializer hands it
+// every IP's normalized Gen spec once and builds the config Normalized
+// builds; the normalized route's Run and RunForked give RunWith's and
+// RunForked's results; the zero NormalConfig is refused by both.
+func TestNormalizeRoute(t *testing.T) {
+	cfg := genConfig(workload.NewSeed(3), 10)
+	cfg.Horizon = 50 * sim.Ms
+	var specs []workload.Spec
+	n, err := cfg.Normalize(func(s workload.Spec) (workload.Sequence, workload.ArrivalSequence, error) {
+		specs = append(specs, s)
+		return s.Materialize()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cfg.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(n.Config(), want) {
+		t.Fatal("Normalize with Spec.Materialize differs from Normalized")
+	}
+	if len(specs) != len(cfg.IPs) {
+		t.Fatalf("the materializer saw %d specs for %d generated IPs", len(specs), len(cfg.IPs))
+	}
+	for i, s := range specs {
+		if !reflect.DeepEqual(s, want.IPs[i].Gen) {
+			t.Errorf("IP %d: the materializer got a spec that is not the normalized one", i)
+		}
+	}
+
+	ctx := context.Background()
+	solo, err := RunWith(ctx, cfg, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := n.Run(ctx, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareForkMember(t, "NormalConfig.Run", got, solo)
+	members := []ForkMember{{Horizon: 20 * sim.Ms}, {}}
+	forked, err := RunForked(ctx, cfg, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	routed, err := n.RunForked(ctx, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range members {
+		compareForkMember(t, "NormalConfig.RunForked", routed[i], forked[i])
+	}
+	compareForkMember(t, "default-horizon member", routed[1], solo)
+
+	if _, err := (NormalConfig{}).Run(ctx, RunOptions{}); err == nil {
+		t.Error("the zero NormalConfig ran")
+	}
+	if _, err := (NormalConfig{}).RunForked(ctx, members); err == nil {
+		t.Error("the zero NormalConfig ran forked")
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"godpm/internal/policy"
 	"godpm/internal/sim"
 	"godpm/internal/stats"
+	"godpm/internal/workload"
 )
 
 // session is one fully assembled SoC simulation that can be advanced to
@@ -45,18 +46,19 @@ type session struct {
 
 // newSession is the prelude every run shares. It honours an
 // already-ended context (a run shorter than one SampleInterval never
-// reaches the in-run cancellation poll), normalizes the configuration,
-// assembles the SoC it describes, registers the accountant and schedules
-// the first sample. The kernel has not run yet.
-func newSession(ctx context.Context, cfg Config, opts RunOptions) (*session, error) {
+// reaches the in-run cancellation poll), refuses the zero NormalConfig,
+// assembles the SoC the normalized configuration describes, registers
+// the accountant and schedules the first sample. The kernel has not run
+// yet.
+func newSession(ctx context.Context, n NormalConfig, opts RunOptions) (*session, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 	}
-	cfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
+	cfg := n.cfg
+	if len(cfg.IPs) == 0 {
+		return nil, fmt.Errorf("soc: the zero NormalConfig describes no system; build one with Config.Normalize")
 	}
 	s := &session{cfg: cfg}
 	k := sim.NewKernel()
@@ -348,11 +350,25 @@ type ForkMember struct {
 // forkable — finishing a member re-evaluates the live GEM — and return an
 // error, as do volatile stop conditions. Cancellation is polled like
 // RunWith's.
+//
+// RunForked normalizes cfg and takes the normalized route,
+// NormalConfig.RunForked.
 func RunForked(ctx context.Context, cfg Config, members []ForkMember) ([]*Result, error) {
+	n, err := cfg.Normalize(workload.Spec.Materialize)
+	if err != nil {
+		return nil, err
+	}
+	return n.RunForked(ctx, members)
+}
+
+// RunForked runs the members off the normalized configuration like the
+// package-level RunForked, without normalizing it again. A member's zero
+// Horizon selects the configuration's normalized horizon.
+func (n NormalConfig) RunForked(ctx context.Context, members []ForkMember) ([]*Result, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("soc: RunForked needs at least one member")
 	}
-	s, err := newSession(ctx, cfg, RunOptions{})
+	s, err := newSession(ctx, n, RunOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,14 @@
 // and a LEM, an optional GEM, a battery, a thermal sensor and a shared bus
 // — on the discrete-event kernel, with exact energy accounting and the
 // measurements Table 2 is computed from.
+//
+// Every run takes one route. A Config is normalized (Config.Normalize)
+// into a NormalConfig, whose Run and RunForked assemble and simulate the
+// system without normalizing it again. RunWith and the package-level
+// RunForked are that route behind a normalization. A caller that has
+// already normalized a config (the batch engine derives a job's cache key
+// from one) runs the NormalConfig directly, so the config's workloads are
+// generated once.
 package soc
 
 import (
@@ -307,6 +315,75 @@ const MaxIPs = 64
 // is 2²⁶ ≈ 6.7·10⁷.
 const MaxSamples = 1 << 26
 
+// MaxTotalTasks caps a config's tasks summed over its IPs: the
+// generators' NumTasks, the traces' lengths and the explicit workloads'
+// lengths. MaxTasks bounds one IP and MaxIPs the IP count, but not their
+// product, which would let one config ask for 2²⁶ tasks. The largest
+// total a shipped scenario, study, arena scenario, example or benchmark
+// workload has is 4000 (examples/battery_aware's run to battery death;
+// Table 2's B and C have 480 at the default tuning); the cap is 2²², four
+// IPs at workload.MaxTasks each.
+const MaxTotalTasks = 1 << 22
+
+// Tasks returns the config's tasks summed over its IPs, read from the
+// specs without generating anything: a Gen spec's NumTasks, else the
+// lengths of Sequence and Arrivals. Negative counts add nothing (the
+// generator refuses them), and a sum above MaxTotalTasks is reported as
+// MaxTotalTasks+1, so the count never overflows.
+func (c Config) Tasks() int {
+	total := 0
+	for i := range c.IPs {
+		spec := &c.IPs[i]
+		n := len(spec.Sequence) + len(spec.Arrivals)
+		if spec.Gen.Kind != workload.GenNone {
+			n = spec.Gen.NumTasks()
+		}
+		if n <= 0 {
+			continue
+		}
+		if n > MaxTotalTasks-total {
+			return MaxTotalTasks + 1
+		}
+		total += n
+	}
+	return total
+}
+
+// Materializer generates the workload of a normalized generator spec:
+// closed-loop kinds fill the Sequence, open-loop kinds the
+// ArrivalSequence. Normalized and RunWith use workload.Spec.Materialize.
+// A caller that normalizes many configs may pass one that returns an
+// earlier call's workload for an equal spec, since runs only read it.
+type Materializer func(workload.Spec) (workload.Sequence, workload.ArrivalSequence, error)
+
+// NormalConfig is a configuration that normalization produced, and the
+// only input of the normalized run route: Run and RunForked assemble the
+// SoC it describes without normalizing it again. Only Normalize makes
+// one, so a raw Config cannot take that route; the zero value describes
+// nothing and is refused by both.
+type NormalConfig struct{ cfg Config }
+
+// Normalize normalizes c exactly as Normalized does, generating each
+// IP's Gen workload with gen instead of workload.Spec.Materialize.
+func (c Config) Normalize(gen Materializer) (NormalConfig, error) {
+	if len(c.IPs) > MaxIPs {
+		return NormalConfig{}, fmt.Errorf("soc: %d IPs exceeds the cap of %d", len(c.IPs), MaxIPs)
+	}
+	if n := c.Tasks(); n > MaxTotalTasks {
+		return NormalConfig{}, fmt.Errorf("soc: the IPs' workloads total more than %d tasks, which exceeds the cap", MaxTotalTasks)
+	}
+	c.IPs = append([]IPSpec(nil), c.IPs...)
+	if err := c.fillDefaults(gen); err != nil {
+		return NormalConfig{}, err
+	}
+	return NormalConfig{cfg: c}, nil
+}
+
+// Config returns the normalized configuration. Its IPs slice, Profile
+// pointers and workloads are the NormalConfig's own; treat them as
+// immutable.
+func (n NormalConfig) Config() Config { return n.cfg }
+
 // Normalized returns a copy of the configuration with every defaultable
 // field filled in, exactly as Run will interpret it. Two configurations
 // that normalize identically produce identical simulations, which makes
@@ -316,21 +393,16 @@ const MaxSamples = 1 << 26
 // Sequence/Arrivals backing arrays stay shared; treat them as immutable
 // (Run only reads them).
 //
-// A config with more than MaxIPs IPs is refused before anything is
-// copied or generated for it, and one with more than MaxSamples samples
-// before any workload is generated.
+// A config with more than MaxIPs IPs, or whose workloads total more than
+// MaxTotalTasks tasks, is refused before anything is copied or generated
+// for it, and one with more than MaxSamples samples before any workload
+// is generated.
 func (c Config) Normalized() (Config, error) {
-	if len(c.IPs) > MaxIPs {
-		return Config{}, fmt.Errorf("soc: %d IPs exceeds the cap of %d", len(c.IPs), MaxIPs)
-	}
-	c.IPs = append([]IPSpec(nil), c.IPs...)
-	if err := c.fillDefaults(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
+	n, err := c.Normalize(workload.Spec.Materialize)
+	return n.cfg, err
 }
 
-func (c *Config) fillDefaults() error {
+func (c *Config) fillDefaults(gen Materializer) error {
 	if len(c.IPs) == 0 {
 		return fmt.Errorf("soc: no IPs configured")
 	}
@@ -413,7 +485,7 @@ func (c *Config) fillDefaults() error {
 			// filled first so a field left zero and the same field set to
 			// its documented default share one engine cache key.
 			spec.Gen = spec.Gen.Normalized()
-			seq, arr, err := spec.Gen.Materialize()
+			seq, arr, err := gen(spec.Gen)
 			if err != nil {
 				return fmt.Errorf("soc: %s: %w", spec.Name, err)
 			}
@@ -509,8 +581,21 @@ func Run(cfg Config) (*Result, error) {
 // Cancellation is prompt: ctx is polled once per accountant call — every
 // sample while the run is busy, at least every 1024 samples through idle
 // gaps — and a cancelled run returns ctx.Err() and no result.
+//
+// RunWith normalizes cfg and takes the normalized route, NormalConfig.Run.
 func RunWith(ctx context.Context, cfg Config, opts RunOptions) (*Result, error) {
-	s, err := newSession(ctx, cfg, opts)
+	n, err := cfg.Normalize(workload.Spec.Materialize)
+	if err != nil {
+		return nil, err
+	}
+	return n.Run(ctx, opts)
+}
+
+// Run simulates the normalized configuration like RunWith, without
+// normalizing it again. A NormalConfig may be run any number of times,
+// concurrently too: runs only read it.
+func (n NormalConfig) Run(ctx context.Context, opts RunOptions) (*Result, error) {
+	s, err := newSession(ctx, n, opts)
 	if err != nil {
 		return nil, err
 	}

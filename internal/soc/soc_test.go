@@ -219,6 +219,65 @@ func TestNormalizedCapsIPs(t *testing.T) {
 	}
 }
 
+// TestNormalizedCapsTotalTasks: a config whose IPs' workloads total
+// MaxTotalTasks tasks passes the cap; one task more is refused with an
+// error naming the cap, before any workload is generated or copied, and
+// so is a sum that would overflow an int. Generators, traces and explicit
+// workloads all count.
+func TestNormalizedCapsTotalTasks(t *testing.T) {
+	gen := func(n int) IPSpec {
+		return IPSpec{Gen: workload.ClosedSpec(workload.HighActivity(1, n))}
+	}
+	withTasks := func(specs ...IPSpec) Config {
+		cfg := smallConfig(PolicyDPM, 2)
+		cfg.IPs = specs
+		return cfg
+	}
+	seq := workload.HighActivity(1, 3).MustGenerate()
+	at := withTasks(gen(workload.MaxTasks), gen(workload.MaxTasks), gen(workload.MaxTasks), gen(workload.MaxTasks))
+	if got := at.Tasks(); got != MaxTotalTasks {
+		t.Fatalf("Tasks() = %d, want %d", got, MaxTotalTasks)
+	}
+	if got := withTasks(gen(5), IPSpec{Sequence: seq}, gen(-4)).Tasks(); got != 8 {
+		t.Fatalf("Tasks() = %d, want 8", got)
+	}
+	// At the cap nothing is refused for its size: a spec over the
+	// per-generator cap still fails, on its own error.
+	over := at
+	over.IPs = append(append([]IPSpec(nil), at.IPs[:3]...), gen(workload.MaxTasks-3), IPSpec{Sequence: seq})
+	if got := over.Tasks(); got != MaxTotalTasks {
+		t.Fatalf("Tasks() = %d, want %d", got, MaxTotalTasks)
+	}
+	// A stub generator stands in for the 2²² tasks, which would take a
+	// hundred megabytes: the point is that normalization reaches it.
+	stub := func(workload.Spec) (workload.Sequence, workload.ArrivalSequence, error) { return seq, nil, nil }
+	if _, err := over.Normalize(stub); err != nil {
+		t.Fatalf("%d tasks: %v", MaxTotalTasks, err)
+	}
+
+	want := fmt.Sprintf("more than %d tasks", MaxTotalTasks)
+	for name, cfg := range map[string]Config{
+		"one over":  withTasks(append(append([]IPSpec(nil), at.IPs...), gen(1))...),
+		"trace":     withTasks(append(append([]IPSpec(nil), at.IPs...), IPSpec{Gen: workload.TraceSpec(seq)})...),
+		"explicit":  withTasks(append(append([]IPSpec(nil), at.IPs...), IPSpec{Sequence: seq})...),
+		"overflows": withTasks(gen(math.MaxInt), gen(math.MaxInt)),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := cfg.Normalized()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %v, want %q", name, err, want)
+		}
+		if got := cfg.Tasks(); got != MaxTotalTasks+1 {
+			t.Errorf("%s: Tasks() = %d, want %d", name, got, MaxTotalTasks+1)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+			t.Errorf("%s: the refusal allocated %d bytes", name, alloc)
+		}
+	}
+}
+
 // TestNormalizedCapsSamples: a sample grid of MaxSamples normalizes; one
 // sample more is refused with an error naming the cap, before the
 // workload is generated, so a 2⁶² ps horizon sampled every microsecond

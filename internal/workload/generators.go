@@ -547,6 +547,27 @@ func (s Spec) Materialize() (seq Sequence, arr ArrivalSequence, err error) {
 	return seq, arr, err
 }
 
+// NumTasks returns how many tasks the spec generates: the selected
+// profile's NumTasks, or the trace's length. It reads the parameter only,
+// so a size can be checked before anything is generated.
+func (s Spec) NumTasks() int {
+	switch s.Kind {
+	case GenClosed:
+		return s.Closed.NumTasks
+	case GenBurst:
+		return s.Burst.NumTasks
+	case GenMMPP:
+		return s.MMPP.NumTasks
+	case GenPeriodic:
+		return s.Periodic.NumTasks
+	case GenHeavyTail:
+		return s.HeavyTail.NumTasks
+	case GenTrace:
+		return len(s.Trace)
+	}
+	return 0
+}
+
 // Normalized returns the spec with every defaultable parameter filled in
 // exactly as generation will interpret it: all-zero class/priority
 // weights become the documented ALU-only/Medium-only defaults, and the
