@@ -74,6 +74,34 @@ func TestRunAllocationBudgets(t *testing.T) {
 			}
 		})
 	})
+	// A disk or remote hit decodes its record: DecodeRecord, then Result
+	// inflates the body and reads it in one pass, its ledger rows into one
+	// slice and its repeated strings interned. The budget on scenario B's
+	// flate container (54 measured, 618 when json.Unmarshal read the body)
+	// keeps per-row and per-value allocation out of the decoder.
+	t.Run("decode", func(t *testing.T) {
+		res, err := soc.Run(experiments.B(benchTuning()).Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := engine.NewRecord("key", res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := rec.Encode(engine.CodecFlate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAllocBudget(t, 59, func() {
+			dec, err := engine.DecodeRecord(data)
+			if err == nil {
+				_, err = dec.Result()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 	t.Run("time", func(t *testing.T) {
 		buf := make([]byte, 0, 64)
 		checkAllocBudget(t, 0, func() { buf = (1234567 * sim.Ns).Append(buf[:0]) })

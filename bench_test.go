@@ -151,6 +151,59 @@ func BenchmarkEngine(b *testing.B) {
 	})
 }
 
+// BenchmarkRecordHit compares what a disk or remote hit pays for a stored
+// result — DecodeRecord plus Record.Result on its flate container — with
+// simulating the config again, for the Table 2 A1 (20 tasks) and B
+// (default 120 tasks) runs and the arena's steady and mmpp entrants (40
+// tasks). A tier is only worth having while decode stays well below run.
+func BenchmarkRecordHit(b *testing.B) {
+	small := experiments.DefaultTuning()
+	small.NumTasks = 20
+	arena := engine.ArenaScenarios(40)
+	for _, c := range []struct {
+		name string
+		cfg  soc.Config
+	}{
+		{"A1-20", experiments.A1(small).Config},
+		{"B-120", experiments.B(experiments.DefaultTuning()).Config},
+		{"steady-40", arena[0].Config},
+		{"mmpp-40", arena[2].Config},
+	} {
+		res, err := soc.Run(c.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, err := engine.NewRecord("key", res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, err := rec.Encode(engine.CodecFlate)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec, err := engine.DecodeRecord(data)
+				if err == nil {
+					_, err = rec.Result()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/run", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := soc.RunWith(context.Background(), c.cfg, soc.RunOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // ---- Ablations (the design choices README.md calls out) ----
 
 // reportRun reports a run's headline numbers as metrics.

@@ -177,8 +177,8 @@ func (s *BlobServer) handlePut(w http.ResponseWriter, r *http.Request, key strin
 	var res *soc.Result
 	if decErr == nil {
 		// Decode all the way: a container whose header checks out but
-		// whose body does not inflate and unmarshal must be refused, not
-		// stored for the fleet.
+		// whose body does not inflate and decode as a canonical body
+		// (see bodydecode.go) must be refused, not stored for the fleet.
 		res, decErr = rec.Result()
 	}
 	if decErr != nil {

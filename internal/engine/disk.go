@@ -38,7 +38,7 @@ type DiskOptions struct {
 // (`<fingerprint>.rec`, see Record) per entry. It holds files only: a
 // Store puts its memory tier in front, so within one process each entry
 // is read and checksummed at most once while hot — and thanks to the
-// record's lazy decode, only ever unmarshalled if a consumer needs the
+// record's lazy decode, only ever decoded if a consumer needs the
 // decoded Result. Safe for concurrent use within a process; concurrent
 // writers in separate processes are harmless because writes are atomic
 // (write-to-temp + rename) and entries are content-addressed.

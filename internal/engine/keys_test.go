@@ -8,14 +8,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"godpm/internal/engine"
 	"godpm/internal/experiments"
+	"godpm/internal/lem"
 	"godpm/internal/sim"
 	"godpm/internal/soc"
+	"godpm/internal/stats"
 	"godpm/internal/sweep"
 	"godpm/internal/workload"
 )
@@ -156,6 +159,100 @@ func TestRecordBodyMatchesJSONOnRealResults(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("config %d: record body is not json.Marshal's (%d vs %d bytes)", i, len(got), len(want))
+		}
+	}
+}
+
+// TestRecordDecodeMatchesJSONOnRealResults decodes the stored record of
+// every job of a plan holding the Table 2 runs (DPM and baseline, seeds 1
+// and 2), the extensions, an arena tournament and every sweep study, run
+// through a caching engine so fork groups serve members from shared
+// sessions. Each Result must equal json.Unmarshal's reading of the same
+// body and carry its digest. So must variants with nil and empty maps and
+// nil and empty ledgers.
+func TestRecordDecodeMatchesJSONOnRealResults(t *testing.T) {
+	var plan engine.Plan
+	for _, seed := range []int64{1, 2} {
+		tun := experiments.DefaultTuning()
+		tun.Seed = seed
+		for _, s := range append(experiments.All(tun), experiments.Extensions(tun)...) {
+			plan.AddPair(fmt.Sprint(s.ID, seed), s.Config, experiments.Baseline(s))
+		}
+	}
+	arena, err := engine.Tournament{Policies: engine.StandardPolicies(), Scenarios: engine.ArenaScenarios(40),
+		Seeds: []workload.Seed{1, 2}}.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Jobs = append(plan.Jobs, arena.Jobs...)
+	for _, name := range sweep.StudyNames() {
+		st, err := sweep.Resolve(name, 1, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.Jobs = append(plan.Jobs, st.Plan().Jobs...)
+	}
+	eng := engine.New(engine.Options{Workers: 2})
+	results, err := eng.Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.Forked == 0 {
+		t.Fatalf("no job was served as a forked member: %+v", st)
+	}
+	check := func(name string, rec *engine.Record) {
+		t.Helper()
+		data, err := rec.Encode(engine.CodecFlate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := engine.DecodeRecord(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dec.Result()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		body, err := dec.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want soc.Result
+		if err := json.Unmarshal(body, &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, &want) {
+			t.Fatalf("%s: decoded Result differs from json.Unmarshal's", name)
+		}
+		if d := engine.ResultDigest(got); d != engine.ResultDigest(&want) || d != rec.Digest() {
+			t.Fatalf("%s: decoded digest %s, json.Unmarshal's %s, stored %s", name, d, engine.ResultDigest(&want), rec.Digest())
+		}
+	}
+	for _, jr := range results {
+		if jr.Err != nil || jr.Record == nil {
+			t.Fatalf("job %s: error %v, record %v", jr.Job.ID, jr.Err, jr.Record)
+		}
+		check(jr.Job.ID, jr.Record)
+	}
+	for i, variant := range []func(r *soc.Result){
+		func(r *soc.Result) { r.Ledger = nil },
+		func(r *soc.Result) { r.Ledger = stats.NewLedger(nil) },
+		func(r *soc.Result) { r.Ledger = stats.NewLedger([]stats.TaskRecord{}) },
+		func(r *soc.Result) { r.EnergyByIP, r.LEMStats = nil, nil },
+		func(r *soc.Result) { r.EnergyByIP, r.LEMStats = map[string]float64{}, map[string]lem.Stats{} },
+		func(r *soc.Result) {
+			r.LEMStats = map[string]lem.Stats{"ip0": {}, "ip1": {OnDecisions: map[string]int{}}}
+		},
+	} {
+		for _, jr := range results[:8] {
+			r := *jr.Result
+			variant(&r)
+			rec, err := engine.NewRecord(jr.Key, &r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s variant %d", jr.Job.ID, i), rec)
 		}
 	}
 }

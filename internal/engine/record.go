@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -132,7 +131,7 @@ func NewRecord(key string, r *soc.Result) (*Record, error) {
 // DecodeRecord parses a binary container. The header is validated
 // (magic, version, lengths) and the body checksum is verified, so a
 // decoded record's bytes are known-intact — but the body is NOT
-// decompressed or unmarshalled here; that happens lazily on the first
+// decompressed or decoded here; that happens lazily on the first
 // JSON()/Result() call. Inflating preallocates the header's raw length, so
 // a flate header claiming more than DEFLATE can expand its body to is
 // refused here, before anything is allocated for it.
@@ -223,9 +222,10 @@ func (r *Record) jsonLocked() ([]byte, error) {
 	}
 }
 
-// Result returns the decoded result, unmarshalling the canonical JSON on
-// first call. Results handed out are shared — treat them as strictly
-// immutable, exactly like Cache.Get's contract.
+// Result returns the decoded result, decoding the canonical JSON on first
+// call (see bodydecode.go: a body laid out any other way is refused).
+// Results handed out are shared — treat them as strictly immutable,
+// exactly like Cache.Get's contract.
 func (r *Record) Result() (*soc.Result, error) {
 	if res := r.res.Load(); res != nil {
 		return res, nil
@@ -234,12 +234,12 @@ func (r *Record) Result() (*soc.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var res soc.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, fmt.Errorf("engine: decode record: %w", err)
+	res, err := decodeResult(raw)
+	if err != nil {
+		return nil, err
 	}
 	// A concurrent decoder may have won; either pointer is the same value.
-	r.res.CompareAndSwap(nil, &res)
+	r.res.CompareAndSwap(nil, res)
 	return r.res.Load(), nil
 }
 
@@ -307,16 +307,49 @@ func (r *Record) Aux() []byte {
 // are interchangeable.
 func (r *Record) SetAux(b []byte) { r.aux.Store(&b) }
 
-// flate writer/reader pools: a flate.Writer is ~700 KiB of window state,
-// far too heavy to allocate per Put.
+// freeList keeps up to cap(c) idle values for reuse, building a new one
+// when it is empty and dropping a returned one when it is full. Unlike a
+// sync.Pool it keeps its values across GC cycles: a quiet server, whose
+// GC runs between puts, still reuses them.
+type freeList[T any] struct {
+	c     chan T
+	build func() T
+}
+
+// newFreeList keeps up to four values: enough for the workers that
+// compress or inflate at once on a small host, while four idle flate
+// writers hold under 3 MiB. A busier moment builds extra values and drops
+// them afterwards.
+func newFreeList[T any](build func() T) *freeList[T] {
+	return &freeList[T]{c: make(chan T, 4), build: build}
+}
+
+func (l *freeList[T]) get() T {
+	select {
+	case v := <-l.c:
+		return v
+	default:
+		return l.build()
+	}
+}
+
+func (l *freeList[T]) put(v T) {
+	select {
+	case l.c <- v:
+	default:
+	}
+}
+
+// Flate writers and readers are reused: a flate.Writer is ~700 KiB of
+// window state, far too heavy to allocate per Put.
 var (
-	flateWriters = sync.Pool{New: func() any {
+	flateWriters = newFreeList(func() *flate.Writer {
 		w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
 		return w
-	}}
-	flateReaders = sync.Pool{New: func() any {
+	})
+	flateReaders = newFreeList(func() io.ReadCloser {
 		return flate.NewReader(bytes.NewReader(nil))
-	}}
+	})
 )
 
 // deflate compresses raw with DEFLATE at BestSpeed — result JSON is
@@ -325,25 +358,23 @@ var (
 func deflate(raw []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(len(raw)/4 + 64)
-	w := flateWriters.Get().(*flate.Writer)
+	w := flateWriters.get()
+	defer flateWriters.put(w)
 	w.Reset(&buf)
 	if _, err := w.Write(raw); err != nil {
-		flateWriters.Put(w)
 		return nil, err
 	}
 	if err := w.Close(); err != nil {
-		flateWriters.Put(w)
 		return nil, err
 	}
-	flateWriters.Put(w)
 	return buf.Bytes(), nil
 }
 
 // inflate decompresses a DEFLATE body, requiring the exact raw length the
 // header promised — a short or long stream is corruption.
 func inflate(body []byte, rawLen int) ([]byte, error) {
-	fr := flateReaders.Get().(io.ReadCloser)
-	defer flateReaders.Put(fr)
+	fr := flateReaders.get()
+	defer flateReaders.put(fr)
 	if err := fr.(flate.Resetter).Reset(bytes.NewReader(body), nil); err != nil {
 		return nil, err
 	}

@@ -2,7 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"godpm/internal/sim"
@@ -268,4 +275,69 @@ func TestRecordFlateShrinksLedgerHeavyResults(t *testing.T) {
 	if ratio := float64(rec.rawLen) / float64(len(flated)); ratio < 2 {
 		t.Fatalf("flate ratio %.2fx on a ledger-heavy result, want ≥ 2x", ratio)
 	}
+}
+
+// TestFlateCodersSurviveGC compresses and inflates a body, lets two GC
+// cycles pass — which empty a sync.Pool — and does both again: the writer
+// and reader must come from their free lists, not be built anew, and the
+// compressed bytes must be those of a fresh writer, also when several
+// goroutines share the lists.
+func TestFlateCodersSurviveGC(t *testing.T) {
+	raw, err := testRecord(t).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fresh bytes.Buffer
+	w, err := flate.NewWriter(&fresh, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil || w.Close() != nil {
+		t.Fatal("fresh flate writer failed")
+	}
+	roundTrip := func() error {
+		body, err := deflate(raw)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(body, fresh.Bytes()) {
+			return errors.New("a reused flate writer wrote other bytes than a fresh one")
+		}
+		if back, err := inflate(body, len(raw)); err != nil || !bytes.Equal(back, raw) {
+			return fmt.Errorf("inflate: %v", err)
+		}
+		return nil
+	}
+	if err := roundTrip(); err != nil { // fills the free lists
+		t.Fatal(err)
+	}
+
+	var built atomic.Int64
+	buildWriter, buildReader := flateWriters.build, flateReaders.build
+	flateWriters.build = func() *flate.Writer { built.Add(1); return buildWriter() }
+	flateReaders.build = func() io.ReadCloser { built.Add(1); return buildReader() }
+	defer func() { flateWriters.build, flateReaders.build = buildWriter, buildReader }()
+	runtime.GC()
+	runtime.GC()
+	if err := roundTrip(); err != nil {
+		t.Fatal(err)
+	}
+	if n := built.Load(); n != 0 {
+		t.Fatalf("%d flate coders built after GC, want 0", n)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				if err := roundTrip(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

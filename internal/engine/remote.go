@@ -370,7 +370,7 @@ func (c *Remote) Get(key string) (*Record, bool) {
 	}
 	if decErr == nil {
 		// Decode eagerly: a record must prove its body inflates and
-		// unmarshals before it may cross into the local tiers.
+		// decodes before it may cross into the local tiers.
 		_, decErr = rec.Result()
 	}
 	if decErr != nil {

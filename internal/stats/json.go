@@ -4,9 +4,10 @@ import "encoding/json"
 
 // MarshalJSON serialises the ledger as its record array, so results that
 // embed a Ledger (soc.Result) survive a JSON round trip. The engine's
-// cache records do not call it: their body appenders write the same
-// bytes, and encoding/json through this method is the reference their
-// tests compare against. It serves every other JSON user of a Result.
+// cache records call neither method: their body appenders write the same
+// bytes and their body decoder reads them back, and encoding/json through
+// these methods is the reference their tests compare against. They serve
+// every other JSON user of a Result.
 func (l Ledger) MarshalJSON() ([]byte, error) {
 	if l.records == nil {
 		return []byte("[]"), nil

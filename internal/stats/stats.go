@@ -181,6 +181,10 @@ type Ledger struct {
 	records []TaskRecord
 }
 
+// NewLedger returns a ledger of records, taking the slice over: the
+// caller must not touch it afterwards.
+func NewLedger(records []TaskRecord) *Ledger { return &Ledger{records: records} }
+
 // Add appends a record.
 func (l *Ledger) Add(r TaskRecord) { l.records = append(l.records, r) }
 
