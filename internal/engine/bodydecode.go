@@ -10,18 +10,16 @@ package engine
 // json.Marshal in builds before them, whose bytes are the same. JSON that
 // encoding/json would read but that is laid out any other way is refused
 // as a corrupt record, not decoded on a slower path. Within the layout,
-// numbers and strings are read as encoding/json reads them: floats through
-// strconv.ParseFloat, integers with its range checks, strings with every
-// escape it knows and invalid UTF-8 replaced by U+FFFD. So whatever this
-// decoder accepts, json.Unmarshal accepts into an equal Result;
-// bodydecode_test.go keeps json.Unmarshal as the reference.
+// numbers are read as encoding/json reads them: floats through
+// strconv.ParseFloat, integers with its range checks. Strings take only
+// the escapes str writes. So whatever this decoder accepts, json.Unmarshal
+// accepts into an equal Result; bodydecode_test.go keeps json.Unmarshal
+// as the reference.
 
 import (
 	"bytes"
 	"fmt"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
 	"unicode/utf8"
 
 	"godpm/internal/battery"
@@ -248,15 +246,6 @@ func (d *bodyReader) uint64() uint64 {
 	return n
 }
 
-// plainByte marks the bytes a string holds as themselves: printable ASCII
-// other than the quote and the backslash.
-var plainByte = func() (plain [256]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		plain[c] = c != '"' && c != '\\'
-	}
-	return plain
-}()
-
 // str reads a string. One of plain ASCII, the common case, is interned.
 func (d *bodyReader) str() string {
 	if !d.next('"') {
@@ -264,7 +253,7 @@ func (d *bodyReader) str() string {
 		return ""
 	}
 	start := d.i
-	for d.i < len(d.b) && plainByte[d.b[d.i]] {
+	for d.i < len(d.b) && d.b[d.i] < utf8.RuneSelf && jsonSafe[d.b[d.i]] {
 		d.i++
 	}
 	if d.i < len(d.b) && d.b[d.i] == '"' {
@@ -291,12 +280,32 @@ func (d *bodyReader) intern(b []byte) string {
 	return s
 }
 
+// unescapes maps each escape str writes to the rune it stands for. str
+// itself spells them, so the map holds those escapes and no others.
+var unescapes = func() map[string]rune {
+	m := make(map[string]rune)
+	add := func(s string, r rune) {
+		var w bodyWriter
+		w.str(s)
+		m[string(w.b[1:len(w.b)-1])] = r
+	}
+	for c := rune(0); c < utf8.RuneSelf; c++ {
+		if !jsonSafe[c] {
+			add(string(c), c)
+		}
+	}
+	add("\u2028", '\u2028')
+	add("\u2029", '\u2029')
+	add("\xff", utf8.RuneError)
+	return m
+}()
+
 // strSlow finishes a string that started at start, the first byte after
 // its quote, and holds an escape or a byte outside printable ASCII at
-// d.i. It decodes as encoding/json does: the escapes \" \\ \/ \b \f \n
-// \r \t and \uXXXX, a UTF-16 surrogate pair as one rune and any other
-// surrogate as U+FFFD, and each byte of invalid UTF-8 as U+FFFD. A control
-// byte or any other escape is an error.
+// d.i. It reads only what str writes: its escapes, in unescapes, and
+// valid UTF-8 other than U+2028 and U+2029, which str escapes. Any other
+// spelling, a control byte, an unescaped < > & or invalid UTF-8 is
+// refused.
 func (d *bodyReader) strSlow(start int) string {
 	out := make([]byte, d.i-start, d.i-start+16)
 	copy(out, d.b[start:d.i])
@@ -306,85 +315,36 @@ func (d *bodyReader) strSlow(start int) string {
 			d.i++
 			return string(out)
 		case c == '\\':
-			if d.i+1 == len(d.b) {
-				d.fail("unterminated escape")
+			n := 2
+			if d.i+1 < len(d.b) && d.b[d.i+1] == 'u' {
+				n = 6
+			}
+			r, ok := unescapes[string(d.b[d.i:min(d.i+n, len(d.b))])]
+			if !ok {
+				d.fail("non-canonical escape")
 				return ""
 			}
-			switch e := d.b[d.i+1]; e {
-			case '"', '\\', '/':
-				out = append(out, e)
-			case 'b':
-				out = append(out, '\b')
-			case 'f':
-				out = append(out, '\f')
-			case 'n':
-				out = append(out, '\n')
-			case 'r':
-				out = append(out, '\r')
-			case 't':
-				out = append(out, '\t')
-			case 'u':
-				r := hex4(d.b[d.i:])
-				if r < 0 {
-					d.fail("bad \\u escape")
-					return ""
-				}
-				d.i += 6
-				if utf16.IsSurrogate(r) {
-					if pair := utf16.DecodeRune(r, hex4(d.b[d.i:])); pair != unicode.ReplacementChar {
-						out = utf8.AppendRune(out, pair)
-						d.i += 6
-						continue
-					}
-					r = unicode.ReplacementChar
-				}
-				out = utf8.AppendRune(out, r)
-				continue
-			default:
-				d.fail("bad escape")
-				return ""
-			}
-			d.i += 2
-		case c < ' ':
-			d.fail("control byte in string")
-			return ""
+			out = utf8.AppendRune(out, r)
+			d.i += n
 		case c < utf8.RuneSelf:
+			if !jsonSafe[c] {
+				d.fail("unescaped byte in string")
+				return ""
+			}
 			out = append(out, c)
 			d.i++
 		default:
 			r, size := utf8.DecodeRune(d.b[d.i:])
-			if r == utf8.RuneError && size == 1 {
-				out = utf8.AppendRune(out, utf8.RuneError)
-			} else {
-				out = append(out, d.b[d.i:d.i+size]...)
+			if r == utf8.RuneError && size == 1 || r == '\u2028' || r == '\u2029' {
+				d.fail("non-canonical text in string")
+				return ""
 			}
+			out = append(out, d.b[d.i:d.i+size]...)
 			d.i += size
 		}
 	}
 	d.fail("unterminated string")
 	return ""
-}
-
-// hex4 returns the code unit of the \uXXXX escape b starts with, or -1.
-func hex4(b []byte) rune {
-	if len(b) < 6 || b[0] != '\\' || b[1] != 'u' {
-		return -1
-	}
-	var r rune
-	for _, c := range b[2:6] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
 }
 
 // readObject reads an object whose keys increase strictly, reading each

@@ -118,9 +118,9 @@ const canonicalBody = `{"EnergyJ":1.5,"EnergyByIP":{"ip0":2,"ip1":3},"BusEnergyJ
 	`"GEMEvaluations":0,"FanSwitches":0,"BusOccupancy":0}`
 
 // TestDecodeBodyRefusesNonCanonical edits the canonical body into JSON
-// laid out as the appenders never write it (most of which encoding/json
-// still reads) or into bytes that are not JSON, and requires the decoder
-// to refuse each edit.
+// laid out or spelled as the appenders never write it (most of which
+// encoding/json still reads) or into bytes that are not JSON, and
+// requires the decoder to refuse each edit.
 func TestDecodeBodyRefusesNonCanonical(t *testing.T) {
 	if !checkDecodeAgrees(t, "canonical", []byte(canonicalBody)) {
 		t.Fatal("decoder refused the canonical body")
@@ -155,6 +155,18 @@ func TestDecodeBodyRefusesNonCanonical(t *testing.T) {
 		{"control byte in string", `"StopReason":""`, "\"StopReason\":\"a\x01\""},
 		{"unknown escape", `"StopReason":""`, `"StopReason":"\x41"`},
 		{"short unicode escape", `"StopReason":""`, `"StopReason":"\u004"`},
+		{"escaped solidus", `"StopReason":""`, `"StopReason":"\/"`},
+		{"escaped letter", `"StopReason":""`, `"StopReason":"\u0041"`},
+		{"escaped non-ASCII", `"StopReason":""`, `"StopReason":"\u00e9"`},
+		{"long escape for a short one", `"StopReason":""`, `"StopReason":"\u000a"`},
+		{"upper-case hex escape", `"StopReason":""`, `"StopReason":"\u003C"`},
+		{"surrogate pair", `"StopReason":""`, `"StopReason":"\ud83d\ude00"`},
+		{"lone surrogate", `"StopReason":""`, `"StopReason":"\ud83d"`},
+		{"raw invalid UTF-8", `"StopReason":""`, "\"StopReason\":\"a\xffb\""},
+		{"raw HTML byte", `"StopReason":""`, `"StopReason":"<"`},
+		{"raw line separator", `"StopReason":""`, "\"StopReason\":\"\u2028\""},
+		{"key with non-canonical escape", `{"on":3}`, `{"o\u006e":3}`},
+		{"key with raw invalid UTF-8", `{"on":3}`, "{\"o\xfe\":3}"},
 	} {
 		body := strings.Replace(canonicalBody, tc.old, tc.new, 1)
 		if body == canonicalBody {
@@ -162,28 +174,6 @@ func TestDecodeBodyRefusesNonCanonical(t *testing.T) {
 		}
 		if checkDecodeAgrees(t, tc.name, []byte(body)) {
 			t.Errorf("%s: decoder accepted %q", tc.name, body)
-		}
-	}
-}
-
-// TestDecodeBodyStringEscapes feeds strings spelled in every way
-// encoding/json reads them — escapes the appenders never write, surrogate
-// pairs, lone surrogates, raw invalid UTF-8 — and requires its result.
-func TestDecodeBodyStringEscapes(t *testing.T) {
-	for _, s := range []string{
-		`plain`, `\/\b\f\n\r\t\"\\`, `\u0041\u00e9\u2028`, `\ud83d\ude00`, `\uD83D\uDE00`,
-		`\ud83d`, `\ud83dx`, `\ude00\ud83d`, `\ud83dA`, "raw \xff\xfe \xed\xa0\x80 \xef\xbf\xbd \u00e9 <&>",
-		"\u2028\u2029",
-	} {
-		body := strings.Replace(canonicalBody, `"StopReason":""`, `"StopReason":"`+s+`"`, 1)
-		if !checkDecodeAgrees(t, s, []byte(body)) {
-			_, err := decodeResult([]byte(body))
-			t.Errorf("%q: decoder refused: %v", s, err)
-		}
-		body = strings.Replace(canonicalBody, `{"on":3}`, `{"`+s+`":3}`, 1)
-		if !checkDecodeAgrees(t, s, []byte(body)) {
-			_, err := decodeResult([]byte(body))
-			t.Errorf("%q as a key: decoder refused: %v", s, err)
 		}
 	}
 }
@@ -233,7 +223,7 @@ func TestDecodeBodyLedgerSizing(t *testing.T) {
 func FuzzDecodeBody(f *testing.F) {
 	f.Add([]byte(canonicalBody))
 	f.Add([]byte(strings.Replace(canonicalBody, `"Ledger":[{"IP":"ip0","TaskID":1,"Request":5,"Start":6,"Done":9,"State":"on"}]`, `"Ledger":[]`, 1)))
-	f.Add([]byte(strings.Replace(canonicalBody, `"StopReason":""`, `"StopReason":"😀 <<�"`, 1)))
+	f.Add([]byte(strings.Replace(canonicalBody, `"StopReason":""`, `"StopReason":"😀\u2028\u003c\n�\ufffd"`, 1)))
 	f.Add([]byte(`{"EnergyJ":1e-7,"Ledger":null,"LEMStats":{}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecodeAgrees(t, "fuzzed body", data)

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -307,21 +308,21 @@ func (r *Record) Aux() []byte {
 // are interchangeable.
 func (r *Record) SetAux(b []byte) { r.aux.Store(&b) }
 
-// freeList keeps up to cap(c) idle values for reuse, building a new one
-// when it is empty and dropping a returned one when it is full. Unlike a
-// sync.Pool it keeps its values across GC cycles: a quiet server, whose
-// GC runs between puts, still reuses them.
+// freeList reuses values across GC cycles: it keeps up to cap(c) idle
+// values, which a quiet server, whose GC runs between puts, still finds.
+// A value returned when c is full goes to pool, which keeps it per P
+// until the next GC, as a plain sync.Pool would; a get that finds
+// neither builds a new one.
 type freeList[T any] struct {
 	c     chan T
+	pool  sync.Pool
 	build func() T
 }
 
-// newFreeList keeps up to four values: enough for the workers that
-// compress or inflate at once on a small host, while four idle flate
-// writers hold under 3 MiB. A busier moment builds extra values and drops
-// them afterwards.
+// newFreeList keeps GOMAXPROCS values across GC, one for each of the
+// engine's default workers (NumCPU) coding at once.
 func newFreeList[T any](build func() T) *freeList[T] {
-	return &freeList[T]{c: make(chan T, 4), build: build}
+	return &freeList[T]{c: make(chan T, runtime.GOMAXPROCS(0)), build: build}
 }
 
 func (l *freeList[T]) get() T {
@@ -329,14 +330,18 @@ func (l *freeList[T]) get() T {
 	case v := <-l.c:
 		return v
 	default:
-		return l.build()
 	}
+	if v, ok := l.pool.Get().(T); ok {
+		return v
+	}
+	return l.build()
 }
 
 func (l *freeList[T]) put(v T) {
 	select {
 	case l.c <- v:
 	default:
+		l.pool.Put(v)
 	}
 }
 

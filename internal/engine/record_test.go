@@ -281,7 +281,7 @@ func TestRecordFlateShrinksLedgerHeavyResults(t *testing.T) {
 // cycles pass — which empty a sync.Pool — and does both again: the writer
 // and reader must come from their free lists, not be built anew, and the
 // compressed bytes must be those of a fresh writer, also when several
-// goroutines share the lists.
+// goroutines share the lists. The writers' list keeps GOMAXPROCS of them.
 func TestFlateCodersSurviveGC(t *testing.T) {
 	raw, err := testRecord(t).JSON()
 	if err != nil {
@@ -340,4 +340,30 @@ func TestFlateCodersSurviveGC(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+
+	// GOMAXPROCS writers in use at once, and two more: after GC the list
+	// still holds the GOMAXPROCS it keeps.
+	n := cap(flateWriters.c)
+	if n != runtime.GOMAXPROCS(0) {
+		t.Fatalf("free list keeps %d writers, want GOMAXPROCS = %d", n, runtime.GOMAXPROCS(0))
+	}
+	held := make([]*flate.Writer, n+2)
+	for i := range held {
+		held[i] = flateWriters.get()
+	}
+	for _, w := range held {
+		flateWriters.put(w)
+	}
+	runtime.GC()
+	runtime.GC()
+	built.Store(0)
+	for i := range held[:n] {
+		held[i] = flateWriters.get()
+	}
+	if b := built.Load(); b != 0 {
+		t.Fatalf("%d of %d flate writers built after GC, want 0", b, n)
+	}
+	for _, w := range held[:n] {
+		flateWriters.put(w)
+	}
 }
