@@ -115,3 +115,15 @@ func StoreTiers(s *Store) []TierStats {
 	tiers, _, _, _ := s.snapshot()
 	return tiers
 }
+
+// HoldRunForked calls hold with each fork group's context and members
+// before the group's shared session starts, until the returned restore
+// func is called.
+func HoldRunForked(hold func(ctx context.Context, members []soc.ForkMember)) (restore func()) {
+	orig := runForked
+	runForked = func(n soc.NormalConfig, ctx context.Context, members []soc.ForkMember) ([]*soc.Result, error) {
+		hold(ctx, members)
+		return orig(n, ctx, members)
+	}
+	return func() { runForked = orig }
+}
