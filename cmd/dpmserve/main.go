@@ -240,14 +240,17 @@ func (s *server) tourStart(total int) (progress func(done, total int, leader str
 
 func newServer(o serverOptions) (*server, error) {
 	var memory godpm.Cache = godpm.NewLRUCache(godpm.LRUOptions{MaxEntries: o.CacheEntries, MaxBytes: o.CacheBytes})
+	disk := godpm.DiskCacheOptions{MaxBytes: o.DiskBytes}
 	// The chaos seams: faults injected into the memory tier (misses and
-	// put errors) and inside the remote transport (latency, flapping,
-	// corrupt and truncated bodies). The engine must shrug all of it off.
+	// put errors), the disk tier's filesystem (failed and torn writes)
+	// and inside the remote transport (latency, flapping, corrupt and
+	// truncated bodies). The engine must shrug all of it off.
 	var plan godpm.ChaosPlan
 	if o.ChaosSeed != 0 {
 		plan = godpm.DefaultChaosPlan(godpm.NewSeed(o.ChaosSeed))
 		memory = plan.WrapCache(memory)
-		log.Printf("chaos: injecting fault schedule %s (seed %d) into cache and transport", plan.Hash()[:12], o.ChaosSeed)
+		disk.FS = plan.WrapFS(godpm.OSCacheFS)
+		log.Printf("chaos: injecting fault schedule %s (seed %d) into cache, filesystem and transport", plan.Hash()[:12], o.ChaosSeed)
 	}
 	// A remote store layers behind the local tiers: read-through with
 	// promotion, write-behind PUTs, and fail-open degradation — a dead
@@ -263,7 +266,7 @@ func newServer(o serverOptions) (*server, error) {
 			remote.WrapTransport = plan.WrapTransport
 		}
 	}
-	cache, err := godpm.NewTieredCache(memory, o.CacheDir, godpm.DiskCacheOptions{MaxBytes: o.DiskBytes}, remote)
+	cache, err := godpm.NewTieredCache(memory, o.CacheDir, disk, remote)
 	if err != nil {
 		return nil, err
 	}

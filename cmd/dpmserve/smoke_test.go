@@ -436,15 +436,16 @@ func TestObservabilitySmoke(t *testing.T) {
 }
 
 // TestChaosSmoke runs a replica and its store under seeded faults on
-// every seam (store filesystem, replica memory tier, transport): no
-// request may fail and no response may contradict another for its key.
-// A second replica then reads the faulted store's results, so a remote
-// hit that disagreed with the first replica's result would show up as a
-// poisoned response.
+// every seam (store filesystem, replica memory tier, replica disk tier
+// filesystem, transport): no request may fail and no response may
+// contradict another for its key. A second replica then reads the
+// faulted store's results, so a remote hit that disagreed with the first
+// replica's result would show up as a poisoned response. A torn write in
+// the replica's disk tier must leave no temp file once it has drained.
 func TestChaosSmoke(t *testing.T) {
-	dpmserve := bin(t, "dpmserve")
+	dpmserve, cacheDir := bin(t, "dpmserve"), t.TempDir()
 	store := startFleetProc(t, bin(t, "dpmremote"), "-addr", "127.0.0.1:0", "-store", t.TempDir(), "-chaos-seed", "42", "-drain-grace", "0")
-	replica := startFleetProc(t, dpmserve, "-addr", "127.0.0.1:0", "-remote-url", store.url, "-chaos-seed", "7", "-drain-grace", "0")
+	replica := startFleetProc(t, dpmserve, "-addr", "127.0.0.1:0", "-remote-url", store.url, "-cache", cacheDir, "-chaos-seed", "7", "-drain-grace", "0")
 	requireServed(t, dpmload(t, "-targets", replica.url, "-requests", "120", "-distinct", "6", "-concurrency", "8", "-tasks", "12"), 120, 0.5)
 
 	poll(t, "the store's first result", func() bool {
@@ -458,6 +459,9 @@ func TestChaosSmoke(t *testing.T) {
 		t.Errorf("the second replica got %d remote hits, want ≥ 1", hits)
 	}
 	requireDrain(t, replica, second, store)
+	if left, _ := filepath.Glob(filepath.Join(cacheDir, "*.tmp*")); len(left) > 0 {
+		t.Errorf("temps left in the faulted replica's cache after it drained: %v", left)
+	}
 }
 
 // TestCrashRecoverySmoke SIGKILLs the store in the middle of a PUT storm

@@ -190,8 +190,8 @@ type (
 	Job = engine.Job
 	// JobResult is one job's outcome (result, cache hit, error).
 	JobResult = engine.JobResult
-	// Cache is one tier of a TieredCache: memory (LRUCache), files or
-	// the shared remote store. Records
+	// Cache is one local tier of a TieredCache: memory (LRUCache) or
+	// files; the shared remote store's client sits behind them. Records
 	// handed out by Cache.Get are shared across jobs, engines and — under
 	// dpmserve — HTTP requests: treat them as strictly immutable.
 	Cache = engine.Cache

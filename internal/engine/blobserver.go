@@ -196,7 +196,9 @@ func (s *BlobServer) handlePut(w http.ResponseWriter, r *http.Request, key strin
 		http.Error(w, "body does not match claimed digest", http.StatusUnprocessableEntity)
 		return
 	}
-	if err := s.store.Put(key, rec); err != nil {
+	// Only the container is served again: keep it, not the inflated body
+	// and decoded result its verification built.
+	if err := s.store.Put(key, rec.containerOnly()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

@@ -16,6 +16,12 @@
 // seed-replication fan-outs — therefore cost one simulation per distinct
 // configuration, ever, when a disk cache is shared between runs.
 //
+// A solo job and a fork group (jobs that differ only in Horizon, see
+// fork.go) take one path: each member is claimed (a probe of the
+// local tiers, the flight join, the leader's probe of every tier), the
+// members the unit leads simulate once, and the rest are served from the
+// flights they found.
+//
 // Each job is normalized once: its key is derived from the normalized
 // config (soc.NormalConfig), and a miss simulates that same config. Within
 // one Run, each distinct workload generator spec is generated once and
@@ -175,13 +181,29 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// simulate runs a job's normalized config, recording its wall-clock cost
-// in the run-latency sketch.
-func (e *Engine) simulate(ctx context.Context, norm soc.NormalConfig, opts soc.RunOptions) (*soc.Result, error) {
+// simulate runs the leaders' normalized configs, recording the wall-clock
+// cost in the run-latency sketch. One leader runs alone with its job's
+// options; two or more share one soc.RunForked session (see fork.go),
+// each member run to its own normalized horizon: a zero Horizon would
+// select the session's, which is the first member's. On success the
+// results are index-aligned with leaders.
+func (e *Engine) simulate(ctx context.Context, jobs []Job, keys []jobKeys, leaders []int) ([]*soc.Result, error) {
 	t0 := time.Now()
-	r, err := norm.Run(ctx, opts)
+	var rs []*soc.Result
+	var err error
+	if len(leaders) == 1 {
+		var r *soc.Result
+		r, err = keys[leaders[0]].norm.Run(ctx, jobs[leaders[0]].Options)
+		rs = []*soc.Result{r}
+	} else {
+		members := make([]soc.ForkMember, len(leaders))
+		for j, i := range leaders {
+			members[j] = soc.ForkMember{Horizon: keys[i].norm.Config().Horizon, StopWhen: jobs[i].Options.StopWhen}
+		}
+		rs, err = runForked(keys[leaders[0]].norm, ctx, members)
+	}
 	e.runLat.RecordDuration(time.Since(t0))
-	return r, err
+	return rs, err
 }
 
 // ErrInternal marks the error of a job that panicked, or of one that
@@ -256,20 +278,13 @@ func (e *Engine) RunObserved(ctx context.Context, plan Plan, onResult func(i int
 				unit := units[u]
 				if e.onStart != nil {
 					e.cbMu.Lock()
-					for _, i := range unit.indices {
+					for _, i := range unit {
 						e.onStart(i, plan.Jobs[i])
 					}
 					e.cbMu.Unlock()
 				}
-				if len(unit.indices) == 1 {
-					i := unit.indices[0]
-					jr := e.runJob(ctx, plan.Jobs[i], keys[i], false, gen)
-					results[i] = jr
-					notify(i, jr)
-					continue
-				}
-				e.runGroup(ctx, plan.Jobs, keys, unit.indices, results, gen)
-				for _, i := range unit.indices {
+				e.runUnit(ctx, plan.Jobs, keys, unit, false, results, gen)
+				for _, i := range unit {
 					notify(i, results[i])
 				}
 			}
@@ -283,7 +298,7 @@ feed:
 			// Mark everything not yet handed to a worker as abandoned.
 			// Abandonment is cancellation, not failure.
 			for j := u; j < len(units); j++ {
-				for _, i := range units[j].indices {
+				for _, i := range units[j] {
 					results[i] = JobResult{Job: plan.Jobs[i], Err: ctx.Err()}
 					e.canceled.Add(1)
 				}
@@ -340,146 +355,183 @@ func (e *Engine) warms(plan Plan) bool {
 	return len(plan.Jobs) >= 2 && e.cache != nil && e.cache.remote != nil
 }
 
-// runJob executes one job: key derivation (unless planUnits already did
-// it; workloads are generated with gen), cache probe, singleflight join,
-// simulate the normalized config the key was derived from, store.
-// Concurrent jobs with the same key collapse to one simulation — the
-// waiters are served the winner's result as cache hits, so a stampede of
-// identical jobs costs one run and never double-counts Misses. probed
-// says the caller's Lookup has just missed this job's key, so the first
-// pre-flight probe is skipped and the local tiers count one miss, as on
-// Run.
+// runUnit runs one work unit, a solo job or a fork group, and writes
+// each member's result at its plan position in out. Keys planUnits left
+// zero are derived here, their workloads generated with gen. probed says
+// a Lookup of the unit's one job has just missed, so its local probe is
+// skipped and the local tiers count one miss, as on Run.
 //
-// A panic anywhere in the job — normalizing or keying its config, the
-// run, the record — is contained in the job's result as an error wrapping
-// ErrInternal, and a flight the job leads is finished with it, so the
-// job's waiters get the error too instead of waiting forever.
-func (e *Engine) runJob(ctx context.Context, job Job, keys jobKeys, probed bool, gen soc.Materializer) (jr JobResult) {
-	var led *flight // the flight this job leads, until it finishes it
+// It claims every member without blocking, simulates the members it
+// leads once, then serves the rest:
+//   - A claim ends in a result (canceled, a key error, a local hit, a hit
+//     of the leader's full probe, which includes the remote tier) or in a
+//     flight. The pre-flight probe skips the remote tier, so a stampede of
+//     identical jobs costs one network round trip, the leader's, not one
+//     per job. An undecodable record is a miss: the leader re-simulates
+//     and overwrites the slot. Uncacheable jobs (a NoCache engine, or
+//     volatile stop conditions) lead without a flight and skip dedup:
+//     NoCache benchmarks want cold runs, and volatile jobs are not
+//     interchangeable. Observers never block caching (an observed run's
+//     Result is bit-identical to a bare run), though a cache-served job
+//     does not simulate and its observers see nothing.
+//   - Each cached leader's record is built (the one marshal its result
+//     pays) and Put before its flight finishes: retired flights send
+//     latecomers to the cache, so it must already hold the result. A
+//     cache-write failure degrades caching, not correctness.
+//   - A solo job that found another job's flight waits on it and is
+//     served the result as a deduplicated hit; when the leader's context,
+//     not the work, ended the flight while its own context lives, it
+//     claims again. A group member that found another flight claims again
+//     on its own after the group's session.
+//
+// A panic anywhere in the unit (keying, the run, the record) is
+// contained: every member left with neither a result nor an error gets
+// an error wrapping ErrInternal that names it, and every flight the unit
+// still leads is finished with that error, so its waiters get it too
+// instead of waiting forever.
+func (e *Engine) runUnit(ctx context.Context, jobs []Job, keys []jobKeys, unit []int, probed bool, out []JobResult, gen soc.Materializer) {
+	var (
+		leaders []int     // plan positions this unit simulates
+		led     []*flight // their flights; nil when uncacheable or finished
+		wait    *flight   // the flight a solo job waits on
+		again   []int     // members that claim again on their own
+	)
 	defer func() {
-		if p := recover(); p != nil {
-			err := fmt.Errorf("%w: job %s panicked: %v", ErrInternal, job.ID, p)
-			if led != nil {
-				e.flights.finish(keys.key, led, nil, nil, err)
+		p := recover()
+		if p == nil {
+			return
+		}
+		for _, i := range unit {
+			if out[i].Result == nil && out[i].Err == nil {
+				e.errs.Add(1)
+				err := fmt.Errorf("%w: job %s panicked: %v", ErrInternal, jobs[i].ID, p)
+				out[i] = JobResult{Job: jobs[i], Key: keys[i].key, Err: err}
 			}
-			e.errs.Add(1)
-			jr = JobResult{Job: job, Key: keys.key, Err: err}
+		}
+		for j, f := range led {
+			if f != nil {
+				e.flights.finish(keys[leaders[j]].key, f, nil, nil, out[leaders[j]].Err)
+			}
 		}
 	}()
-	if err := ctx.Err(); err != nil {
-		e.canceled.Add(1)
-		return JobResult{Job: job, Err: err}
-	}
-	if !keys.done {
-		keys = keysOf(job, false, gen)
-	}
-	jr = JobResult{Job: job, Key: keys.key}
-	if keys.err != nil {
-		e.errs.Add(1)
-		jr.Err = keys.err
-		return jr
-	}
-	// Observers are pure instrumentation (an observed run's Result is
-	// bit-identical to a bare run), so they never block caching — though a
-	// cache-served job does not simulate and its observers see nothing.
-	// Stop conditions are part of the key; only Volatile (host-timing)
-	// conditions make a job uncacheable. Uncacheable jobs also skip
-	// dedup: NoCache benchmarks want cold runs, and volatile jobs are
-	// not interchangeable.
-	if e.cache == nil || job.Options.Volatile() {
-		e.runs.Add(1)
-		jr.Result, jr.Err = e.simulate(ctx, keys.norm, job.Options)
-		if jr.Err != nil {
-			e.countFailure(jr.Err)
+	for _, i := range unit {
+		job := jobs[i]
+		if err := ctx.Err(); err != nil {
+			e.canceled.Add(1)
+			out[i] = JobResult{Job: job, Err: err}
+			continue
 		}
-		return jr
-	}
-	for {
-		// The pre-flight probe skips expensive remote tiers when the cache
-		// distinguishes them: a stampede of identical jobs then costs one
-		// network round-trip (the flight leader's full probe below), not
-		// one per job. A record that fails to decode — corrupt bytes that
-		// survived the container checksum — is NOT a hit: fall through to
-		// the flight, whose leader re-simulates and overwrites the entry.
+		if !keys[i].done {
+			keys[i] = keysOf(job, false, gen)
+		}
+		key := keys[i].key
+		out[i] = JobResult{Job: job, Key: key, Err: keys[i].err}
+		if out[i].Err != nil {
+			e.errs.Add(1)
+			continue
+		}
+		if e.cache == nil || job.Options.Volatile() {
+			leaders, led = append(leaders, i), append(led, nil)
+			continue
+		}
 		if !probed {
-			if hit, ok := e.Lookup(jr.Key); ok {
+			if hit, ok := e.Lookup(key); ok {
 				hit.Job = job
-				return hit
+				out[i] = hit
+				continue
 			}
 		}
-		probed = false
-		f, leader := e.flights.join(jr.Key)
+		f, leader := e.flights.join(key)
 		if !leader {
-			select {
-			case <-f.done:
-				if f.err != nil {
-					if isCancellation(f.err) && ctx.Err() == nil {
-						// The winner's context died, not the work — retake
-						// the flight (or hit the cache, if a sibling won).
-						continue
+			if len(unit) == 1 {
+				wait = f
+			} else {
+				again = append(again, i)
+			}
+			continue
+		}
+		// A sibling may have filled the cache between the miss and the
+		// join: probe every tier before paying for a simulation.
+		if rec, ok := e.cache.Get(key); ok {
+			if r, err := rec.Result(); err == nil {
+				e.flights.finish(key, f, r, rec, nil)
+				e.hits.Add(1)
+				out[i].Result, out[i].Record, out[i].CacheHit = r, rec, true
+				continue
+			}
+		}
+		leaders, led = append(leaders, i), append(led, f)
+	}
+
+	if len(leaders) > 0 {
+		for _, f := range led {
+			if f != nil {
+				e.misses.Add(1)
+			}
+		}
+		e.runs.Add(1)
+		rs, err := e.simulate(ctx, jobs, keys, leaders)
+		if err == nil {
+			e.forked.Add(int64(len(leaders) - 1))
+		}
+		for j, i := range leaders {
+			var r *soc.Result
+			var rec *Record
+			if err == nil {
+				r = rs[j]
+				if led[j] != nil {
+					if rec, _ = NewRecord(keys[i].key, r); rec != nil {
+						_ = e.cache.Put(keys[i].key, rec)
 					}
-					e.countFailure(f.err)
-					jr.Err = f.err
-					return jr
 				}
+			} else {
+				e.countFailure(err)
+			}
+			if led[j] != nil {
+				e.flights.finish(keys[i].key, led[j], r, rec, err)
+				led[j] = nil
+			}
+			out[i].Result, out[i].Record, out[i].Err = r, rec, err
+		}
+	}
+
+	if wait != nil {
+		i := unit[0]
+		select {
+		case <-wait.done:
+			switch {
+			case wait.err == nil:
 				e.hits.Add(1)
 				e.deduped.Add(1)
-				jr.Result, jr.Record, jr.CacheHit = f.r, f.rec, true
-				return jr
-			case <-ctx.Done():
-				e.canceled.Add(1)
-				jr.Err = ctx.Err()
-				return jr
+				out[i].Result, out[i].Record, out[i].CacheHit = wait.r, wait.rec, true
+			case isCancellation(wait.err) && ctx.Err() == nil:
+				again = append(again, i)
+			default:
+				e.countFailure(wait.err)
+				out[i].Err = wait.err
 			}
+		case <-ctx.Done():
+			e.canceled.Add(1)
+			out[i].Err = ctx.Err()
 		}
-		led = f
-		// Leader. A sibling may have populated the cache between our miss
-		// and the join; re-probe — this time through every tier, remote
-		// included — before paying for a simulation. An undecodable record
-		// is treated as a miss, so the simulation below heals the slot.
-		if rec, ok := e.probe(jr.Key, false); ok {
-			if r, derr := rec.Result(); derr == nil {
-				led = nil
-				e.flights.finish(jr.Key, f, r, rec, nil)
-				e.hits.Add(1)
-				jr.Result, jr.Record, jr.CacheHit = r, rec, true
-				return jr
-			}
-		}
-		e.misses.Add(1)
-		e.runs.Add(1)
-		r, runErr := e.simulate(ctx, keys.norm, job.Options)
-		var rec *Record
-		if runErr == nil {
-			// Build the record (the one marshal this result will ever pay)
-			// and Put before finish: retired flights send latecomers to the
-			// cache, so it must already hold the result. A cache-write
-			// failure degrades caching, not correctness.
-			if rec, _ = NewRecord(jr.Key, r); rec != nil {
-				_ = e.cache.Put(jr.Key, rec)
-			}
-		} else {
-			e.countFailure(runErr)
-		}
-		led = nil
-		e.flights.finish(jr.Key, f, r, rec, runErr)
-		jr.Result, jr.Record, jr.Err = r, rec, runErr
-		return jr
+	}
+	for _, i := range again {
+		e.runUnit(ctx, jobs, keys, []int{i}, false, out, gen)
 	}
 }
 
 // Lookup serves a job whose cache key the caller already knows, without
-// its config: it is runJob's pre-flight probe, of the local tiers only,
+// its config: it is a run's pre-flight probe, of the local tiers only,
 // and on a hit returns the decoded result and its record, counted as one
 // hit. A missing or undecodable record returns false and counts nothing;
-// the caller then runs the job through Run, which counts the miss, joins
-// the flight (so a stampede still costs one remote round trip) and heals
-// a bad slot.
+// the caller then runs the job through RunAfterLookup (or Run), which
+// counts the miss, joins the flight (so a stampede still costs one remote
+// round trip) and heals a bad slot.
 func (e *Engine) Lookup(key string) (JobResult, bool) {
 	if e.cache == nil {
 		return JobResult{}, false
 	}
-	rec, ok := e.probe(key, true)
+	rec, ok := e.cache.GetLocal(key)
 	if !ok {
 		return JobResult{}, false
 	}
@@ -503,22 +555,14 @@ func (e *Engine) RunAfterLookup(ctx context.Context, job Job) JobResult {
 		e.onStart(0, job)
 		e.cbMu.Unlock()
 	}
-	jr := e.runJob(ctx, job, jobKeys{}, true, materializeSpec)
+	out := make([]JobResult, 1)
+	e.runUnit(ctx, []Job{job}, make([]jobKeys, 1), []int{0}, true, out, materializeSpec)
 	if e.onResult != nil {
 		e.cbMu.Lock()
-		e.onResult(0, jr)
+		e.onResult(0, out[0])
 		e.cbMu.Unlock()
 	}
-	return jr
-}
-
-// probe looks the key up in the store; localOnly restricts the lookup
-// to the cheap local tiers.
-func (e *Engine) probe(key string, localOnly bool) (*Record, bool) {
-	if localOnly {
-		return e.cache.GetLocal(key)
-	}
-	return e.cache.Get(key)
+	return out[0]
 }
 
 // countFailure books a failed job under Canceled or Errors.

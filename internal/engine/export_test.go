@@ -85,10 +85,7 @@ func PlanUnits(e *Engine, plan Plan) (keys, prefixes []string, units [][]int) {
 		keys = append(keys, k.key)
 		prefixes = append(prefixes, k.prefix)
 	}
-	for _, u := range us {
-		units = append(units, u.indices)
-	}
-	return keys, prefixes, units
+	return keys, prefixes, us
 }
 
 // CountKeyGoroutines calls count for every keying goroutine planUnits

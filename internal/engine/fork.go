@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"godpm/internal/soc"
 )
@@ -18,6 +16,11 @@ import (
 // Result is finished at its cut, bit-identical to a solo run (the soc
 // fork-equivalence tests pin this). Each member keeps its own cache key,
 // so a later solo run of any member is still a hit.
+//
+// A group is a work unit like a solo job, and runs through the same path
+// (runUnit): its members are claimed one by one, and the members it leads
+// share one session through the runForked seam, or run alone when only
+// one of them is left to simulate.
 
 // forkable reports whether a job may join a fork group. Observed jobs run
 // solo (a shared session has nowhere to attach per-member observers),
@@ -35,18 +38,12 @@ func (e *Engine) forkable(job Job) bool {
 	return !(job.Config.UseGEM && job.Config.GEM.BusOccupancyLimit > 0)
 }
 
-// workUnit is one dispatchable unit of a plan: a single job, or a fork
-// group that one worker runs as a shared session.
-type workUnit struct {
-	indices []int // plan positions; len > 1 means a fork group
-}
-
 // planUnits partitions the plan into work units, preserving plan order by
 // first occurrence, and derives up front the keys a plan-wide step needs:
 // every job's cache key when the store warms up for the plan, and the keys
 // of forkable jobs when the plan has at least two of them. Each of those
 // jobs is normalized and encoded once, and its cache key and fork-prefix
-// key share that encoding. All other keys stay zero; runJob derives them
+// key share that encoding. All other keys stay zero; runUnit derives them
 // on its worker, so plans that neither warm nor fork (NoCache engines,
 // observed jobs, single-job serving plans) key in parallel and never pay
 // for the prefix hash.
@@ -57,7 +54,7 @@ type workUnit struct {
 // runs serially afterwards, over the index-aligned keys, so unit order and
 // fork groups do not depend on which goroutine keyed which job.
 //
-// Unforkable jobs (and jobs whose config does not normalize — runJob
+// Unforkable jobs (and jobs whose config does not normalize — runUnit
 // surfaces the error) become solo units; forkable jobs sharing a prefix
 // key collapse into one group unit. The prefix key is the fingerprint of
 // the normalized config with Horizon zeroed. Normalized horizons are
@@ -65,7 +62,7 @@ type workUnit struct {
 // key iff their configs are identical modulo Horizon, which is exactly
 // when they share a trajectory prefix. The returned keys are index-aligned
 // with plan.Jobs.
-func (e *Engine) planUnits(plan Plan, gen soc.Materializer) ([]jobKeys, []workUnit) {
+func (e *Engine) planUnits(plan Plan, gen soc.Materializer) ([]jobKeys, [][]int) {
 	nForkable := 0
 	for _, job := range plan.Jobs {
 		if e.forkable(job) {
@@ -82,20 +79,18 @@ func (e *Engine) planUnits(plan Plan, gen soc.Materializer) ([]jobKeys, []workUn
 	keys := make([]jobKeys, len(plan.Jobs))
 	keyJobs(plan.Jobs, need, keys, e.workers, gen)
 
-	units := make([]workUnit, 0, len(plan.Jobs))
+	units := make([][]int, 0, len(plan.Jobs))
 	slot := make(map[string]int)
 	for i := range plan.Jobs {
 		prefix := keys[i].prefix
-		if prefix == "" {
-			units = append(units, workUnit{indices: []int{i}})
-			continue
-		}
 		if u, ok := slot[prefix]; ok {
-			units[u].indices = append(units[u].indices, i)
+			units[u] = append(units[u], i)
 			continue
 		}
-		slot[prefix] = len(units)
-		units = append(units, workUnit{indices: []int{i}})
+		if prefix != "" {
+			slot[prefix] = len(units)
+		}
+		units = append(units, []int{i})
 	}
 	return keys, units
 }
@@ -114,7 +109,7 @@ var goKeyer = func(f func()) { go f() }
 // workers−1 more goroutines, which take tasks from a shared counter. Every
 // job's keys land in its own slot, so the result does not depend on the
 // schedule. Fewer than two tasks start no goroutine. A panic while keying
-// becomes that job's key error, wrapping ErrInternal, as runJob would
+// becomes that job's key error, wrapping ErrInternal, as runUnit would
 // report it: a keying goroutine has no caller to unwind to. Workloads are
 // generated by gen.
 func keyJobs(jobs []Job, tasks []keyTask, keys []jobKeys, workers int, gen soc.Materializer) {
@@ -154,130 +149,6 @@ func safeKeysOf(job Job, withPrefix bool, gen soc.Materializer) (k jobKeys) {
 	return keysOf(job, withPrefix, gen)
 }
 
-// runForked runs a fork group's shared session; tests replace it.
+// runForked runs the shared session of a unit's leaders; tests replace
+// it.
 var runForked = soc.NormalConfig.RunForked
-
-// runGroup executes one fork group: members already cached are served as
-// ordinary hits, members led elsewhere (a concurrent identical job holds
-// the flight) fall back to the solo path, and everything else runs as ONE
-// shared soc.RunForked session whose per-member snapshots are stored
-// under the members' individual cache keys. Results land in out at each
-// member's plan position; keys are the plan's precomputed job keys.
-//
-// A panic costs the group's jobs, not the process: as in runJob, every
-// flight the group still leads is finished with an error wrapping
-// ErrInternal that names the member, and every member left with neither
-// a result nor an error gets one.
-func (e *Engine) runGroup(ctx context.Context, jobs []Job, keys []jobKeys, indices []int, out []JobResult, gen soc.Materializer) {
-	type liveMember struct {
-		i      int
-		key    string
-		flight *flight // nil once finished
-	}
-	var live []liveMember
-	var fallback []int
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		for _, i := range indices {
-			if out[i].Result != nil || out[i].Err != nil {
-				continue
-			}
-			e.errs.Add(1)
-			err := fmt.Errorf("%w: job %s: its fork group panicked: %v", ErrInternal, jobs[i].ID, p)
-			out[i] = JobResult{Job: jobs[i], Key: keys[i].key, Err: err}
-		}
-		for _, m := range live {
-			if m.flight != nil {
-				e.flights.finish(m.key, m.flight, nil, nil, out[m.i].Err)
-			}
-		}
-	}()
-	for _, i := range indices {
-		job := jobs[i]
-		if err := ctx.Err(); err != nil {
-			e.canceled.Add(1)
-			out[i] = JobResult{Job: job, Err: err}
-			continue
-		}
-		key := keys[i].key
-		if err := keys[i].err; err != nil {
-			e.errs.Add(1)
-			out[i] = JobResult{Job: job, Err: err}
-			continue
-		}
-		out[i] = JobResult{Job: job, Key: key}
-		// Same probe protocol as runJob: a cheap local-tier look first, a
-		// full (remote-included) probe only for flight leaders — a group
-		// of N members then costs at most N remote round-trips, exactly
-		// like N solo leaders, not N per-member probes.
-		if rec, ok := e.probe(key, true); ok {
-			if r, derr := rec.Result(); derr == nil {
-				e.hits.Add(1)
-				out[i].Result, out[i].Record, out[i].CacheHit = r, rec, true
-				continue
-			}
-		}
-		f, leader := e.flights.join(key)
-		if !leader {
-			fallback = append(fallback, i)
-			continue
-		}
-		live = append(live, liveMember{i: i, key: key, flight: f})
-		if rec, ok := e.probe(key, false); ok {
-			if r, derr := rec.Result(); derr == nil {
-				live = live[:len(live)-1]
-				e.flights.finish(key, f, r, rec, nil)
-				e.hits.Add(1)
-				out[i].Result, out[i].Record, out[i].CacheHit = r, rec, true
-				continue
-			}
-		}
-	}
-
-	if len(live) > 0 {
-		// Every member runs to its own normalized horizon. A zero Horizon
-		// would select the session's, which is the first member's.
-		members := make([]soc.ForkMember, len(live))
-		for j, m := range live {
-			members[j] = soc.ForkMember{
-				Horizon:  keys[m.i].norm.Config().Horizon,
-				StopWhen: jobs[m.i].Options.StopWhen,
-			}
-		}
-		e.misses.Add(int64(len(live)))
-		e.runs.Add(1)
-		t0 := time.Now()
-		rs, err := runForked(keys[live[0].i].norm, ctx, members)
-		e.runLat.RecordDuration(time.Since(t0))
-		if err != nil {
-			for j, m := range live {
-				e.countFailure(err)
-				out[m.i].Err = err
-				live[j].flight = nil
-				e.flights.finish(m.key, m.flight, nil, nil, err)
-			}
-		} else {
-			e.forked.Add(int64(len(live) - 1))
-			for j, m := range live {
-				r := rs[j]
-				var rec *Record
-				if rec, _ = NewRecord(m.key, r); rec != nil {
-					_ = e.cache.Put(m.key, rec)
-				}
-				out[m.i].Result, out[m.i].Record = r, rec
-				live[j].flight = nil
-				e.flights.finish(m.key, m.flight, r, rec, nil)
-			}
-		}
-	}
-
-	// Members whose flight is led by a concurrent identical job take the
-	// ordinary path: wait on that flight, or hit whatever the cache holds
-	// by now.
-	for _, i := range fallback {
-		out[i] = e.runJob(ctx, jobs[i], keys[i], false, gen)
-	}
-}

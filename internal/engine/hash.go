@@ -85,7 +85,7 @@ type jobKeys struct {
 	// err is the normalization error; both keys are "" when it is set.
 	err error
 	// done marks keys that were derived; planUnits leaves a job's keys
-	// zero when no plan-wide step needs them, and runJob derives them on
+	// zero when no plan-wide step needs them, and runUnit derives them on
 	// its worker.
 	done bool
 }

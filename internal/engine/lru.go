@@ -240,7 +240,7 @@ func (c *LRU) Stats() TierStats {
 }
 
 // store runs the cache alone, as a memory-only Store.
-func (c *LRU) store() *Store { return &Store{tiers: []Cache{c}, local: 1} }
+func (c *LRU) store() *Store { return &Store{tiers: []Cache{c}} }
 
 func (s *lruShard) pushFront(e *lruEntry) {
 	e.prev, e.next = nil, s.head

@@ -180,6 +180,19 @@ func DecodeRecord(data []byte) (*Record, error) {
 	return rec, nil
 }
 
+// containerOnly returns a record of r's container alone, copied to its
+// exact size: none of the spare capacity of the buffer it was read into,
+// no inflated body, no decoded result. r must be a decoded container,
+// whose checksum DecodeRecord has already verified.
+func (r *Record) containerOnly() *Record {
+	data := bytes.Clone(r.container)
+	c := &Record{key: r.key, digest: r.digest, rawLen: r.rawLen, codec: r.codec, body: data[len(data)-len(r.body):], container: data}
+	if c.codec == CodecRaw {
+		c.raw = c.body
+	}
+	return c
+}
+
 // Key returns the fingerprint the record was stored under ("" for records
 // built before their key was known).
 func (r *Record) Key() string { return r.key }

@@ -118,12 +118,11 @@ const (
 	statChunkSize = 1024
 )
 
-// Remote is a client-side store tier backed by a dpmremote server: a
-// shared hash-addressed result store that lets a fleet of processes
-// deduplicate simulations fleet-wide. It implements Cache with strict
-// fail-open semantics — a down, slow or corrupt remote turns Gets into
-// misses and Puts into no-ops, never into request failures — so it is
-// always safe to layer behind local tiers (see Store).
+// Remote is a client of a dpmremote server: a shared hash-addressed
+// result store that lets a fleet of processes deduplicate simulations
+// fleet-wide. It fails open — a down, slow or corrupt remote turns Gets
+// into misses and Puts into no-ops, never into request failures — so it
+// is always safe behind a Store's local tiers.
 //
 // Failure handling: each operation retries transient errors with
 // exponential backoff; after FailureThreshold consecutive failed
@@ -496,29 +495,6 @@ func (c *Remote) Stat(ctx context.Context, keys []string) (map[string]bool, erro
 	}
 	c.opOK()
 	return present, nil
-}
-
-// Has probes without fetching (a single HEAD; no retry — it is an
-// optimisation, not a correctness path).
-func (c *Remote) Has(key string) bool {
-	if !validKey(key) || !c.admit() {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodHead, c.base+blobPathPrefix+key, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		c.opFailed()
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	c.opOK()
-	return resp.StatusCode == http.StatusOK
 }
 
 // Stats reports the remote tier's lookup/transport counters plus the

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,12 +9,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"godpm/internal/engine"
+	"godpm/internal/sim"
 	"godpm/internal/soc"
 )
 
@@ -57,14 +60,8 @@ func TestRemoteBlobServerRoundtrip(t *testing.T) {
 	remote := newRemote(t, engine.RemoteOptions{BaseURL: ts.URL})
 
 	key, want := computeResult(t, 1)
-	if remote.Has(key) {
-		t.Fatalf("Has(%s) = true before Put", key)
-	}
 	if err := remote.Put(key, mustRecord(t, key, want)); err != nil {
 		t.Fatalf("Put: %v", err)
-	}
-	if !remote.Has(key) {
-		t.Fatalf("Has(%s) = false after Put", key)
 	}
 	got, ok := remote.Get(key)
 	if !ok {
@@ -513,6 +510,57 @@ func TestRemoteWireFormatNegotiation(t *testing.T) {
 		}
 		if rec.Key() != key || rec.Digest() != engine.ResultDigest(want) {
 			t.Fatal("served container carries the wrong identity")
+		}
+	}
+}
+
+// TestBlobPutStoresTheContainerOnly: a verified PUT is stored as its
+// container alone. The inflated body and decoded result its verification
+// built are not kept beside it, so the server's heap grows by at most
+// the MemSize its store accounts per upload, and a GET serves the
+// uploaded bytes unchanged.
+func TestBlobPutStoresTheContainerOnly(t *testing.T) {
+	cfg := testConfig(1, soc.PolicyDPM, 400)
+	cfg.Horizon = 600 * sim.Sec
+	r, err := soc.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(r.Ledger.Records()); n < 400 {
+		t.Fatalf("ledger has %d rows, want 400", n)
+	}
+	const puts = 50
+	keys := make([]string, puts)
+	bodies := make([][]byte, puts)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%064x", i+1)
+		bodies[i] = mustContainer(t, keys[i], r)
+	}
+	memSize := mustRecord(t, keys[0], r).MemSize()
+	blob := engine.NewBlobServer(engine.NewLRU(engine.LRUOptions{MaxBytes: 1 << 30}), engine.BlobServerOptions{})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, key := range keys {
+		w := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPut, "/v1/blob/"+key, bytes.NewReader(bodies[i]))
+		blob.ServeHTTP(w, req)
+		if w.Code != http.StatusNoContent {
+			t.Fatalf("PUT %d: status %d: %s", i, w.Code, w.Body)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / puts; grown > memSize {
+		t.Errorf("heap grew %d B per PUT, more than the %d B MemSize the store accounts", grown, memSize)
+	}
+
+	for i, key := range keys {
+		w := httptest.NewRecorder()
+		blob.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/blob/"+key, nil))
+		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), bodies[i]) {
+			t.Fatalf("GET %d: status %d, %d bytes; want the %d uploaded bytes", i, w.Code, w.Body.Len(), len(bodies[i]))
 		}
 	}
 }

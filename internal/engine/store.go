@@ -6,15 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// Cache is one tier of a Store: the memory LRU, the Disk files or the
-// Remote client. Every tier deals in *Record — the encoded canonical
-// bytes plus the lazily decoded Result — so a value crosses tiers and
-// reaches a socket without ever being re-marshalled. Records handed out
-// by Get are shared — with singleflight dedup and a serving layer on
-// top, one entry may back many concurrent jobs and HTTP responses, so
-// callers must treat them as strictly immutable: never mutate a Record,
-// or a Result (or its Ledger/maps) obtained from one. Implementations
-// must be safe for concurrent use.
+// Cache is one local tier of a Store: the memory LRU or the Disk files.
+// Every tier, and the Remote client behind them, deals in *Record — the
+// encoded canonical bytes plus the lazily decoded Result — so a value
+// crosses tiers and reaches a socket without ever being re-marshalled.
+// Records handed out by Get are shared — with singleflight dedup and a
+// serving layer on top, one entry may back many concurrent jobs and HTTP
+// responses, so callers must treat them as strictly immutable: never
+// mutate a Record, or a Result (or its Ledger/maps) obtained from one.
+// Implementations must be safe for concurrent use.
 type Cache interface {
 	Get(key string) (*Record, bool)
 	Put(key string, rec *Record) error
@@ -87,22 +87,22 @@ const (
 // can shrink it.
 var writeBehindQueue = 256
 
-// Store is the engine's result store: a flat list of tiers, fastest
-// first — memory, then optionally files (a Disk), then optionally the
-// fleet's shared dpmremote store (a Remote client). Get probes the tiers
-// in order and promotes a deeper hit into every faster local tier, so a
-// result fetched from the shared store is served from memory on the next
-// probe. Put writes through the local tiers and write-behind to the
-// remote one, so the network hop never sits on the simulation path.
+// Store is the engine's result store: its local tiers, fastest first —
+// memory, then optionally files (a Disk) — and optionally, behind them,
+// a client of the fleet's shared dpmremote store (a Remote). Get probes
+// the local tiers in order, then the remote, and promotes a deeper hit
+// into every faster local tier, so a result fetched from the shared
+// store is served from memory on the next probe. Put writes through the
+// local tiers and write-behind to the remote, so the network hop never
+// sits on the simulation path.
 //
 // A down or slow remote degrades Gets to the local tiers (the Remote
 // client fails open), so a remote tier never makes a request fail that
 // would have succeeded locally. Safe for concurrent use. Call Close when
 // done to flush the write-behind queue.
 type Store struct {
-	tiers  []Cache // memory, [disk], [remote]
-	local  int     // the first local tiers are tiers[:local]
-	remote *Remote // tiers[local] when non-nil
+	tiers  []Cache // memory, [disk]
+	remote *Remote // nil without a shared store
 
 	queue    chan wbPut
 	closeMu  sync.RWMutex // held shared by write-behind Puts, exclusively by Close
@@ -129,14 +129,12 @@ func NewStore(memory Cache, dir string, disk DiskOptions, remote *RemoteOptions)
 		}
 		s.tiers = append(s.tiers, d)
 	}
-	s.local = len(s.tiers)
 	if remote != nil {
 		r, err := NewRemote(*remote)
 		if err != nil {
 			return nil, err
 		}
 		s.remote = r
-		s.tiers = append(s.tiers, r)
 		s.queue = make(chan wbPut, writeBehindQueue)
 		s.wg.Add(1)
 		go s.writeBehind()
@@ -155,10 +153,17 @@ func (s *Store) writeBehind() {
 	}
 }
 
-// Get probes the tiers fastest-first; a hit in a deeper tier is promoted
-// into every faster local tier before returning.
+// Get probes the local tiers fastest-first, then the remote; a hit in a
+// deeper tier is promoted into every faster local tier before returning.
 func (s *Store) Get(key string) (*Record, bool) {
-	return s.get(key, len(s.tiers))
+	if rec, ok := s.GetLocal(key); ok || s.remote == nil {
+		return rec, ok
+	}
+	rec, ok := s.remote.Get(key)
+	if ok {
+		s.promote(key, rec, len(s.tiers))
+	}
+	return rec, ok
 }
 
 // GetLocal probes only the local tiers. The engine uses it for the
@@ -167,12 +172,8 @@ func (s *Store) Get(key string) (*Record, bool) {
 // job: the network hop collapses into the singleflight exactly like the
 // simulation itself.
 func (s *Store) GetLocal(key string) (*Record, bool) {
-	return s.get(key, s.local)
-}
-
-func (s *Store) get(key string, n int) (*Record, bool) {
-	for i := 0; i < n; i++ {
-		if rec, ok := s.tiers[i].Get(key); ok {
+	for i, t := range s.tiers {
+		if rec, ok := t.Get(key); ok {
 			s.promote(key, rec, i)
 			return rec, true
 		}
@@ -180,7 +181,8 @@ func (s *Store) get(key string, n int) (*Record, bool) {
 	return nil, false
 }
 
-// promote writes a tier-i hit into the faster tiers, which are all local.
+// promote writes a hit of local tier i, or of the remote when i is
+// len(s.tiers), into the faster local tiers.
 func (s *Store) promote(key string, rec *Record, i int) {
 	for j := 0; j < i; j++ {
 		_ = s.tiers[j].Put(key, rec)
@@ -190,7 +192,7 @@ func (s *Store) promote(key string, rec *Record, i int) {
 // Has probes the local tiers for key without promotion or hit/miss
 // accounting.
 func (s *Store) Has(key string) bool {
-	for _, t := range s.tiers[:s.local] {
+	for _, t := range s.tiers {
 		if t.Has(key) {
 			return true
 		}
@@ -204,7 +206,7 @@ func (s *Store) Has(key string) bool {
 // result, so the only cost is a replication opportunity.
 func (s *Store) Put(key string, rec *Record) error {
 	var firstErr error
-	for _, t := range s.tiers[:s.local] {
+	for _, t := range s.tiers {
 		if err := t.Put(key, rec); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -281,7 +283,7 @@ func (s *Store) Warm(ctx context.Context, keys []string) int {
 			defer wg.Done()
 			defer func() { <-sem }()
 			if rec, ok := s.remote.Get(k); ok {
-				s.promote(k, rec, s.local)
+				s.promote(k, rec, len(s.tiers))
 				n.Add(1)
 			}
 		}(k)
@@ -290,19 +292,21 @@ func (s *Store) Warm(ctx context.Context, keys []string) int {
 	return int(n.Load())
 }
 
-// snapshot reports each tier's counters, fastest first, with the
-// write-behind drops on the remote tier, and the store's occupancy: the
+// snapshot reports each local tier's counters, fastest first, then the
+// remote's with the write-behind drops, and the store's occupancy: the
 // entries and bytes of its deepest local tier (the files when there are
 // any, else memory) and the evictions summed over its tiers.
 func (s *Store) snapshot() (tiers []TierStats, entries, bytes, evictions int64) {
-	tiers = make([]TierStats, len(s.tiers))
+	tiers = make([]TierStats, len(s.tiers), len(s.tiers)+1)
 	for i, t := range s.tiers {
 		tiers[i] = t.Stats()
 		evictions += tiers[i].Evictions
 	}
+	deepest := tiers[len(tiers)-1]
 	if s.remote != nil {
-		tiers[s.local].PutDrops += s.putDrops.Load()
+		rt := s.remote.Stats()
+		rt.PutDrops += s.putDrops.Load()
+		tiers = append(tiers, rt)
 	}
-	deepest := tiers[s.local-1]
 	return tiers, deepest.Entries, deepest.Bytes, evictions
 }
