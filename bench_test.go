@@ -152,7 +152,7 @@ func BenchmarkEngine(b *testing.B) {
 }
 
 // BenchmarkRecordHit compares what a disk or remote hit pays for a stored
-// result — DecodeRecord plus Record.Result on its flate container — with
+// result — DecodeRecord plus Record.Result on its stored container — with
 // simulating the config again, for the Table 2 A1 (20 tasks) and B
 // (default 120 tasks) runs and the arena's steady and mmpp entrants (40
 // tasks). A tier is only worth having while decode stays well below run.
@@ -177,7 +177,7 @@ func BenchmarkRecordHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		data, err := rec.Encode(engine.CodecFlate)
+		data, err := rec.Encode(engine.CodecRaw)
 		if err != nil {
 			b.Fatal(err)
 		}

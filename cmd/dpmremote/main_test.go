@@ -55,7 +55,7 @@ func container(t *testing.T, key string, r *godpm.Result) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := rec.Encode(godpm.CodecFlate)
+	data, err := rec.Encode(godpm.CodecRaw)
 	if err != nil {
 		t.Fatal(err)
 	}

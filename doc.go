@@ -31,11 +31,11 @@
 // (RemoteCacheOptions configures it; it speaks a versioned blob
 // protocol), so a fleet of dpmserve replicas runs each distinct
 // configuration once fleet-wide. Every tier stores one
-// currency, CacheRecord: a versioned, checksummed, flate-compressed
-// binary container of the result's canonical JSON, so cache hits and
-// blob transfers copy pre-encoded bytes instead of re-marshalling, byte
-// caps account exactly, and old JSON disk entries heal by
-// re-simulation (see the README's "Cache format"). The serving fleet is
+// currency, CacheRecord: a versioned, checksummed binary container of
+// the result's compact binary body, so cache hits and blob transfers
+// copy pre-encoded bytes instead of re-encoding, byte caps account
+// exactly, and disk entries of an older version heal by re-simulation
+// (see the README's "Cache format"). The serving fleet is
 // observable end to end: both servers expose mergeable latency sketches
 // and rolling rates on /statsz (internal/stats, watched live with
 // cmd/dpmtop), and dpmserve can journal every handled request to an

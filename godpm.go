@@ -199,12 +199,12 @@ type (
 	// *TieredCache, or an *LRUCache, which runs as a memory-only store.
 	CacheStorage = engine.Storage
 	// CacheRecord is the unit every cache tier stores and every server
-	// serves: one result's pre-encoded canonical bytes (versioned binary
-	// container, compressed body, checksum, cached content digest) plus
-	// the lazily-decoded Result. See NewCacheRecord/DecodeCacheRecord.
+	// serves: one result's pre-encoded bytes (versioned binary container,
+	// compact binary body, checksum, cached content digest) plus the
+	// lazily-decoded Result. See NewCacheRecord/DecodeCacheRecord.
 	CacheRecord = engine.Record
-	// CacheCodec identifies a record body's compression (the container's
-	// codec byte).
+	// CacheCodec identifies how a record's body is stored (the
+	// container's codec byte).
 	CacheCodec = engine.Codec
 	// LRUCache is the sharded, bounded in-memory cache: a store's memory
 	// tier, and the engine's default when EngineOptions.Cache is nil.
@@ -253,17 +253,19 @@ const (
 )
 
 // Record body codecs (CacheRecord.Encode's argument). Every store writes
-// flate; DecodeCacheRecord reads either.
+// the binary body raw; DecodeCacheRecord reads either. Containers are
+// version 2: a version 1 container, whose body was canonical JSON, is
+// refused, so upgrade a fleet's dpmremote before its replicas.
 const (
-	// CodecRaw stores canonical JSON uncompressed.
+	// CodecRaw stores the binary body uncompressed.
 	CodecRaw = engine.CodecRaw
-	// CodecFlate compresses bodies with DEFLATE.
+	// CodecFlate compresses the binary body with DEFLATE.
 	CodecFlate = engine.CodecFlate
 )
 
 // NewCacheRecord builds a cache record from a computed result,
-// marshalling it exactly once; DecodeCacheRecord parses (and checksums)
-// an encoded container without decompressing its body.
+// encoding it exactly once; DecodeCacheRecord parses (and checksums)
+// an encoded container without decoding its body.
 func NewCacheRecord(key string, r *Result) (*CacheRecord, error) { return engine.NewRecord(key, r) }
 
 // DecodeCacheRecord parses a binary record container (see CacheRecord).

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -145,9 +147,9 @@ func (s *BlobServer) handleGet(w http.ResponseWriter, key string) {
 		return
 	}
 	s.getHits.Add(1)
-	// The stored container is the response — already compressed, already
-	// checksummed, encoded at most once in this process's lifetime.
-	data, err := rec.Encode(CodecFlate)
+	// The stored container is the response — already checksummed,
+	// encoded at most once in this process's lifetime.
+	data, err := rec.Encode(storeCodec)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -164,7 +166,7 @@ func (s *BlobServer) handleGet(w http.ResponseWriter, key string) {
 
 func (s *BlobServer) handlePut(w http.ResponseWriter, r *http.Request, key string) {
 	s.puts.Add(1)
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBlob))
+	data, err := readBlob(http.MaxBytesReader(w, r.Body, s.maxBlob), r.ContentLength, s.maxBlob)
 	if err != nil {
 		s.putRejects.Add(1)
 		http.Error(w, "body exceeds max blob size", http.StatusRequestEntityTooLarge)
@@ -177,8 +179,8 @@ func (s *BlobServer) handlePut(w http.ResponseWriter, r *http.Request, key strin
 	var res *soc.Result
 	if decErr == nil {
 		// Decode all the way: a container whose header checks out but
-		// whose body does not inflate and decode as a canonical body
-		// (see bodydecode.go) must be refused, not stored for the fleet.
+		// whose body does not decode as appendBody writes it (see
+		// recordbody.go) must be refused, not stored for the fleet.
 		res, decErr = rec.Result()
 	}
 	if decErr != nil {
@@ -196,13 +198,54 @@ func (s *BlobServer) handlePut(w http.ResponseWriter, r *http.Request, key strin
 		http.Error(w, "body does not match claimed digest", http.StatusUnprocessableEntity)
 		return
 	}
-	// Only the container is served again: keep it, not the inflated body
-	// and decoded result its verification built.
+	// Only the container is served again: keep the bytes read, not the
+	// decoded result its verification built.
 	if err := s.store.Put(key, rec.containerOnly()); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// errBlobTooLarge refuses a blob body longer than its bound.
+var errBlobTooLarge = errors.New("blob exceeds the size bound")
+
+// maxPreallocBlob bounds the buffer readBlob allocates on a declared
+// length before the bytes arrive, so that a client declaring a large body
+// and sending none cannot make the server allocate it. Records are a few
+// kilobytes; a larger body is read as it comes.
+const maxPreallocBlob = 1 << 16
+
+// readBlob reads a blob body of at most max bytes whose length is
+// declared (-1 when unknown). A declared length of up to maxPreallocBlob
+// is read into one buffer of exactly that size, which a record may keep
+// as its container; any other body is read as it comes and copied to its
+// size. A body shorter or longer than it declared is an error.
+func readBlob(body io.Reader, declared, max int64) ([]byte, error) {
+	if declared > max {
+		return nil, errBlobTooLarge
+	}
+	if declared < 0 || declared > maxPreallocBlob {
+		data, err := io.ReadAll(io.LimitReader(body, max+1))
+		switch {
+		case err != nil:
+			return nil, err
+		case int64(len(data)) > max:
+			return nil, errBlobTooLarge
+		case declared >= 0 && int64(len(data)) != declared:
+			return nil, fmt.Errorf("blob of %d bytes, declared %d", len(data), declared)
+		}
+		return bytes.Clone(data), nil
+	}
+	data := make([]byte, declared)
+	if _, err := io.ReadFull(body, data); err != nil {
+		return nil, err
+	}
+	var extra [1]byte
+	if n, _ := body.Read(extra[:]); n != 0 {
+		return nil, fmt.Errorf("blob longer than its declared %d bytes", declared)
+	}
+	return data, nil
 }
 
 func (s *BlobServer) handleStat(w http.ResponseWriter, r *http.Request) {

@@ -121,7 +121,7 @@ func (c *Disk) scan() (bytes, entries int64) {
 }
 
 // Get returns the record stored for key. A load validates the container
-// header and body checksum (cheap — no decompression), so a torn or
+// header and body checksum (cheap — the body is not decoded), so a torn or
 // bit-rotted file is deleted and reported as a miss, never served.
 func (c *Disk) Get(key string) (*Record, bool) {
 	path := c.path(key)
@@ -171,15 +171,14 @@ func (c *Disk) Has(key string) bool {
 }
 
 // Put stores a record on disk, then enforces the size cap.
-// The on-disk payload is the record's flate-compressed binary container
-// — encoding is cached on the record, so a record replicated to several
-// stores compresses once. The write is atomic
+// The on-disk payload is the record's binary container, built once per
+// record and shared with every other store it is replicated to. The write is atomic
 // (temp + rename); with DiskOptions.Sync it is additionally
 // crash-consistent: the payload is fsynced before the rename publishes
 // it, so a crash at any point leaves the slot holding the old entry, the
 // complete new entry, or nothing — never a torn file.
 func (c *Disk) Put(key string, rec *Record) error {
-	data, err := rec.Encode(CodecFlate)
+	data, err := rec.Encode(storeCodec)
 	if err != nil {
 		return fmt.Errorf("engine: encode record: %w", err)
 	}

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,11 +31,11 @@ func mustRecord(t testing.TB, key string, r *soc.Result) *engine.Record {
 	return rec
 }
 
-// mustContainer encodes r as the flate record container a dpmremote peer
+// mustContainer encodes r as the record container a dpmremote peer
 // sends on the wire.
 func mustContainer(t testing.TB, key string, r *soc.Result) []byte {
 	t.Helper()
-	data, err := mustRecord(t, key, r).Encode(engine.CodecFlate)
+	data, err := mustRecord(t, key, r).Encode(engine.CodecRaw)
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
 	}
@@ -218,8 +219,8 @@ func TestDiskSizeCapGC(t *testing.T) {
 }
 
 // TestDiskCodecRoundTrip pins the disk store's record formats: a default
-// write reads back intact, and a raw (uncompressed) container already in
-// the directory — as older stores may hold — is still served.
+// write reads back intact, and a flate container in the directory is
+// still served.
 func TestDiskCodecRoundTrip(t *testing.T) {
 	r := &soc.Result{EnergyJ: 3.25, TasksDone: 9, Completed: true,
 		EnergyByIP: map[string]float64{"cpu": 2, "dsp": 1.25}}
@@ -252,15 +253,56 @@ func TestDiskCodecRoundTrip(t *testing.T) {
 	rec, ok := reopened.Get("k1")
 	check("default write", rec, ok)
 
-	raw, err := mustRecord(t, "k2", r).Encode(engine.CodecRaw)
+	flated, err := mustRecord(t, "k2", r).Encode(engine.CodecFlate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "k2.rec"), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "k2.rec"), flated, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rec, ok = reopened.Get("k2")
-	check("raw container", rec, ok)
+	check("flate container", rec, ok)
+}
+
+// TestDiskDeletesVersion1Records puts a version 1 container, as a store
+// written before the binary body holds, in a job's slot: a Get deletes it
+// and misses, so the job simulates again and its slot heals with the
+// current version.
+func TestDiskDeletesVersion1Records(t *testing.T) {
+	dir := t.TempDir()
+	var plan engine.Plan
+	plan.Add("dpm", testConfig(1, soc.PolicyDPM, 10))
+	first, err := engine.New(engine.Options{Cache: newStore(t, dir, "")}).Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, first[0].Key+".rec")
+	old, err := engine.V1Container(first[0].Key, first[0].Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	eng := engine.New(engine.Options{Cache: newStore(t, dir, "")})
+	second, err := eng.Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.Stats(); st.Runs != 1 || st.Hits != 0 || second[0].CacheHit {
+		t.Fatalf("a version 1 entry was served: %+v", st)
+	}
+	if engine.ResultDigest(second[0].Result) != engine.ResultDigest(first[0].Result) {
+		t.Fatal("the re-simulated result differs")
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("slot not healed: %v", err)
+	}
+	if rec, err := engine.DecodeRecord(data); err != nil || rec.Key() != first[0].Key {
+		t.Fatalf("healed slot does not hold the job's record: %v", err)
+	}
 }
 
 // fakeDiskKey builds a distinct hex cache key per index.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 
 	"godpm/internal/soc"
 	"godpm/internal/workload"
@@ -123,4 +124,24 @@ func HoldRunForked(hold func(ctx context.Context, members []soc.ForkMember)) (re
 		return orig(n, ctx, members)
 	}
 	return func() { runForked = orig }
+}
+
+// V1Container encodes r as a version 1 container, as stores wrote them
+// before the binary body: the result's JSON (json.Marshal's bytes, with
+// WallSeconds zeroed), flate-compressed.
+func V1Container(key string, r *soc.Result) ([]byte, error) {
+	canon := *r
+	canon.WallSeconds = 0
+	raw, err := json.Marshal(&canon)
+	if err != nil {
+		return nil, err
+	}
+	body, err := deflate(raw)
+	if err != nil {
+		return nil, err
+	}
+	rec := &Record{key: key, digest: ResultDigest(&canon), rawLen: len(raw)}
+	rec.setContainer(CodecFlate, body)
+	rec.container[4] = 1 // the version byte, outside the checksum
+	return rec.container, nil
 }

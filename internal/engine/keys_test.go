@@ -117,9 +117,61 @@ func TestResultDigestMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRecordBodyMatchesJSONOnRealResults requires NewRecord's body to be
-// json.Marshal's bytes for the real results of every Table 2 run (DPM
-// and baseline) and every arena entrant, on workload seeds 1-4.
+// recordForm is the Result a record of r decodes to: r with WallSeconds
+// zeroed, and a ledger without rows holding a nil row slice, as one
+// Ledger.Add starts does. Nil and empty maps, and a nil and an empty
+// ledger, stay apart.
+func recordForm(r *soc.Result) *soc.Result {
+	c := *r
+	c.WallSeconds = 0
+	if c.Ledger != nil && c.Ledger.Len() == 0 {
+		c.Ledger = stats.NewLedger(nil)
+	}
+	return &c
+}
+
+// checkRecordRoundTrip stores rec's container as every store writes it,
+// decodes it back and requires the Result of res (see recordForm): deeply
+// equal, with the record's digest, and marshalling to res's JSON, which
+// is what dpmserve answers with on a hit and on a miss.
+func checkRecordRoundTrip(t *testing.T, name string, rec *engine.Record, res *soc.Result) {
+	t.Helper()
+	data, err := rec.Encode(engine.CodecRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := engine.DecodeRecord(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dec.Result()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want := recordForm(res)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: decoded Result differs from the simulated one", name)
+	}
+	if d := engine.ResultDigest(got); d != engine.ResultDigest(res) || d != rec.Digest() {
+		t.Fatalf("%s: decoded digest %s, simulated %s, stored %s", name, d, engine.ResultDigest(res), rec.Digest())
+	}
+	gotJSON, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("%s: decoded Result marshals to other JSON (%d vs %d bytes)", name, len(gotJSON), len(wantJSON))
+	}
+}
+
+// TestRecordBodyMatchesJSONOnRealResults round-trips the records of the
+// real results of every Table 2 run (DPM and baseline) and every arena
+// entrant, on workload seeds 1-4: each decodes to the simulated Result,
+// WallSeconds aside, and marshals to its JSON.
 func TestRecordBodyMatchesJSONOnRealResults(t *testing.T) {
 	seeds := []workload.Seed{1, 2, 3, 4}
 	var cfgs []soc.Config
@@ -147,19 +199,7 @@ func TestRecordBodyMatchesJSONOnRealResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rec.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		canon := *res
-		canon.WallSeconds = 0
-		want, err := json.Marshal(&canon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("config %d: record body is not json.Marshal's (%d vs %d bytes)", i, len(got), len(want))
-		}
+		checkRecordRoundTrip(t, fmt.Sprint("config ", i), rec, res)
 	}
 }
 
@@ -167,9 +207,9 @@ func TestRecordBodyMatchesJSONOnRealResults(t *testing.T) {
 // every job of a plan holding the Table 2 runs (DPM and baseline, seeds 1
 // and 2), the extensions, an arena tournament and every sweep study, run
 // through a caching engine so fork groups serve members from shared
-// sessions. Each Result must equal json.Unmarshal's reading of the same
-// body and carry its digest. So must variants with nil and empty maps and
-// nil and empty ledgers.
+// sessions. Each Result must equal the job's, WallSeconds aside, carry
+// its digest and marshal to its JSON. So must variants with nil and empty
+// maps and nil and empty ledgers.
 func TestRecordDecodeMatchesJSONOnRealResults(t *testing.T) {
 	var plan engine.Plan
 	for _, seed := range []int64{1, 2} {
@@ -200,40 +240,11 @@ func TestRecordDecodeMatchesJSONOnRealResults(t *testing.T) {
 	if st := eng.Stats(); st.Forked == 0 {
 		t.Fatalf("no job was served as a forked member: %+v", st)
 	}
-	check := func(name string, rec *engine.Record) {
-		t.Helper()
-		data, err := rec.Encode(engine.CodecFlate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := engine.DecodeRecord(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := dec.Result()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		body, err := dec.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want soc.Result
-		if err := json.Unmarshal(body, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, &want) {
-			t.Fatalf("%s: decoded Result differs from json.Unmarshal's", name)
-		}
-		if d := engine.ResultDigest(got); d != engine.ResultDigest(&want) || d != rec.Digest() {
-			t.Fatalf("%s: decoded digest %s, json.Unmarshal's %s, stored %s", name, d, engine.ResultDigest(&want), rec.Digest())
-		}
-	}
 	for _, jr := range results {
 		if jr.Err != nil || jr.Record == nil {
 			t.Fatalf("job %s: error %v, record %v", jr.Job.ID, jr.Err, jr.Record)
 		}
-		check(jr.Job.ID, jr.Record)
+		checkRecordRoundTrip(t, jr.Job.ID, jr.Record, jr.Result)
 	}
 	for i, variant := range []func(r *soc.Result){
 		func(r *soc.Result) { r.Ledger = nil },
@@ -252,7 +263,7 @@ func TestRecordDecodeMatchesJSONOnRealResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(fmt.Sprintf("%s variant %d", jr.Job.ID, i), rec)
+			checkRecordRoundTrip(t, fmt.Sprintf("%s variant %d", jr.Job.ID, i), rec, &r)
 		}
 	}
 }

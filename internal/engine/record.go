@@ -15,19 +15,20 @@ import (
 )
 
 // Record is the unit every cache tier stores and every server serves: the
-// canonical encoded bytes of one soc.Result plus its lazily-decoded value.
-// Building a Record encodes the result exactly once; after that, a cache
-// hit — whether served from memory, disk, the remote store, or an HTTP
-// response — is a copy of pre-encoded bytes, never a re-marshal, and the
-// decoded Result is materialised at most once per record per process, only
-// when a consumer actually asks for it.
+// encoded bytes of one soc.Result plus its lazily-decoded value. Building
+// a Record encodes the result exactly once; after that, a cache hit —
+// whether served from memory, disk, the remote store, or an HTTP response
+// — is a copy of pre-encoded bytes, never a re-encode, and the decoded
+// Result is materialised at most once per record per process, only when
+// a consumer actually asks for it.
 //
 // On disk and on the wire a record travels as a compact versioned binary
 // container (see Encode): a fixed header carrying the fingerprint, the
-// result's content digest and a checksum, followed by the body —
-// canonical JSON, compressed per the header's codec. Records are immutable
-// after construction (the lazy fields fill monotonically), so one record
-// may safely back many concurrent jobs and HTTP responses.
+// result's content digest and a checksum, followed by the body — the
+// Result's binary encoding (see recordbody.go), stored per the header's
+// codec. Records are immutable after construction (the lazy fields fill
+// monotonically), so one record may safely back many concurrent jobs and
+// HTTP responses.
 type Record struct {
 	key    string
 	digest string
@@ -35,9 +36,9 @@ type Record struct {
 
 	mu        sync.Mutex
 	codec     Codec
-	body      []byte // stored/wire body (compressed per codec); nil until first Encode of a fresh record
-	raw       []byte // canonical JSON; nil until inflated for a decoded container
-	container []byte // cached full container encoding (codec `codec`)
+	body      []byte // stored body (compressed per codec), within container
+	raw       []byte // binary body; nil until inflated for a flate container
+	container []byte // full container encoding (codec `codec`)
 
 	res atomic.Pointer[soc.Result]
 	aux atomic.Pointer[[]byte]
@@ -48,13 +49,19 @@ type Record struct {
 type Codec uint8
 
 const (
-	// CodecRaw stores the canonical JSON body uncompressed. No store
-	// writes it, but existing stores may hold it, so DecodeRecord reads it.
+	// CodecRaw stores the binary body uncompressed. Every store writes
+	// it (storeCodec).
 	CodecRaw Codec = 0
 	// CodecFlate compresses the body with DEFLATE (stdlib compress/flate).
-	// Every store writes it: ledger-heavy result JSON shrinks 5-10x.
+	// No store writes it; Encode and DecodeRecord still handle it, and the
+	// benchmark's record rows time it.
 	CodecFlate Codec = 1
 )
+
+// storeCodec is the codec every store writes and serves: the binary body
+// is compact already, so a hit reads it in place, with no inflate, and a
+// miss's write-behind does no deflate.
+const storeCodec = CodecRaw
 
 func (c Codec) String() string {
 	switch c {
@@ -81,12 +88,14 @@ func (c Codec) String() string {
 //	    52     …  key | digest | body
 //
 // The checksum covers the stored body, so corruption — a torn disk write,
-// a flipped wire bit — is caught at decode time without decompressing.
+// a flipped wire bit — is caught at decode time without reading the body.
 // The key and digest live in the header so a server can vouch a blob's
-// identity and content digest without touching the body at all.
+// identity and content digest without touching the body at all. Version
+// 1 bodies were canonical JSON; version 2 bodies are binary, and a
+// version 1 container is refused like any other unsupported one.
 const (
 	recordMagic    = "GDPM"
-	recordVersion  = 1
+	recordVersion  = 2
 	recordHdrLen   = 52
 	maxRecordField = 1 << 10 // sanity bound on key/digest lengths
 	maxRecordBody  = 1 << 30 // sanity bound on raw/body lengths
@@ -104,11 +113,11 @@ const (
 // the body of every dpmremote blob GET and PUT.
 const RecordContentType = "application/x-gdpm-record"
 
-// NewRecord builds a record from a freshly-computed result: the canonical
-// JSON is written once, here, into a pooled buffer (see body.go) and
-// copied out at its exact size, and the content digest is computed from
-// the result's deterministic fields (see ResultDigest). Host timing
-// (WallSeconds) is zeroed in the canonical body, mirroring the digest's
+// NewRecord builds a record from a freshly-computed result: the body is
+// written once, here, into a pooled buffer and copied into the record's
+// container, which every store then writes as is, and the content digest
+// is computed from the result's deterministic fields (see ResultDigest).
+// Host timing (WallSeconds) is zeroed in the body, mirroring the digest's
 // exclusion of it: equal simulations produce byte-identical records, so
 // record sizes — and the exact byte accounting built on them — are
 // deterministic across runs, hosts and worker counts.
@@ -117,25 +126,26 @@ func NewRecord(key string, r *soc.Result) (*Record, error) {
 	canon.WallSeconds = 0
 	buf := getBuf()
 	defer putBuf(buf)
-	b, err := appendResultJSON((*buf)[:0], &canon)
+	b, err := appendBody((*buf)[:0], &canon)
 	*buf = b
 	if err != nil {
 		return nil, fmt.Errorf("engine: encode result: %w", err)
 	}
-	raw := make([]byte, len(b))
-	copy(raw, b)
-	rec := &Record{key: key, digest: ResultDigest(&canon), rawLen: len(raw), raw: raw}
+	rec := &Record{key: key, digest: ResultDigest(&canon), rawLen: len(b)}
+	rec.setContainer(storeCodec, b)
+	rec.raw = rec.body
 	rec.res.Store(&canon)
 	return rec, nil
 }
 
 // DecodeRecord parses a binary container. The header is validated
 // (magic, version, lengths) and the body checksum is verified, so a
-// decoded record's bytes are known-intact — but the body is NOT
-// decompressed or decoded here; that happens lazily on the first
-// JSON()/Result() call. Inflating preallocates the header's raw length, so
-// a flate header claiming more than DEFLATE can expand its body to is
-// refused here, before anything is allocated for it.
+// decoded record's bytes are known-intact — but the body is NOT decoded
+// here; that happens lazily on the first Result() call. Inflating a flate
+// body preallocates the header's raw length, so a flate header claiming
+// more than DEFLATE can expand its body to is refused here, before
+// anything is allocated for it. The record keeps data as its container:
+// the caller must not modify it afterwards.
 func DecodeRecord(data []byte) (*Record, error) {
 	if len(data) < recordHdrLen || string(data[:4]) != recordMagic {
 		return nil, fmt.Errorf("engine: not a record container")
@@ -180,13 +190,12 @@ func DecodeRecord(data []byte) (*Record, error) {
 	return rec, nil
 }
 
-// containerOnly returns a record of r's container alone, copied to its
-// exact size: none of the spare capacity of the buffer it was read into,
-// no inflated body, no decoded result. r must be a decoded container,
-// whose checksum DecodeRecord has already verified.
+// containerOnly returns a record of r's container alone, sharing its
+// bytes: no inflated body, no decoded result. r must be a decoded
+// container, whose checksum DecodeRecord has already verified, read into
+// a buffer of its own size.
 func (r *Record) containerOnly() *Record {
-	data := bytes.Clone(r.container)
-	c := &Record{key: r.key, digest: r.digest, rawLen: r.rawLen, codec: r.codec, body: data[len(data)-len(r.body):], container: data}
+	c := &Record{key: r.key, digest: r.digest, rawLen: r.rawLen, codec: r.codec, body: r.body, container: r.container}
 	if c.codec == CodecRaw {
 		c.raw = c.body
 	}
@@ -203,52 +212,41 @@ func (r *Record) Key() string { return r.key }
 func (r *Record) Digest() string { return r.digest }
 
 // MemSize is the record's in-memory accounting size: a deterministic
-// function of the header fields (fixed overhead + key + digest + raw
-// length), so a cache's byte accounting is exact by construction —
+// function of the header fields (fixed overhead + key + digest + binary
+// body length), so a cache's byte accounting is exact by construction —
 // accounted bytes always equal the sum of live records' MemSize — and
 // independent of which lazy fields happen to be materialised.
 func (r *Record) MemSize() int64 {
 	return recordOverhead + int64(len(r.key)) + int64(len(r.digest)) + int64(r.rawLen)
 }
 
-// JSON returns the canonical JSON bytes, inflating the stored body on
-// first call. The returned slice is shared — treat it as immutable.
-func (r *Record) JSON() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.jsonLocked()
-}
-
-func (r *Record) jsonLocked() ([]byte, error) {
-	if r.raw != nil {
-		return r.raw, nil
-	}
-	switch r.codec {
-	case CodecFlate:
+// rawLocked returns the binary body, inflating a flate body on first use.
+func (r *Record) rawLocked() ([]byte, error) {
+	if r.raw == nil {
 		raw, err := inflate(r.body, r.rawLen)
 		if err != nil {
 			return nil, fmt.Errorf("engine: record body: %w", err)
 		}
 		r.raw = raw
-		return raw, nil
-	default:
-		return nil, fmt.Errorf("engine: record has no body (codec %s)", r.codec)
 	}
+	return r.raw, nil
 }
 
-// Result returns the decoded result, decoding the canonical JSON on first
-// call (see bodydecode.go: a body laid out any other way is refused).
-// Results handed out are shared — treat them as strictly immutable,
-// exactly like Cache.Get's contract.
+// Result returns the decoded result, decoding the body on first call
+// (see recordbody.go: a body laid out any other way than appendBody
+// writes is refused). Results handed out are shared — treat them as
+// strictly immutable, exactly like Cache.Get's contract.
 func (r *Record) Result() (*soc.Result, error) {
 	if res := r.res.Load(); res != nil {
 		return res, nil
 	}
-	raw, err := r.JSON()
+	r.mu.Lock()
+	raw, err := r.rawLocked()
+	r.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	res, err := decodeResult(raw)
+	res, err := decodeBody(raw)
 	if err != nil {
 		return nil, err
 	}
@@ -257,36 +255,37 @@ func (r *Record) Result() (*soc.Result, error) {
 	return r.res.Load(), nil
 }
 
-// Encode returns the record's binary container for the codec, compressing
-// the body on first use and caching the encoding (so a record stored to
-// disk and replicated to a remote store with the same codec compresses
-// once). The returned slice is shared — treat it as immutable.
+// Encode returns the record's binary container for the codec, building
+// it on first use and caching it. A record holds the container for
+// storeCodec from the start, so every store's Encode returns it as is.
+// The returned slice is shared — treat it as immutable.
 func (r *Record) Encode(codec Codec) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.container != nil && r.codec == codec {
 		return r.container, nil
 	}
-	raw, err := r.jsonLocked()
+	raw, err := r.rawLocked()
 	if err != nil {
 		return nil, err
 	}
-	var body []byte
+	body := raw
 	switch codec {
 	case CodecRaw:
-		body = raw
 	case CodecFlate:
-		if r.body != nil && r.codec == CodecFlate {
-			body = r.body
-		} else {
-			body, err = deflate(raw)
-			if err != nil {
-				return nil, fmt.Errorf("engine: compress record: %w", err)
-			}
+		if body, err = deflate(raw); err != nil {
+			return nil, fmt.Errorf("engine: compress record: %w", err)
 		}
 	default:
 		return nil, fmt.Errorf("engine: encode record: unknown codec %s", codec)
 	}
+	r.setContainer(codec, body)
+	return r.container, nil
+}
+
+// setContainer builds r's container for a body stored with codec,
+// copying the body into it.
+func (r *Record) setContainer(codec Codec, body []byte) {
 	out := make([]byte, recordHdrLen, recordHdrLen+len(r.key)+len(r.digest)+len(body))
 	copy(out[0:4], recordMagic)
 	out[4] = recordVersion
@@ -294,15 +293,14 @@ func (r *Record) Encode(codec Codec) ([]byte, error) {
 	binary.LittleEndian.PutUint16(out[6:8], 0)
 	binary.LittleEndian.PutUint16(out[8:10], uint16(len(r.key)))
 	binary.LittleEndian.PutUint16(out[10:12], uint16(len(r.digest)))
-	binary.LittleEndian.PutUint32(out[12:16], uint32(len(raw)))
+	binary.LittleEndian.PutUint32(out[12:16], uint32(r.rawLen))
 	binary.LittleEndian.PutUint32(out[16:20], uint32(len(body)))
 	sum := sha256.Sum256(body)
 	copy(out[20:52], sum[:])
 	out = append(out, r.key...)
 	out = append(out, r.digest...)
 	out = append(out, body...)
-	r.codec, r.body, r.container = codec, body, out
-	return out, nil
+	r.codec, r.body, r.container = codec, out[len(out)-len(body):], out
 }
 
 // Aux returns the serving-layer artifact attached with SetAux (nil if
@@ -359,7 +357,7 @@ func (l *freeList[T]) put(v T) {
 }
 
 // Flate writers and readers are reused: a flate.Writer is ~700 KiB of
-// window state, far too heavy to allocate per Put.
+// window state, far too heavy to allocate per Encode.
 var (
 	flateWriters = newFreeList(func() *flate.Writer {
 		w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
@@ -370,9 +368,7 @@ var (
 	})
 )
 
-// deflate compresses raw with DEFLATE at BestSpeed — result JSON is
-// highly redundant (repeated ledger field names), so even the fastest
-// level lands the 5-10x shrink the format exists for.
+// deflate compresses raw with DEFLATE at BestSpeed.
 func deflate(raw []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(len(raw)/4 + 64)

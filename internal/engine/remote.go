@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -24,7 +25,7 @@ import (
 //
 // Blob bodies are binary record containers (Content-Type
 // application/x-gdpm-record) both ways: a GET receives the stored
-// container verbatim — pre-encoded compressed bytes, no per-GET marshal —
+// container verbatim — pre-encoded bytes, no per-GET marshal —
 // and a PUT uploads one. The container's version byte is the upgrade
 // mechanism: a peer refuses a version it does not know.
 //
@@ -334,14 +335,11 @@ func (c *Remote) Get(key string) (*Record, bool) {
 		switch {
 		case resp.StatusCode == http.StatusOK:
 			digest = resp.Header.Get(digestHeader)
-			data, err = io.ReadAll(io.LimitReader(resp.Body, maxBlobBytes+1))
-			if err != nil {
-				return false, err
-			}
-			if int64(len(data)) > maxBlobBytes {
+			data, err = readBlob(resp.Body, resp.ContentLength, maxBlobBytes)
+			if errors.Is(err, errBlobTooLarge) {
 				return true, fmt.Errorf("blob for %s exceeds %d bytes", key, maxBlobBytes)
 			}
-			return true, nil
+			return err == nil, err
 		case resp.StatusCode == http.StatusNotFound:
 			io.Copy(io.Discard, resp.Body)
 			notFound = true
@@ -368,8 +366,8 @@ func (c *Remote) Get(key string) (*Record, bool) {
 		decErr = fmt.Errorf("record keyed %q, want %q", rec.Key(), key)
 	}
 	if decErr == nil {
-		// Decode eagerly: a record must prove its body inflates and
-		// decodes before it may cross into the local tiers.
+		// Decode eagerly: a record must prove its body decodes before it
+		// may cross into the local tiers.
 		_, decErr = rec.Result()
 	}
 	if decErr != nil {
@@ -397,11 +395,11 @@ func (c *Remote) Get(key string) (*Record, bool) {
 	return rec, true
 }
 
-// Put stores a record in the remote store, uploading its compressed
-// binary container (encoded once per record, shared with the disk
-// tier's copy). Failures are counted and swallowed into the returned
-// error; the Store's write-behind treats a failed Put as a lost
-// replication opportunity, not a job failure.
+// Put stores a record in the remote store, uploading its binary
+// container (built once per record, shared with the disk tier's copy).
+// Failures are counted and swallowed into the returned error; the
+// Store's write-behind treats a failed Put as a lost replication
+// opportunity, not a job failure.
 func (c *Remote) Put(key string, rec *Record) error {
 	if !validKey(key) {
 		return fmt.Errorf("engine: remote cache: invalid key %q", key)
@@ -410,7 +408,7 @@ func (c *Remote) Put(key string, rec *Record) error {
 		c.skipped.Add(1)
 		return nil
 	}
-	data, err := rec.Encode(CodecFlate)
+	data, err := rec.Encode(storeCodec)
 	if err != nil {
 		return fmt.Errorf("engine: remote cache: encode record: %w", err)
 	}

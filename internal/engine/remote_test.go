@@ -515,10 +515,11 @@ func TestRemoteWireFormatNegotiation(t *testing.T) {
 }
 
 // TestBlobPutStoresTheContainerOnly: a verified PUT is stored as its
-// container alone. The inflated body and decoded result its verification
-// built are not kept beside it, so the server's heap grows by at most
-// the MemSize its store accounts per upload, and a GET serves the
-// uploaded bytes unchanged.
+// container alone, in the buffer its body was read into. The decoded
+// result its verification built is not kept beside it, so the server's
+// heap grows by about the MemSize its store accounts per upload, a PUT
+// allocates within its budget, and a GET serves the uploaded bytes
+// unchanged.
 func TestBlobPutStoresTheContainerOnly(t *testing.T) {
 	cfg := testConfig(1, soc.PolicyDPM, 400)
 	cfg.Horizon = 600 * sim.Sec
@@ -529,7 +530,7 @@ func TestBlobPutStoresTheContainerOnly(t *testing.T) {
 	if n := len(r.Ledger.Records()); n < 400 {
 		t.Fatalf("ledger has %d rows, want 400", n)
 	}
-	const puts = 50
+	const puts = 200
 	keys := make([]string, puts)
 	bodies := make([][]byte, puts)
 	for i := range keys {
@@ -552,8 +553,22 @@ func TestBlobPutStoresTheContainerOnly(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if grown := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / puts; grown > memSize {
-		t.Errorf("heap grew %d B per PUT, more than the %d B MemSize the store accounts", grown, memSize)
+	grown := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / puts
+	allocs := (after.Mallocs - before.Mallocs) / puts
+	allocated := (after.TotalAlloc - before.TotalAlloc) / puts
+	// A container within a few hundred bytes of MemSize is rounded up to
+	// its allocation size class, up to an eighth more.
+	if grown > memSize+memSize/8 {
+		t.Errorf("heap grew %d B per PUT, more than the %d B MemSize the store accounts and an eighth", grown, memSize)
+	}
+	// The body is read once, into a buffer of its size that the store
+	// keeps; the decode that verifies it allocates the Result, its
+	// ledger rows in one slice. Measured on go1.24 linux/amd64: 45.4 KB
+	// in 47 objects per PUT of this 10 KB container (169 KB in 73 when
+	// the body was read with io.ReadAll and then copied). Pooled buffers
+	// regrow under the race detector, so the bound holds without it.
+	if !raceEnabled && (allocated > 50<<10 || allocs > 52) {
+		t.Errorf("a PUT allocated %d B in %d objects, want at most 50 KiB in 52", allocated, allocs)
 	}
 
 	for i, key := range keys {
@@ -562,5 +577,32 @@ func TestBlobPutStoresTheContainerOnly(t *testing.T) {
 		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), bodies[i]) {
 			t.Fatalf("GET %d: status %d, %d bytes; want the %d uploaded bytes", i, w.Code, w.Body.Len(), len(bodies[i]))
 		}
+	}
+}
+
+// TestBlobPutRefusesBodiesShortOfTheirLength PUTs bodies shorter than the
+// Content-Length they declare, one within the length the server reads
+// into a buffer of the declared size and one far beyond it: both are
+// refused, and the large declaration is not allocated ahead of the bytes.
+func TestBlobPutRefusesBodiesShortOfTheirLength(t *testing.T) {
+	blob := engine.NewBlobServer(engine.NewLRU(engine.LRUOptions{}), engine.BlobServerOptions{})
+	key := strings.Repeat("ab", 32)
+	for _, declared := range []int64{1000, 30 << 20} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		req := httptest.NewRequest(http.MethodPut, "/v1/blob/"+key, strings.NewReader("GDPM"))
+		req.ContentLength = declared
+		w := httptest.NewRecorder()
+		blob.ServeHTTP(w, req)
+		runtime.ReadMemStats(&after)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("declared %d, sent 4 bytes: status %d, want 413", declared, w.Code)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("declared %d, sent 4 bytes: %d bytes allocated", declared, n)
+		}
+	}
+	if st := blob.Stats(); st.PutRejects != 2 || st.Store.Entries != 0 {
+		t.Fatalf("rejects %d, stored %d; want 2 and 0", st.PutRejects, st.Store.Entries)
 	}
 }

@@ -244,7 +244,9 @@ func (a *accountant) sample(first sim.Time, n int) (ran int) {
 		tempC = node.TempC()
 		thermLo, thermHi = node.ClassRange()
 	}
-	temp := a.temp
+	// The temperature mean's running state stays in locals through the
+	// loop and is stored back once, as the meters and wells are.
+	temp := a.temp.Steps()
 	lastE := a.lastE
 	t := first
 	interval, step := a.interval, a.intervalSecs
@@ -280,7 +282,7 @@ samples:
 			}
 			tempC = a.plant.stepNetwork(a.perIP, secs)
 		}
-		temp.AddStep(t, secs, tempC)
+		temp = temp.Add(secs, tempC)
 		if a.gemReeval {
 			a.g.Reevaluate()
 		}
@@ -327,7 +329,7 @@ samples:
 				break
 			}
 			w, tempC, lastE = sw, sTempC, e
-			temp.AddStep(t, secs, tempC)
+			temp = temp.Add(secs, tempC)
 			ran++
 			if checking {
 				a.check(t, tempC, w, e)
@@ -351,7 +353,7 @@ samples:
 	if node != nil {
 		node.Set(tempC)
 	}
-	a.temp = temp
+	a.temp.SetSteps(temp, t, ran)
 	a.lastE, a.lastAt = lastE, t
 	return ran
 }

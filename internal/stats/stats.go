@@ -115,15 +115,39 @@ func (w *TimeWeighted) Add(t sim.Time, v float64) {
 // to Add whenever the hold converts to secs. There must be a previous
 // sample.
 func (w *TimeWeighted) AddStep(t sim.Time, secs, v float64) {
-	w.area += w.lastV * secs
-	w.lastAt, w.lastV = t, v
-	w.n++
-	if v > w.peak {
-		w.peak = v
+	w.SetSteps(w.Steps().Add(secs, v), t, 1)
+}
+
+// Steps is the part of a TimeWeighted that AddStep changes besides the
+// last sample's time and the sample count. It is four floats, so a caller
+// adding many samples in a loop keeps it in registers: it takes it with
+// TimeWeighted.Steps, adds with Steps.Add and stores it back once with
+// TimeWeighted.SetSteps, bit-identically to calling AddStep each time.
+type Steps struct{ area, lastV, peak, min float64 }
+
+// Steps returns w's running state (see Steps). There must be a sample.
+func (w *TimeWeighted) Steps() Steps { return Steps{w.area, w.lastV, w.peak, w.min} }
+
+// Add is AddStep's change to the running state: one sample v held for
+// secs seconds after the previous one.
+func (s Steps) Add(secs, v float64) Steps {
+	s.area += s.lastV * secs
+	s.lastV = v
+	if v > s.peak {
+		s.peak = v
 	}
-	if v < w.min {
-		w.min = v
+	if v < s.min {
+		s.min = v
 	}
+	return s
+}
+
+// SetSteps stores back a running state taken with Steps after n samples
+// were added to it, the last of them at t.
+func (w *TimeWeighted) SetSteps(s Steps, t sim.Time, n int) {
+	w.area, w.lastV, w.peak, w.min = s.area, s.lastV, s.peak, s.min
+	w.lastAt = t
+	w.n += n
 }
 
 // Len returns the number of samples accumulated.
